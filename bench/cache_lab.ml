@@ -62,3 +62,20 @@ let run_cell ~universe ~dist ~policy ~capacity ~warmup ~refs ~ttl ~dt ~seed ()
   { measured_miss = float_of_int misses /. float_of_int (Stdlib.max 1 refs);
     hits; misses; evictions = stats.Lispdp.Map_cache.evictions;
     expirations = stats.Lispdp.Map_cache.expirations }
+
+(* The BENCH.json row of one cell: the measured miss rate, plus the
+   model prediction, its relative error and tolerance for the cells the
+   model gates. *)
+let row ~run ~policy ~n ~alpha ~capacity ~refs ?gate r ok =
+  let float x = Obs.Json.Float x in
+  { Bench_row.run; ok;
+    fields =
+      [ ("policy", Obs.Json.String policy); ("n", Obs.Json.Int n);
+        ("alpha", float alpha); ("capacity", Obs.Json.Int capacity);
+        ("refs", Obs.Json.Int refs); ("measured_miss", float r.measured_miss) ]
+      @
+      match gate with
+      | Some (predicted, rel_err, tolerance) ->
+          [ ("predicted_miss", float predicted); ("rel_err", float rel_err);
+            ("tolerance", float tolerance) ]
+      | None -> [] }

@@ -7,11 +7,11 @@
    fails.  Two classes of field:
 
    - Strict fields are properties of the *simulation*, independent of
-     host speed: experiment success, simulated event counts, the
-     latency decomposition (simulated seconds), and self-profile
-     sanity (coverage, share ranges).  These always hard-fail — a
-     drifted value means nondeterminism or a broken profiler, not a
-     slow runner.
+     host speed: experiment success, simulated event counts, every row
+     block (the latency decomposition and the gated cell rows of
+     {!Bench_row}), and self-profile sanity (coverage, share ranges).
+     These always hard-fail — a drifted value means nondeterminism or
+     a broken profiler, not a slow runner.
 
    - Perf fields (events/s, peak RSS) depend on the machine.  They
      fail outside the tolerance band; [--soft] downgrades them to
@@ -49,25 +49,14 @@ let events_per_sec_widening = 1.5
 let engine_single_floor = 2e6
 let engine_sharded_floor = 1e7
 
-(* Latency metrics are simulated time but travel through the JSON
-   float printer (%.12g), so equality is up to a relative epsilon. *)
+(* Row values are simulated quantities but travel through the JSON
+   float printer (%.12g), so float equality is up to a relative
+   epsilon. *)
 let rel_eps = 1e-9
 
 let approx_equal a b =
   let scale = Float.max (Float.abs a) (Float.abs b) in
   Float.abs (a -. b) <= rel_eps *. Float.max scale 1.0
-
-let read_json path =
-  match open_in_bin path with
-  | exception Sys_error msg -> Error msg
-  | ic ->
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      Obs.Json.of_string s
-
-let member_or name json ~default =
-  match Obs.Json.member name json with Some v -> v | None -> default
 
 let experiments_of doc =
   match Obs.Json.member "experiments" doc with
@@ -85,35 +74,68 @@ let experiments_of doc =
 let fnum json name =
   Option.bind (Obs.Json.member name json) Obs.Json.to_float_opt
 
-let latency_runs json =
-  match Obs.Json.member "latency" json with
-  | Some (Obs.Json.List runs) ->
-      Some
-        (List.map
-           (fun run ->
-             let label =
-               match
-                 Option.bind (Obs.Json.member "run" run)
-                   Obs.Json.to_string_opt
-               with
-               | Some l -> l
-               | None -> "?"
-             in
-             let metrics =
-               match run with
-               | Obs.Json.Obj fields ->
-                   List.filter_map
-                     (fun (k, v) ->
-                       if k = "run" then None
-                       else
-                         Option.map (fun f -> (k, f))
-                           (Obs.Json.to_float_opt v))
-                     fields
-               | _ -> []
-             in
-             (label, metrics))
-           runs)
+(* A row block is an experiment field whose value is a list of objects
+   labelled by a "run" string: the latency decomposition and every
+   {!Bench_row} block.  Blocks are found by this shape alone, so a new
+   one is gated without a change here.  Rows come back as (label, other
+   fields). *)
+let rows_of = function
+  | Obs.Json.List items ->
+      let row = function
+        | Obs.Json.Obj kvs -> (
+            match List.assoc_opt "run" kvs with
+            | Some (Obs.Json.String run) ->
+                Some (run, List.remove_assoc "run" kvs)
+            | _ -> None)
+        | _ -> None
+      in
+      let rows = List.filter_map row items in
+      if List.length rows = List.length items then Some rows else None
   | _ -> None
+
+let blocks_of = function
+  | Obs.Json.Obj fields ->
+      List.filter_map
+        (fun (k, v) -> Option.map (fun rows -> (k, rows)) (rows_of v))
+        fields
+  | _ -> []
+
+(* Ints and strings match exactly, floats up to [rel_eps], lists
+   element by element. *)
+let rec same b c =
+  match (b, c) with
+  | Obs.Json.List bs, Obs.Json.List cs ->
+      List.length bs = List.length cs && List.for_all2 same bs cs
+  | Obs.Json.Float _, _ | _, Obs.Json.Float _ -> (
+      match (Obs.Json.to_float_opt b, Obs.Json.to_float_opt c) with
+      | Some x, Some y -> approx_equal x y
+      | _ -> false)
+  | _ -> b = c
+
+(* The first row and field where the current rows stop reproducing the
+   baseline's, label for label; fields only the current row has are
+   ignored. *)
+let rec first_diff brows crows =
+  match (brows, crows) with
+  | [], [] -> None
+  | (blabel, _) :: _, [] -> Some (Printf.sprintf "row %S missing" blabel)
+  | [], (clabel, _) :: _ -> Some (Printf.sprintf "extra row %S" clabel)
+  | (blabel, bfields) :: brest, (clabel, cfields) :: crest -> (
+      if blabel <> clabel then
+        Some (Printf.sprintf "row %S became %S" blabel clabel)
+      else
+        let field_diff (k, bv) =
+          match List.assoc_opt k cfields with
+          | None -> Some (Printf.sprintf "%s: %s missing" blabel k)
+          | Some cv when not (same bv cv) ->
+              Some
+                (Printf.sprintf "%s: %s %s -> %s" blabel k
+                   (Obs.Json.to_string bv) (Obs.Json.to_string cv))
+          | Some _ -> None
+        in
+        match List.find_map field_diff bfields with
+        | None -> first_diff brest crest
+        | diff -> diff)
 
 let f3 v = Printf.sprintf "%.3g" v
 
@@ -121,23 +143,69 @@ let f3 v = Printf.sprintf "%.3g" v
 (* Per-experiment comparisons                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* Row blocks.  Every current row that carries "ok" is a strict gate,
+   with or without a baseline entry: the flag is an acceptance bar, not
+   a ratchet.  Every non-empty baseline block must be reproduced by the
+   current one; a drift gives one finding per block, naming the first
+   row and field that differ. *)
+let check_blocks ~id ~base ~cur =
+  let cur_blocks = blocks_of cur in
+  let gate block (label, fields) =
+    Option.map
+      (fun v ->
+        { f_exp = id; f_field = Printf.sprintf "%s[%s].ok" block label;
+          f_base = "true"; f_cur = Obs.Json.to_string v;
+          f_threshold = "= true"; f_class = Strict;
+          f_ok = v = Obs.Json.Bool true;
+          f_note = "gate stated by the experiment" })
+      (List.assoc_opt "ok" fields)
+  in
+  let reproduced block brows =
+    let rows l = Printf.sprintf "%d row(s)" (List.length l) in
+    let cur_rows = List.assoc_opt block cur_blocks in
+    let diff =
+      match cur_rows with
+      | None -> Some "block missing"
+      | Some crows -> first_diff brows crows
+    in
+    { f_exp = id; f_field = block; f_base = rows brows;
+      f_cur = Option.fold ~none:"missing" ~some:rows cur_rows;
+      f_threshold = Printf.sprintf "identical (rel %.0e)" rel_eps;
+      f_class = Strict; f_ok = diff = None;
+      f_note = Option.value diff ~default:"simulated rows (deterministic)" }
+  in
+  List.concat_map
+    (fun (block, rows) -> List.filter_map (gate block) rows)
+    cur_blocks
+  @ List.filter_map
+      (fun (block, brows) ->
+        if brows = [] then None else Some (reproduced block brows))
+      (Option.fold ~none:[] ~some:blocks_of base)
+
+(* One experiment of the current run; [base] is its baseline entry, if
+   any.  Comparisons against the baseline need that entry; the success
+   flag, row gates and profile sanity apply to every experiment. *)
 let check_experiment ~tolerance ~id ~base ~cur =
   let findings = ref [] in
   let push f = findings := f :: !findings in
+  let base_field conv name =
+    Option.bind base (fun b -> Option.bind (Obs.Json.member name b) conv)
+  and cur_field conv name = Option.bind (Obs.Json.member name cur) conv in
   (* Success flag: the experiment must still pass. *)
   let ok_cur =
-    match Option.bind (Obs.Json.member "ok" cur) Obs.Json.to_bool_opt with
+    match cur_field Obs.Json.to_bool_opt "ok" with
     | Some b -> b
     | None -> false
   in
   push
-    { f_exp = id; f_field = "ok"; f_base = "true";
+    { f_exp = id; f_field = "ok";
+      f_base = (if base = None then "(new)" else "true");
       f_cur = string_of_bool ok_cur; f_threshold = "= true";
       f_class = Strict; f_ok = ok_cur; f_note = "experiment success" };
   (* Simulated event count: exact determinism check. *)
   (match
-     ( Option.bind (Obs.Json.member "events" base) Obs.Json.to_int_opt,
-       Option.bind (Obs.Json.member "events" cur) Obs.Json.to_int_opt )
+     (base_field Obs.Json.to_int_opt "events",
+      cur_field Obs.Json.to_int_opt "events")
    with
   | Some be, Some ce ->
       push
@@ -145,46 +213,6 @@ let check_experiment ~tolerance ~id ~base ~cur =
           f_cur = string_of_int ce; f_threshold = "exact";
           f_class = Strict; f_ok = be = ce;
           f_note = "simulated event count (deterministic)" }
-  | _ -> ());
-  (* Latency decomposition: simulated seconds, must match the baseline
-     label-by-label and metric-by-metric. *)
-  (match (latency_runs base, latency_runs cur) with
-  | Some bruns, Some cruns when bruns <> [] ->
-      let ok, note =
-        if List.length bruns <> List.length cruns then
-          (false,
-           Printf.sprintf "run count %d -> %d" (List.length bruns)
-             (List.length cruns))
-        else
-          List.fold_left2
-            (fun (ok, note) (blabel, bm) (clabel, cm) ->
-              if not ok then (ok, note)
-              else if blabel <> clabel then
-                (false, Printf.sprintf "run %S became %S" blabel clabel)
-              else
-                List.fold_left
-                  (fun (ok, note) (k, bv) ->
-                    if not ok then (ok, note)
-                    else
-                      match List.assoc_opt k cm with
-                      | None ->
-                          (false, Printf.sprintf "%s: %s missing" blabel k)
-                      | Some cv when not (approx_equal bv cv) ->
-                          ( false,
-                            Printf.sprintf "%s: %s %.9g -> %.9g" blabel k
-                              bv cv )
-                      | Some _ -> (ok, note))
-                  (ok, note) bm)
-            (true, "") bruns cruns
-      in
-      push
-        { f_exp = id; f_field = "latency"; f_base = "(simulated)";
-          f_cur = (if ok then "(identical)" else "(drifted)");
-          f_threshold = Printf.sprintf "rel %.0e" rel_eps;
-          f_class = Strict; f_ok = ok;
-          f_note =
-            (if note = "" then "latency percentiles (simulated time)"
-             else note) }
   | _ -> ());
   (* Self-profile sanity on the current run: phase accounting must
      cover >= 95% of wall time and shares must be well-formed. *)
@@ -228,7 +256,10 @@ let check_experiment ~tolerance ~id ~base ~cur =
   | _ -> ());
   (* Throughput: floor derived from the baseline, on the widened
      band. *)
-  (match (fnum base "events_per_sec", fnum cur "events_per_sec") with
+  (match
+     (base_field Obs.Json.to_float_opt "events_per_sec",
+      cur_field Obs.Json.to_float_opt "events_per_sec")
+   with
   | Some bv, Some cv when bv > 0.0 ->
       let band = Float.min 0.95 (tolerance *. events_per_sec_widening) in
       let floor = bv *. (1.0 -. band) in
@@ -241,8 +272,8 @@ let check_experiment ~tolerance ~id ~base ~cur =
   | _ -> ());
   (* Peak RSS: ceiling derived from the baseline. *)
   (match
-     ( Option.bind (Obs.Json.member "peak_rss_kb" base) Obs.Json.to_int_opt,
-       Option.bind (Obs.Json.member "peak_rss_kb" cur) Obs.Json.to_int_opt )
+     (base_field Obs.Json.to_int_opt "peak_rss_kb",
+      cur_field Obs.Json.to_int_opt "peak_rss_kb")
    with
   | Some bv, Some cv when bv > 0 && cv > 0 ->
       let ceiling = float_of_int bv *. (1.0 +. tolerance) in
@@ -255,288 +286,7 @@ let check_experiment ~tolerance ~id ~base ~cur =
             Printf.sprintf "memory high-water (tolerance %.0f%%)"
               (tolerance *. 100.0) }
   | _ -> ());
-  List.rev !findings
-
-(* Cache model-validation rows (M-series "cache" block).  Two gates,
-   both strict — they are properties of the simulation:
-
-   - every current row's "ok" flag must be true (measured miss rate
-     within the experiment's stated tolerance of the Coras prediction;
-     ungated rows carry ok=true by construction);
-   - when the baseline experiment also has a cache block, the row set
-     must match label-for-label and the measured miss rates must be
-     bit-identical up to the JSON float round-trip (determinism). *)
-let cache_rows_of json =
-  Option.bind (Obs.Json.member "cache" json) Cache_record.rows_of_json
-
-let check_cache ~id ~base ~cur =
-  let base_rows = Option.bind base cache_rows_of in
-  match (cache_rows_of cur, base_rows) with
-  | None, Some brs when brs <> [] ->
-      [ { f_exp = id; f_field = "cache"; f_base =
-            Printf.sprintf "%d row(s)" (List.length brs);
-          f_cur = "missing"; f_threshold = "present"; f_class = Strict;
-          f_ok = false;
-          f_note = "cache model-validation block disappeared" } ]
-  | None, _ -> []
-  | Some crs, base_rows ->
-      let ok_findings =
-        List.map
-          (fun (r : Cache_record.row) ->
-            let gated = r.Cache_record.r_predicted_miss <> None in
-            { f_exp = id;
-              f_field = Printf.sprintf "cache[%s].ok" r.Cache_record.r_run;
-              f_base = "true";
-              f_cur = string_of_bool r.Cache_record.r_ok;
-              f_threshold = "= true"; f_class = Strict;
-              f_ok = r.Cache_record.r_ok;
-              f_note =
-                (if gated then
-                   Printf.sprintf
-                     "measured vs Coras model (rel err %s, tolerance %s)"
-                     (match r.Cache_record.r_rel_err with
-                      | Some e -> f3 e
-                      | None -> "?")
-                     (match r.Cache_record.r_tolerance with
-                      | Some t -> f3 t
-                      | None -> "?")
-                 else "ungated cell (no analytical prediction)") })
-          crs
-      in
-      let determinism =
-        match base_rows with
-        | None | Some [] -> []
-        | Some brs ->
-            let blabels =
-              List.map (fun r -> r.Cache_record.r_run) brs
-            and clabels =
-              List.map (fun r -> r.Cache_record.r_run) crs
-            in
-            if blabels <> clabels then
-              [ { f_exp = id; f_field = "cache.rows";
-                  f_base = String.concat "," blabels;
-                  f_cur = String.concat "," clabels;
-                  f_threshold = "same cells"; f_class = Strict;
-                  f_ok = false; f_note = "cache cell set changed" } ]
-            else
-              List.map2
-                (fun (b : Cache_record.row) (c : Cache_record.row) ->
-                  let bm = b.Cache_record.r_measured_miss
-                  and cm = c.Cache_record.r_measured_miss in
-                  { f_exp = id;
-                    f_field =
-                      Printf.sprintf "cache[%s].measured_miss"
-                        b.Cache_record.r_run;
-                    f_base = Printf.sprintf "%.9g" bm;
-                    f_cur = Printf.sprintf "%.9g" cm;
-                    f_threshold = Printf.sprintf "rel %.0e" rel_eps;
-                    f_class = Strict; f_ok = approx_equal bm cm;
-                    f_note = "measured miss rate (deterministic)" })
-                brs crs
-      in
-      ok_findings @ determinism
-
-(* TE-balance telemetry rows ("telemetry" block).  Same two strict
-   gates as the cache block:
-
-   - every current row's "ok" flag must be true (the experiment's
-     stated fairness gate on the inbound Jain index; ungated rows
-     carry ok=true by construction);
-   - when the baseline experiment also has a telemetry block, the row
-     set must match label-for-label and the Jain indexes and provider
-     shares must be identical up to the JSON float round-trip
-     (determinism: the quantities are simulated bytes only). *)
-let telemetry_rows_of json =
-  Option.bind (Obs.Json.member "telemetry" json) Telemetry_record.rows_of_json
-
-let check_telemetry ~id ~base ~cur =
-  let base_rows = Option.bind base telemetry_rows_of in
-  match (telemetry_rows_of cur, base_rows) with
-  | None, Some brs when brs <> [] ->
-      [ { f_exp = id; f_field = "telemetry";
-          f_base = Printf.sprintf "%d row(s)" (List.length brs);
-          f_cur = "missing"; f_threshold = "present"; f_class = Strict;
-          f_ok = false; f_note = "TE telemetry block disappeared" } ]
-  | None, _ -> []
-  | Some crs, base_rows ->
-      let ok_findings =
-        List.map
-          (fun (r : Telemetry_record.row) ->
-            let gated = r.Telemetry_record.r_threshold > 0.0 in
-            { f_exp = id;
-              f_field =
-                Printf.sprintf "telemetry[%s].ok" r.Telemetry_record.r_run;
-              f_base = "true";
-              f_cur = string_of_bool r.Telemetry_record.r_ok;
-              f_threshold = "= true"; f_class = Strict;
-              f_ok = r.Telemetry_record.r_ok;
-              f_note =
-                (if gated then
-                   Printf.sprintf "inbound Jain %s vs gate %s"
-                     (f3 r.Telemetry_record.r_jain_in)
-                     (f3 r.Telemetry_record.r_threshold)
-                 else "ungated cell (reference point)") })
-          crs
-      in
-      let determinism =
-        match base_rows with
-        | None | Some [] -> []
-        | Some brs ->
-            let blabels = List.map (fun r -> r.Telemetry_record.r_run) brs
-            and clabels = List.map (fun r -> r.Telemetry_record.r_run) crs in
-            if blabels <> clabels then
-              [ { f_exp = id; f_field = "telemetry.rows";
-                  f_base = String.concat "," blabels;
-                  f_cur = String.concat "," clabels;
-                  f_threshold = "same cells"; f_class = Strict;
-                  f_ok = false; f_note = "telemetry cell set changed" } ]
-            else
-              List.concat
-                (List.map2
-                   (fun (b : Telemetry_record.row)
-                        (c : Telemetry_record.row) ->
-                     let pair field bv cv =
-                       { f_exp = id;
-                         f_field =
-                           Printf.sprintf "telemetry[%s].%s"
-                             b.Telemetry_record.r_run field;
-                         f_base = Printf.sprintf "%.9g" bv;
-                         f_cur = Printf.sprintf "%.9g" cv;
-                         f_threshold = Printf.sprintf "rel %.0e" rel_eps;
-                         f_class = Strict; f_ok = approx_equal bv cv;
-                         f_note = field ^ " (deterministic)" }
-                     in
-                     let shares =
-                       if
-                         List.length b.Telemetry_record.r_in_share
-                         <> List.length c.Telemetry_record.r_in_share
-                       then
-                         [ { f_exp = id;
-                             f_field =
-                               Printf.sprintf "telemetry[%s].in_share"
-                                 b.Telemetry_record.r_run;
-                             f_base =
-                               string_of_int
-                                 (List.length b.Telemetry_record.r_in_share);
-                             f_cur =
-                               string_of_int
-                                 (List.length c.Telemetry_record.r_in_share);
-                             f_threshold = "same provider count";
-                             f_class = Strict; f_ok = false;
-                             f_note = "provider count changed" } ]
-                       else
-                         List.mapi
-                           (fun i bv ->
-                             pair
-                               (Printf.sprintf "in_share[%d]" i)
-                               bv
-                               (List.nth c.Telemetry_record.r_in_share i))
-                           b.Telemetry_record.r_in_share
-                     in
-                     pair "jain_in" b.Telemetry_record.r_jain_in
-                       c.Telemetry_record.r_jain_in
-                     :: pair "jain_out" b.Telemetry_record.r_jain_out
-                          c.Telemetry_record.r_jain_out
-                     :: shares)
-                   brs crs)
-      in
-      ok_findings @ determinism
-
-(* Adversarial-robustness rows ("security" block, SEC experiments).
-   Same two strict gates as the cache and telemetry blocks:
-
-   - every current row's "ok" flag must be true (the poisoning-success
-     or cache-pollution gate the experiment states; ungated reference
-     cells carry ok=true by construction);
-   - when the baseline experiment also has a security block, the cell
-     set must match label-for-label and the measured counts and rates
-     must be identical up to the JSON float round-trip (determinism:
-     attack attempts, verdicts and setup times are simulated only). *)
-let security_rows_of json =
-  Option.bind (Obs.Json.member "security" json) Security_record.rows_of_json
-
-let check_security ~id ~base ~cur =
-  let base_rows = Option.bind base security_rows_of in
-  match (security_rows_of cur, base_rows) with
-  | None, Some brs when brs <> [] ->
-      [ { f_exp = id; f_field = "security";
-          f_base = Printf.sprintf "%d row(s)" (List.length brs);
-          f_cur = "missing"; f_threshold = "present"; f_class = Strict;
-          f_ok = false; f_note = "security block disappeared" } ]
-  | None, _ -> []
-  | Some crs, base_rows ->
-      let ok_findings =
-        List.map
-          (fun (r : Security_record.row) ->
-            let gated = r.Security_record.r_gate <> "-" in
-            { f_exp = id;
-              f_field =
-                Printf.sprintf "security[%s].ok" r.Security_record.r_run;
-              f_base = "true";
-              f_cur = string_of_bool r.Security_record.r_ok;
-              f_threshold = "= true"; f_class = Strict;
-              f_ok = r.Security_record.r_ok;
-              f_note =
-                (if gated then
-                   Printf.sprintf "attack gate %S (success %s, pollution %s)"
-                     r.Security_record.r_gate
-                     (f3 r.Security_record.r_success)
-                     (f3 r.Security_record.r_pollution)
-                 else "ungated cell (reference point)") })
-          crs
-      in
-      let determinism =
-        match base_rows with
-        | None | Some [] -> []
-        | Some brs ->
-            let blabels = List.map (fun r -> r.Security_record.r_run) brs
-            and clabels = List.map (fun r -> r.Security_record.r_run) crs in
-            if blabels <> clabels then
-              [ { f_exp = id; f_field = "security.rows";
-                  f_base = String.concat "," blabels;
-                  f_cur = String.concat "," clabels;
-                  f_threshold = "same cells"; f_class = Strict;
-                  f_ok = false; f_note = "security cell set changed" } ]
-            else
-              List.concat
-                (List.map2
-                   (fun (b : Security_record.row) (c : Security_record.row) ->
-                     let fpair field bv cv =
-                       { f_exp = id;
-                         f_field =
-                           Printf.sprintf "security[%s].%s"
-                             b.Security_record.r_run field;
-                         f_base = Printf.sprintf "%.9g" bv;
-                         f_cur = Printf.sprintf "%.9g" cv;
-                         f_threshold = Printf.sprintf "rel %.0e" rel_eps;
-                         f_class = Strict; f_ok = approx_equal bv cv;
-                         f_note = field ^ " (deterministic)" }
-                     in
-                     let ipair field bv cv =
-                       { f_exp = id;
-                         f_field =
-                           Printf.sprintf "security[%s].%s"
-                             b.Security_record.r_run field;
-                         f_base = string_of_int bv;
-                         f_cur = string_of_int cv; f_threshold = "exact";
-                         f_class = Strict; f_ok = bv = cv;
-                         f_note = field ^ " (deterministic)" }
-                     in
-                     [ ipair "attempted" b.Security_record.r_attempted
-                         c.Security_record.r_attempted;
-                       ipair "accepted" b.Security_record.r_accepted
-                         c.Security_record.r_accepted;
-                       ipair "gleaned" b.Security_record.r_gleaned
-                         c.Security_record.r_gleaned;
-                       fpair "success" b.Security_record.r_success
-                         c.Security_record.r_success;
-                       fpair "pollution" b.Security_record.r_pollution
-                         c.Security_record.r_pollution;
-                       fpair "setup_mean" b.Security_record.r_setup_mean
-                         c.Security_record.r_setup_mean ])
-                   brs crs)
-      in
-      ok_findings @ determinism
+  List.rev !findings @ check_blocks ~id ~base ~cur
 
 (* Engine dispatch floors: absolute thresholds on the current record's
    "engine" block (no baseline needed — the floor is the acceptance
@@ -563,6 +313,26 @@ let check_engine cur =
           "dispatch throughput floor, Domain-sharded"
   | _ -> []
 
+(* Every finding of [cur] against [base]: experiments missing from the
+   current run, then each current experiment, then the engine floors. *)
+let findings ~tolerance ~base ~cur =
+  let base_exps = experiments_of base and cur_exps = experiments_of cur in
+  List.filter_map
+    (fun (id, _) ->
+      if List.mem_assoc id cur_exps then None
+      else
+        Some
+          { f_exp = id; f_field = "present"; f_base = "yes";
+            f_cur = "missing"; f_threshold = "present"; f_class = Strict;
+            f_ok = false; f_note = "experiment disappeared from the run" })
+    base_exps
+  @ List.concat_map
+      (fun (id, cexp) ->
+        check_experiment ~tolerance ~id ~base:(List.assoc_opt id base_exps)
+          ~cur:cexp)
+      cur_exps
+  @ check_engine cur
+
 (* ------------------------------------------------------------------ *)
 (* Entry point                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -584,14 +354,84 @@ let usage () =
   print_endline
     "  --update-baseline   copy the current BENCH.json over the baseline"
 
-let copy_file ~src ~dst =
-  let ic = open_in_bin src in
-  let n = in_channel_length ic in
-  let body = really_input_string ic n in
-  close_in ic;
-  let oc = open_out_bin dst in
-  output_string oc body;
-  close_out oc
+(* A BENCH record and its text.  An unreadable file, a parse error or a
+   missing lisp-pce-bench schema tag is a usage error, never a vacuous
+   pass. *)
+let load path =
+  match Runner.read_file path with
+  | exception Sys_error msg -> Error msg
+  | text -> (
+      match Obs.Json.of_string text with
+      | Error msg -> Error msg
+      | Ok doc -> (
+          match
+            Option.bind (Obs.Json.member "schema" doc) Obs.Json.to_string_opt
+          with
+          | Some s when String.starts_with ~prefix:"lisp-pce-bench" s ->
+              Ok (text, doc)
+          | Some s -> Error ("unexpected schema " ^ s)
+          | None -> Error "no lisp-pce-bench schema tag"))
+
+(* Print the diff table and the failures; the exit code. *)
+let report ~soft ~title findings =
+  let table =
+    Metrics.Table.create ~title
+      ~columns:[ "experiment"; "field"; "baseline"; "current"; "threshold";
+                 "status" ]
+  in
+  let status f =
+    if f.f_ok then "PASS"
+    else
+      match f.f_class with
+      | Strict -> "FAIL"
+      | Perf -> if soft then "WARN" else "FAIL"
+  in
+  List.iter
+    (fun f ->
+      Metrics.Table.add_row table
+        [ f.f_exp; f.f_field; f.f_base; f.f_cur; f.f_threshold; status f ])
+    findings;
+  Metrics.Table.print table;
+  let failed = List.filter (fun f -> not f.f_ok) findings in
+  let strict_failures =
+    List.filter (fun f -> f.f_class = Strict) failed
+  in
+  let perf_failures = List.filter (fun f -> f.f_class = Perf) failed in
+  List.iter
+    (fun f ->
+      Printf.eprintf "FAIL [%s] %s: %s (baseline %s, current %s, want %s)\n"
+        f.f_exp f.f_field f.f_note f.f_base f.f_cur f.f_threshold)
+    strict_failures;
+  List.iter
+    (fun f ->
+      if soft then
+        (* GitHub annotation format: shows up on the workflow run
+           without failing the job. *)
+        Printf.eprintf
+          "::warning title=bench perf::[%s] %s: %s (baseline %s, current \
+           %s, want %s)\n"
+          f.f_exp f.f_field f.f_note f.f_base f.f_cur f.f_threshold
+      else
+        Printf.eprintf "FAIL [%s] %s: %s (baseline %s, current %s, want %s)\n"
+          f.f_exp f.f_field f.f_note f.f_base f.f_cur f.f_threshold)
+    perf_failures;
+  let hard_failed =
+    strict_failures <> [] || ((not soft) && perf_failures <> [])
+  in
+  if hard_failed then begin
+    Printf.eprintf "bench --check: %d failing field(s)\n"
+      (List.length strict_failures
+      + if soft then 0 else List.length perf_failures);
+    1
+  end
+  else begin
+    Printf.printf "bench --check: all %d field(s) within bounds%s\n"
+      (List.length findings)
+      (if soft && perf_failures <> [] then
+         Printf.sprintf " (%d perf warning(s))" (List.length perf_failures)
+       else "");
+    0
+  end
 
 let main args =
   let bench_json = ref "BENCH.json" in
@@ -629,139 +469,33 @@ let main args =
         exit 2
   in
   parse args;
-  if !update then begin
-    (match read_json !bench_json with
-    | Error msg ->
-        Printf.eprintf "cannot read %s: %s\n" !bench_json msg;
-        exit 2
-    | Ok _ -> ());
-    copy_file ~src:!bench_json ~dst:!baseline;
-    Printf.printf "baseline refreshed: %s -> %s\n" !bench_json !baseline;
-    exit 0
-  end;
-  let cur =
-    match read_json !bench_json with
-    | Ok doc -> doc
-    | Error msg ->
-        Printf.eprintf "cannot read current record %s: %s\n" !bench_json msg;
-        exit 2
+  let usage_error fmt =
+    Printf.ksprintf
+      (fun msg ->
+        prerr_endline msg;
+        2)
+      fmt
   in
-  let base =
-    match read_json !baseline with
-    | Ok doc -> doc
-    | Error msg ->
-        Printf.eprintf
-          "cannot read baseline %s: %s\n(generate one with: main.exe \
-           --bench-json %s && main.exe --check --update-baseline)\n"
-          !baseline msg !bench_json;
-        exit 2
-  in
-  (match
-     Option.bind (Obs.Json.member "schema" cur) Obs.Json.to_string_opt
-   with
-  | Some s
-    when String.length s >= 14 && String.sub s 0 14 = "lisp-pce-bench" -> ()
-  | Some s ->
-      Printf.eprintf "unexpected schema in %s: %s\n" !bench_json s;
-      exit 2
-  | None ->
-      Printf.eprintf "no schema tag in %s\n" !bench_json;
-      exit 2);
-  let base_exps = experiments_of base in
-  let cur_exps = experiments_of cur in
-  let findings =
-    List.concat_map
-      (fun (id, bexp) ->
-        match List.assoc_opt id cur_exps with
-        | None ->
-            [ { f_exp = id; f_field = "present"; f_base = "yes";
-                f_cur = "missing"; f_threshold = "present";
-                f_class = Strict; f_ok = false;
-                f_note = "experiment disappeared from the run" } ]
-        | Some cexp ->
-            check_experiment ~tolerance:!tolerance ~id ~base:bexp ~cur:cexp
-            @ check_cache ~id ~base:(Some bexp) ~cur:cexp
-            @ check_telemetry ~id ~base:(Some bexp) ~cur:cexp
-            @ check_security ~id ~base:(Some bexp) ~cur:cexp)
-      base_exps
-    @ (* Cache model agreement and telemetry fairness gates apply even
-         to experiments absent from the baseline (scale-only cells):
-         the ok flag is an acceptance bar, not a ratchet. *)
-    List.concat_map
-      (fun (id, cexp) ->
-        if List.assoc_opt id base_exps = None then
-          check_cache ~id ~base:None ~cur:cexp
-          @ check_telemetry ~id ~base:None ~cur:cexp
-          @ check_security ~id ~base:None ~cur:cexp
-        else [])
-      cur_exps
-    @ check_engine cur
-  in
-  let skipped =
-    List.filter (fun (id, _) -> List.assoc_opt id base_exps = None) cur_exps
-  in
-  let table =
-    Metrics.Table.create
-      ~title:
-        (Printf.sprintf "bench --check: %s vs %s" !bench_json !baseline)
-      ~columns:[ "experiment"; "field"; "baseline"; "current"; "threshold";
-                 "status" ]
-  in
-  let status f =
-    if f.f_ok then "PASS"
-    else
-      match f.f_class with
-      | Strict -> "FAIL"
-      | Perf -> if !soft then "WARN" else "FAIL"
-  in
-  List.iter
-    (fun f ->
-      Metrics.Table.add_row table
-        [ f.f_exp; f.f_field; f.f_base; f.f_cur; f.f_threshold; status f ])
-    findings;
-  List.iter
-    (fun (id, _) ->
-      Metrics.Table.add_row table
-        [ id; "(new)"; "-"; "-"; "-"; "SKIP" ])
-    skipped;
-  Metrics.Table.print table;
-  let failed = List.filter (fun f -> not f.f_ok) findings in
-  let strict_failures =
-    List.filter (fun f -> f.f_class = Strict) failed
-  in
-  let perf_failures = List.filter (fun f -> f.f_class = Perf) failed in
-  List.iter
-    (fun f ->
-      Printf.eprintf "FAIL [%s] %s: %s (baseline %s, current %s, want %s)\n"
-        f.f_exp f.f_field f.f_note f.f_base f.f_cur f.f_threshold)
-    strict_failures;
-  List.iter
-    (fun f ->
-      if !soft then
-        (* GitHub annotation format: shows up on the workflow run
-           without failing the job. *)
-        Printf.eprintf
-          "::warning title=bench perf::[%s] %s: %s (baseline %s, current \
-           %s, want %s)\n"
-          f.f_exp f.f_field f.f_note f.f_base f.f_cur f.f_threshold
-      else
-        Printf.eprintf "FAIL [%s] %s: %s (baseline %s, current %s, want %s)\n"
-          f.f_exp f.f_field f.f_note f.f_base f.f_cur f.f_threshold)
-    perf_failures;
-  let hard_failed =
-    strict_failures <> [] || ((not !soft) && perf_failures <> [])
-  in
-  if hard_failed then begin
-    Printf.eprintf "bench --check: %d failing field(s)\n"
-      (List.length strict_failures
-      + if !soft then 0 else List.length perf_failures);
-    1
-  end
-  else begin
-    Printf.printf "bench --check: all %d field(s) within bounds%s\n"
-      (List.length findings)
-      (if !soft && perf_failures <> [] then
-         Printf.sprintf " (%d perf warning(s))" (List.length perf_failures)
-       else "");
-    0
-  end
+  match (load !bench_json, !update) with
+  | Error msg, _ ->
+      usage_error "cannot read current record %s: %s" !bench_json msg
+  | Ok (text, _), true ->
+      let oc = open_out_bin !baseline in
+      output_string oc text;
+      close_out oc;
+      Printf.printf "baseline refreshed: %s -> %s\n" !bench_json !baseline;
+      0
+  | Ok (_, cur), false -> (
+      match load !baseline with
+      | Error msg ->
+          usage_error
+            "cannot read baseline %s: %s\n(generate one with: main.exe \
+             --bench-json %s && main.exe --check --update-baseline)"
+            !baseline msg !bench_json
+      | Ok (_, base) when experiments_of base = [] ->
+          usage_error "baseline %s lists no experiments" !baseline
+      | Ok (_, base) ->
+          report ~soft:!soft
+            ~title:
+              (Printf.sprintf "bench --check: %s vs %s" !bench_json !baseline)
+            (findings ~tolerance:!tolerance ~base ~cur))

@@ -63,12 +63,10 @@ let cells () =
         rel_err <= tolerance
         || Float.abs (r.Cache_lab.measured_miss -. predicted) <= abs_floor
       in
-      Cache_record.record
-        { Cache_record.r_run = Printf.sprintf "lru/c=%d" capacity;
-          r_policy = "lru"; r_n = n; r_alpha = alpha; r_capacity = capacity;
-          r_refs = measure_refs; r_measured_miss = r.Cache_lab.measured_miss;
-          r_predicted_miss = Some predicted; r_rel_err = Some rel_err;
-          r_tolerance = Some tolerance; r_ok = ok };
+      Bench_row.record "cache"
+        (Cache_lab.row ~run:(Printf.sprintf "lru/c=%d" capacity) ~policy:"lru"
+           ~n ~alpha ~capacity ~refs:measure_refs
+           ~gate:(predicted, rel_err, tolerance) r ok);
       (capacity, prediction, r, rel_err, ok))
     capacities
 

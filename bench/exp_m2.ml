@@ -53,16 +53,13 @@ let cells () =
               || Float.abs (r.Cache_lab.measured_miss -. predicted)
                  <= abs_floor
             in
-            Cache_record.record
-              { Cache_record.r_run =
-                  Printf.sprintf "%s/a=%.1f" label alpha;
-                r_policy = label; r_n = n; r_alpha = alpha;
-                r_capacity = capacity; r_refs = measure_refs;
-                r_measured_miss = r.Cache_lab.measured_miss;
-                r_predicted_miss = (if gated then Some predicted else None);
-                r_rel_err = (if gated then Some rel_err else None);
-                r_tolerance = (if gated then Some tolerance else None);
-                r_ok = ok };
+            Bench_row.record "cache"
+              (Cache_lab.row ~run:(Printf.sprintf "%s/a=%.1f" label alpha)
+                 ~policy:label ~n ~alpha ~capacity ~refs:measure_refs
+                 ?gate:
+                   (if gated then Some (predicted, rel_err, tolerance)
+                    else None)
+                 r ok);
             (policy, r, ok))
           policies
       in

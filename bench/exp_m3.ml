@@ -45,12 +45,9 @@ let cells () =
         Cache_lab.run_cell ~universe ~dist ~policy ~capacity ~warmup
           ~refs:measure_refs ~ttl ~dt ~seed:cell_seed ()
       in
-      Cache_record.record
-        { Cache_record.r_run = label; r_policy = label; r_n = n;
-          r_alpha = alpha; r_capacity = capacity; r_refs = measure_refs;
-          r_measured_miss = r.Cache_lab.measured_miss;
-          r_predicted_miss = None; r_rel_err = None; r_tolerance = None;
-          r_ok = true };
+      Bench_row.record "cache"
+        (Cache_lab.row ~run:label ~policy:label ~n ~alpha ~capacity
+           ~refs:measure_refs r true);
       (label, r))
     policies
 

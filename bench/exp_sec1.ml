@@ -17,7 +17,7 @@
    per-cell [run_label]s also split the BENCH.json latency block so the
    t_map_resol delta is gated byte-for-byte against the baseline).
 
-   Each cell records a {!Security_record} row; `bench --check` enforces
+   Each cell records a "security" {!Bench_row}; `bench --check` enforces
    every gate and the determinism of the measured rates. *)
 
 open Core
@@ -110,7 +110,9 @@ let measure cfg =
   let gleaned = Lispdp.Dataplane.gleaned_total dp in
   let entries = Lispdp.Dataplane.cache_entries_total dp in
   { c_attempted = attempted; c_accepted = accepted;
-    c_success = Security_record.success_rate ~attempted ~accepted;
+    c_success =
+      (if attempted = 0 then 0.0
+       else float_of_int accepted /. float_of_int attempted);
     c_gleaned = gleaned;
     c_glean_rejected =
       (Lispdp.Dataplane.cache_stats_totals dp).Lispdp.Map_cache.glean_rejections;
@@ -152,13 +154,18 @@ let tables () =
   List.iter2
     (fun cfg (_, c) ->
       let gate, ok = gate_of cells cfg c in
-      Security_record.record
-        { Security_record.r_run = Printf.sprintf "%s/s%d" cfg.label seed;
-          r_cp = cfg.cp_label; r_attempted = c.c_attempted;
-          r_accepted = c.c_accepted; r_success = c.c_success;
-          r_gleaned = c.c_gleaned; r_glean_rejected = c.c_glean_rejected;
-          r_pollution = c.c_pollution; r_setup_mean = c.c_setup_mean;
-          r_gate = gate; r_ok = ok };
+      Bench_row.record "security"
+        { Bench_row.run = Printf.sprintf "%s/s%d" cfg.label seed; ok;
+          fields =
+            [ ("cp", Obs.Json.String cfg.cp_label);
+              ("attempted", Obs.Json.Int c.c_attempted);
+              ("accepted", Obs.Json.Int c.c_accepted);
+              ("success", Obs.Json.Float c.c_success);
+              ("gleaned", Obs.Json.Int c.c_gleaned);
+              ("glean_rejected", Obs.Json.Int c.c_glean_rejected);
+              ("pollution", Obs.Json.Float c.c_pollution);
+              ("setup_mean", Obs.Json.Float c.c_setup_mean);
+              ("gate", Obs.Json.String gate) ] };
       Metrics.Table.add_row table
         [ cfg.label; cfg.cp_label; string_of_int c.c_attempted;
           string_of_int c.c_accepted;

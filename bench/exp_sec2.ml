@@ -21,7 +21,7 @@
    reference.  Bounded state, paid for in latency: graceful degradation
    rather than open-ended pollution.
 
-   Each cell records a {!Security_record} row; `bench --check` enforces
+   Each cell records a "security" {!Bench_row}; `bench --check` enforces
    the gates and determinism. *)
 
 open Core
@@ -157,15 +157,20 @@ let tables () =
   List.iter2
     (fun cfg (_, c) ->
       let gate, ok = gate_of cells cfg c in
-      Security_record.record
-        { Security_record.r_run = Printf.sprintf "%s/s%d" cfg.label seed;
-          r_cp = "pull-drop"; r_attempted = c.c_attempted;
-          (* "accepted" for a scan: forged identities that actually
-             hold a victim cache line at the end of the run. *)
-          r_accepted = c.c_attacker; r_success = 0.0; r_gleaned = c.c_gleaned;
-          r_glean_rejected = c.c_glean_rejected;
-          r_pollution = c.c_pollution; r_setup_mean = c.c_setup_mean;
-          r_gate = gate; r_ok = ok };
+      Bench_row.record "security"
+        { Bench_row.run = Printf.sprintf "%s/s%d" cfg.label seed; ok;
+          fields =
+            [ ("cp", Obs.Json.String "pull-drop");
+              ("attempted", Obs.Json.Int c.c_attempted);
+              (* "accepted" for a scan: forged identities that actually
+                 hold a victim cache line at the end of the run. *)
+              ("accepted", Obs.Json.Int c.c_attacker);
+              ("success", Obs.Json.Float 0.0);
+              ("gleaned", Obs.Json.Int c.c_gleaned);
+              ("glean_rejected", Obs.Json.Int c.c_glean_rejected);
+              ("pollution", Obs.Json.Float c.c_pollution);
+              ("setup_mean", Obs.Json.Float c.c_setup_mean);
+              ("gate", Obs.Json.String gate) ] };
       Metrics.Table.add_row table
         [ cfg.label; string_of_int c.c_attempted; string_of_int c.c_gleaned;
           string_of_int c.c_glean_rejected; string_of_int c.c_attacker;

@@ -7,7 +7,7 @@
    instead of ad-hoc link-byte snapshots: per-provider inbound byte
    shares, Jain's fairness index (cumulative over the workload window
    and sampled over time from the sliding window), and drop counts.
-   Each (control plane, seed) cell records a {!Telemetry_record} row;
+   Each (control plane, seed) cell records a "telemetry" {!Bench_row};
    the PCE rows are gated in `bench --check` on the inbound Jain index
    — the first direct, gated measurement of the paper's TE claim. *)
 
@@ -209,14 +209,25 @@ let tables () =
         (fun (seed, c) ->
           let gated = label = "pce" in
           let ok = (not gated) || c.c_jain_in >= pce_jain_gate in
-          Telemetry_record.record
-            { Telemetry_record.r_run = Printf.sprintf "%s/s%d" label seed;
-              r_cp = label; r_providers = Array.length c.c_shares;
-              r_in_share = Array.to_list c.c_shares;
-              r_jain_in = c.c_jain_in; r_jain_out = c.c_jain_out;
-              r_ratio_in = c.c_ratio_in; r_drops = c.c_drops;
-              r_threshold = (if gated then pce_jain_gate else 0.0);
-              r_ok = ok };
+          let float x = Obs.Json.Float x in
+          (* ratio_in is omitted when the least-loaded provider carried
+             nothing; threshold 0.0 marks an ungated reference cell. *)
+          Bench_row.record "telemetry"
+            { Bench_row.run = Printf.sprintf "%s/s%d" label seed; ok;
+              fields =
+                [ ("cp", Obs.Json.String label);
+                  ("providers", Obs.Json.Int (Array.length c.c_shares));
+                  ( "in_share",
+                    Obs.Json.List
+                      (Array.to_list (Array.map float c.c_shares)) );
+                  ("jain_in", float c.c_jain_in);
+                  ("jain_out", float c.c_jain_out) ]
+                @ (match c.c_ratio_in with
+                  | Some ratio -> [ ("ratio_in", float ratio) ]
+                  | None -> [])
+                @ [ ("drops", Obs.Json.Int c.c_drops);
+                    ( "threshold",
+                      float (if gated then pce_jain_gate else 0.0) ) ] };
           Metrics.Table.add_row summary
             [ label; string_of_int seed; pct_list c.c_shares;
               Metrics.Table.cell_float c.c_jain_in;

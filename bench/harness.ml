@@ -48,6 +48,18 @@ let default_spec config =
     monitor = true; rebalance = false; monitor_interval = 1.0;
     arrival_delay = 0.0; pre_run = None; sample_reservoir = None }
 
+(* The spec a scenario file describes: its config, with its workload
+   knobs over [default_spec]. *)
+let spec_of_file path =
+  Result.map
+    (fun { Scenario_file.config; workload = w } ->
+      { (default_spec config) with
+        flows = w.Scenario_file.flows; rate = w.rate;
+        zipf_alpha = w.zipf_alpha;
+        data_packets = `Fixed w.data_packets; data_bytes = w.data_bytes;
+        hotspots = Option.map (fun d -> [ (d, 1.0) ]) w.hotspot })
+    (Scenario_file.load path)
+
 type result = {
   label : string;
   spec : spec;

@@ -140,5 +140,5 @@ let () =
     ~total_wall outcomes;
   Printf.eprintf "    total %.1fs wall (%d jobs); perf record: %s\n%!"
     total_wall jobs bench_json;
-  if List.exists (fun o -> not o.Experiments.Runner.out_ok) outcomes then
-    exit 1
+  if List.exists (fun o -> not o.Experiments.Runner.out_summary.s_ok) outcomes
+  then exit 1

@@ -15,31 +15,6 @@ type task = {
   task_run : unit -> unit;  (* prints its report to stdout *)
 }
 
-type outcome = {
-  out_id : string;
-  out_title : string;
-  out_text : string;  (* captured stdout of the worker *)
-  out_wall : float;  (* seconds of real time in the worker *)
-  out_events : int;  (* engine events fired by the worker *)
-  out_peak_rss_kb : int;  (* worker VmHWM; 0 when unavailable *)
-  out_ok : bool;
-  out_latency : (string * (string * float) list) list;
-      (* per-run latency decomposition, attach order; derived from
-         simulated time only, so identical whatever the job count *)
-  out_prof : (Obs.Prof.report * (string * float) list) option;
-      (* self-profile of the worker (per-phase breakdown + GC deltas);
-         None when profiling was off or the worker died *)
-  out_cache : Cache_record.row list;
-      (* measured-vs-predicted cache cells the task recorded (M-series);
-         simulated quantities only, so identical whatever the job count *)
-  out_telemetry : Telemetry_record.row list;
-      (* TE-balance telemetry cells (telemetry-enabled experiments);
-         simulated quantities only, so identical whatever the job count *)
-  out_security : Security_record.row list;
-      (* adversarial-robustness cells (SEC experiments); simulated
-         quantities only, so identical whatever the job count *)
-}
-
 (* Summary record marshalled from worker to parent: plain scalars,
    strings and data records only, so marshalling is closure-free and
    version-safe within one binary.  The parent drains every summary
@@ -48,15 +23,26 @@ type outcome = {
    truly bulk data (the self-profile intervals) still goes through
    temp files. *)
 type summary = {
-  s_wall : float;
-  s_events : int;
-  s_rss_kb : int;
+  s_wall : float;  (* seconds of real time in the worker *)
+  s_events : int;  (* engine events fired by the worker *)
+  s_rss_kb : int;  (* worker VmHWM; 0 when unavailable *)
   s_ok : bool;
   s_latency : (string * (string * float) list) list;
+      (* per-run latency decomposition, attach order; derived from
+         simulated time only, so identical whatever the job count *)
   s_prof : (Obs.Prof.report * (string * float) list) option;
-  s_cache : Cache_record.row list;
-  s_telemetry : Telemetry_record.row list;
-  s_security : Security_record.row list;
+      (* self-profile of the worker (per-phase breakdown + GC deltas);
+         None when profiling was off or the worker died *)
+  s_rows : (string * Bench_row.t list) list;
+      (* gated cell rows by block, see {!Bench_row}; simulated
+         quantities only, so identical whatever the job count *)
+}
+
+type outcome = {
+  out_id : string;
+  out_title : string;
+  out_text : string;  (* captured stdout of the worker *)
+  out_summary : summary;
 }
 
 let peak_rss_kb () =
@@ -130,9 +116,7 @@ let spawn ~latency ~profile ~prof_file index task =
       let observe = latency && not (Obs.Runtime.active ()) in
       if observe then ignore (Obs.Runtime.install ~latency:true ());
       (* Rows must be this task's alone, whatever the parent had. *)
-      Cache_record.reset ();
-      Telemetry_record.reset ();
-      Security_record.reset ();
+      Bench_row.reset ();
       if profile then begin
         if prof_file <> None then Obs.Prof.set_record_intervals true;
         Obs.Prof.start ()
@@ -180,9 +164,7 @@ let spawn ~latency ~profile ~prof_file index task =
         { s_wall = Unix.gettimeofday () -. t0;
           s_events = Netsim.Engine.total_events_processed () - events0;
           s_rss_kb = peak_rss_kb (); s_ok = ok; s_latency = lat;
-          s_prof = prof; s_cache = Cache_record.rows ();
-          s_telemetry = Telemetry_record.rows ();
-          s_security = Security_record.rows () }
+          s_prof = prof; s_rows = Bench_row.blocks () }
       in
       flush_std ();
       let blob = Marshal.to_bytes summary [] in
@@ -206,34 +188,30 @@ let collect w =
     if Bytes.length blob = 0 then
       (* Worker died before reporting (segfault, kill): synthesise. *)
       { s_wall = 0.0; s_events = 0; s_rss_kb = 0; s_ok = false;
-        s_latency = []; s_prof = None; s_cache = []; s_telemetry = [];
-        s_security = [] }
+        s_latency = []; s_prof = None; s_rows = [] }
     else (Marshal.from_bytes blob 0 : summary)
   in
   let text = try read_file w.w_out_file with Sys_error _ -> "" in
   (try Sys.remove w.w_out_file with Sys_error _ -> ());
   { out_id = w.w_task.task_id; out_title = w.w_task.task_title;
-    out_text = text; out_wall = summary.s_wall; out_events = summary.s_events;
-    out_peak_rss_kb = summary.s_rss_kb; out_ok = summary.s_ok;
-    out_latency = summary.s_latency; out_prof = summary.s_prof;
-    out_cache = summary.s_cache; out_telemetry = summary.s_telemetry;
-    out_security = summary.s_security }
+    out_text = text; out_summary = summary }
+
+let events_per_sec s =
+  if s.s_wall > 0.0 then float_of_int s.s_events /. s.s_wall else 0.0
 
 let log_line o =
-  let rate =
-    if o.out_wall > 0.0 then float_of_int o.out_events /. o.out_wall else 0.0
-  in
+  let s = o.out_summary in
   Printf.sprintf "    [%s] %.1fs wall, %d events (%.0f kev/s), peak RSS %d MB%s\n"
-    o.out_id o.out_wall o.out_events (rate /. 1e3)
-    (o.out_peak_rss_kb / 1024)
-    (if o.out_ok then "" else " — FAILED")
+    o.out_id s.s_wall s.s_events (events_per_sec s /. 1e3)
+    (s.s_rss_kb / 1024)
+    (if s.s_ok then "" else " — FAILED")
 
 (* Run every task, [jobs] workers at a time, emitting the deterministic
    stream (headers + captured outputs, task order) on [emit] and the
    timing lines on [log].  Returns the outcomes in task order.
 
    [profile] (default on) runs each worker under the self-profiler;
-   the per-phase breakdown comes back in [out_prof].  [prof_trace]
+   the per-phase breakdown comes back in [s_prof].  [prof_trace]
    additionally records phase intervals in every worker and assembles
    them into one Chrome-trace file, one process per experiment. *)
 let run ?(jobs = 1) ?(latency = true) ?(profile = true) ?prof_trace
@@ -344,44 +322,34 @@ let bench_json ?engine ~jobs ~total_wall outcomes =
       :: List.map (fun (k, v) -> (k, Obs.Json.Float v)) metrics)
   in
   let experiment o =
+    let s = o.out_summary in
     Obs.Json.Obj
       ([ ("id", Obs.Json.String o.out_id);
         ("title", Obs.Json.String o.out_title);
-        ("ok", Obs.Json.Bool o.out_ok);
-        ("wall_s", Obs.Json.Float o.out_wall);
-        ("events", Obs.Json.Int o.out_events);
-        ( "events_per_sec",
-          Obs.Json.Float
-            (if o.out_wall > 0.0 then float_of_int o.out_events /. o.out_wall
-             else 0.0) );
-        ("peak_rss_kb", Obs.Json.Int o.out_peak_rss_kb);
-        ("latency", Obs.Json.List (List.map latency_run o.out_latency));
+        ("ok", Obs.Json.Bool s.s_ok);
+        ("wall_s", Obs.Json.Float s.s_wall);
+        ("events", Obs.Json.Int s.s_events);
+        ("events_per_sec", Obs.Json.Float (events_per_sec s));
+        ("peak_rss_kb", Obs.Json.Int s.s_rss_kb);
+        ("latency", Obs.Json.List (List.map latency_run s.s_latency));
         ( "prof",
-          match o.out_prof with
+          match s.s_prof with
           | Some (report, gc) -> Obs.Prof.json_of_report ~gc report
           | None -> Obs.Json.Null ) ]
-      @
-      (* Only experiments that measured cache, telemetry or security
-         cells carry the block, so the schema of every other experiment
-         object is unchanged. *)
-      (match o.out_cache with
-      | [] -> []
-      | rows -> [ ("cache", Cache_record.json_of_rows rows) ])
-      @
-      (match o.out_telemetry with
-      | [] -> []
-      | rows -> [ ("telemetry", Telemetry_record.json_of_rows rows) ])
-      @
-      match o.out_security with
-      | [] -> []
-      | rows -> [ ("security", Security_record.json_of_rows rows) ])
+      (* Only experiments that recorded rows carry row blocks, so the
+         schema of every other experiment object is unchanged. *)
+      @ List.map
+          (fun (block, rows) ->
+            (block, Obs.Json.List (List.map Bench_row.to_json rows)))
+          s.s_rows)
   in
   Obs.Json.Obj
     ([ ("schema", Obs.Json.String "lisp-pce-bench/6");
        ("jobs", Obs.Json.Int jobs);
        ("total_wall_s", Obs.Json.Float total_wall);
        ( "total_events",
-         Obs.Json.Int (List.fold_left (fun a o -> a + o.out_events) 0 outcomes)
+         Obs.Json.Int
+           (List.fold_left (fun a o -> a + o.out_summary.s_events) 0 outcomes)
        ) ]
     @ (match engine with
       | Some block -> [ ("engine", block) ]

@@ -184,78 +184,73 @@ let topology_cmd =
 (* simulate                                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* A scenario file as a harness spec; a parse error is reported with its
+   line and exits 1. *)
+let load_spec file =
+  match Experiments.Harness.spec_of_file file with
+  | Ok spec -> spec
+  | Error message ->
+      Printf.eprintf "%s: %s\n" file message;
+      exit 1
+
 let simulate_cmd =
   let file =
     Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE"
            ~doc:"Scenario description file (see lib/core/scenario_file.mli).")
   in
   let run file =
-    match Core.Scenario_file.load file with
-    | Error message ->
-        Printf.eprintf "%s: %s\n" file message;
-        exit 1
-    | Ok { Core.Scenario_file.config; workload } ->
-        let spec =
-          { (Experiments.Harness.default_spec config) with
-            Experiments.Harness.flows = workload.Core.Scenario_file.flows;
-            rate = workload.Core.Scenario_file.rate;
-            zipf_alpha = workload.Core.Scenario_file.zipf_alpha;
-            data_packets = `Fixed workload.Core.Scenario_file.data_packets;
-            data_bytes = workload.Core.Scenario_file.data_bytes;
-            hotspots =
-              Option.map
-                (fun d -> [ (d, 1.0) ])
-                workload.Core.Scenario_file.hotspot }
+    let spec = load_spec file in
+    let r = Experiments.Harness.run spec in
+    let table =
+      Metrics.Table.create
+        ~title:(Printf.sprintf "simulation: %s" (Filename.basename file))
+        ~columns:[ "metric"; "value" ]
+    in
+    let h = Experiments.Harness.mean r.Experiments.Harness.setups in
+    Metrics.Table.add_rows table
+      [ [ "control plane";
+          Core.Scenario.cp_label
+            spec.Experiments.Harness.config.Core.Scenario.cp ];
+        [ "flows opened"; string_of_int r.Experiments.Harness.opened ];
+        [ "established"; string_of_int r.Experiments.Harness.established ];
+        [ "failed"; string_of_int r.Experiments.Harness.failed ];
+        [ "drops"; string_of_int (Experiments.Harness.drops r) ];
+        [ "syn retransmissions";
+          string_of_int r.Experiments.Harness.syn_retransmissions ];
+        [ "mean setup (ms)"; Metrics.Table.cell_ms h ];
+        [ "p95 setup (ms)";
+          Metrics.Table.cell_ms
+            (Experiments.Harness.percentile_or_zero
+               r.Experiments.Harness.setups 95.0) ];
+        [ "cache hit ratio";
+          Metrics.Table.cell_pct (Experiments.Harness.cache_hit_ratio r) ];
+        [ "control messages";
+          string_of_int
+            (Mapsys.Cp_stats.message_total (Experiments.Harness.cp_stats r)) ] ];
+    (match Core.Scenario.lifecycle r.Experiments.Harness.scenario with
+    | Some _ ->
+        let stats = Experiments.Harness.cp_stats r in
+        let pull_resolved =
+          match
+            Core.Scenario.fallback_pull r.Experiments.Harness.scenario
+          with
+          | Some pull ->
+              (Mapsys.Pull.stats pull).Mapsys.Cp_stats.resolutions
+          | None -> 0
         in
-        let r = Experiments.Harness.run spec in
-        let table =
-          Metrics.Table.create
-            ~title:(Printf.sprintf "simulation: %s" (Filename.basename file))
-            ~columns:[ "metric"; "value" ]
-        in
-        let h = Experiments.Harness.mean r.Experiments.Harness.setups in
         Metrics.Table.add_rows table
-          [ [ "control plane"; Core.Scenario.cp_label config.Core.Scenario.cp ];
-            [ "flows opened"; string_of_int r.Experiments.Harness.opened ];
-            [ "established"; string_of_int r.Experiments.Harness.established ];
-            [ "failed"; string_of_int r.Experiments.Harness.failed ];
-            [ "drops"; string_of_int (Experiments.Harness.drops r) ];
-            [ "syn retransmissions";
-              string_of_int r.Experiments.Harness.syn_retransmissions ];
-            [ "mean setup (ms)"; Metrics.Table.cell_ms h ];
-            [ "p95 setup (ms)";
-              Metrics.Table.cell_ms
-                (Experiments.Harness.percentile_or_zero
-                   r.Experiments.Harness.setups 95.0) ];
-            [ "cache hit ratio";
-              Metrics.Table.cell_pct (Experiments.Harness.cache_hit_ratio r) ];
-            [ "control messages";
-              string_of_int
-                (Mapsys.Cp_stats.message_total (Experiments.Harness.cp_stats r)) ] ];
-        (match Core.Scenario.lifecycle r.Experiments.Harness.scenario with
-        | Some _ ->
-            let stats = Experiments.Harness.cp_stats r in
-            let pull_resolved =
-              match
-                Core.Scenario.fallback_pull r.Experiments.Harness.scenario
-              with
-              | Some pull ->
-                  (Mapsys.Pull.stats pull).Mapsys.Cp_stats.resolutions
-              | None -> 0
-            in
-            Metrics.Table.add_rows table
-              [ [ "pce bypasses";
-                  string_of_int stats.Mapsys.Cp_stats.bypasses ];
-                [ "pce recoveries";
-                  string_of_int stats.Mapsys.Cp_stats.recoveries ];
-                [ "pull fallback"; string_of_int pull_resolved ] ]
-        | None -> ());
-        List.iter
-          (fun (cause, n) ->
-            Metrics.Table.add_row table
-              [ "drop: " ^ cause; string_of_int n ])
-          (Experiments.Harness.drop_causes r);
-        Metrics.Table.print table
+          [ [ "pce bypasses";
+              string_of_int stats.Mapsys.Cp_stats.bypasses ];
+            [ "pce recoveries";
+              string_of_int stats.Mapsys.Cp_stats.recoveries ];
+            [ "pull fallback"; string_of_int pull_resolved ] ]
+    | None -> ());
+    List.iter
+      (fun (cause, n) ->
+        Metrics.Table.add_row table
+          [ "drop: " ^ cause; string_of_int n ])
+      (Experiments.Harness.drop_causes r);
+    Metrics.Table.print table
   in
   Cmd.v
     (Cmd.info "simulate"
@@ -272,50 +267,37 @@ let compare_cmd =
            ~doc:"Scenario description file; its 'cp' key is ignored.")
   in
   let run file =
-    match Core.Scenario_file.load file with
-    | Error message ->
-        Printf.eprintf "%s: %s\n" file message;
-        exit 1
-    | Ok { Core.Scenario_file.config; workload } ->
-        let table =
-          Metrics.Table.create
-            ~title:
-              (Printf.sprintf "all control planes on %s" (Filename.basename file))
-            ~columns:
-              [ "cp"; "drops"; "failed"; "syn-retx"; "mean setup (ms)";
-                "p95 setup (ms)"; "ctl msgs" ]
+    let spec = load_spec file in
+    let table =
+      Metrics.Table.create
+        ~title:
+          (Printf.sprintf "all control planes on %s" (Filename.basename file))
+        ~columns:
+          [ "cp"; "drops"; "failed"; "syn-retx"; "mean setup (ms)";
+            "p95 setup (ms)"; "ctl msgs" ]
+    in
+    List.iter
+      (fun (label, cp) ->
+        let r =
+          Experiments.Harness.run ~label
+            { spec with
+              Experiments.Harness.config =
+                { spec.Experiments.Harness.config with Core.Scenario.cp } }
         in
-        List.iter
-          (fun (label, cp) ->
-            let spec =
-              { (Experiments.Harness.default_spec
-                   { config with Core.Scenario.cp })
-                with
-                Experiments.Harness.flows = workload.Core.Scenario_file.flows;
-                rate = workload.Core.Scenario_file.rate;
-                zipf_alpha = workload.Core.Scenario_file.zipf_alpha;
-                data_packets = `Fixed workload.Core.Scenario_file.data_packets;
-                data_bytes = workload.Core.Scenario_file.data_bytes;
-                hotspots =
-                  Option.map
-                    (fun d -> [ (d, 1.0) ])
-                    workload.Core.Scenario_file.hotspot }
-            in
-            let r = Experiments.Harness.run ~label spec in
-            Metrics.Table.add_row table
-              [ label;
-                string_of_int (Experiments.Harness.drops r);
-                string_of_int r.Experiments.Harness.failed;
-                string_of_int r.Experiments.Harness.syn_retransmissions;
-                Metrics.Table.cell_ms
-                  (Experiments.Harness.mean r.Experiments.Harness.setups);
-                Metrics.Table.cell_ms
-                  (Experiments.Harness.percentile_or_zero
-                     r.Experiments.Harness.setups 95.0);
-                string_of_int
-                  (Mapsys.Cp_stats.message_total (Experiments.Harness.cp_stats r)) ])
-          Experiments.Harness.standard_cps;
-        Metrics.Table.print table
+        Metrics.Table.add_row table
+          [ label;
+            string_of_int (Experiments.Harness.drops r);
+            string_of_int r.Experiments.Harness.failed;
+            string_of_int r.Experiments.Harness.syn_retransmissions;
+            Metrics.Table.cell_ms
+              (Experiments.Harness.mean r.Experiments.Harness.setups);
+            Metrics.Table.cell_ms
+              (Experiments.Harness.percentile_or_zero
+                 r.Experiments.Harness.setups 95.0);
+            string_of_int
+              (Mapsys.Cp_stats.message_total (Experiments.Harness.cp_stats r)) ])
+      Experiments.Harness.standard_cps;
+    Metrics.Table.print table
   in
   Cmd.v
     (Cmd.info "compare"
@@ -456,66 +438,52 @@ let telemetry_cmd =
       prerr_endline "--window, --slots and --topk must be positive";
       exit 2
     end;
-    match Core.Scenario_file.load file with
-    | Error message ->
-        Printf.eprintf "%s: %s\n" file message;
-        exit 1
-    | Ok { Core.Scenario_file.config; workload } ->
-        let config =
-          { config with
-            Core.Scenario.telemetry =
-              Some { Netsim.Telemetry.window_s = window; slots; topk } }
+    let spec = load_spec file in
+    let r =
+      Experiments.Harness.run
+        { spec with
+          Experiments.Harness.config =
+            { spec.Experiments.Harness.config with
+              Core.Scenario.telemetry =
+                Some { Netsim.Telemetry.window_s = window; slots; topk } } }
+    in
+    let dataplane =
+      Core.Scenario.dataplane r.Experiments.Harness.scenario
+    in
+    (match format with
+    | `Json ->
+        print_endline (Obs.Json.to_string
+                         (Obs.Telemetry.json_snapshot ~series ()))
+    | `Csv ->
+        List.iter
+          (fun table -> print_string (Metrics.Table.to_csv table))
+          (Obs.Telemetry.tables ());
+        if series then print_string (Obs.Telemetry.series_csv ())
+    | `Table ->
+        List.iter Metrics.Table.print (Obs.Telemetry.tables ());
+        (* Occupancy gauges ride the same row producers the scenario
+           registers in its metrics registry, so this report and the
+           exporter/`obs` view cannot disagree. *)
+        let gauges =
+          Metrics.Table.create ~title:"map-cache / flow-table gauges"
+            ~columns:[ "gauge"; "value" ]
         in
-        let spec =
-          { (Experiments.Harness.default_spec config) with
-            Experiments.Harness.flows = workload.Core.Scenario_file.flows;
-            rate = workload.Core.Scenario_file.rate;
-            zipf_alpha = workload.Core.Scenario_file.zipf_alpha;
-            data_packets = `Fixed workload.Core.Scenario_file.data_packets;
-            data_bytes = workload.Core.Scenario_file.data_bytes;
-            hotspots =
-              Option.map
-                (fun d -> [ (d, 1.0) ])
-                workload.Core.Scenario_file.hotspot }
-        in
-        let r = Experiments.Harness.run spec in
-        let dataplane =
-          Core.Scenario.dataplane r.Experiments.Harness.scenario
-        in
-        (match format with
-        | `Json ->
-            print_endline (Obs.Json.to_string
-                             (Obs.Telemetry.json_snapshot ~series ()))
-        | `Csv ->
+        List.iter
+          (fun (prefix, rows) ->
             List.iter
-              (fun table -> print_string (Metrics.Table.to_csv table))
-              (Obs.Telemetry.tables ());
-            if series then print_string (Obs.Telemetry.series_csv ())
-        | `Table ->
-            List.iter Metrics.Table.print (Obs.Telemetry.tables ());
-            (* Occupancy gauges ride the same row producers the scenario
-               registers in its metrics registry, so this report and the
-               exporter/`obs` view cannot disagree. *)
-            let gauges =
-              Metrics.Table.create ~title:"map-cache / flow-table gauges"
-                ~columns:[ "gauge"; "value" ]
-            in
-            List.iter
-              (fun (prefix, rows) ->
-                List.iter
-                  (fun (name, v) ->
-                    Metrics.Table.add_row gauges
-                      [ prefix ^ "." ^ name; Metrics.Table.cell_float v ])
-                  rows)
-              [ ("cache", Core.Scenario.cache_gauge_rows dataplane);
-                ("flows", Core.Scenario.flow_gauge_rows dataplane) ];
-            Metrics.Table.print gauges;
-            if series then print_string (Obs.Telemetry.series_csv ()));
-        (match chrome with
-        | Some out ->
-            Obs.Telemetry.write_chrome_trace ~file:out ();
-            Printf.eprintf "wrote %s\n" out
-        | None -> ())
+              (fun (name, v) ->
+                Metrics.Table.add_row gauges
+                  [ prefix ^ "." ^ name; Metrics.Table.cell_float v ])
+              rows)
+          [ ("cache", Core.Scenario.cache_gauge_rows dataplane);
+            ("flows", Core.Scenario.flow_gauge_rows dataplane) ];
+        Metrics.Table.print gauges;
+        if series then print_string (Obs.Telemetry.series_csv ()));
+    (match chrome with
+    | Some out ->
+        Obs.Telemetry.write_chrome_trace ~file:out ();
+        Printf.eprintf "wrote %s\n" out
+    | None -> ())
   in
   Cmd.v
     (Cmd.info "telemetry"
@@ -656,17 +624,6 @@ let spans_cmd =
 (* connect                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let cp_of_string = function
-  | "pull-drop" -> Some Core.Scenario.Cp_pull_drop
-  | "pull-queue" -> Some (Core.Scenario.Cp_pull_queue 32)
-  | "pull-smr" -> Some (Core.Scenario.Cp_pull_smr 32)
-  | "pull-detour" -> Some Core.Scenario.Cp_pull_detour
-  | "nerd" -> Some Core.Scenario.Cp_nerd
-  | "cons" -> Some Core.Scenario.Cp_cons
-  | "msmr" -> Some Core.Scenario.Cp_msmr
-  | "pce" -> Some (Core.Scenario.Cp_pce Core.Pce_control.default_options)
-  | _ -> None
-
 let connect_cmd =
   let cp =
     Arg.(value & opt string "pce" & info [ "cp" ] ~docv:"CP"
@@ -738,7 +695,7 @@ let connect_cmd =
       attack_spoof attack_replay attack_dns_poison auth_nonce auth_sig
       auth_dnssec glean_cap =
     let cp =
-      match cp_of_string cp_name with
+      match Core.Scenario_file.cp_of_string cp_name with
       | Some cp -> cp
       | None ->
           Printf.eprintf "unknown control plane: %s\n" cp_name;

@@ -54,6 +54,11 @@ type t = { config : Scenario.config; workload : workload }
 
 val default : t
 
+val cp_of_string : string -> Scenario.cp_kind option
+(** The control plane a [cp] value names ([pce], [pull-drop],
+    [pull-queue], [pull-smr], [pull-detour], [cons], [msmr], [nerd]);
+    [None] for any other string. *)
+
 val parse : string -> (t, string) result
 (** Parse file contents. *)
 

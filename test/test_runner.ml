@@ -50,9 +50,10 @@ let test_failure_flagged () =
   let _, outcomes = run_to_string ~jobs:2 ts in
   match outcomes with
   | [ a; b ] ->
-      Alcotest.(check bool) "healthy task ok" true a.Experiments.Runner.out_ok;
+      Alcotest.(check bool) "healthy task ok" true
+        a.Experiments.Runner.out_summary.s_ok;
       Alcotest.(check bool) "failing task flagged" false
-        b.Experiments.Runner.out_ok
+        b.Experiments.Runner.out_summary.s_ok
   | _ -> Alcotest.fail "expected two outcomes"
 
 let test_jobs_validated () =
@@ -125,7 +126,7 @@ let test_latency_block () =
   let _, outcomes = run_to_string ~jobs:1 [ scenario_task "pce1" ] in
   match outcomes with
   | [ o ] ->
-      (match o.Experiments.Runner.out_latency with
+      (match o.Experiments.Runner.out_summary.s_latency with
       | [ (label, metrics) ] ->
           Alcotest.(check string) "labelled by control plane" "pce" label;
           let get k = List.assoc k metrics in
@@ -148,7 +149,7 @@ let test_latency_disabled () =
   match outcomes with
   | [ o ] ->
       Alcotest.(check int) "no latency block" 0
-        (List.length o.Experiments.Runner.out_latency)
+        (List.length o.Experiments.Runner.out_summary.s_latency)
   | _ -> Alcotest.fail "expected one outcome"
 
 (* A long sweep's summary — one latency block per scenario built —
@@ -174,35 +175,33 @@ let test_large_summary () =
   let _, outcomes = run_to_string ~jobs:1 [ t ] in
   match outcomes with
   | [ o ] ->
-      Alcotest.(check bool) "sweep ok" true o.Experiments.Runner.out_ok;
+      Alcotest.(check bool) "sweep ok" true
+        o.Experiments.Runner.out_summary.s_ok;
       Alcotest.(check int) "one latency entry per scenario" n
-        (List.length o.Experiments.Runner.out_latency)
+        (List.length o.Experiments.Runner.out_summary.s_latency)
   | _ -> Alcotest.fail "expected one outcome"
 
-(* Cache model-validation rows recorded inside a worker must come home
-   in the summary and surface as the experiment's "cache" block; tasks
-   that record none must not carry the block at all. *)
+(* Rows recorded inside a worker must come home in the summary and
+   surface as a block of the experiment's object; tasks that record none
+   must not carry the block at all. *)
 let test_cache_rows_ride_summary () =
   let row =
-    { Experiments.Cache_record.r_run = "lru/c=8"; r_policy = "lru"; r_n = 64;
-      r_alpha = 0.9; r_capacity = 8; r_refs = 1000; r_measured_miss = 0.25;
-      r_predicted_miss = Some 0.24; r_rel_err = Some 0.042;
-      r_tolerance = Some 0.1; r_ok = true }
+    { Experiments.Bench_row.run = "lru/c=8"; ok = true;
+      fields =
+        [ ("policy", Obs.Json.String "lru");
+          ("measured_miss", Obs.Json.Float 0.25) ] }
   in
   let ts =
-    [ task "cachy" (fun () -> Experiments.Cache_record.record row);
+    [ task "cachy" (fun () -> Experiments.Bench_row.record "cache" row);
       task "plain" (chatty "plain") ]
   in
   let _, outcomes = run_to_string ~jobs:2 ts in
   (match outcomes with
   | [ cachy; plain ] ->
-      Alcotest.(check int) "row marshalled home" 1
-        (List.length cachy.Experiments.Runner.out_cache);
-      Alcotest.(check string) "row label intact" "lru/c=8"
-        (List.hd cachy.Experiments.Runner.out_cache)
-          .Experiments.Cache_record.r_run;
-      Alcotest.(check int) "no rows for a plain task" 0
-        (List.length plain.Experiments.Runner.out_cache)
+      Alcotest.(check bool) "row marshalled home" true
+        (cachy.Experiments.Runner.out_summary.s_rows = [ ("cache", [ row ]) ]);
+      Alcotest.(check bool) "no rows for a plain task" true
+        (plain.Experiments.Runner.out_summary.s_rows = [])
   | _ -> Alcotest.fail "expected two outcomes");
   match Experiments.Runner.bench_json ~jobs:2 ~total_wall:1.0 outcomes with
   | Obs.Json.Obj fields -> (
@@ -211,12 +210,54 @@ let test_cache_rows_ride_summary () =
           Alcotest.(check bool) "cache block emitted" true
             (match List.assoc_opt "cache" cachy with
             | Some (Obs.Json.List [ r ]) ->
-                Experiments.Cache_record.row_of_json r = Some row
+                Experiments.Bench_row.of_json r = Some row
             | _ -> false);
           Alcotest.(check bool) "no cache block when no rows" true
             (List.assoc_opt "cache" plain = None)
       | _ -> Alcotest.fail "expected two experiment records")
   | _ -> Alcotest.fail "bench_json not an object"
+
+(* One row shape carries every block.  Rows must survive the JSON text
+   round trip with int, float, string and float-list fields, and with
+   the optional fields (predicted_miss, ratio_in) omitted; the wire
+   order is run, fields in order, ok. *)
+let test_bench_row_round_trip () =
+  let f x = Obs.Json.Float x in
+  let rows =
+    [ { Experiments.Bench_row.run = "lru/c=4096"; ok = true;
+        fields =
+          [ ("policy", Obs.Json.String "lru"); ("n", Obs.Json.Int 1_000_000);
+            ("alpha", f 0.9); ("measured_miss", f 0.5817);
+            ("predicted_miss", f 0.5791) ] };
+      { Experiments.Bench_row.run = "lfu/a=0.6"; ok = true;
+        fields =
+          [ ("policy", Obs.Json.String "lfu"); ("n", Obs.Json.Int 1_000_000);
+            ("measured_miss", f 0.9012) ] };
+      { Experiments.Bench_row.run = "pce/s21"; ok = true;
+        fields =
+          [ ("cp", Obs.Json.String "pce");
+            ("in_share", Obs.Json.List [ f 0.30; f 0.23; f 0.23; f 0.24 ]);
+            ("ratio_in", f 1.322); ("threshold", f 0.8) ] };
+      { Experiments.Bench_row.run = "symmetric/s21"; ok = false;
+        fields =
+          [ ("cp", Obs.Json.String "symmetric");
+            ("in_share", Obs.Json.List [ f 0.53; f 0.0 ]);
+            ("drops", Obs.Json.Int 3); ("threshold", f 0.0) ] } ]
+  in
+  List.iter
+    (fun row ->
+      let text = Obs.Json.to_string (Experiments.Bench_row.to_json row) in
+      match Obs.Json.of_string text with
+      | Error msg -> Alcotest.failf "round-trip parse failed: %s" msg
+      | Ok json ->
+          Alcotest.(check bool)
+            (row.Experiments.Bench_row.run ^ " survives the round trip")
+            true
+            (Experiments.Bench_row.of_json json = Some row))
+    rows;
+  Alcotest.(check string) "wire format"
+    {|{"run":"lfu/a=0.6","policy":"lfu","n":1000000,"measured_miss":0.9012,"ok":true}|}
+    (Obs.Json.to_string (Experiments.Bench_row.to_json (List.nth rows 1)))
 
 let prop_output_independent_of_jobs =
   QCheck.Test.make ~name:"emitted bytes independent of job count" ~count:8
@@ -247,6 +288,8 @@ let () =
           Alcotest.test_case "oversized summary" `Quick test_large_summary;
           Alcotest.test_case "cache rows ride summary" `Quick
             test_cache_rows_ride_summary;
+          Alcotest.test_case "bench row round-trip" `Quick
+            test_bench_row_round_trip;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest [ prop_output_independent_of_jobs ]

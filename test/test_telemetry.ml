@@ -347,53 +347,67 @@ let test_scenario_drop_agreement () =
     "legacy string table and typed counters agree" legacy typed
 
 (* ------------------------------------------------------------------ *)
-(* Telemetry_record JSON round-trip                                    *)
+(* Telemetry and security rows: BENCH.json round-trip                  *)
 (* ------------------------------------------------------------------ *)
 
-let test_record_round_trip () =
-  let rows =
-    [ { Experiments.Telemetry_record.r_run = "pce/s21"; r_cp = "pce";
-        r_providers = 4; r_in_share = [ 0.30; 0.23; 0.23; 0.24 ];
-        r_jain_in = 0.986; r_jain_out = 0.805; r_ratio_in = Some 1.322;
-        r_drops = 0; r_threshold = 0.8; r_ok = true };
-      { Experiments.Telemetry_record.r_run = "symmetric/s21";
-        r_cp = "symmetric"; r_providers = 4;
-        r_in_share = [ 0.53; 0.15; 0.15; 0.17 ]; r_jain_in = 0.698;
-        r_jain_out = 0.821; r_ratio_in = None; r_drops = 3;
-        r_threshold = 0.0; r_ok = true } ]
-  in
-  let json = Experiments.Telemetry_record.json_of_rows rows in
-  let text = Obs.Json.to_string json in
-  match Obs.Json.of_string text with
+(* Record [rows] under [block] as the TE1 / SEC experiments do, emit the
+   block as the runner does, and parse the JSON text back. *)
+let check_block_round_trip block rows =
+  Experiments.Bench_row.reset ();
+  List.iter (Experiments.Bench_row.record block) rows;
+  let recorded = Experiments.Bench_row.blocks () in
+  Experiments.Bench_row.reset ();
+  Alcotest.(check (list string)) "one block" [ block ] (List.map fst recorded);
+  let rows_back = List.assoc block recorded in
+  let json = Obs.Json.List (List.map Experiments.Bench_row.to_json rows_back) in
+  match Obs.Json.of_string (Obs.Json.to_string json) with
   | Error msg -> Alcotest.failf "round-trip parse failed: %s" msg
-  | Ok parsed -> (
-      match Experiments.Telemetry_record.rows_of_json parsed with
-      | Some back ->
-          Alcotest.(check bool) "rows survive the JSON round-trip" true
-            (rows = back)
-      | None -> Alcotest.fail "rows_of_json rejected its own output")
+  | Ok (Obs.Json.List items) ->
+      Alcotest.(check bool) "rows survive the JSON round-trip" true
+        (List.map Experiments.Bench_row.of_json items
+        = List.map Option.some rows)
+  | Ok _ -> Alcotest.fail "block is not a JSON list"
+
+let test_record_round_trip () =
+  let f x = Obs.Json.Float x in
+  let shares l = Obs.Json.List (List.map f l) in
+  check_block_round_trip "telemetry"
+    [ { Experiments.Bench_row.run = "pce/s21"; ok = true;
+        fields =
+          [ ("cp", Obs.Json.String "pce"); ("providers", Obs.Json.Int 4);
+            ("in_share", shares [ 0.30; 0.23; 0.23; 0.24 ]);
+            ("jain_in", f 0.986); ("jain_out", f 0.805);
+            ("ratio_in", f 1.322); ("drops", Obs.Json.Int 0);
+            ("threshold", f 0.8) ] };
+      (* ratio_in omitted: the least-loaded provider carried nothing. *)
+      { Experiments.Bench_row.run = "symmetric/s21"; ok = true;
+        fields =
+          [ ("cp", Obs.Json.String "symmetric"); ("providers", Obs.Json.Int 4);
+            ("in_share", shares [ 0.53; 0.15; 0.15; 0.17 ]);
+            ("jain_in", f 0.698); ("jain_out", f 0.821);
+            ("drops", Obs.Json.Int 3); ("threshold", f 0.0) ] } ]
 
 let test_security_record_round_trip () =
-  let rows =
-    [ { Experiments.Security_record.r_run = "pull/s41"; r_cp = "pull-queue";
-        r_attempted = 210; r_accepted = 210; r_success = 1.0; r_gleaned = 12;
-        r_glean_rejected = 0; r_pollution = 0.25; r_setup_mean = 0.35129;
-        r_gate = "success >= 0.90"; r_ok = true };
-      { Experiments.Security_record.r_run = "flood-cap/s43"; r_cp = "pull-drop";
-        r_attempted = 13075; r_accepted = 12; r_success = 0.0; r_gleaned = 16;
-        r_glean_rejected = 15298; r_pollution = 0.353;
-        r_setup_mean = 0.21993; r_gate = "-"; r_ok = true } ]
+  let security ~run ~cp ~attempted ~accepted ~success ~gleaned
+      ~glean_rejected ~pollution ~setup_mean ~gate =
+    { Experiments.Bench_row.run; ok = true;
+      fields =
+        [ ("cp", Obs.Json.String cp); ("attempted", Obs.Json.Int attempted);
+          ("accepted", Obs.Json.Int accepted);
+          ("success", Obs.Json.Float success);
+          ("gleaned", Obs.Json.Int gleaned);
+          ("glean_rejected", Obs.Json.Int glean_rejected);
+          ("pollution", Obs.Json.Float pollution);
+          ("setup_mean", Obs.Json.Float setup_mean);
+          ("gate", Obs.Json.String gate) ] }
   in
-  let json = Experiments.Security_record.json_of_rows rows in
-  let text = Obs.Json.to_string json in
-  match Obs.Json.of_string text with
-  | Error msg -> Alcotest.failf "round-trip parse failed: %s" msg
-  | Ok parsed -> (
-      match Experiments.Security_record.rows_of_json parsed with
-      | Some back ->
-          Alcotest.(check bool) "rows survive the JSON round-trip" true
-            (rows = back)
-      | None -> Alcotest.fail "rows_of_json rejected its own output")
+  check_block_round_trip "security"
+    [ security ~run:"pull/s41" ~cp:"pull-queue" ~attempted:210 ~accepted:210
+        ~success:1.0 ~gleaned:12 ~glean_rejected:0 ~pollution:0.25
+        ~setup_mean:0.35129 ~gate:"success >= 0.90";
+      security ~run:"flood-cap/s43" ~cp:"pull-drop" ~attempted:13075
+        ~accepted:12 ~success:0.0 ~gleaned:16 ~glean_rejected:15298
+        ~pollution:0.353 ~setup_mean:0.21993 ~gate:"-" ]
 
 (* json_snapshot must always be printable and re-parseable, including
    the degenerate zero-traffic balance (infinite ratios become null). *)
