@@ -42,23 +42,20 @@ type spec = {
          [None] (default) stores every sample exactly. *)
 }
 
-let default_spec config =
-  { config; flows = 500; rate = 50.0; zipf_alpha = 0.9; hotspots = None;
-    sources = None; data_packets = `Fixed 8; data_bytes = 1200;
+(* The spec a parsed scenario file describes. *)
+let spec_of_scenario { Scenario_file.config; workload = w } =
+  { config; flows = w.Scenario_file.flows; rate = w.rate;
+    zipf_alpha = w.zipf_alpha;
+    hotspots = Option.map (fun d -> [ (d, 1.0) ]) w.hotspot; sources = None;
+    data_packets = `Fixed w.data_packets; data_bytes = w.data_bytes;
     monitor = true; rebalance = false; monitor_interval = 1.0;
     arrival_delay = 0.0; pre_run = None; sample_reservoir = None }
 
-(* The spec a scenario file describes: its config, with its workload
-   knobs over [default_spec]. *)
-let spec_of_file path =
-  Result.map
-    (fun { Scenario_file.config; workload = w } ->
-      { (default_spec config) with
-        flows = w.Scenario_file.flows; rate = w.rate;
-        zipf_alpha = w.zipf_alpha;
-        data_packets = `Fixed w.data_packets; data_bytes = w.data_bytes;
-        hotspots = Option.map (fun d -> [ (d, 1.0) ]) w.hotspot })
-    (Scenario_file.load path)
+(* [config] under the scenario-file default workload. *)
+let default_spec config =
+  spec_of_scenario { Scenario_file.default with Scenario_file.config }
+
+let spec_of_file path = Result.map spec_of_scenario (Scenario_file.load path)
 
 type result = {
   label : string;

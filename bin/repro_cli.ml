@@ -10,7 +10,7 @@
      repro_cli prof t1 [--chrome FILE]  run experiments under the self-profiler
      repro_cli trace                    print the Figure-1 walkthrough
      repro_cli topology [-d N] [-p N]   describe a generated internet
-     repro_cli connect [--cp NAME]      one measured connection end-to-end *)
+     repro_cli connect [-s 'KEY VALUE'] one measured connection end-to-end *)
 
 open Cmdliner
 
@@ -184,6 +184,22 @@ let topology_cmd =
 (* simulate                                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* The SCENARIO KEYS man section, one item per entry of the
+   scenario-file key table. *)
+let scenario_keys =
+  [ `S Manpage.s_options;
+    `S "SCENARIO KEYS";
+    `P "A scenario file holds one $(i,KEY VALUE) line per setting, and \
+        $(b,connect --set) takes the same lines.  A $(b,#) starts a \
+        comment; omitted keys keep their defaults." ]
+  @ List.map
+      (fun (name, syntax, doc) ->
+        let label =
+          Printf.sprintf "$(b,%s) %s" (Manpage.escape name) (Manpage.escape syntax)
+        in
+        `I (label, Manpage.escape doc))
+      Core.Scenario_file.keys
+
 (* A scenario file as a harness spec; a parse error is reported with its
    line and exits 1. *)
 let load_spec file =
@@ -253,7 +269,7 @@ let simulate_cmd =
     Metrics.Table.print table
   in
   Cmd.v
-    (Cmd.info "simulate"
+    (Cmd.info "simulate" ~man:scenario_keys
        ~doc:"Run a workload described by a scenario file and print a summary.")
     Term.(const run $ file)
 
@@ -300,7 +316,7 @@ let compare_cmd =
     Metrics.Table.print table
   in
   Cmd.v
-    (Cmd.info "compare"
+    (Cmd.info "compare" ~man:scenario_keys
        ~doc:"Run one scenario under every control plane and tabulate.")
     Term.(const run $ file)
 
@@ -486,7 +502,7 @@ let telemetry_cmd =
     | None -> ())
   in
   Cmd.v
-    (Cmd.info "telemetry"
+    (Cmd.info "telemetry" ~man:scenario_keys
        ~doc:"Run a scenario-file workload with the telemetry plane enabled \
              and report per-provider/per-node traffic, TE balance (shares, \
              Jain index), drop attribution and heavy hitters.")
@@ -625,176 +641,26 @@ let spans_cmd =
 (* ------------------------------------------------------------------ *)
 
 let connect_cmd =
-  let cp =
-    Arg.(value & opt string "pce" & info [ "cp" ] ~docv:"CP"
-           ~doc:"Control plane: pce, pull-drop, pull-queue, pull-detour, nerd, cons, msmr.")
-  in
   let verbose =
     Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Print the event trace.")
   in
-  let cp_loss =
-    Arg.(value & opt float 0.0 & info [ "cp-loss" ] ~docv:"P"
-           ~doc:"Control-plane message loss probability (0 disables the \
-                 fault model entirely).")
+  let settings =
+    Arg.(value & opt_all string [] & info [ "s"; "set" ] ~docv:"'KEY VALUE'"
+           ~doc:"One scenario-file line (see $(b,SCENARIO KEYS)), applied \
+                 over the Figure-1 defaults; repeatable, applied in \
+                 command-line order.  An error names the offending \
+                 $(b,--set) as line N, counting from 1.")
   in
-  let cp_retries =
-    Arg.(value & opt int 3 & info [ "cp-retries" ] ~docv:"N"
-           ~doc:"Maximum map-request retransmissions before giving up.")
-  in
-  let cp_rto =
-    Arg.(value & opt float 0.5 & info [ "cp-rto" ] ~docv:"SECONDS"
-           ~doc:"Initial retransmission timeout (doubles per attempt).")
-  in
-  let cache_policy =
-    Arg.(value & opt string "lru" & info [ "cache-policy" ] ~docv:"POLICY"
-           ~doc:"Map-cache eviction policy: lru, lfu or ttl-hybrid.")
-  in
-  let pce_crash =
-    Arg.(value & opt_all string [] & info [ "pce-crash" ] ~docv:"DOMAIN:T0:T1"
-           ~doc:"Crash the PCE of $(i,DOMAIN) from $(i,T0) to $(i,T1) \
-                 seconds of simulated time (repeatable; use $(b,inf) for \
-                 a PCE that never restarts).  Enables the node-lifecycle \
-                 fault layer: DNS answers bypass dead PCEs after a \
-                 watchdog and cache misses degrade to pull resolution.")
-  in
-  let attack_spoof =
-    Arg.(value & opt float 0.0 & info [ "attack-spoof" ] ~docv:"P"
-           ~doc:"Probability a map-request is raced by a forged reply \
-                 (0 disables the adversary layer entirely).")
-  in
-  let attack_replay =
-    Arg.(value & opt float 0.0 & info [ "attack-replay" ] ~docv:"P"
-           ~doc:"Probability a stale captured map-reply is replayed at a \
-                 resolution.")
-  in
-  let attack_dns_poison =
-    Arg.(value & opt float 0.0 & info [ "attack-dns-poison" ] ~docv:"P"
-           ~doc:"Probability a final DNS answer is raced by a forged \
-                 record.")
-  in
-  let auth_nonce =
-    Arg.(value & flag & info [ "auth-nonce" ]
-           ~doc:"Verify the map-reply nonce echo (rejects blind forgery \
-                 and replay).")
-  in
-  let auth_sig =
-    Arg.(value & flag & info [ "auth-sig" ]
-           ~doc:"Require signed map-replies; every legitimate reply pays \
-                 the verification CPU cost.")
-  in
-  let auth_dnssec =
-    Arg.(value & flag & info [ "auth-dnssec" ]
-           ~doc:"Validate DNS answers (forged records are discarded).")
-  in
-  let glean_cap =
-    Arg.(value & opt (some int) None & info [ "glean-cap" ] ~docv:"N"
-           ~doc:"Bound the gleaned-entry population per map-cache (and \
-                 the pull glean tables).")
-  in
-  let run cp_name verbose cp_loss cp_retries cp_rto cache_policy pce_crash
-      attack_spoof attack_replay attack_dns_poison auth_nonce auth_sig
-      auth_dnssec glean_cap =
-    let cp =
-      match Core.Scenario_file.cp_of_string cp_name with
-      | Some cp -> cp
-      | None ->
-          Printf.eprintf "unknown control plane: %s\n" cp_name;
-          exit 1
-    in
-    let cache_policy =
-      match Lispdp.Map_cache.policy_of_string cache_policy with
-      | Some p -> p
-      | None ->
-          Printf.eprintf
-            "unknown cache policy: %s (expected lru, lfu or ttl-hybrid)\n"
-            cache_policy;
-          exit 1
-    in
-    if cp_loss < 0.0 || cp_loss > 1.0 then begin
-      Printf.eprintf "--cp-loss must be in [0, 1]\n"; exit 1
-    end;
-    if cp_retries < 0 then begin
-      Printf.eprintf "--cp-retries must be non-negative\n"; exit 1
-    end;
-    if cp_rto <= 0.0 then begin
-      Printf.eprintf "--cp-rto must be positive\n"; exit 1
-    end;
-    let crash_windows =
-      List.map
-        (fun spec ->
-          let bad reason =
-            Printf.eprintf "--pce-crash %s: %s\n" spec reason;
-            exit 1
-          in
-          match String.split_on_char ':' spec with
-          | [ d; t0; t1 ] -> (
-              match
-                (int_of_string_opt d, float_of_string_opt t0,
-                 float_of_string_opt t1)
-              with
-              | Some domain, Some from_, Some until ->
-                  if domain < 0 then bad "negative domain id"
-                  else if from_ < 0.0 then bad "negative crash time"
-                  else if until <= from_ then
-                    bad
-                      (Printf.sprintf
-                         "inverted window (recovers at %g, crashes at %g)"
-                         until from_)
-                  else (Netsim.Lifecycle.Pce domain, from_, until)
-              | _, _, _ -> bad "expected DOMAIN:T0:T1 (numbers)")
-          | _ -> bad "expected DOMAIN:T0:T1")
-        pce_crash
-    in
+  let run verbose settings =
     let open Core in
-    (* Loss strictly opt-in: no profile at all unless --cp-loss > 0, so
-       the default run stays bit-identical to the lossless simulator. *)
-    let cp_faults =
-      if cp_loss > 0.0 then
-        Some
-          { Scenario.default_cp_faults with
-            Scenario.cp_loss; cp_retries; cp_rto }
-      else None
-    in
-    (* The node-fault layer follows the same opt-in rule: no lifecycle
-       exists at all unless a crash window was requested. *)
-    let node_faults =
-      match crash_windows with
-      | [] -> None
-      | windows ->
-          Some { Scenario.default_node_faults with Scenario.node_windows = windows }
-    in
-    List.iter
-      (fun (flag, p) ->
-        if p < 0.0 || p > 1.0 then begin
-          Printf.eprintf "--%s must be in [0, 1]\n" flag;
+    let config =
+      match Scenario_file.parse ~figure1:true (String.concat "\n" settings) with
+      | Ok t -> t.Scenario_file.config
+      | Error message ->
+          Printf.eprintf "connect --set: %s\n" message;
           exit 1
-        end)
-      [ ("attack-spoof", attack_spoof); ("attack-replay", attack_replay);
-        ("attack-dns-poison", attack_dns_poison) ];
-    (* Like the fault layers: no adversary (and no countermeasure
-       profile) exists at all unless explicitly requested. *)
-    let attack =
-      if attack_spoof > 0.0 || attack_replay > 0.0 || attack_dns_poison > 0.0
-      then
-        Some
-          { Scenario.default_attack with
-            Scenario.atk_spoof = attack_spoof; atk_replay = attack_replay;
-            atk_dns_poison = attack_dns_poison }
-      else None
     in
-    let auth =
-      if auth_nonce || auth_sig || auth_dnssec || glean_cap <> None then
-        Some
-          { Scenario.default_auth with
-            Scenario.auth_nonce; auth_sig; auth_dnssec;
-            auth_glean_cap = glean_cap }
-      else None
-    in
-    let scenario =
-      Scenario.build
-        { Scenario.default_config with
-          Scenario.cp; cp_faults; node_faults; cache_policy; attack; auth }
-    in
+    let scenario = Scenario.build config in
     if verbose then Netsim.Trace.set_enabled (Scenario.trace scenario) true;
     let internet = Scenario.internet scenario in
     let flow =
@@ -807,7 +673,7 @@ let connect_cmd =
     Scenario.run scenario;
     if verbose then Format.printf "%a@." Netsim.Trace.pp (Scenario.trace scenario);
     let counters = Lispdp.Dataplane.counters (Scenario.dataplane scenario) in
-    Format.printf "control plane : %s@." (Scenario.cp_label cp);
+    Format.printf "control plane : %s@." (Scenario.cp_label config.Scenario.cp);
     Format.printf "T_DNS         : %.1f ms@."
       (Option.value ~default:nan c.Scenario.dns_time *. 1e3);
     Format.printf "handshake     : %.1f ms@."
@@ -855,12 +721,10 @@ let connect_cmd =
           dns_counters.Dnssim.System.poisoned_accepted)
   in
   Cmd.v
-    (Cmd.info "connect"
-       ~doc:"Run one measured DNS-then-TCP connection on the Figure-1 scenario.")
-    Term.(
-      const run $ cp $ verbose $ cp_loss $ cp_retries $ cp_rto $ cache_policy
-      $ pce_crash $ attack_spoof $ attack_replay $ attack_dns_poison
-      $ auth_nonce $ auth_sig $ auth_dnssec $ glean_cap)
+    (Cmd.info "connect" ~man:scenario_keys
+       ~doc:"Run one measured DNS-then-TCP connection on the Figure-1 \
+             scenario.  The workload keys do not apply to it.")
+    Term.(const run $ verbose $ settings)
 
 (* ------------------------------------------------------------------ *)
 (* prof                                                                *)

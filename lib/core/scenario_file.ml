@@ -9,424 +9,370 @@ type workload = {
 
 type t = { config : Scenario.config; workload : workload }
 
+let random_params =
+  { Topology.Builder.default_params with Topology.Builder.domain_count = 16 }
+
 let default =
   { config =
-      { Scenario.default_config with
-        Scenario.topology =
-          `Random
-            { Topology.Builder.default_params with
-              Topology.Builder.domain_count = 16 } };
+      { Scenario.default_config with Scenario.topology = `Random random_params };
     workload =
       { flows = 500; rate = 50.0; zipf_alpha = 0.9; data_packets = 8;
         data_bytes = 1200; hotspot = None } }
 
-(* Mutable accumulation state while parsing: topology parameters are
-   combined at the end because they arrive as independent keys. *)
-type state = {
-  mutable seed : int;
-  mutable figure1 : bool;
-  mutable domains : int;
-  mutable providers : int;
-  mutable borders : int;
-  mutable hosts : int;
-  mutable tier1 : int option;
-  mutable cp : Scenario.cp_kind;
-  mutable mapping_ttl : float;
-  mutable dns_ttl : float;
-  mutable cache_capacity : int;
-  mutable cache_policy : Lispdp.Map_cache.policy;
-  mutable cp_faults : Scenario.cp_fault_profile option;
-  mutable node_faults : Scenario.node_fault_profile option;
-  mutable attack : Scenario.attack_profile option;
-  mutable auth : Scenario.auth_profile option;
-  (* pce-crash-at windows still waiting for their pce-recover-at, with
-     the line the crash appeared on (for error reporting) *)
-  mutable open_crashes : (int * float * int) list; (* domain, from, line *)
-  mutable workload : workload;
+(* Where a value came from: error messages name its line and key. *)
+type at = { line : int; key : string }
+
+(* A parse in progress.  Every key that stands alone writes straight
+   into [t]; the keys that combine are staged beside it and resolved by
+   [finish]: the topology shape, crash windows still waiting for their
+   pce-recover-at, and the domain ids, which can only be checked once
+   the domain count is known. *)
+type staged = {
+  t : t;
+  figure1 : bool;
+  params : Topology.Builder.params;
+  tier1 : (at * int) option;
+  open_crashes : (int * float) list;  (* domain, crashed at *)
+  domain_ids : (at * int) list;
 }
-
-let fresh_state () =
-  { seed = 1; figure1 = false; domains = 16; providers = 4; borders = 2;
-    hosts = 4; tier1 = None; cp = Scenario.Cp_pce Pce_control.default_options;
-    mapping_ttl = 60.0; dns_ttl = 3600.0; cache_capacity = 10_000;
-    cache_policy = Lispdp.Map_cache.Lru; cp_faults = None; node_faults = None;
-    attack = None; auth = None; open_crashes = [];
-    workload = default.workload }
-
-let cp_of_string = function
-  | "pce" -> Some (Scenario.Cp_pce Pce_control.default_options)
-  | "pull-drop" -> Some Scenario.Cp_pull_drop
-  | "pull-queue" -> Some (Scenario.Cp_pull_queue 32)
-  | "pull-smr" -> Some (Scenario.Cp_pull_smr 32)
-  | "pull-detour" -> Some Scenario.Cp_pull_detour
-  | "cons" -> Some Scenario.Cp_cons
-  | "msmr" -> Some Scenario.Cp_msmr
-  | "nerd" -> Some Scenario.Cp_nerd
-  | _ -> None
 
 exception Bad_line of int * string
 
-let fail line message = raise (Bad_line (line, message))
+let fail at message = raise (Bad_line (at.line, message))
 
-let int_field line key value ~min ~max =
+(* ------------------------------------------------------------------ *)
+(* Value readers                                                       *)
+(* ------------------------------------------------------------------ *)
+
+let int_in ~min ~max at value =
   match int_of_string_opt value with
   | Some v when v >= min && v <= max -> v
-  | Some _ -> fail line (Printf.sprintf "%s out of [%d, %d]" key min max)
-  | None -> fail line (Printf.sprintf "%s expects an integer, got %S" key value)
+  | Some _ -> fail at (Printf.sprintf "%s out of [%d, %d]" at.key min max)
+  | None ->
+      fail at (Printf.sprintf "%s expects an integer, got %S" at.key value)
 
-let float_field line key value ~min =
+let float_min ?(finite = false) min at value =
   match float_of_string_opt value with
+  | Some v when finite && v = infinity -> fail at (at.key ^ " must be finite")
   | Some v when v >= min -> v
-  | Some _ -> fail line (Printf.sprintf "%s must be at least %g" key min)
-  | None -> fail line (Printf.sprintf "%s expects a number, got %S" key value)
+  | Some _ -> fail at (Printf.sprintf "%s must be at least %g" at.key min)
+  | None -> fail at (Printf.sprintf "%s expects a number, got %S" at.key value)
 
-let probability_field line key value =
+let probability at value =
   match float_of_string_opt value with
   | Some v when v >= 0.0 && v <= 1.0 -> v
-  | Some _ -> fail line (Printf.sprintf "%s must be in [0, 1]" key)
-  | None -> fail line (Printf.sprintf "%s expects a number, got %S" key value)
+  | Some _ -> fail at (at.key ^ " must be in [0, 1]")
+  | None -> fail at (Printf.sprintf "%s expects a number, got %S" at.key value)
 
-(* A fault-script value carries several space-separated numbers. *)
-let fields_of value =
-  String.split_on_char ' ' value |> List.filter (fun s -> s <> "")
-
-(* cp-* keys accumulate into one fault profile, created on first use. *)
-let fault_profile state =
-  match state.cp_faults with
-  | Some p -> p
-  | None -> Scenario.default_cp_faults
-
-(* pce-* node keys accumulate the same way. *)
-let node_profile state =
-  match state.node_faults with
-  | Some p -> p
-  | None -> Scenario.default_node_faults
-
-(* attack-* and auth-* keys likewise. *)
-let attack_profile state =
-  match state.attack with
-  | Some p -> p
-  | None -> Scenario.default_attack
-
-let auth_profile state =
-  match state.auth with Some p -> p | None -> Scenario.default_auth
-
-let bool_field line key value =
-  match value with
+let on_off at = function
   | "on" | "true" | "1" -> true
   | "off" | "false" | "0" -> false
-  | _ -> fail line (Printf.sprintf "%s expects on/off, got %S" key value)
+  | value -> fail at (Printf.sprintf "%s expects on/off, got %S" at.key value)
 
-let apply state line key value =
-  match key with
-  | "seed" -> state.seed <- int_field line key value ~min:0 ~max:max_int
-  | "topology" -> (
-      match value with
-      | "figure1" -> state.figure1 <- true
-      | "random" -> state.figure1 <- false
-      | other -> fail line (Printf.sprintf "unknown topology %S" other))
-  | "domains" -> state.domains <- int_field line key value ~min:2 ~max:10_000
-  | "providers" -> state.providers <- int_field line key value ~min:1 ~max:100
-  | "borders" -> state.borders <- int_field line key value ~min:1 ~max:100
-  | "hosts" -> state.hosts <- int_field line key value ~min:1 ~max:254
-  | "tier1" -> state.tier1 <- Some (int_field line key value ~min:2 ~max:100)
-  | "cp" -> (
-      match cp_of_string value with
-      | Some cp -> state.cp <- cp
-      | None -> fail line (Printf.sprintf "unknown control plane %S" value))
-  | "mapping-ttl" -> state.mapping_ttl <- float_field line key value ~min:0.001
-  | "dns-ttl" -> state.dns_ttl <- float_field line key value ~min:0.001
-  | "cache-capacity" ->
-      state.cache_capacity <- int_field line key value ~min:1 ~max:1_000_000
-  | "cache-policy" -> (
-      match Lispdp.Map_cache.policy_of_string value with
-      | Some p -> state.cache_policy <- p
-      | None ->
-          fail line
-            (Printf.sprintf "unknown cache policy %S (lru, lfu, ttl-hybrid)"
-               value))
-  | "cp-loss" ->
-      state.cp_faults <-
-        Some
-          { (fault_profile state) with
-            Scenario.cp_loss = probability_field line key value }
-  | "cp-jitter" ->
-      state.cp_faults <-
-        Some
-          { (fault_profile state) with
-            Scenario.cp_jitter = float_field line key value ~min:0.0 }
-  | "cp-rto" ->
-      state.cp_faults <-
-        Some
-          { (fault_profile state) with
-            Scenario.cp_rto = float_field line key value ~min:0.001 }
-  | "cp-backoff" ->
-      state.cp_faults <-
-        Some
-          { (fault_profile state) with
-            Scenario.cp_backoff = float_field line key value ~min:1.0 }
-  | "cp-retries" ->
-      state.cp_faults <-
-        Some
-          { (fault_profile state) with
-            Scenario.cp_retries = int_field line key value ~min:0 ~max:100 }
-  | "cp-flap" -> (
-      (* cp-flap <domain> <at> <duration> *)
-      match fields_of value with
-      | [ d; at; duration ] ->
-          let script =
-            Scenario.Flap
-              { at = float_field line key at ~min:0.0;
-                duration = float_field line key duration ~min:0.0;
-                domain = int_field line key d ~min:0 ~max:9_999 }
-          in
-          let p = fault_profile state in
-          state.cp_faults <-
-            Some { p with Scenario.cp_scripts = p.Scenario.cp_scripts @ [ script ] }
-      | _ -> fail line "cp-flap expects '<domain> <at> <duration>'")
-  | "cp-partition" -> (
-      (* cp-partition <domain-a> <domain-b> <from> <until> *)
-      match fields_of value with
-      | [ a; b; from_; until ] ->
-          let from_ = float_field line key from_ ~min:0.0 in
-          let until = float_field line key until ~min:0.0 in
-          if until < from_ then fail line "cp-partition window ends before it starts";
-          let script =
-            Scenario.Partition
-              { from_; until; a = int_field line key a ~min:0 ~max:9_999;
-                b = int_field line key b ~min:0 ~max:9_999 }
-          in
-          let p = fault_profile state in
-          state.cp_faults <-
-            Some { p with Scenario.cp_scripts = p.Scenario.cp_scripts @ [ script ] }
-      | _ -> fail line "cp-partition expects '<domain-a> <domain-b> <from> <until>'")
-  | "pce-crash-at" -> (
-      (* pce-crash-at <domain> <time>: opens a crash window, closed by a
-         later pce-recover-at for the same domain (or left open, i.e.
-         the PCE never restarts). *)
-      match fields_of value with
-      | [ d; at ] ->
-          let domain = int_field line key d ~min:0 ~max:9_999 in
-          let at = float_field line key at ~min:0.0 in
-          if List.exists (fun (od, _, _) -> od = domain) state.open_crashes
-          then
-            fail line
-              (Printf.sprintf
-                 "pce-crash-at: domain %d already has an open crash window"
-                 domain);
-          state.open_crashes <- (domain, at, line) :: state.open_crashes
-      | _ -> fail line "pce-crash-at expects '<domain> <time>'")
-  | "pce-recover-at" -> (
-      (* pce-recover-at <domain> <time>: closes the open window. *)
-      match fields_of value with
-      | [ d; at ] ->
-          let domain = int_field line key d ~min:0 ~max:9_999 in
-          let until = float_field line key at ~min:0.0 in
-          let opened, rest =
-            List.partition (fun (od, _, _) -> od = domain) state.open_crashes
-          in
-          let from_ =
-            match opened with
-            | [ (_, from_, _) ] -> from_
-            | _ ->
-                fail line
-                  (Printf.sprintf
-                     "pce-recover-at: no pce-crash-at for domain %d" domain)
-          in
-          if until <= from_ then
-            fail line
-              (Printf.sprintf
-                 "pce-recover-at: inverted window for domain %d \
-                  (recovers at %g, crashed at %g)"
-                 domain until from_);
-          state.open_crashes <- rest;
-          let p = node_profile state in
-          state.node_faults <-
-            Some
-              { p with
-                Scenario.node_windows =
-                  p.Scenario.node_windows
-                  @ [ (Netsim.Lifecycle.Pce domain, from_, until) ] }
-      | _ -> fail line "pce-recover-at expects '<domain> <time>'")
-  | "pce-watchdog" ->
-      state.node_faults <-
-        Some
-          { (node_profile state) with
-            Scenario.pce_watchdog = float_field line key value ~min:0.001 }
-  | "attack-spoof" ->
-      state.attack <-
-        Some
-          { (attack_profile state) with
-            Scenario.atk_spoof = probability_field line key value }
-  | "attack-spoof-head-start" ->
-      state.attack <-
-        Some
-          { (attack_profile state) with
-            Scenario.atk_spoof_head_start = float_field line key value ~min:0.0 }
-  | "attack-replay" ->
-      state.attack <-
-        Some
-          { (attack_profile state) with
-            Scenario.atk_replay = probability_field line key value }
-  | "attack-dns-poison" ->
-      state.attack <-
-        Some
-          { (attack_profile state) with
-            Scenario.atk_dns_poison = probability_field line key value }
-  | "attack-flood" -> (
-      (* attack-flood <rate> <eids> <from> <until> <victim-domain> *)
-      match fields_of value with
-      | [ rate; eids; from_; until; victim ] ->
-          let from_ = float_field line key from_ ~min:0.0 in
-          let until = float_field line key until ~min:0.0 in
-          if until < from_ then
-            fail line "attack-flood window ends before it starts";
-          state.attack <-
-            Some
-              { (attack_profile state) with
-                Scenario.atk_flood_rate = float_field line key rate ~min:0.0;
-                atk_flood_eids = int_field line key eids ~min:1 ~max:1_000_000;
-                atk_flood_from = from_; atk_flood_until = until;
-                atk_flood_victim = int_field line key victim ~min:0 ~max:9_999 }
-      | _ ->
-          fail line
-            "attack-flood expects '<rate> <eids> <from> <until> <victim-domain>'")
-  | "auth-nonce" ->
-      state.auth <-
-        Some
-          { (auth_profile state) with
-            Scenario.auth_nonce = bool_field line key value }
-  | "auth-sig" ->
-      state.auth <-
-        Some
-          { (auth_profile state) with
-            Scenario.auth_sig = bool_field line key value }
-  | "auth-sig-cpu" ->
-      state.auth <-
-        Some
-          { (auth_profile state) with
-            Scenario.auth_sig_cpu = float_field line key value ~min:0.0 }
-  | "auth-dnssec" ->
-      state.auth <-
-        Some
-          { (auth_profile state) with
-            Scenario.auth_dnssec = bool_field line key value }
-  | "glean-cap" ->
-      state.auth <-
-        Some
-          { (auth_profile state) with
-            Scenario.auth_glean_cap =
-              Some (int_field line key value ~min:1 ~max:1_000_000) }
-  | "flows" ->
-      state.workload <-
-        { state.workload with flows = int_field line key value ~min:1 ~max:1_000_000 }
-  | "rate" ->
-      state.workload <- { state.workload with rate = float_field line key value ~min:0.001 }
-  | "zipf" ->
-      state.workload <-
-        { state.workload with zipf_alpha = float_field line key value ~min:0.0 }
-  | "data-packets" ->
-      state.workload <-
-        { state.workload with
-          data_packets = int_field line key value ~min:0 ~max:1_000_000 }
-  | "data-bytes" ->
-      state.workload <-
-        { state.workload with data_bytes = int_field line key value ~min:0 ~max:65_000 }
-  | "hotspot" ->
-      state.workload <-
-        { state.workload with
-          hotspot = Some (int_field line key value ~min:0 ~max:9_999) }
-  | other -> fail line (Printf.sprintf "unknown key %S" other)
+let domain at value st =
+  let d = int_in ~min:0 ~max:9_999 at value in
+  (d, { st with domain_ids = (at, d) :: st.domain_ids })
 
-let finish state =
-  let topology =
-    if state.figure1 then `Figure1
+(* The space-separated fields of a multi-field value; [parse] has
+   already checked that there are as many as the key's syntax names. *)
+let fields value =
+  String.split_on_char ' ' value
+  |> List.filter (fun s -> s <> "")
+  |> Array.of_list
+
+let window at from_ until =
+  let from_ = float_min 0.0 at from_ and until = float_min 0.0 at until in
+  if until < from_ then fail at (at.key ^ " window ends before it starts");
+  (from_, until)
+
+let control_plane at = function
+  | "pce" -> Scenario.Cp_pce Pce_control.default_options
+  | "pull-drop" -> Scenario.Cp_pull_drop
+  | "pull-queue" -> Scenario.Cp_pull_queue 32
+  | "pull-smr" -> Scenario.Cp_pull_smr 32
+  | "pull-detour" -> Scenario.Cp_pull_detour
+  | "cons" -> Scenario.Cp_cons
+  | "msmr" -> Scenario.Cp_msmr
+  | "nerd" -> Scenario.Cp_nerd
+  | other -> fail at (Printf.sprintf "unknown control plane %S" other)
+
+let cache_policy at value =
+  match Lispdp.Map_cache.policy_of_string value with
+  | Some p -> p
+  | None ->
+      fail at (Printf.sprintf "unknown cache policy %S (lru, lfu, ttl-hybrid)" value)
+
+(* ------------------------------------------------------------------ *)
+(* Setters                                                             *)
+(* ------------------------------------------------------------------ *)
+
+let config f st = { st with t = { st.t with config = f st.t.config } }
+let workload f st = { st with t = { st.t with workload = f st.t.workload } }
+let params f st = { st with params = f st.params }
+
+(* The cp-*, pce-*, attack-* and auth-* keys each fill one optional
+   profile, created from its default on first use; without any of its
+   keys the profile stays [None] and the layer does not exist. *)
+let some default f profile = Some (f (Option.value profile ~default))
+
+let cp_faults f =
+  config (fun c ->
+      { c with cp_faults = some Scenario.default_cp_faults f c.cp_faults })
+
+let node_faults f =
+  config (fun c ->
+      { c with node_faults = some Scenario.default_node_faults f c.node_faults })
+
+let attack f =
+  config (fun c -> { c with attack = some Scenario.default_attack f c.attack })
+
+let auth f = config (fun c -> { c with auth = some Scenario.default_auth f c.auth })
+
+(* The setter of a key that stands alone: [read] its value and [set] it
+   into the record that [into] updates. *)
+let field into read set at value = into (fun r -> set r (read at value))
+
+let cp_script script =
+  cp_faults (fun p -> { p with cp_scripts = p.cp_scripts @ [ script ] })
+
+(* ------------------------------------------------------------------ *)
+(* The key table                                                       *)
+(* ------------------------------------------------------------------ *)
+
+type key = {
+  name : string;
+  syntax : string;  (* the value, as help shows it; one word per field *)
+  doc : string;
+  set : at -> string -> staged -> staged;
+}
+
+let key name syntax doc set = { name; syntax; doc; set }
+
+let table =
+  [ key "seed" "<n>" "RNG seed; every random stream of the run derives from it"
+      (field config (int_in ~min:0 ~max:max_int) (fun r v -> { r with seed = v }));
+    key "topology" "figure1|random"
+      "the paper's two-domain Figure 1, or a generated internet"
+      (fun at v st ->
+        match v with
+        | "figure1" -> { st with figure1 = true }
+        | "random" -> { st with figure1 = false }
+        | other -> fail at (Printf.sprintf "unknown topology %S" other));
+    key "domains" "<n>" "LISP domains of the random topology"
+      (field params (int_in ~min:2 ~max:10_000) (fun r v -> { r with domain_count = v }));
+    key "providers" "<n>" "transit providers of the random topology"
+      (field params (int_in ~min:1 ~max:100) (fun r v -> { r with provider_count = v }));
+    key "borders" "<n>" "border routers per domain (at most one per provider)"
+      (field params (int_in ~min:1 ~max:100) (fun r v ->
+           { r with borders_per_domain = v }));
+    key "hosts" "<n>" "hosts per domain"
+      (field params (int_in ~min:1 ~max:254) (fun r v ->
+           { r with hosts_per_domain = v }));
+    key "tier1" "<n>"
+      "tier-1 providers of a two-tier provider core, at most 'providers' \
+       (default: a full mesh)"
+      (fun at v st -> { st with tier1 = Some (at, int_in ~min:2 ~max:100 at v) });
+    key "cp" "pce|pull-drop|pull-queue|pull-smr|pull-detour|cons|msmr|nerd"
+      "the control plane"
+      (field config control_plane (fun r v -> { r with cp = v }));
+    key "mapping-ttl" "<s>" "TTL of registry mappings (map-cache entry life)"
+      (field config (float_min 0.001) (fun r v -> { r with mapping_ttl = v }));
+    key "dns-ttl" "<s>" "TTL of DNS records"
+      (field config (float_min 0.001) (fun r v -> { r with dns_record_ttl = v }));
+    key "cache-capacity" "<n>" "map-cache entries per border router"
+      (field config (int_in ~min:1 ~max:1_000_000) (fun r v ->
+           { r with cache_capacity = v }));
+    key "cache-policy" "lru|lfu|ttl-hybrid" "map-cache eviction policy"
+      (field config cache_policy (fun r v -> { r with cache_policy = v }));
+    key "cp-loss" "<p>" "control-message loss probability"
+      (field cp_faults probability (fun r v -> { r with cp_loss = v }));
+    key "cp-jitter" "<s>" "control-message delay jitter"
+      (field cp_faults (float_min 0.0) (fun r v -> { r with cp_jitter = v }));
+    key "cp-rto" "<s>" "initial map-request retransmission timeout"
+      (field cp_faults (float_min 0.001) (fun r v -> { r with cp_rto = v }));
+    key "cp-backoff" "<factor>" "RTO multiplier per retransmission"
+      (field cp_faults (float_min 1.0) (fun r v -> { r with cp_backoff = v }));
+    key "cp-retries" "<n>" "map-request retransmissions before giving up"
+      (field cp_faults (int_in ~min:0 ~max:100) (fun r v -> { r with cp_retries = v }));
+    key "cp-flap" "<domain> <at> <duration>"
+      "cut the domain's control plane for <duration> s from <at>"
+      (fun at v st ->
+        let f = fields v in
+        let domain, st = domain at f.(0) st in
+        let duration = float_min 0.0 at f.(2) in
+        cp_script (Scenario.Flap { domain; at = float_min 0.0 at f.(1); duration }) st);
+    key "cp-partition" "<domain-a> <domain-b> <from> <until>"
+      "cut control messages between two domains during [<from>, <until>)"
+      (fun at v st ->
+        let f = fields v in
+        let a, st = domain at f.(0) st in
+        let b, st = domain at f.(1) st in
+        let from_, until = window at f.(2) f.(3) in
+        cp_script (Scenario.Partition { from_; until; a; b }) st);
+    key "pce-crash-at" "<domain> <time>"
+      "crash the domain's PCE; without a later pce-recover-at it never restarts"
+      (fun at v st ->
+        let f = fields v in
+        let d, st = domain at f.(0) st in
+        let from_ = float_min ~finite:true 0.0 at f.(1) in
+        if List.mem_assoc d st.open_crashes then
+          fail at
+            (Printf.sprintf
+               "pce-crash-at: domain %d already has an open crash window" d);
+        { st with open_crashes = (d, from_) :: st.open_crashes });
+    key "pce-recover-at" "<domain> <time>"
+      "restart the PCE that the domain's open pce-crash-at took down"
+      (fun at v st ->
+        let f = fields v in
+        let d, st = domain at f.(0) st in
+        let until = float_min 0.0 at f.(1) in
+        match List.assoc_opt d st.open_crashes with
+        | None ->
+            fail at (Printf.sprintf "pce-recover-at: no pce-crash-at for domain %d" d)
+        | Some from_ when until <= from_ ->
+            fail at
+              (Printf.sprintf
+                 "pce-recover-at: inverted window for domain %d (recovers at %g, \
+                  crashed at %g)"
+                 d until from_)
+        | Some from_ ->
+            node_faults
+              (fun p ->
+                { p with
+                  node_windows =
+                    p.node_windows @ [ (Netsim.Lifecycle.Pce d, from_, until) ] })
+              { st with open_crashes = List.remove_assoc d st.open_crashes });
+    key "pce-watchdog" "<s>" "seconds DNS waits on a dead PCE before bypassing it"
+      (field node_faults (float_min 0.001) (fun r v -> { r with pce_watchdog = v }));
+    key "attack-spoof" "<p>" "probability a map-request is raced by a forged reply"
+      (field attack probability (fun r v -> { r with atk_spoof = v }));
+    key "attack-spoof-head-start" "<s>"
+      "seconds by which a forged reply beats the legitimate one"
+      (field attack (float_min 0.0) (fun r v -> { r with atk_spoof_head_start = v }));
+    key "attack-replay" "<p>"
+      "probability a stale captured map-reply is replayed at a resolution"
+      (field attack probability (fun r v -> { r with atk_replay = v }));
+    key "attack-dns-poison" "<p>"
+      "probability a final DNS answer is raced by a forged record"
+      (field attack probability (fun r v -> { r with atk_dns_poison = v }));
+    key "attack-flood" "<rate> <eids> <from> <until> <victim-domain>"
+      "EID-scan flood: <rate> spoofed packets/s from <eids> forged sources at \
+       the victim's ETRs during [<from>, <until>)"
+      (fun at v st ->
+        let f = fields v in
+        let victim, st = domain at f.(4) st in
+        let from_, until = window at f.(2) f.(3) in
+        attack
+          (fun a ->
+            { a with
+              atk_flood_rate = float_min ~finite:true 0.0 at f.(0);
+              atk_flood_eids = int_in ~min:1 ~max:1_000_000 at f.(1);
+              atk_flood_from = from_; atk_flood_until = until;
+              atk_flood_victim = victim })
+          st);
+    key "auth-nonce" "on|off" "verify the map-reply nonce echo"
+      (field auth on_off (fun r v -> { r with auth_nonce = v }));
+    key "auth-sig" "on|off" "require signed map-replies"
+      (field auth on_off (fun r v -> { r with auth_sig = v }));
+    key "auth-sig-cpu" "<s>" "signature verification cost per reply"
+      (field auth (float_min 0.0) (fun r v -> { r with auth_sig_cpu = v }));
+    key "auth-dnssec" "on|off" "validate DNS answers"
+      (field auth on_off (fun r v -> { r with auth_dnssec = v }));
+    key "glean-cap" "<n>"
+      "bound the gleaned entries per map-cache and pull glean table"
+      (field auth (int_in ~min:1 ~max:1_000_000) (fun r v ->
+           { r with auth_glean_cap = Some v }));
+    key "flows" "<n>" "connections to open"
+      (field workload (int_in ~min:1 ~max:1_000_000) (fun r v -> { r with flows = v }));
+    key "rate" "<per-s>" "Poisson arrival rate, flows per second"
+      (field workload (float_min ~finite:true 0.001) (fun r v -> { r with rate = v }));
+    key "zipf" "<alpha>" "Zipf exponent of destination popularity"
+      (field workload (float_min 0.0) (fun r v -> { r with zipf_alpha = v }));
+    key "data-packets" "<n>" "data packets per flow"
+      (field workload (int_in ~min:0 ~max:1_000_000) (fun r v ->
+           { r with data_packets = v }));
+    key "data-bytes" "<n>" "bytes per data packet"
+      (field workload (int_in ~min:0 ~max:65_000) (fun r v -> { r with data_bytes = v }));
+    key "hotspot" "<domain>" "aim all traffic at one domain"
+      (fun at v st ->
+        let d, st = domain at v st in
+        workload (fun w -> { w with hotspot = Some d }) st) ]
+
+let keys = List.map (fun k -> (k.name, k.syntax, k.doc)) table
+
+(* ------------------------------------------------------------------ *)
+(* Parsing                                                             *)
+(* ------------------------------------------------------------------ *)
+
+let apply st (line, text) =
+  if text = "" then st
+  else
+    match String.index_opt text ' ' with
+    | None ->
+        raise (Bad_line (line, Printf.sprintf "expected 'key value', got %S" text))
+    | Some i -> (
+        let name = String.sub text 0 i in
+        let value = String.trim (String.sub text i (String.length text - i)) in
+        let at = { line; key = name } in
+        match List.find_opt (fun k -> k.name = name) table with
+        | None -> fail at (Printf.sprintf "unknown key %S" name)
+        | Some k ->
+            let wanted = Array.length (fields k.syntax) in
+            if wanted > 1 && Array.length (fields value) <> wanted then
+              fail at (Printf.sprintf "%s expects '%s'" name k.syntax);
+            k.set at value st)
+
+let finish st =
+  let domain_count, topology =
+    if st.figure1 then (2, `Figure1)
     else
-      `Random
-        { Topology.Builder.default_params with
-          Topology.Builder.domain_count = state.domains;
-          provider_count = state.providers; borders_per_domain = state.borders;
-          hosts_per_domain = state.hosts;
-          core_shape =
-            (match state.tier1 with
-            | Some n -> Topology.Builder.Two_tier n
-            | None -> Topology.Builder.Full_mesh) }
+      let params =
+        match st.tier1 with
+        | None -> st.params
+        | Some (at, n) ->
+            if n > st.params.provider_count then
+              fail at
+                (Printf.sprintf "tier1 %d exceeds providers (%d)" n
+                   st.params.provider_count);
+            { st.params with core_shape = Topology.Builder.Two_tier n }
+      in
+      (params.domain_count, `Random params)
   in
-  (match state.workload.hotspot with
-  | Some d when (not state.figure1) && d >= state.domains ->
-      fail 0 (Printf.sprintf "hotspot domain %d does not exist" d)
-  | Some _ | None -> ());
+  List.iter
+    (fun (at, d) ->
+      if d >= domain_count then
+        fail at (Printf.sprintf "%s: domain %d does not exist" at.key d))
+    (List.rev st.domain_ids);
   (* Unclosed crash windows mean the PCE never restarts. *)
-  let node_faults =
-    match (state.node_faults, state.open_crashes) with
-    | profile, [] -> profile
-    | profile, open_ ->
-        let p =
-          Option.value profile ~default:Scenario.default_node_faults
-        in
-        let extra =
-          List.rev_map
-            (fun (d, from_, _) -> (Netsim.Lifecycle.Pce d, from_, infinity))
-            open_
-        in
-        Some
-          { p with Scenario.node_windows = p.Scenario.node_windows @ extra }
+  let st =
+    match st.open_crashes with
+    | [] -> st
+    | open_ ->
+        node_faults
+          (fun p ->
+            { p with
+              node_windows =
+                p.node_windows
+                @ List.rev_map
+                    (fun (d, from_) -> (Netsim.Lifecycle.Pce d, from_, infinity))
+                    open_ })
+          st
   in
-  (match node_faults with
-  | Some p ->
-      let domain_count = if state.figure1 then 2 else state.domains in
-      List.iter
-        (fun (role, _, _) ->
-          match role with
-          | Netsim.Lifecycle.Pce d when d >= domain_count ->
-              fail 0
-                (Printf.sprintf "pce-crash-at: domain %d does not exist" d)
-          | _ -> ())
-        p.Scenario.node_windows
-  | None -> ());
-  (match state.attack with
-  | Some a ->
-      let domain_count = if state.figure1 then 2 else state.domains in
-      if a.Scenario.atk_flood_rate > 0.0
-         && a.Scenario.atk_flood_victim >= domain_count
-      then
-        fail 0
-          (Printf.sprintf "attack-flood: victim domain %d does not exist"
-             a.Scenario.atk_flood_victim)
-  | None -> ());
-  { config =
-      { Scenario.default_config with
-        Scenario.seed = state.seed; topology; cp = state.cp;
-        mapping_ttl = state.mapping_ttl; dns_record_ttl = state.dns_ttl;
-        cache_capacity = state.cache_capacity;
-        cache_policy = state.cache_policy; cp_faults = state.cp_faults;
-        node_faults; attack = state.attack; auth = state.auth };
-    workload = state.workload }
+  { st.t with config = { st.t.config with topology } }
 
-let strip_comment line =
-  match String.index_opt line '#' with
-  | Some i -> String.sub line 0 i
-  | None -> line
-
-let parse contents =
-  let state = fresh_state () in
+let parse ?(figure1 = false) contents =
+  let start =
+    { t = default; figure1; params = random_params; tier1 = None;
+      open_crashes = []; domain_ids = [] }
+  in
   match
     String.split_on_char '\n' contents
-    |> List.iteri (fun index raw ->
-           let line = String.trim (strip_comment raw) in
-           if line <> "" then begin
-             match String.index_opt line ' ' with
-             | None -> fail (index + 1) (Printf.sprintf "expected 'key value', got %S" line)
-             | Some i ->
-                 let key = String.sub line 0 i in
-                 let value =
-                   String.trim (String.sub line i (String.length line - i))
-                 in
-                 if value = "" then fail (index + 1) ("missing value for " ^ key);
-                 apply state (index + 1) key value
-           end)
+    |> List.mapi (fun i raw ->
+           (i + 1, String.trim (List.hd (String.split_on_char '#' raw))))
+    |> List.fold_left apply start
+    |> finish
   with
-  | () -> ( try Ok (finish state) with Bad_line (_, m) -> Error m)
+  | t -> Ok t
   | exception Bad_line (line, message) ->
       Error (Printf.sprintf "line %d: %s" line message)
 

@@ -1,45 +1,22 @@
-(** Scenario description files.
+(** Scenario description files: a small line-oriented format so
+    experiments can be run from the CLI without recompiling
+    ([examples/scenarios/] holds three).
 
-    A small line-oriented format so experiments can be run from the CLI
-    without recompiling:
+    One [key value] pair per line, key and value separated by a space;
+    [#] starts a comment and blank lines are skipped.  A value with
+    several fields separates them with spaces.  A later line overrides
+    an earlier one, except that [cp-flap] and [cp-partition] add one
+    outage each and [pce-crash-at]/[pce-recover-at] pair up into crash
+    windows (a crash with no recovery never restarts).  Without any
+    [cp-*], [pce-*], [attack-*], [auth-*] or [glean-cap] key the matching
+    layer does not exist, so the run is byte-identical to one without it.
 
-    {v
-    # two-domain quick look
-    seed        7
-    topology    random        # or: figure1
-    domains     16
-    providers   4
-    borders     2
-    hosts       4
-    cp          pce           # pull-drop | pull-queue | pull-detour |
-                              # cons | msmr | nerd | pce
-    mapping-ttl 60
-    flows       500
-    rate        50
-    zipf        0.9
-    data-packets 8
-    data-bytes  1200
-    hotspot     0             # optional: aim all traffic at one domain
-    v}
-
-    Control-plane faults ([cp-loss], [cp-jitter], [cp-rto],
-    [cp-backoff], [cp-retries], [cp-flap], [cp-partition]) and node
-    failures ([pce-crash-at <domain> <t>], [pce-recover-at <domain>
-    <t>], [pce-watchdog <s>]) are documented in [doc/protocol.md]; a
-    crash with no matching recovery means the PCE never restarts, and
-    windows must close after they open.
-
-    Adversarial injection ([attack-spoof <p>], [attack-spoof-head-start
-    <s>], [attack-replay <p>], [attack-dns-poison <p>], [attack-flood
-    <rate> <eids> <from> <until> <victim-domain>]) and countermeasures
-    ([auth-nonce on|off], [auth-sig on|off], [auth-sig-cpu <s>],
-    [auth-dnssec on|off], [glean-cap <n>]) are documented in
-    [doc/security.md]; without any attack-*/auth-* key the run is
-    byte-identical to pre-adversary builds.
-
-    Unknown keys, malformed values and out-of-range numbers are
-    reported with their line number.  Omitted keys take the defaults
-    above ({!default}). *)
+    Every key is one entry of the table in [scenario_file.ml], giving
+    its value syntax, a one-line doc and its setter; {!keys} lists them
+    and [repro_cli connect --help] prints them.  Unknown keys, malformed
+    values, out-of-range numbers and domain ids the topology does not
+    have are reported with their line number.  Omitted keys take the
+    defaults in {!default}. *)
 
 type workload = {
   flows : int;
@@ -53,14 +30,17 @@ type workload = {
 type t = { config : Scenario.config; workload : workload }
 
 val default : t
+(** {!Scenario.default_config} on a 16-domain random internet
+    ({!Topology.Builder.default_params} otherwise).  Its [workload] is
+    also the default workload of every experiment. *)
 
-val cp_of_string : string -> Scenario.cp_kind option
-(** The control plane a [cp] value names ([pce], [pull-drop],
-    [pull-queue], [pull-smr], [pull-detour], [cons], [msmr], [nerd]);
-    [None] for any other string. *)
+val keys : (string * string * string) list
+(** [(name, value syntax, doc)] for every key, in table order. *)
 
-val parse : string -> (t, string) result
-(** Parse file contents. *)
+val parse : ?figure1:bool -> string -> (t, string) result
+(** Parse file contents over {!default}.  [~figure1:true] starts from
+    the Figure-1 topology instead, as a leading [topology figure1] line
+    would.  An error reads ["line N: message"]. *)
 
 val load : string -> (t, string) result
 (** Read and parse a file; IO errors become [Error]. *)

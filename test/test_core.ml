@@ -633,7 +633,14 @@ let test_scenario_file_errors () =
       ("pce-recover-at 1 5", "no pce-crash-at");
       ("pce-crash-at 1 8\npce-recover-at 1 3", "inverted window");
       ("pce-crash-at 1 2\npce-crash-at 1 4", "already has an open crash");
-      ("topology figure1\npce-crash-at 5 2", "does not exist") ]
+      ("topology figure1\npce-crash-at 5 2", "does not exist");
+      ("topology figure1\nhotspot 5", "line 2: hotspot: domain 5 does not exist");
+      ("providers 4\ntier1 5", "line 2: tier1 5 exceeds providers (4)");
+      ("rate inf", "line 1: rate must be finite");
+      ("attack-flood inf 5 0 1 1", "line 1: attack-flood must be finite");
+      ("pce-crash-at 0 inf", "line 1: pce-crash-at must be finite");
+      ("domains 4\ncp-flap 9 1 1", "line 2: cp-flap: domain 9 does not exist");
+      ("domains 4\ncp-partition 0 9 0 1", "line 2: cp-partition: domain 9 does not exist") ]
 
 let test_scenario_file_runs () =
   match
@@ -646,6 +653,78 @@ let test_scenario_file_runs () =
       ignore (Scenario.open_connection s ~flow ~data_packets:1 ());
       Scenario.run s;
       Alcotest.(check int) "no drops under nerd" 0 (dropped s)
+
+(* Parser robustness: files built from the key table, plus unknown keys,
+   bare keys and values with a field missing or extra.  Each field is
+   drawn mostly from values that fit its syntax word, at and around the
+   bounds, and otherwise from out-of-range numbers, nan and junk.
+   [parse] never raises, and every file it accepts builds and runs to
+   the end.  A prelude keeps each world small, and the fields that size
+   the run have pools whose accepted values keep it small: at most 6
+   domains, 20 flows, 60 s of arrivals and a bounded flood. *)
+let prop_scenario_file_robust =
+  let pool word =
+    if String.contains word '|' then String.split_on_char '|' word
+    else
+      match word with
+      | "<p>" -> [ "0"; "0.5"; "1" ]
+      | "<domain>" | "<domain-a>" | "<domain-b>" | "<victim-domain>" ->
+          [ "0"; "1"; "3"; "9999" ]
+      | "<n>" | "<eids>" -> [ "0"; "1"; "2"; "100"; "65000"; "1000000"; "1000001" ]
+      | _ -> [ "0"; "0.001"; "1"; "2.5"; "100"; "inf" ]
+  in
+  let junk = [ "-1"; "1.5"; "-inf"; "nan"; "junk"; "on" ] in
+  let sizing =
+    [ (("domains", 0), [ "1"; "2"; "6" ]);
+      (("providers", 0), [ "1"; "2"; "4" ]);
+      (("borders", 0), [ "1"; "3" ]);
+      (("hosts", 0), [ "1"; "3" ]);
+      (("tier1", 0), [ "2"; "3"; "5" ]);
+      (("flows", 0), [ "1"; "20" ]);
+      (("rate", 0), [ "0"; "1"; "50"; "1e300"; "inf" ]);
+      (("data-packets", 0), [ "0"; "1"; "8" ]);
+      (("attack-flood", 0), [ "0"; "5"; "inf" ]);
+      (("attack-flood", 2), [ "0"; "5"; "inf" ]);
+      (("attack-flood", 3), [ "0"; "1"; "10" ]) ]
+  in
+  let line =
+    let open QCheck.Gen in
+    let* name, syntax, _ = oneofl Scenario_file.keys in
+    let words = Array.of_list (String.split_on_char ' ' syntax) in
+    let value i =
+      let fits =
+        match List.assoc_opt (name, i) sizing with
+        | Some values -> values
+        | None -> pool words.(min i (Array.length words - 1))
+      in
+      frequency [ (4, oneofl fits); (1, oneofl junk) ]
+    in
+    let* values = flatten_l (List.init (Array.length words) value) in
+    let* extra = value (Array.length words) in
+    frequency
+      [ (16, return (name :: values));
+        (1, return [ name ]);
+        (1, return (name :: List.tl values));
+        (1, return ((name :: values) @ [ extra ]));
+        (1, return ("no-such-key" :: values)) ]
+    >|= String.concat " "
+  in
+  let prelude =
+    "domains 4\nproviders 3\nhosts 2\nflows 10\nrate 2\ndata-packets 2\n"
+  in
+  let file =
+    QCheck.Gen.(
+      list_size (int_range 1 6) line >|= fun lines ->
+      prelude ^ String.concat "\n" lines)
+  in
+  QCheck.Test.make ~name:"scenario files: parse never raises, accepted files run"
+    ~count:1000 (QCheck.make ~print:Fun.id file)
+    (fun text ->
+      match Scenario_file.parse text with
+      | Error _ -> true
+      | Ok t ->
+          ignore (Experiments.Harness.run (Experiments.Harness.spec_of_scenario t));
+          true)
 
 (* ------------------------------------------------------------------ *)
 (* Cross-control-plane properties                                      *)
@@ -802,6 +881,7 @@ let () =
             test_scenario_file_node_faults;
           Alcotest.test_case "errors" `Quick test_scenario_file_errors;
           Alcotest.test_case "runs" `Quick test_scenario_file_runs;
+          QCheck_alcotest.to_alcotest prop_scenario_file_robust;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
