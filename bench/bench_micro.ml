@@ -118,23 +118,6 @@ let test_wire_decode =
            ignore (Wire.Codec.decode wire_encoded)
          done))
 
-(* The observability layer's disabled paths: recording into a disabled
-   trace must not pay the kasprintf formatting cost, and emitting into a
-   disabled hub must not allocate the event. *)
-
-let disabled_trace =
-  let t = Netsim.Trace.create () in
-  Netsim.Trace.set_enabled t false;
-  t
-
-let test_trace_disabled =
-  Test.make ~name:"trace: 10k recordf (disabled)"
-    (Staged.stage (fun () ->
-         for i = 1 to 10_000 do
-           Netsim.Trace.recordf disabled_trace ~time:(float_of_int i)
-             ~actor:"bench" "event %d of %s run" i "benchmark"
-         done))
-
 (* The workload generator's hot paths: one Zipf draw per flow (Walker
    alias, O(1)) and one collector add per measured quantity. *)
 
@@ -181,14 +164,18 @@ let test_p2 =
          done;
          ignore (Netsim.Stats.P2.quantile s)))
 
-let disabled_hub = Obs.Hub.create ()
+(* The event hub's disabled path: every instrumented site tests
+   [Obs.Hub.enabled] before building its payload, so a disabled hub
+   must cost one boolean test and allocate nothing. *)
+
+let disabled_hub = Obs.Hub.create ~clock:(fun () -> 0.0) ()
 
 let test_hub_disabled =
   Test.make ~name:"obs: 10k emit (disabled)"
     (Staged.stage (fun () ->
          for i = 1 to 10_000 do
            if Obs.Hub.enabled disabled_hub then
-             Obs.Hub.emit disabled_hub ~time:(float_of_int i) ~actor:"bench"
+             Obs.Hub.emit disabled_hub ~actor:"bench"
                (Obs.Event.Mapping_push { targets = i })
          done))
 
@@ -200,18 +187,17 @@ let test_spans_disabled =
     (Staged.stage (fun () ->
          for i = 1 to 10_000 do
            if Obs.Hub.enabled disabled_hub then begin
-             Obs.Hub.emit disabled_hub ~time:(float_of_int i) ~actor:"bench"
-               ~flow:i
+             Obs.Hub.emit disabled_hub ~actor:"bench" ~flow:i
                (Obs.Event.Syn_sent { attempt = 1 });
-             Obs.Hub.emit disabled_hub ~time:(float_of_int i) ~actor:"bench"
-               ~flow:i Obs.Event.Conn_established
+             Obs.Hub.emit disabled_hub ~actor:"bench" ~flow:i
+               Obs.Event.Conn_established
            end
          done))
 
 (* The self-profiler's disabled path: every instrumentation site in the
    engine, DNS, map-resolution, PCE and dataplane hot paths pays this
    when profiling is off, so it must collapse to a flag test — same
-   contract as the disabled trace/hub above.  print () pauses the
+   contract as the disabled hub above.  print () pauses the
    profiler around the whole suite, so these run with it genuinely
    off even under `bench` (which profiles the experiments). *)
 
@@ -286,10 +272,25 @@ let telemetry_disabled_alloc_words () =
   for i = 1 to 100_000 do cycle i done;
   Gc.minor_words () -. w0
 
+(* Same proof for the event hub: zero minor words across 100k disabled
+   emits — a guarded site with a payload, as every layer writes it, and
+   an unguarded emit, which must return before building the event. *)
+let hub_disabled_alloc_words () =
+  let cycle i =
+    if Obs.Hub.enabled disabled_hub then
+      Obs.Hub.emit disabled_hub ~actor:"bench" ~flow:i
+        (Obs.Event.Syn_sent { attempt = i });
+    Obs.Hub.emit disabled_hub ~actor:"bench" Obs.Event.Conn_established
+  in
+  for i = 1 to 1_000 do cycle i done;
+  let w0 = Gc.minor_words () in
+  for i = 1 to 100_000 do cycle i done;
+  Gc.minor_words () -. w0
+
 let tests =
   [ test_engine; test_map_cache; test_trie; test_dijkstra; test_pce_connection;
     test_wire_encode; test_wire_decode; test_zipf; test_samples_exact;
-    test_samples_reservoir; test_p2; test_trace_disabled; test_hub_disabled;
+    test_samples_reservoir; test_p2; test_hub_disabled;
     test_spans_disabled; test_prof_disabled; test_prof_wrap_disabled;
     test_telemetry_disabled ]
 
@@ -368,8 +369,14 @@ let print () =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
   in
   let instance = Instance.monotonic_clock in
+  (* A pinned run count, not a time quota: sample k runs each test k
+     times, k = 1..15, so every test runs 120 times on any machine and
+     the experiment's event count and latency rows (one per PCE
+     connection built) repeat exactly.  The quota is set far out of
+     reach so it never cuts a test short. *)
   let cfg =
-    Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.25) ~stabilize:false ()
+    Benchmark.cfg ~sampling:(`Linear 1) ~limit:15
+      ~quota:(Time.second 3600.0) ~stabilize:false ()
   in
   let raw =
     unprofiled (fun () ->
@@ -404,6 +411,9 @@ let print () =
     [ "telemetry: minor words / 100k disabled cycles";
       Printf.sprintf "%.0f words" (unprofiled telemetry_disabled_alloc_words)
     ];
+  Metrics.Table.add_row table
+    [ "obs: minor words / 100k disabled emits";
+      Printf.sprintf "%.0f words" (unprofiled hub_disabled_alloc_words) ];
   Metrics.Table.add_row table
     [ "engine: dispatch throughput (single domain)";
       Printf.sprintf "%.2fM events/s" (engine_dispatch_single () /. 1e6) ];

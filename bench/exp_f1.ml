@@ -7,13 +7,12 @@ open Core
 let id = "f1"
 let title = "F1: architecture walkthrough of Figure 1 (steps 1-8)"
 
-let run () =
-  let scenario =
-    Scenario.build
-      { Scenario.default_config with
-        Scenario.cp = Scenario.Cp_pce Pce_control.default_options }
-  in
-  Netsim.Trace.set_enabled (Scenario.trace scenario) true;
+let build () =
+  Scenario.build
+    { Scenario.default_config with
+      Scenario.cp = Scenario.Cp_pce Pce_control.default_options }
+
+let connect scenario =
   let internet = Scenario.internet scenario in
   let as_s = internet.Topology.Builder.domains.(0) in
   let as_d = internet.Topology.Builder.domains.(1) in
@@ -25,10 +24,13 @@ let run () =
   in
   let connection = Scenario.open_connection scenario ~flow ~data_packets:3 () in
   Scenario.run scenario;
-  (scenario, connection)
+  connection
 
-let tables () =
-  let scenario, connection = run () in
+let run () =
+  let scenario = build () in
+  (scenario, connect scenario)
+
+let table scenario connection =
   let counters = Lispdp.Dataplane.counters (Scenario.dataplane scenario) in
   let table =
     Metrics.Table.create ~title ~columns:[ "quantity"; "value" ]
@@ -52,10 +54,16 @@ let tables () =
       [ "control messages";
         Metrics.Table.cell_int
           (Mapsys.Cp_stats.message_total (Scenario.cp_stats scenario)) ] ];
-  (table, Scenario.trace scenario)
+  table
+
+let tables () =
+  let scenario, connection = run () in
+  [ table scenario connection ]
 
 let print () =
-  let table, trace = tables () in
+  let scenario = build () in
+  let walkthrough = Scenario.walkthrough scenario in
+  let connection = connect scenario in
   Format.printf "--- event trace (steps 1-8 of the paper's Figure 1) ---@.";
-  Format.printf "%a@." Netsim.Trace.pp trace;
-  Metrics.Table.print table
+  Format.printf "%a@." Netsim.Trace.pp walkthrough;
+  Metrics.Table.print (table scenario connection)

@@ -39,15 +39,18 @@ let spec_for cp timeline =
       mapping_ttl = 10.0; nerd_propagation = 5.0 }
   in
   let inject scenario =
-    Lispdp.Dataplane.set_drop_observer (Scenario.dataplane scenario)
-      (Some
-         (fun ~cause:_ ~now ->
-           if now < fail_at then
-             timeline.drops_before <- timeline.drops_before + 1
-           else begin
-             timeline.drops_after <- timeline.drops_after + 1;
-             timeline.last_drop <- now
-           end));
+    let hub = Scenario.obs scenario in
+    Obs.Hub.add_sink hub (fun e ->
+        match e.Obs.Event.kind with
+        | Obs.Event.Packet_drop _ ->
+            if e.Obs.Event.time < fail_at then
+              timeline.drops_before <- timeline.drops_before + 1
+            else begin
+              timeline.drops_after <- timeline.drops_after + 1;
+              timeline.last_drop <- e.Obs.Event.time
+            end
+        | _ -> ());
+    Obs.Hub.set_enabled hub true;
     ignore
       (Netsim.Engine.schedule (Scenario.engine scenario) ~delay:fail_at
          (fun () -> Scenario.fail_uplink scenario ~domain:victim ~border:0))

@@ -9,12 +9,8 @@ type entry = {
   print : unit -> unit;
 }
 
-let f1_tables () =
-  let table, _trace = Exp_f1.tables () in
-  [ table ]
-
 let all : entry list =
-  [ { exp_id = Exp_f1.id; exp_title = Exp_f1.title; tables = f1_tables;
+  [ { exp_id = Exp_f1.id; exp_title = Exp_f1.title; tables = Exp_f1.tables;
       print = Exp_f1.print };
     { exp_id = Exp_t1.id; exp_title = Exp_t1.title; tables = Exp_t1.tables;
       print = Exp_t1.print };

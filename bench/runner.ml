@@ -117,13 +117,17 @@ let spawn ~latency ~profile ~prof_file index task =
       if observe then ignore (Obs.Runtime.install ~latency:true ());
       (* Rows must be this task's alone, whatever the parent had. *)
       Bench_row.reset ();
+      (* Baselines first, then the profiler: its window holds the task
+         alone, not the runner's bookkeeping (the first GC snapshot in
+         a fresh worker costs tens of microseconds, a visible share of
+         a short task's coverage). *)
+      let gc0 = if profile then Obs.Prof.gc_snapshot () else [] in
+      let t0 = Unix.gettimeofday () in
+      let events0 = Netsim.Engine.total_events_processed () in
       if profile then begin
         if prof_file <> None then Obs.Prof.set_record_intervals true;
         Obs.Prof.start ()
       end;
-      let gc0 = if profile then Obs.Prof.gc_snapshot () else [] in
-      let t0 = Unix.gettimeofday () in
-      let events0 = Netsim.Engine.total_events_processed () in
       let ok =
         try
           if profile then Obs.Prof.with_phase ph_task task.task_run

@@ -661,7 +661,9 @@ let connect_cmd =
           exit 1
     in
     let scenario = Scenario.build config in
-    if verbose then Netsim.Trace.set_enabled (Scenario.trace scenario) true;
+    let walkthrough =
+      if verbose then Some (Scenario.walkthrough scenario) else None
+    in
     let internet = Scenario.internet scenario in
     let flow =
       Nettypes.Flow.create
@@ -671,7 +673,7 @@ let connect_cmd =
     in
     let c = Scenario.open_connection scenario ~flow ~data_packets:3 () in
     Scenario.run scenario;
-    if verbose then Format.printf "%a@." Netsim.Trace.pp (Scenario.trace scenario);
+    Option.iter (Format.printf "%a@." Netsim.Trace.pp) walkthrough;
     let counters = Lispdp.Dataplane.counters (Scenario.dataplane scenario) in
     Format.printf "control plane : %s@." (Scenario.cp_label config.Scenario.cp);
     Format.printf "T_DNS         : %.1f ms@."

@@ -28,8 +28,13 @@ let run cp =
   in
   let drops = Metrics.Timeseries.create ~bucket:1.0 ~horizon in
   let delivered = Metrics.Timeseries.create ~bucket:1.0 ~horizon in
-  Lispdp.Dataplane.set_drop_observer (Scenario.dataplane scenario)
-    (Some (fun ~cause:_ ~now -> Metrics.Timeseries.add drops ~at:now ()));
+  let hub = Scenario.obs scenario in
+  Obs.Hub.add_sink hub (fun e ->
+      match e.Obs.Event.kind with
+      | Obs.Event.Packet_drop _ ->
+          Metrics.Timeseries.add drops ~at:e.Obs.Event.time ()
+      | _ -> ());
+  Obs.Hub.set_enabled hub true;
   (* Sample delivery counters once per second. *)
   let last_delivered = ref 0 in
   let rec sample i =

@@ -15,7 +15,7 @@ open Core
 
 let () =
   let scenario = Scenario.build Scenario.default_config in
-  Netsim.Trace.set_enabled (Scenario.trace scenario) true;
+  let walkthrough = Scenario.walkthrough scenario in
 
   let internet = Scenario.internet scenario in
   let as_s = internet.Topology.Builder.domains.(0) in
@@ -48,7 +48,7 @@ let () =
   let connection = Scenario.open_connection scenario ~flow ~data_packets:3 () in
   Scenario.run scenario;
 
-  Format.printf "Event trace:@.%a@." Netsim.Trace.pp (Scenario.trace scenario);
+  Format.printf "Event trace:@.%a@." Netsim.Trace.pp walkthrough;
 
   let counters = Lispdp.Dataplane.counters (Scenario.dataplane scenario) in
   let dns = Option.value ~default:nan connection.Scenario.dns_time in

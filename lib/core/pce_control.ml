@@ -31,8 +31,7 @@ type t = {
   fallback : Mapsys.Pull.t option;
   watchdog : float;
   registry : Mapsys.Registry.t option;
-  trace : Netsim.Trace.t option;
-  obs : Obs.Hub.t option;
+  obs : Obs.Hub.t;
   mutable dataplane : Lispdp.Dataplane.t option;
   mutable failovers : int;
 }
@@ -43,21 +42,6 @@ let reverse_push_size entry = Wire.Codec.size (Wire.Codec.Reverse_push { entry }
 let stats t = t.stats
 let options t = t.options
 let pce_of_domain t id = t.pces.(id)
-
-let tracef t ~actor fmt =
-  match t.trace with
-  | Some tr ->
-      Netsim.Trace.recordf tr ~time:(Netsim.Engine.now t.engine) ~actor fmt
-  | None -> Format.ikfprintf ignore Format.err_formatter fmt
-
-let obs_on t =
-  match t.obs with Some hub -> Obs.Hub.enabled hub | None -> false
-
-let obs_emit t ~actor ?flow kind =
-  match t.obs with
-  | Some hub ->
-      Obs.Hub.emit hub ~time:(Netsim.Engine.now t.engine) ~actor ?flow kind
-  | None -> ()
 
 let dataplane_exn t =
   match t.dataplane with
@@ -144,14 +128,15 @@ let push_entry t pce entry =
         account_send ();
         let now = Netsim.Engine.now t.engine in
         if Netsim.Faults.drops_message faults ~now ~src:id ~dst:id then begin
-          if obs_on t then
-            obs_emit t ~actor (Obs.Event.Cp_loss { message = "pce-push" });
+          if Obs.Hub.enabled t.obs then
+            Obs.Hub.emit t.obs ~actor
+              (Obs.Event.Cp_loss { message = "pce-push" });
           match t.push_retry with
           | Some retry when attempt <= retry.Netsim.Faults.budget ->
               t.stats.Mapsys.Cp_stats.retransmissions <-
                 t.stats.Mapsys.Cp_stats.retransmissions + 1;
-              if obs_on t then
-                obs_emit t ~actor
+              if Obs.Hub.enabled t.obs then
+                Obs.Hub.emit t.obs ~actor
                   (Obs.Event.Cp_retry
                      { eid = entry.Mapping.dst_eid; attempt;
                        message = "pce-push" });
@@ -163,8 +148,8 @@ let push_entry t pce entry =
           | Some _ | None ->
               t.stats.Mapsys.Cp_stats.timeouts <-
                 t.stats.Mapsys.Cp_stats.timeouts + 1;
-              if obs_on t then
-                obs_emit t ~actor
+              if Obs.Hub.enabled t.obs then
+                Obs.Hub.emit t.obs ~actor
                   (Obs.Event.Cp_timeout
                      { eid = entry.Mapping.dst_eid; message = "pce-push" })
         end
@@ -177,10 +162,9 @@ let push_entry t pce entry =
                     Lispdp.Dataplane.install_flow_entry dp router entry)))
       in
       List.iter (fun router -> send router ~attempt:1) targets);
-  tracef t ~actor "step 7b: push %a to %d ITR(s)" Mapping.pp_flow_entry entry
-    (List.length targets);
-  if obs_on t then
-    obs_emit t ~actor (Obs.Event.Mapping_push { targets = List.length targets })
+  if Obs.Hub.enabled t.obs then
+    Obs.Hub.emit t.obs ~actor
+      (Obs.Event.Tuple_push { entry; targets = List.length targets })
 
 (* Step 6 handler: PCE_D intercepted the authoritative answer. *)
 let on_intercept t ~dst_pce ctx =
@@ -204,10 +188,12 @@ let on_intercept t ~dst_pce ctx =
   t.stats.Mapsys.Cp_stats.map_replies <- t.stats.Mapsys.Cp_stats.map_replies + 1;
   t.stats.Mapsys.Cp_stats.control_bytes <-
     t.stats.Mapsys.Cp_stats.control_bytes + Bytes.length encoded;
-  tracef t ~actor:((Pce.domain dst_pce).Topology.Domain.name ^ "-pce")
-    "step 6: encapsulate DNS answer for %s with mapping %a -> %a"
-    (Dnssim.Name.to_string ctx.Dnssim.System.tap_qname)
-    Ipv4.pp_addr e_d Ipv4.pp_addr rloc_d;
+  if Obs.Hub.enabled t.obs then
+    Obs.Hub.emit t.obs
+      ~actor:((Pce.domain dst_pce).Topology.Domain.name ^ "-pce")
+      (Obs.Event.Answer_intercept
+         { qname = Dnssim.Name.to_string ctx.Dnssim.System.tap_qname;
+           eid = e_d; rloc = rloc_d });
   (* The encapsulated UDP message travels PCE_D -> DNS_S wire, where
      PCE_S picks it off (port P). *)
   let transit =
@@ -232,11 +218,8 @@ let on_intercept t ~dst_pce ctx =
              in
              t.stats.Mapsys.Cp_stats.bypasses <-
                t.stats.Mapsys.Cp_stats.bypasses + 1;
-             tracef t ~actor
-               "PCE_S down: answer for %s recovered after %gs watchdog"
-               (Dnssim.Name.to_string ctx.Dnssim.System.tap_qname) t.watchdog;
-             if obs_on t then
-               obs_emit t ~actor
+             if Obs.Hub.enabled t.obs then
+               Obs.Hub.emit t.obs ~actor
                  (Obs.Event.Pce_bypass
                     { qname =
                         Dnssim.Name.to_string ctx.Dnssim.System.tap_qname });
@@ -262,11 +245,12 @@ let on_intercept t ~dst_pce ctx =
                ~dst_rloc:rloc_d ~now:(Netsim.Engine.now t.engine)
                ~ttl:t.options.flow_ttl;
              let pendings = Pce.take_pending src_pce ~qname in
-             tracef t
-               ~actor:((Pce.domain src_pce).Topology.Domain.name ^ "-pce")
-               "step 7: decapsulate answer for %s; %d pending client(s)"
-               (Dnssim.Name.to_string qname)
-               (List.length pendings);
+             if Obs.Hub.enabled t.obs then
+               Obs.Hub.emit t.obs
+                 ~actor:((Pce.domain src_pce).Topology.Domain.name ^ "-pce")
+                 (Obs.Event.Answer_decap
+                    { qname = Dnssim.Name.to_string qname;
+                      pending = List.length pendings });
              List.iter
                (fun p ->
                  let entry =
@@ -283,8 +267,7 @@ let on_intercept t ~dst_pce ctx =
                   ctx.Dnssim.System.tap_complete))))
 
 let create ~engine ~internet ~dns ?(options = default_options) ?rng ?faults
-    ?push_retry ?lifecycle ?fallback ?(watchdog = 0.25) ?registry ?trace ?obs
-    () =
+    ?push_retry ?lifecycle ?fallback ?(watchdog = 0.25) ?registry ?obs () =
   let domains = internet.Topology.Builder.domains in
   let pces =
     Array.map
@@ -302,8 +285,8 @@ let create ~engine ~internet ~dns ?(options = default_options) ?rng ?faults
   let t =
     { engine; internet; options; pces; resolver_domains;
       stats = Mapsys.Cp_stats.create (); faults; push_retry; lifecycle;
-      fallback; watchdog; registry; trace; obs; dataplane = None;
-      failovers = 0 }
+      fallback; watchdog; registry; obs = Obs.Hub.or_disabled ~engine obs;
+      dataplane = None; failovers = 0 }
   in
   Array.iter
     (fun domain ->
@@ -313,9 +296,12 @@ let create ~engine ~internet ~dns ?(options = default_options) ?rng ?faults
         (Some
            (fun ~client_eid ~qname ->
              if not (pce_down t id) then begin
-             tracef t ~actor:(domain.Topology.Domain.name ^ "-pce")
-               "step 1: IPC reveals query %s from %a"
-               (Dnssim.Name.to_string qname) Ipv4.pp_addr client_eid;
+             if Obs.Hub.enabled t.obs then
+               Obs.Hub.emit t.obs
+                 ~actor:(domain.Topology.Domain.name ^ "-pce")
+                 (Obs.Event.Ipc_query
+                    { qname = Dnssim.Name.to_string qname;
+                      client = client_eid });
              let pce = t.pces.(id) in
              let now = Netsim.Engine.now engine in
              Pce.note_client_query pce ~now ~client_eid ~qname;
@@ -356,8 +342,8 @@ let create ~engine ~internet ~dns ?(options = default_options) ?rng ?faults
                        let actor = domain.Topology.Domain.name ^ "-dns" in
                        t.stats.Mapsys.Cp_stats.bypasses <-
                          t.stats.Mapsys.Cp_stats.bypasses + 1;
-                       if obs_on t then
-                         obs_emit t ~actor
+                       if Obs.Hub.enabled t.obs then
+                         Obs.Hub.emit t.obs ~actor
                            (Obs.Event.Pce_bypass
                               { qname = Dnssim.Name.to_string qname })) }))
     domains;
@@ -401,9 +387,10 @@ let note_etr_packet t router ~outer_src packet =
         (* The receiving ETR installs immediately... *)
         Lispdp.Dataplane.install_flow_entry dp router reverse;
         Pce.remember_entry pce reverse;
-        tracef t ~actor:(domain.Topology.Domain.name ^ "-etr")
-          "reverse mapping %a learned at ETR %a" Mapping.pp_flow_entry reverse
-          Ipv4.pp_addr router.Lispdp.Dataplane.border.Topology.Domain.rloc;
+        if Obs.Hub.enabled t.obs then
+          Obs.Hub.emit t.obs ~actor:(domain.Topology.Domain.name ^ "-etr")
+            ~flow:(Obs.Event.flow_id packet.Packet.flow)
+            (Obs.Event.Reverse_learn { entry = reverse });
         match t.options.reverse_scope with
         | Reverse_receiving_only -> ()
         | Reverse_multicast ->
@@ -432,8 +419,8 @@ let note_etr_packet t router ~outer_src packet =
 let choose_egress t ~src_domain flow =
   let pce = t.pces.(src_domain.Topology.Domain.id) in
   let border = egress_border t pce ~src_eid:flow.Flow.src ~dst_eid:flow.Flow.dst in
-  if obs_on t then
-    obs_emit t
+  if Obs.Hub.enabled t.obs then
+    Obs.Hub.emit t.obs
       ~actor:(src_domain.Topology.Domain.name ^ "-pce")
       ~flow:(Obs.Event.flow_id flow)
       (Obs.Event.Irc_decision { rloc = border.Topology.Domain.rloc });
@@ -460,10 +447,8 @@ let handle_miss t router packet =
   | Some pull ->
       let domain = router.Lispdp.Dataplane.router_domain in
       let actor = domain.Topology.Domain.name ^ "-itr" in
-      tracef t ~actor "miss for %a: degrading to pull resolution"
-        Ipv4.pp_addr packet.Packet.flow.Flow.dst;
-      if obs_on t then
-        obs_emit t ~actor
+      if Obs.Hub.enabled t.obs then
+        Obs.Hub.emit t.obs ~actor
           ~flow:(Obs.Event.flow_id packet.Packet.flow)
           (Obs.Event.Degraded_to_pull { eid = packet.Packet.flow.Flow.dst });
       Mapsys.Pull.handle_miss pull router packet
@@ -497,8 +482,6 @@ let control_plane t =
 let handle_uplink_failure t ~domain_id ~border =
   let pce = t.pces.(domain_id) in
   let dead = border.Topology.Domain.rloc in
-  tracef t ~actor:((Pce.domain pce).Topology.Domain.name ^ "-pce")
-    "uplink failure detected: RLOC %a" Ipv4.pp_addr dead;
   t.failovers <- t.failovers + 1;
   (* Re-advertise a live ingress locator to every affected peer. *)
   List.iter
@@ -622,17 +605,17 @@ let handle_node_crash t ~domain_id =
   let pce = t.pces.(domain_id) in
   let actor = (Pce.domain pce).Topology.Domain.name ^ "-pce" in
   let role = Netsim.Lifecycle.role_label (Netsim.Lifecycle.Pce domain_id) in
-  tracef t ~actor "crash: in-memory state lost (%d flow entries)"
-    (Pce.entry_count pce);
   Pce.reset pce;
-  if obs_on t then obs_emit t ~actor (Obs.Event.Node_crash { role })
+  if Obs.Hub.enabled t.obs then
+    Obs.Hub.emit t.obs ~actor (Obs.Event.Node_crash { role })
 
 let handle_node_restart t ~domain_id =
   let pce = t.pces.(domain_id) in
   let domain = Pce.domain pce in
   let actor = domain.Topology.Domain.name ^ "-pce" in
   let role = Netsim.Lifecycle.role_label (Netsim.Lifecycle.Pce domain_id) in
-  if obs_on t then obs_emit t ~actor (Obs.Event.Node_restart { role });
+  if Obs.Hub.enabled t.obs then
+    Obs.Hub.emit t.obs ~actor (Obs.Event.Node_restart { role });
   t.stats.Mapsys.Cp_stats.recoveries <-
     t.stats.Mapsys.Cp_stats.recoveries + 1;
   (* Resync: one query per local ITR, answered with its live flow
@@ -666,10 +649,8 @@ let handle_node_restart t ~domain_id =
         t.stats.Mapsys.Cp_stats.control_bytes
         + Wire.Codec.size (Wire.Codec.Database_push { mappings = [ mapping ] });
       Mapsys.Registry.update_mapping registry domain_id mapping);
-  tracef t ~actor "warm recovery: %d flow entries resynced from ITRs"
-    !recovered;
-  if obs_on t then
-    obs_emit t ~actor
+  if Obs.Hub.enabled t.obs then
+    Obs.Hub.emit t.obs ~actor
       (Obs.Event.Note
          (Printf.sprintf "warm recovery: %d flow entries resynced" !recovered))
 

@@ -52,13 +52,14 @@ val create :
   ?fallback:Mapsys.Pull.t ->
   ?watchdog:float ->
   ?registry:Mapsys.Registry.t ->
-  ?trace:Netsim.Trace.t ->
   ?obs:Obs.Hub.t ->
   unit ->
   t
 (** Installs the DNS observers and taps.  {!attach} must follow before
-    any traffic flows.  [obs] receives typed [Mapping_push] events on
-    every step-7b configuration and flow-scoped [Irc_decision] events
+    any traffic flows.  [obs] (default: a fresh disabled hub) receives
+    one typed event per paper step — [Ipc_query] (1),
+    [Answer_intercept] (6), [Answer_decap] (7), [Tuple_push] (7b) and
+    [Reverse_learn] at the ETR — plus flow-scoped [Irc_decision] events
     each time the IRC engine picks an egress border.
 
     [faults] makes step-7b pushes unreliable: each per-target

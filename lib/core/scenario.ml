@@ -159,7 +159,6 @@ type t = {
   lifecycle : Netsim.Lifecycle.t option;
   adversary : Netsim.Adversary.t option;
   fallback_pull : Mapsys.Pull.t option;
-  trace : Netsim.Trace.t;
   obs : Obs.Hub.t;
   obs_registry : Obs.Registry.t;
   dns_time_hist : Obs.Registry.histogram;
@@ -179,7 +178,6 @@ let lifecycle t = t.lifecycle
 let adversary t = t.adversary
 let fallback_pull t = t.fallback_pull
 let config t = t.config
-let trace t = t.trace
 let obs t = t.obs
 let obs_registry t = t.obs_registry
 let connections t = List.rev t.connections_rev
@@ -234,9 +232,6 @@ let build config =
     | `Figure1_scaled scale -> Topology.Builder.figure1 ~scale ()
     | `Random params -> Topology.Builder.generate (Netsim.Rng.split rng) params
   in
-  let trace = Netsim.Trace.create () in
-  (* Tracing costs formatting time; experiments enable it on demand. *)
-  Netsim.Trace.set_enabled trace false;
   (* The telemetry plane anchors its window origin at simulated t=0 and
      learns the provider attachment of every access link up front, so
      per-provider aggregation is a flat array index on the hot path. *)
@@ -279,11 +274,11 @@ let build config =
             domain.Topology.Domain.borders)
         internet.Topology.Builder.domains);
   (* The hub starts disabled: instrumented call sites pay one boolean
-     test until an exporter (or a test) enables it. *)
-  let obs = Obs.Hub.create () in
+     test until an exporter, a walkthrough or a test enables it. *)
+  let obs = Obs.Hub.create ~clock:(fun () -> Netsim.Engine.now engine) () in
   let dns =
     Dnssim.System.create ~engine ~internet ~record_ttl:config.dns_record_ttl
-      ~trace ~obs ()
+      ~obs ()
   in
   let registry = Mapsys.Registry.create ~internet ~ttl:config.mapping_ttl in
   let alt =
@@ -331,7 +326,7 @@ let build config =
   let make_dataplane control_plane =
     Lispdp.Dataplane.create ~engine ~internet ~control_plane
       ~cache_capacity:config.cache_capacity ~cache_policy:config.cache_policy
-      ?glean_cap ~flow_ttl ~trace ~obs ()
+      ?glean_cap ~flow_ttl ~obs ()
   in
   (* Split unconditionally so every control plane leaves the scenario
      RNG in the same state — workloads drawn from later splits must be
@@ -444,7 +439,7 @@ let build config =
         let pce_control =
           Pce_control.create ~engine ~internet ~dns ~options ~rng:cp_rng
             ?faults ?push_retry:retry ?lifecycle ?fallback ~watchdog ~registry
-            ~trace ~obs ()
+            ~obs ()
         in
         let dp = make_dataplane (Pce_control.control_plane pce_control) in
         Pce_control.attach pce_control dp;
@@ -550,17 +545,17 @@ let build config =
                     "map-server"
               in
               let label = Netsim.Lifecycle.role_label role in
-              let emit kind =
-                if Obs.Hub.enabled obs then
-                  Obs.Hub.emit obs ~time:(Netsim.Engine.now engine) ~actor kind
-              in
               ignore
                 (Netsim.Engine.schedule_at engine ~time:from_ (fun () ->
-                     emit (Obs.Event.Node_crash { role = label })));
+                     if Obs.Hub.enabled obs then
+                       Obs.Hub.emit obs ~actor
+                         (Obs.Event.Node_crash { role = label })));
               if until < infinity then
                 ignore
                   (Netsim.Engine.schedule_at engine ~time:until (fun () ->
-                       emit (Obs.Event.Node_restart { role = label }))))
+                       if Obs.Hub.enabled obs then
+                         Obs.Hub.emit obs ~actor
+                           (Obs.Event.Node_restart { role = label }))))
         (Netsim.Lifecycle.windows lc));
   (* Every layer's live counters, exposed as read-on-snapshot gauges so
      there is no double bookkeeping anywhere. *)
@@ -699,7 +694,7 @@ let build config =
     ~label:(Option.value config.run_label ~default:(cp_label config.cp))
     ~hub:obs ~registry:obs_registry ();
   { config; engine; internet; dns; registry; dataplane; tcp; cp; rng; faults;
-    lifecycle; adversary; fallback_pull = !fallback_pull; trace; obs;
+    lifecycle; adversary; fallback_pull = !fallback_pull; obs;
     obs_registry; dns_time_hist; setup_time_hist; connections_rev = [] }
 
 let open_connection t ~flow ?data_packets ?data_bytes ?on_established
@@ -735,8 +730,7 @@ let open_connection t ~flow ?data_packets ?data_bytes ?on_established
   (* Root marker for the span layer: setup starts here, with the DNS
      lookup; the matching close is Conn_established / Conn_failed. *)
   if Obs.Hub.enabled t.obs then
-    Obs.Hub.emit t.obs ~time:connection.opened_at
-      ~actor:(src_domain.Topology.Domain.name ^ "-host")
+    Obs.Hub.emit t.obs ~actor:(src_domain.Topology.Domain.name ^ "-host")
       ~flow:(Obs.Event.flow_id flow)
       (Obs.Event.Conn_open { dst = flow.Flow.dst });
   let established _ =
@@ -759,7 +753,7 @@ let open_connection t ~flow ?data_packets ?data_bytes ?on_established
       | None ->
           connection.resolution_failed <- true;
           if Obs.Hub.enabled t.obs then
-            Obs.Hub.emit t.obs ~time:(Netsim.Engine.now t.engine)
+            Obs.Hub.emit t.obs
               ~actor:(src_domain.Topology.Domain.name ^ "-host")
               ~flow:(Obs.Event.flow_id flow)
               (Obs.Event.Conn_failed { reason = "resolution-failed" })
@@ -772,6 +766,12 @@ let open_connection t ~flow ?data_packets ?data_bytes ?on_established
           in
           connection.tcp <- Some tcp_conn);
   connection
+
+let walkthrough t =
+  let ring = Netsim.Trace.create () in
+  Obs.Hub.add_sink t.obs (Obs.Hub.trace_sink ring);
+  Obs.Hub.set_enabled t.obs true;
+  ring
 
 let run ?until t =
   Netsim.Engine.run ?until t.engine;
@@ -808,8 +808,7 @@ let set_uplink t ~domain ~border up =
   Topology.Graph.set_link_up t.internet.Topology.Builder.graph
     b.Topology.Domain.uplink up;
   if Obs.Hub.enabled t.obs then
-    Obs.Hub.emit t.obs ~time:(Netsim.Engine.now t.engine)
-      ~actor:(d.Topology.Domain.name ^ "-border")
+    Obs.Hub.emit t.obs ~actor:(d.Topology.Domain.name ^ "-border")
       (if up then Obs.Event.Link_up { rloc = b.Topology.Domain.rloc }
        else Obs.Event.Link_down { rloc = b.Topology.Domain.rloc });
   (* The domain re-registers its mapping without (or again with) the

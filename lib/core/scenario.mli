@@ -214,7 +214,6 @@ val fallback_pull : t -> Mapsys.Pull.t option
     [Cp_pce]. *)
 
 val config : t -> config
-val trace : t -> Netsim.Trace.t
 
 val obs : t -> Obs.Hub.t
 (** The scenario's event hub, threaded through every layer (DNS, map
@@ -222,6 +221,13 @@ val obs : t -> Obs.Hub.t
     sinks ({!Obs.Hub.add_sink}) to observe the run.  When an
     {!Obs.Runtime} is installed (CLI export flags) the hub arrives
     already enabled and wired. *)
+
+val walkthrough : t -> Netsim.Trace.t
+(** Subscribe a fresh string ring to the scenario's hub (enabling it)
+    and return it: as the scenario runs, every event lands there
+    rendered by {!Obs.Event.describe} — the step-by-step walkthrough of
+    the paper's Figure 1.  Only callers that print a walkthrough ask
+    for one, so runs that merely enable the hub render no strings. *)
 
 val obs_registry : t -> Obs.Registry.t
 (** The scenario's metrics registry.  Pre-registered at build time:

@@ -51,8 +51,7 @@ type t = {
   outages : (Topology.Node.id, unit -> bool) Hashtbl.t;
   outage_timeout : float;
   server_processing : float;
-  trace : Netsim.Trace.t option;
-  obs : Obs.Hub.t option;
+  obs : Obs.Hub.t;
   counters : counters;
   (* Off-path answer forgery: consulted once per final address answer;
      [Some forged] races the genuine record for the resolver's cache.
@@ -65,20 +64,6 @@ type t = {
 let engine t = t.engine
 let internet t = t.internet
 let counters t = t.counters
-
-let trace t ~actor fmt =
-  match t.trace with
-  | Some tr -> Netsim.Trace.recordf tr ~time:(Netsim.Engine.now t.engine) ~actor fmt
-  | None -> Format.ikfprintf ignore Format.err_formatter fmt
-
-let obs_on t =
-  match t.obs with Some hub -> Obs.Hub.enabled hub | None -> false
-
-let obs_emit t ~actor ?flow kind =
-  match t.obs with
-  | Some hub ->
-      Obs.Hub.emit hub ~time:(Netsim.Engine.now t.engine) ~actor ?flow kind
-  | None -> ()
 
 let node_label t id = (Topology.Graph.node t.internet.Topology.Builder.graph id).Topology.Node.label
 
@@ -115,11 +100,12 @@ let populate t ~record_ttl =
     internet.Topology.Builder.domains
 
 let create ~engine ~internet ?(record_ttl = 3600.0) ?(server_processing = 0.0005)
-    ?(outage_timeout = 2.0) ?trace ?obs () =
+    ?(outage_timeout = 2.0) ?obs () =
   let t =
     { engine; internet; zones = Hashtbl.create 16; resolvers = Hashtbl.create 16;
       taps = Hashtbl.create 4; tap_guards = Hashtbl.create 4;
-      outages = Hashtbl.create 4; outage_timeout; server_processing; trace; obs;
+      outages = Hashtbl.create 4; outage_timeout; server_processing;
+      obs = Obs.Hub.or_disabled ~engine obs;
       counters =
         { client_queries = 0; iterative_queries = 0; responses = 0;
           cache_hits = 0; cache_misses = 0; wire_bytes = 0; tap_bypasses = 0;
@@ -214,19 +200,15 @@ let resolve t ~resolver:resolver_id ~client ~client_eid ?flow qname ~callback =
   let resolver = resolver_exn t resolver_id in
   let graph = t.internet.Topology.Builder.graph in
   t.counters.client_queries <- t.counters.client_queries + 1;
-  trace t ~actor:(node_label t client) "DNS query %s -> %s (step 1)"
-    (Name.to_string qname) (node_label t resolver_id);
-  if obs_on t then
-    obs_emit t ~actor:(node_label t client) ?flow
+  if Obs.Hub.enabled t.obs then
+    Obs.Hub.emit t.obs ~actor:(node_label t client) ?flow
       (Obs.Event.Dns_query { qname = Name.to_string qname });
   (* Reply travels resolver -> client once resolution finishes. *)
   let answer_client result =
     t.counters.responses <- t.counters.responses + 1;
     send t ~src:resolver_id ~dst:client ~bytes:(query_size qname + 16) (fun () ->
-        trace t ~actor:(node_label t client) "DNS answer for %s received (step 8)"
-          (Name.to_string qname);
-        if obs_on t then
-          obs_emit t ~actor:(node_label t client) ?flow
+        if Obs.Hub.enabled t.obs then
+          Obs.Hub.emit t.obs ~actor:(node_label t client) ?flow
             (Obs.Event.Dns_reply
                { qname = Name.to_string qname; answered = result <> None });
         callback result)
@@ -236,8 +218,10 @@ let resolve t ~resolver:resolver_id ~client ~client_eid ?flow qname ~callback =
     if steps_left = 0 then answer_client None
     else begin
       t.counters.iterative_queries <- t.counters.iterative_queries + 1;
-      trace t ~actor:(node_label t resolver_id) "iterative query %s -> %s"
-        (Name.to_string qname) (node_label t server);
+      if Obs.Hub.enabled t.obs then
+        Obs.Hub.emit t.obs ~actor:(node_label t resolver_id) ?flow
+          (Obs.Event.Dns_iterate
+             { qname = Name.to_string qname; server = node_label t server });
       send t ~src:resolver_id ~dst:server ~bytes:(query_size qname) (fun () ->
           if node_down t server then begin
             (* Crashed authoritative server: the query dies and the
@@ -247,8 +231,6 @@ let resolve t ~resolver:resolver_id ~client ~client_eid ?flow qname ~callback =
             if Netsim.Telemetry.enabled () then
               Netsim.Telemetry.on_drop ~node:server
                 Netsim.Telemetry.Outage_failure;
-            trace t ~actor:(node_label t server)
-              "server down: query %s unanswered" (Name.to_string qname);
             ignore
               (Netsim.Engine.schedule t.engine ~delay:t.outage_timeout
                  (Netsim.Prof.wrap ph_dns (fun () -> answer_client None)))
@@ -282,8 +264,8 @@ let resolve t ~resolver:resolver_id ~client ~client_eid ?flow qname ~callback =
                              | None -> addr
                              | Some forged ->
                                  let accepted = not t.authenticated in
-                                 if obs_on t then
-                                   obs_emit t
+                                 if Obs.Hub.enabled t.obs then
+                                   Obs.Hub.emit t.obs
                                      ~actor:(node_label t resolver_id) ?flow
                                      (Obs.Event.Poisoned_answer
                                         { qname = Name.to_string qname;
@@ -291,18 +273,11 @@ let resolve t ~resolver:resolver_id ~client ~client_eid ?flow qname ~callback =
                                  if accepted then begin
                                    t.counters.poisoned_accepted <-
                                      t.counters.poisoned_accepted + 1;
-                                   trace t ~actor:(node_label t resolver_id)
-                                     "poisoned answer for %s accepted"
-                                     (Name.to_string qname);
                                    forged
                                  end
                                  else begin
                                    t.counters.poisoned_rejected <-
                                      t.counters.poisoned_rejected + 1;
-                                   trace t ~actor:(node_label t resolver_id)
-                                     "poisoned answer for %s rejected \
-                                      (authenticated)"
-                                     (Name.to_string qname);
                                    addr
                                  end)
                        in
@@ -311,9 +286,6 @@ let resolve t ~resolver:resolver_id ~client ~client_eid ?flow qname ~callback =
                        in
                        Hashtbl.replace resolver.cache qname
                          (Cached_address (addr, expiry));
-                       trace t ~actor:(node_label t resolver_id)
-                         "answer %s = %a" (Name.to_string qname) Ipv4.pp_addr
-                         addr;
                        answer_client (Some addr)
                      in
                      match Hashtbl.find_opt t.taps server with
@@ -325,9 +297,6 @@ let resolve t ~resolver:resolver_id ~client ~client_eid ?flow qname ~callback =
                                 un-piggybacked. *)
                              t.counters.tap_bypasses <-
                                t.counters.tap_bypasses + 1;
-                             trace t ~actor:(node_label t server)
-                               "tap dead for %s: bypass after %gs watchdog"
-                               (Name.to_string qname) g.guard_watchdog;
                              (match g.guard_on_bypass with
                              | Some f -> f ~qname
                              | None -> ());
@@ -337,9 +306,6 @@ let resolve t ~resolver:resolver_id ~client ~client_eid ?flow qname ~callback =
                                     send t ~src:server ~dst:resolver_id ~bytes
                                       complete))
                          | Some _ | None ->
-                             trace t ~actor:(node_label t server)
-                               "final answer for %s intercepted by tap (step 6)"
-                               (Name.to_string qname);
                              t.counters.wire_bytes <-
                                t.counters.wire_bytes + bytes;
                              tap
@@ -371,13 +337,11 @@ let resolve t ~resolver:resolver_id ~client ~client_eid ?flow qname ~callback =
         if Netsim.Telemetry.enabled () then
           Netsim.Telemetry.on_drop ~node:resolver_id
             Netsim.Telemetry.Outage_failure;
-        trace t ~actor:(node_label t resolver_id)
-          "resolver down: query %s unanswered" (Name.to_string qname);
         ignore
           (Netsim.Engine.schedule t.engine ~delay:t.outage_timeout
              (Netsim.Prof.wrap ph_dns (fun () ->
-                  if obs_on t then
-                    obs_emit t ~actor:(node_label t client) ?flow
+                  if Obs.Hub.enabled t.obs then
+                    Obs.Hub.emit t.obs ~actor:(node_label t client) ?flow
                       (Obs.Event.Dns_reply
                          { qname = Name.to_string qname; answered = false });
                   callback None)))
@@ -389,8 +353,6 @@ let resolve t ~resolver:resolver_id ~client ~client_eid ?flow qname ~callback =
       match cache_lookup t resolver qname with
       | Some addr ->
           t.counters.cache_hits <- t.counters.cache_hits + 1;
-          trace t ~actor:(node_label t resolver_id) "cache hit %s"
-            (Name.to_string qname);
           answer_client (Some addr)
       | None ->
           t.counters.cache_misses <- t.counters.cache_misses + 1;

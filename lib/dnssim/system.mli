@@ -23,15 +23,15 @@ val create :
   ?record_ttl:float ->
   ?server_processing:float ->
   ?outage_timeout:float ->
-  ?trace:Netsim.Trace.t ->
   ?obs:Obs.Hub.t ->
   unit ->
   t
 (** [record_ttl] defaults to 3600 s; [server_processing] (per query, at
     each server) to 0.5 ms; [outage_timeout] (how long a querier waits
     on a crashed node before giving up, see {!set_server_outage}) to
-    2 s.  [obs] receives typed [Dns_query]/[Dns_reply] events when
-    enabled. *)
+    2 s.  [obs] (default: a fresh disabled hub) receives typed
+    [Dns_query] (step 1), [Dns_iterate] (steps 2-5), [Dns_reply]
+    (step 8) and [Poisoned_answer] events when enabled. *)
 
 val engine : t -> Netsim.Engine.t
 val internet : t -> Topology.Builder.t

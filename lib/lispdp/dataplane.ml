@@ -35,11 +35,9 @@ type t = {
   routers : router array array; (* indexed by domain id, then border index *)
   by_rloc : (int, router) Hashtbl.t; (* RLOC as raw int -> router *)
   receivers : (int, Packet.t -> unit) Hashtbl.t; (* EID -> host callback *)
-  trace : Netsim.Trace.t option;
-  obs : Obs.Hub.t option;
+  obs : Obs.Hub.t;
   counters : counters;
   drops : (string, int) Hashtbl.t;
-  mutable drop_observer : (cause:string -> now:float -> unit) option;
 }
 
 let engine t = t.engine
@@ -47,26 +45,9 @@ let internet t = t.internet
 let control_plane t = t.control_plane
 let counters t = t.counters
 
-let trace t ~actor fmt =
-  match t.trace with
-  | Some tr ->
-      Netsim.Trace.recordf tr ~time:(Netsim.Engine.now t.engine) ~actor fmt
-  | None -> Format.ikfprintf ignore Format.err_formatter fmt
-
-(* Hot-path guard: call sites test this before building an event payload
-   so a disabled observability layer allocates nothing. *)
-let obs_on t =
-  match t.obs with Some hub -> Obs.Hub.enabled hub | None -> false
-
-let obs_emit t ~actor ?flow kind =
-  match t.obs with
-  | Some hub ->
-      Obs.Hub.emit hub ~time:(Netsim.Engine.now t.engine) ~actor ?flow kind
-  | None -> ()
-
 let create ~engine ~internet ~control_plane ?(cache_capacity = 10_000)
-    ?(cache_policy = Map_cache.Lru) ?glean_cap ?(flow_ttl = 300.0) ?trace ?obs
-    () =
+    ?(cache_policy = Map_cache.Lru) ?glean_cap ?(flow_ttl = 300.0) ?obs () =
+  let obs = Obs.Hub.or_disabled ~engine obs in
   let by_rloc = Hashtbl.create 64 in
   let routers =
     Array.map
@@ -87,26 +68,22 @@ let create ~engine ~internet ~control_plane ?(cache_capacity = 10_000)
   in
   let t =
     { engine; internet; control_plane; routers; by_rloc;
-      receivers = Hashtbl.create 64; trace; obs;
+      receivers = Hashtbl.create 64; obs;
       counters =
         { sent = 0; delivered = 0; dropped = 0; held = 0; encapsulated = 0;
           decapsulated = 0; intra_domain = 0; delivered_bytes = 0 };
-      drops = Hashtbl.create 8; drop_observer = None }
+      drops = Hashtbl.create 8 }
   in
   Array.iter
     (Array.iter (fun r ->
          let actor = r.router_domain.Topology.Domain.name ^ "-itr" in
-         (match obs with
-         | None -> ()
-         | Some _ ->
-             let emit_death mapping =
-               if obs_on t then
-                 obs_emit t ~actor
-                   (Obs.Event.Cache_evict
-                      { prefix = mapping.Mapping.eid_prefix })
-             in
-             Map_cache.set_evict_hook r.cache (Some emit_death);
-             Map_cache.set_expire_hook r.cache (Some emit_death));
+         let emit_death mapping =
+           if Obs.Hub.enabled obs then
+             Obs.Hub.emit obs ~actor
+               (Obs.Event.Cache_evict { prefix = mapping.Mapping.eid_prefix })
+         in
+         Map_cache.set_evict_hook r.cache (Some emit_death);
+         Map_cache.set_expire_hook r.cache (Some emit_death);
          (* Admission rejections are control-plane refusals, not packet
             deaths: they feed the typed drop counters and the event
             stream but never [record_drop] (the packet itself was
@@ -116,8 +93,9 @@ let create ~engine ~internet ~control_plane ?(cache_capacity = 10_000)
            if Netsim.Telemetry.enabled () then
              Netsim.Telemetry.on_drop ~node
                Netsim.Telemetry.Glean_admission_rejected;
-           if obs_on t then
-             obs_emit t ~actor:(r.router_domain.Topology.Domain.name ^ "-etr")
+           if Obs.Hub.enabled obs then
+             Obs.Hub.emit obs
+               ~actor:(r.router_domain.Topology.Domain.name ^ "-etr")
                (Obs.Event.Glean_rejected
                   { eid = Ipv4.prefix_network mapping.Mapping.eid_prefix })
          in
@@ -156,8 +134,8 @@ let set_host_receiver t eid receiver =
 
 (* The single choke point for packet deaths: every drop carries a typed
    cause ([Netsim.Telemetry.drop_cause]) and, when attributable, the
-   node it died at.  The string label keeps the legacy bookkeeping
-   (tables, traces, JSONL events, observers) byte-identical. *)
+   node it died at.  The string label keys the per-cause table and the
+   [Packet_drop] event, so every consumer sees the same cause names. *)
 let record_drop t ?packet ?(node = -1) cause =
   t.counters.dropped <- t.counters.dropped + 1;
   let label = Netsim.Telemetry.drop_label cause in
@@ -167,15 +145,10 @@ let record_drop t ?packet ?(node = -1) cause =
     Netsim.Telemetry.touch ~now:(Netsim.Engine.now t.engine);
     Netsim.Telemetry.on_drop ~node cause
   end;
-  if obs_on t then
-    obs_emit t ~actor:"dp"
+  if Obs.Hub.enabled t.obs then
+    Obs.Hub.emit t.obs ~actor:"dp"
       ?flow:(Option.map (fun p -> Obs.Event.flow_id p.Packet.flow) packet)
-      (Obs.Event.Packet_drop { cause = label });
-  match t.drop_observer with
-  | Some f -> f ~cause:label ~now:(Netsim.Engine.now t.engine)
-  | None -> ()
-
-let set_drop_observer t observer = t.drop_observer <- observer
+      (Obs.Event.Packet_drop { cause = label })
 
 (* A control plane gave up on packets it had answered [Miss_hold] for:
    they leave the simulation here so abandoned hold queues show up in
@@ -257,12 +230,10 @@ let etr_receive t router packet =
     end
     else (packet, None)
   in
-  trace t ~actor:(router.router_domain.Topology.Domain.name ^ "-etr")
-    "ETR %a received %a" Ipv4.pp_addr router.border.Topology.Domain.rloc
-    Packet.pp inner;
   (match outer_src with
-  | Some outer_src when obs_on t ->
-      obs_emit t ~actor:(router.router_domain.Topology.Domain.name ^ "-etr")
+  | Some outer_src when Obs.Hub.enabled t.obs ->
+      Obs.Hub.emit t.obs
+        ~actor:(router.router_domain.Topology.Domain.name ^ "-etr")
         ~flow:(Obs.Event.flow_id inner.Packet.flow)
         (Obs.Event.Decap { outer_src })
   | Some _ | None -> ());
@@ -292,11 +263,9 @@ let tunnel t router packet ~outer_src ~outer_dst =
   | Some remote ->
       let encapsulated = Packet.encapsulate packet ~outer_src ~outer_dst in
       t.counters.encapsulated <- t.counters.encapsulated + 1;
-      trace t ~actor:(router.router_domain.Topology.Domain.name ^ "-itr")
-        "ITR %a tunnels %a" Ipv4.pp_addr router.border.Topology.Domain.rloc
-        Packet.pp encapsulated;
-      if obs_on t then
-        obs_emit t ~actor:(router.router_domain.Topology.Domain.name ^ "-itr")
+      if Obs.Hub.enabled t.obs then
+        Obs.Hub.emit t.obs
+          ~actor:(router.router_domain.Topology.Domain.name ^ "-itr")
           ~flow:(Obs.Event.flow_id packet.Packet.flow)
           (Obs.Event.Encap { outer_src; outer_dst });
       wire t ~src:router.border.Topology.Domain.router
@@ -314,16 +283,16 @@ let lookup_outer t router ~now flow =
   | None -> (
       match Map_cache.lookup router.cache ~now flow.Flow.dst with
       | Some mapping ->
-          if obs_on t then
-            obs_emit t
+          if Obs.Hub.enabled t.obs then
+            Obs.Hub.emit t.obs
               ~actor:(router.router_domain.Topology.Domain.name ^ "-itr")
               ~flow:(Obs.Event.flow_id flow)
               (Obs.Event.Cache_hit { eid = flow.Flow.dst });
           let r = Mapping.select_rloc mapping ~hash:(Flow.hash flow) in
           Some (router.border.Topology.Domain.rloc, r.Mapping.rloc_addr)
       | None ->
-          if obs_on t then
-            obs_emit t
+          if Obs.Hub.enabled t.obs then
+            Obs.Hub.emit t.obs
               ~actor:(router.router_domain.Topology.Domain.name ^ "-itr")
               ~flow:(Obs.Event.flow_id flow)
               (Obs.Event.Cache_miss { eid = flow.Flow.dst });
@@ -339,9 +308,6 @@ let itr_process t router packet =
       Netsim.Prof.leave ph_map;
       match decision with
       | Miss_drop cause ->
-          trace t ~actor:(router.router_domain.Topology.Domain.name ^ "-itr")
-            "miss for %a: dropped (%s)" Ipv4.pp_addr packet.Packet.flow.Flow.dst
-            (Netsim.Telemetry.drop_label cause);
           record_drop t ~packet
             ~node:router.border.Topology.Domain.router cause
       | Miss_hold -> t.counters.held <- t.counters.held + 1)

@@ -52,14 +52,14 @@ val create :
   ?cache_policy:Map_cache.policy ->
   ?glean_cap:int ->
   ?flow_ttl:float ->
-  ?trace:Netsim.Trace.t ->
   ?obs:Obs.Hub.t ->
   unit ->
   t
-(** [obs] is the structured-event hub: when given (and enabled) the
-    data plane emits [Encap]/[Decap], [Cache_hit]/[Cache_miss]/
-    [Cache_evict] and [Packet_drop] events, flow-scoped where a packet
-    is in hand.  A disabled hub costs one boolean test per site.
+(** [obs] is the structured-event hub (default: a fresh disabled one):
+    when enabled the data plane emits [Encap]/[Decap], [Cache_hit]/
+    [Cache_miss]/[Cache_evict] and [Packet_drop] events, flow-scoped
+    where a packet is in hand.  A disabled hub costs one boolean test
+    per site.
     [glean_cap] bounds the gleaned-entry population of every border's
     map-cache (see {!Map_cache.create}); admission rejections emit
     [Glean_rejected] events and the [glean-admission-rejected] typed
@@ -128,18 +128,15 @@ val counters : t -> counters
 
 val drop_causes : t -> (string * int) list
 (** Drop counts keyed by cause label ({!Netsim.Telemetry.drop_label}),
-    sorted by descending count. *)
-
-val set_drop_observer : t -> (cause:string -> now:float -> unit) option -> unit
-(** Callback invoked on every drop — failure experiments use it to build
-    drop timelines. *)
+    sorted by descending count.  Each drop is also a [Packet_drop] event
+    on the hub: drop timelines are a sink that keeps those. *)
 
 val drop_held :
   t -> ?node:int -> Nettypes.Packet.t ->
   cause:Netsim.Telemetry.drop_cause -> unit
 (** A control plane abandons a packet it had answered [Miss_hold] for
     (resolution timeout, unreachable destination): the packet is counted
-    as a regular drop under [cause], with the usual event and observer
+    as a regular drop under [cause], with the usual counter and event
     side effects.  [node] is the router it was held at, for the
     telemetry plane's per-node drop attribution. *)
 

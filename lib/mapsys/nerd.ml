@@ -8,7 +8,7 @@ type t = {
   stats : Cp_stats.t;
   faults : Netsim.Faults.t option;
   mutable dataplane : Lispdp.Dataplane.t option;
-  obs : Obs.Hub.t option;
+  obs : Obs.Hub.t;
 }
 
 (* Database entries are permanent until replaced; give them an expiry far
@@ -18,19 +18,11 @@ let database_ttl = 1e12
 let create ~engine ~internet ~registry ?(propagation_delay = 30.0) ?faults ?obs
     () =
   { engine; internet; registry; propagation_delay; stats = Cp_stats.create ();
-    faults; dataplane = None; obs }
+    faults; dataplane = None; obs = Obs.Hub.or_disabled ~engine obs }
 
 (* NERD distribution is mapping-system work: charge the deferred
    install fan-out to the shared "map_resolution" phase. *)
 let ph_map = Netsim.Prof.phase "map_resolution"
-
-let obs_on t =
-  match t.obs with Some hub -> Obs.Hub.enabled hub | None -> false
-
-let obs_emit t ~actor kind =
-  match t.obs with
-  | Some hub -> Obs.Hub.emit hub ~time:(Netsim.Engine.now t.engine) ~actor kind
-  | None -> ()
 
 let stats t = t.stats
 let database_entries_per_router t = Registry.size t.registry
@@ -64,8 +56,9 @@ let attach t dataplane =
   t.stats.Cp_stats.control_bytes <-
     t.stats.Cp_stats.control_bytes
     + (routers * Registry.total_wire_bytes t.registry);
-  if obs_on t then
-    obs_emit t ~actor:"nerd" (Obs.Event.Mapping_push { targets = routers })
+  if Obs.Hub.enabled t.obs then
+    Obs.Hub.emit t.obs ~actor:"nerd"
+      (Obs.Event.Mapping_push { targets = routers })
 
 let push_update t ~domain mapping =
   Registry.update_mapping t.registry domain mapping;
@@ -76,8 +69,9 @@ let push_update t ~domain mapping =
   t.stats.Cp_stats.push_messages <- t.stats.Cp_stats.push_messages + routers;
   t.stats.Cp_stats.control_bytes <-
     t.stats.Cp_stats.control_bytes + (routers * update_bytes);
-  if obs_on t then
-    obs_emit t ~actor:"nerd" (Obs.Event.Mapping_push { targets = routers });
+  if Obs.Hub.enabled t.obs then
+    Obs.Hub.emit t.obs ~actor:"nerd"
+      (Obs.Event.Mapping_push { targets = routers });
   ignore
     (Netsim.Engine.schedule t.engine ~delay:t.propagation_delay
        (Netsim.Prof.wrap ph_map (fun () ->
@@ -97,8 +91,8 @@ let push_update t ~domain mapping =
                    && Netsim.Faults.drops_message faults ~now ~src:domain
                         ~dst:id
                  then begin
-                   if obs_on t then
-                     obs_emit t ~actor:"nerd"
+                   if Obs.Hub.enabled t.obs then
+                     Obs.Hub.emit t.obs ~actor:"nerd"
                        (Obs.Event.Cp_loss { message = "nerd-push" })
                  end
                  else

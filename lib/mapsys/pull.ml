@@ -60,7 +60,7 @@ type t = {
   adversary : Netsim.Adversary.t option;
   auth : auth;
   mutable dataplane : Lispdp.Dataplane.t option;
-  obs : Obs.Hub.t option;
+  obs : Obs.Hub.t;
 }
 
 let create ~engine ~internet ~registry ~alt ~mode ?name ?latency_of
@@ -79,22 +79,13 @@ let create ~engine ~internet ~registry ~alt ~mode ?name ?latency_of
     stats = Cp_stats.create ();
     glean = Glean.create ?cap:glean_cap (); pending = Hashtbl.create 64;
     nonces = Nonce.create ?rng:nonce_rng (); adversary; auth;
-    dataplane = None; obs }
+    dataplane = None; obs = Obs.Hub.or_disabled ~engine obs }
 
 (* Asynchronous resolution work — map-reply arrivals, retry timers,
    SMR propagation — is charged to the shared "map_resolution" phase
    (the dataplane charges its synchronous calls into this control
    plane to the same phase). *)
 let ph_map = Netsim.Prof.phase "map_resolution"
-
-let obs_on t =
-  match t.obs with Some hub -> Obs.Hub.enabled hub | None -> false
-
-let obs_emit t ~actor ?flow kind =
-  match t.obs with
-  | Some hub ->
-      Obs.Hub.emit hub ~time:(Netsim.Engine.now t.engine) ~actor ?flow kind
-  | None -> ()
 
 let attach t dataplane =
   match t.dataplane with
@@ -188,8 +179,9 @@ let rec send_attempt t resolution router dst_domain mapping ~flow () =
   let actor =
     (router.Lispdp.Dataplane.router_domain).Topology.Domain.name ^ "-itr"
   in
-  if obs_on t then
-    obs_emit t ~actor ?flow (Obs.Event.Map_request { eid = request_eid });
+  if Obs.Hub.enabled t.obs then
+    Obs.Hub.emit t.obs ~actor ?flow
+      (Obs.Event.Map_request { eid = request_eid });
   Alt.note_request t.alt ~src:src_id ~dst:dst_id;
   let total =
     match t.resolution_latency with
@@ -232,8 +224,9 @@ let rec send_attempt t resolution router dst_domain mapping ~flow () =
           ~now:(Netsim.Engine.now t.engine)
     | Some _ | None -> false
   in
-  if server_down && obs_on t then
-    obs_emit t ~actor ?flow (Obs.Event.Cp_loss { message = "map-server-down" });
+  if server_down && Obs.Hub.enabled t.obs then
+    Obs.Hub.emit t.obs ~actor ?flow
+      (Obs.Event.Cp_loss { message = "map-server-down" });
   let lost =
     if server_down then true
     else match t.faults with
@@ -241,16 +234,17 @@ let rec send_attempt t resolution router dst_domain mapping ~flow () =
         let now = Netsim.Engine.now t.engine in
         if Netsim.Faults.drops_message faults ~now ~src:src_id ~dst:dst_id
         then begin
-          if obs_on t then
-            obs_emit t ~actor ?flow
+          if Obs.Hub.enabled t.obs then
+            Obs.Hub.emit t.obs ~actor ?flow
               (Obs.Event.Cp_loss { message = "map-request" });
           true
         end
         else if
           Netsim.Faults.drops_message faults ~now ~src:dst_id ~dst:src_id
         then begin
-          if obs_on t then
-            obs_emit t ~actor ?flow (Obs.Event.Cp_loss { message = "map-reply" });
+          if Obs.Hub.enabled t.obs then
+            Obs.Hub.emit t.obs ~actor ?flow
+              (Obs.Event.Cp_loss { message = "map-reply" });
           true
         end
         else false
@@ -277,8 +271,8 @@ let rec send_attempt t resolution router dst_domain mapping ~flow () =
                  ((not t.auth.nonce_check) || guessed = nonce)
                  && not t.auth.signatures
                in
-               if obs_on t then
-                 obs_emit t ~actor ?flow
+               if Obs.Hub.enabled t.obs then
+                 Obs.Hub.emit t.obs ~actor ?flow
                    (Obs.Event.Spoofed_reply { eid = request_eid; accepted });
                if accepted then begin
                  t.stats.Cp_stats.spoofed_accepted <-
@@ -308,8 +302,8 @@ let rec send_attempt t resolution router dst_domain mapping ~flow () =
           (Netsim.Engine.schedule t.engine ~delay:race_delay
              (Netsim.Prof.wrap ph_map (fun () ->
                let accepted = not t.auth.nonce_check in
-               if obs_on t then
-                 obs_emit t ~actor ?flow
+               if Obs.Hub.enabled t.obs then
+                 Obs.Hub.emit t.obs ~actor ?flow
                    (Obs.Event.Replayed_reply { eid = request_eid; accepted });
                if accepted then begin
                  t.stats.Cp_stats.replayed_accepted <-
@@ -344,8 +338,9 @@ let rec send_attempt t resolution router dst_domain mapping ~flow () =
              t.stats.Cp_stats.control_bytes
              + Wire.Codec.size (Wire.Codec.Map_reply { nonce; mapping })
              + (if t.auth.signatures then Wire.Auth.signature_bytes else 0);
-           if obs_on t then
-             obs_emit t ~actor ?flow (Obs.Event.Map_reply { eid = request_eid });
+           if Obs.Hub.enabled t.obs then
+             Obs.Hub.emit t.obs ~actor ?flow
+               (Obs.Event.Map_reply { eid = request_eid });
            Lispdp.Dataplane.install_mapping dp router mapping;
            match Hashtbl.find_opt t.pending resolution.key with
            | Some r when r == resolution -> complete t resolution router
@@ -371,8 +366,8 @@ let rec send_attempt t resolution router dst_domain mapping ~flow () =
                if not resolution.abandoned then
                  if resolution.attempts > retry.Netsim.Faults.budget then begin
                    t.stats.Cp_stats.timeouts <- t.stats.Cp_stats.timeouts + 1;
-                   if obs_on t then
-                     obs_emit t ~actor ?flow
+                   if Obs.Hub.enabled t.obs then
+                     Obs.Hub.emit t.obs ~actor ?flow
                        (Obs.Event.Cp_timeout
                           { eid = request_eid; message = "map-request" });
                    abandon t resolution
@@ -381,8 +376,8 @@ let rec send_attempt t resolution router dst_domain mapping ~flow () =
                  else begin
                    t.stats.Cp_stats.retransmissions <-
                      t.stats.Cp_stats.retransmissions + 1;
-                   if obs_on t then
-                     obs_emit t ~actor ?flow
+                   if Obs.Hub.enabled t.obs then
+                     Obs.Hub.emit t.obs ~actor ?flow
                        (Obs.Event.Cp_retry
                           { eid = request_eid; attempt = resolution.attempts;
                             message = "map-request" });
@@ -410,7 +405,7 @@ let handle_miss t router packet =
             Hashtbl.replace t.pending key r;
             send_attempt t r router dst_domain mapping
               ~flow:
-                (if obs_on t then
+                (if Obs.Hub.enabled t.obs then
                    Some (Obs.Event.flow_id packet.Packet.flow)
                  else None)
               ();

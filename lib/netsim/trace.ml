@@ -16,7 +16,6 @@ type t = {
   mutable start : int; (* index of the oldest retained entry *)
   mutable len : int; (* retained entries *)
   mutable count : int; (* total ever recorded *)
-  mutable on : bool;
 }
 
 let initial_cap = 16
@@ -38,18 +37,7 @@ let create ?capacity () =
     bound = capacity;
     start = 0;
     len = 0;
-    count = 0;
-    on = true }
-
-let enabled t = t.on
-let set_enabled t on = t.on <- on
-
-(* Recording is cheap enough post-rewrite that per-entry phase timing
-   (two clock reads) would dominate it; emission volume is tracked by
-   a profiler counter instead, and only [recordf]'s formatting — the
-   genuinely expensive part — is timed under the "trace" phase. *)
-let ph_trace = Prof.phase "trace"
-let c_records = Prof.counter "trace.records"
+    count = 0 }
 
 let grow t =
   (* Only reached before any eviction, so the live region starts at 0. *)
@@ -70,42 +58,25 @@ let grow t =
   t.cap <- cap
 
 let record t ~time ~actor event =
-  if t.on then begin
-    Prof.incr c_records;
-    let full_bound = match t.bound with Some b -> t.len = b | None -> false in
-    if full_bound then begin
-      (* Ring is at its bound: overwrite the oldest slot. *)
-      let i = t.start in
-      t.times.(i) <- time;
-      t.actors.(i) <- actor;
-      t.events.(i) <- event;
-      t.start <- (if i + 1 = t.cap then 0 else i + 1)
-    end
-    else begin
-      if t.len = t.cap then grow t;
-      let i = t.start + t.len in
-      let i = if i >= t.cap then i - t.cap else i in
-      t.times.(i) <- time;
-      t.actors.(i) <- actor;
-      t.events.(i) <- event;
-      t.len <- t.len + 1
-    end;
-    t.count <- t.count + 1
+  let full_bound = match t.bound with Some b -> t.len = b | None -> false in
+  if full_bound then begin
+    (* Ring is at its bound: overwrite the oldest slot. *)
+    let i = t.start in
+    t.times.(i) <- time;
+    t.actors.(i) <- actor;
+    t.events.(i) <- event;
+    t.start <- (if i + 1 = t.cap then 0 else i + 1)
   end
-
-let recordf t ~time ~actor fmt =
-  (* Short-circuit before formatting: a disabled trace must not pay the
-     kasprintf rendering/allocation cost on hot paths.  Formatting is
-     charged to the "trace" phase. *)
-  if t.on then begin
-    Prof.enter ph_trace;
-    Format.kasprintf
-      (fun event ->
-        Prof.leave ph_trace;
-        record t ~time ~actor event)
-      fmt
-  end
-  else Format.ikfprintf ignore Format.err_formatter fmt
+  else begin
+    if t.len = t.cap then grow t;
+    let i = t.start + t.len in
+    let i = if i >= t.cap then i - t.cap else i in
+    t.times.(i) <- time;
+    t.actors.(i) <- actor;
+    t.events.(i) <- event;
+    t.len <- t.len + 1
+  end;
+  t.count <- t.count + 1
 
 let nth t i =
   let j = t.start + i in

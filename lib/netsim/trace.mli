@@ -1,9 +1,9 @@
 (** Timeline recording for simulation walkthroughs.
 
-    A trace is an append-only log of [(time, actor, event)] entries.  The
-    F1 experiment uses it to print the step-by-step control-plane
-    walkthrough of the paper's Figure 1; tests use it to assert event
-    ordering.
+    A trace is an append-only log of [(time, actor, event)] entries.
+    Subscribed to a scenario's event hub ([Obs.Hub.trace_sink]) it
+    holds the step-by-step walkthrough of the paper's Figure 1; tests
+    use it to assert event ordering.
 
     Storage is a structure-of-arrays ring buffer (timestamps in an
     unboxed [float array]): recording writes three array cells and
@@ -21,20 +21,8 @@ val create : ?capacity:int -> unit -> t
     counting every recorded entry; {!entries} returns the retained
     window.  Raises [Invalid_argument] when [capacity <= 0]. *)
 
-val enabled : t -> bool
-(** Recording can be switched off so that hot benchmark loops skip the
-    formatting cost of building entries. *)
-
-val set_enabled : t -> bool -> unit
-
 val record : t -> time:float -> actor:string -> string -> unit
-(** Append an entry (no-op when disabled). *)
-
-val recordf :
-  t -> time:float -> actor:string -> ('a, Format.formatter, unit, unit) format4 -> 'a
-(** Like {!record} with printf formatting of the event text.  When the
-    trace is disabled the format arguments are consumed without any
-    rendering work. *)
+(** Append an entry. *)
 
 val entries : t -> entry list
 (** Retained entries in chronological (= insertion) order.  With a

@@ -33,6 +33,12 @@ type kind =
   | Replayed_reply of { eid : Ipv4.addr; accepted : bool }
   | Poisoned_answer of { qname : string; accepted : bool }
   | Glean_rejected of { eid : Ipv4.addr }
+  | Ipc_query of { qname : string; client : Ipv4.addr }
+  | Dns_iterate of { qname : string; server : string }
+  | Answer_intercept of { qname : string; eid : Ipv4.addr; rloc : Ipv4.addr }
+  | Answer_decap of { qname : string; pending : int }
+  | Tuple_push of { entry : Mapping.flow_entry; targets : int }
+  | Reverse_learn of { entry : Mapping.flow_entry }
 
 type t = { time : float; actor : string; flow : int option; kind : kind }
 
@@ -78,12 +84,18 @@ let kind_name = function
   | Replayed_reply _ -> "replayed_reply"
   | Poisoned_answer _ -> "poisoned_answer"
   | Glean_rejected _ -> "glean_rejected"
+  | Ipc_query _ -> "ipc_query"
+  | Dns_iterate _ -> "dns_iterate"
+  | Answer_intercept _ -> "answer_intercept"
+  | Answer_decap _ -> "answer_decap"
+  | Tuple_push _ -> "tuple_push"
+  | Reverse_learn _ -> "reverse_learn"
 
 let describe_kind = function
-  | Dns_query { qname } -> Printf.sprintf "DNS query %s" qname
+  | Dns_query { qname } -> Printf.sprintf "DNS query %s (step 1)" qname
   | Dns_reply { qname; answered } ->
-      Printf.sprintf "DNS reply %s (%s)" qname
-        (if answered then "answered" else "failed")
+      Printf.sprintf "DNS answer for %s %s" qname
+        (if answered then "received (step 8)" else "failed")
   | Map_request { eid } ->
       Printf.sprintf "map-request for %s" (Ipv4.addr_to_string eid)
   | Map_reply { eid } ->
@@ -98,11 +110,11 @@ let describe_kind = function
       Printf.sprintf "mapping push to %d target(s)" targets
   | Packet_drop { cause } -> Printf.sprintf "packet drop (%s)" cause
   | Encap { outer_src; outer_dst } ->
-      Printf.sprintf "encap %s -> %s"
+      Printf.sprintf "ITR tunnels %s => %s"
         (Ipv4.addr_to_string outer_src)
         (Ipv4.addr_to_string outer_dst)
   | Decap { outer_src } ->
-      Printf.sprintf "decap from %s" (Ipv4.addr_to_string outer_src)
+      Printf.sprintf "ETR decapsulates from %s" (Ipv4.addr_to_string outer_src)
   | Irc_decision { rloc } ->
       Printf.sprintf "IRC egress decision: %s" (Ipv4.addr_to_string rloc)
   | Link_up { rloc } -> Printf.sprintf "link up (RLOC %s)" (Ipv4.addr_to_string rloc)
@@ -127,7 +139,7 @@ let describe_kind = function
   | Pce_bypass { qname } ->
       Printf.sprintf "DNS bypassed dead PCE for %s" qname
   | Degraded_to_pull { eid } ->
-      Printf.sprintf "degraded to pull resolution for %s"
+      Printf.sprintf "miss for %s: degrading to pull resolution"
         (Ipv4.addr_to_string eid)
   | Spoofed_reply { eid; accepted } ->
       Printf.sprintf "forged map-reply for %s %s" (Ipv4.addr_to_string eid)
@@ -136,23 +148,39 @@ let describe_kind = function
       Printf.sprintf "replayed map-reply for %s %s" (Ipv4.addr_to_string eid)
         (if accepted then "accepted" else "rejected")
   | Poisoned_answer { qname; accepted } ->
-      Printf.sprintf "poisoned DNS answer for %s %s" qname
-        (if accepted then "accepted" else "rejected")
+      Printf.sprintf "poisoned answer for %s %s" qname
+        (if accepted then "accepted" else "rejected (authenticated)")
   | Glean_rejected { eid } ->
       Printf.sprintf "gleaned mapping for %s rejected by admission"
         (Ipv4.addr_to_string eid)
+  | Ipc_query { qname; client } ->
+      Printf.sprintf "step 1: IPC reveals query %s from %s" qname
+        (Ipv4.addr_to_string client)
+  | Dns_iterate { qname; server } ->
+      Printf.sprintf "iterative query %s -> %s" qname server
+  | Answer_intercept { qname; eid; rloc } ->
+      Printf.sprintf
+        "step 6: intercept and encapsulate DNS answer for %s with mapping %s \
+         -> %s"
+        qname (Ipv4.addr_to_string eid) (Ipv4.addr_to_string rloc)
+  | Answer_decap { qname; pending } ->
+      Printf.sprintf "step 7: decapsulate answer for %s; %d pending client(s)"
+        qname pending
+  | Tuple_push { entry; targets } ->
+      Format.asprintf "step 7b: push %a to %d ITR(s)" Mapping.pp_flow_entry
+        entry targets
+  | Reverse_learn { entry } ->
+      Format.asprintf "reverse mapping %a learned at ETR %a"
+        Mapping.pp_flow_entry entry Ipv4.pp_addr entry.Mapping.src_rloc
 
 let describe e = describe_kind e.kind
 
-let pp ppf e =
-  Format.fprintf ppf "t=%.6fs %s%s %s" e.time e.actor
-    (match e.flow with
-    | Some id -> Printf.sprintf " flow=%d" id
-    | None -> "")
-    (describe e)
-
 let to_json e =
   let addr a = Json.String (Ipv4.addr_to_string a) in
+  let tuple (entry : Mapping.flow_entry) =
+    [ ("src_eid", addr entry.src_eid); ("dst_eid", addr entry.dst_eid);
+      ("src_rloc", addr entry.src_rloc); ("dst_rloc", addr entry.dst_rloc) ]
+  in
   let payload =
     match e.kind with
     | Dns_query { qname } -> [ ("qname", Json.String qname) ]
@@ -191,6 +219,17 @@ let to_json e =
     | Poisoned_answer { qname; accepted } ->
         [ ("qname", Json.String qname); ("accepted", Json.Bool accepted) ]
     | Glean_rejected { eid } -> [ ("eid", addr eid) ]
+    | Ipc_query { qname; client } ->
+        [ ("qname", Json.String qname); ("client", addr client) ]
+    | Dns_iterate { qname; server } ->
+        [ ("qname", Json.String qname); ("server", Json.String server) ]
+    | Answer_intercept { qname; eid; rloc } ->
+        [ ("qname", Json.String qname); ("eid", addr eid); ("rloc", addr rloc) ]
+    | Answer_decap { qname; pending } ->
+        [ ("qname", Json.String qname); ("pending", Json.Int pending) ]
+    | Tuple_push { entry; targets } ->
+        tuple entry @ [ ("targets", Json.Int targets) ]
+    | Reverse_learn { entry } -> tuple entry
   in
   Json.Obj
     ([ ("time", Json.Float e.time); ("actor", Json.String e.actor);
@@ -205,87 +244,94 @@ let of_json json =
   let* actor = field "actor" Json.to_string_opt in
   let* kind_str = field "kind" Json.to_string_opt in
   let flow = field "flow" Json.to_int_opt in
-  let str name = field name Json.to_string_opt in
-  let addr name =
-    match str name with
-    | Some s -> (try Some (Ipv4.addr_of_string s) with _ -> None)
-    | None -> None
+  (* Payload readers: [let+ ... and+ ...] is [Some] only when every
+     field is present and well-formed. *)
+  let ( let+ ) x f = Option.map f x in
+  let ( and+ ) a b =
+    match (a, b) with Some a, Some b -> Some (a, b) | _ -> None
   in
+  let str name = field name Json.to_string_opt in
+  let int name = field name Json.to_int_opt in
+  let bool name = field name Json.to_bool_opt in
+  let parsed of_string name =
+    Option.bind (str name) (fun s -> try Some (of_string s) with _ -> None)
+  in
+  let addr = parsed Ipv4.addr_of_string in
+  let tuple () =
+    let+ src_eid = addr "src_eid" and+ dst_eid = addr "dst_eid"
+    and+ src_rloc = addr "src_rloc" and+ dst_rloc = addr "dst_rloc" in
+    { Mapping.src_eid; dst_eid; src_rloc; dst_rloc }
+  in
+  (* [message] is absent in pre-span JSONL streams: default it so old
+     files keep parsing. *)
+  let message () = Option.value ~default:"map-request" (str "message") in
   let kind =
     match kind_str with
-    | "dns_query" ->
-        Option.map (fun qname -> Dns_query { qname }) (str "qname")
-    | "dns_reply" -> (
-        match (str "qname", field "answered" Json.to_bool_opt) with
-        | Some qname, Some answered -> Some (Dns_reply { qname; answered })
-        | _ -> None)
-    | "map_request" -> Option.map (fun eid -> Map_request { eid }) (addr "eid")
-    | "map_reply" -> Option.map (fun eid -> Map_reply { eid }) (addr "eid")
-    | "cache_hit" -> Option.map (fun eid -> Cache_hit { eid }) (addr "eid")
-    | "cache_miss" -> Option.map (fun eid -> Cache_miss { eid }) (addr "eid")
-    | "cache_evict" -> (
-        match str "prefix" with
-        | Some s -> (
-            try Some (Cache_evict { prefix = Ipv4.prefix_of_string s })
-            with _ -> None)
-        | None -> None)
-    | "mapping_push" ->
-        Option.map (fun targets -> Mapping_push { targets })
-          (field "targets" Json.to_int_opt)
-    | "packet_drop" ->
-        Option.map (fun cause -> Packet_drop { cause }) (str "cause")
-    | "encap" -> (
-        match (addr "outer_src", addr "outer_dst") with
-        | Some outer_src, Some outer_dst -> Some (Encap { outer_src; outer_dst })
-        | _ -> None)
-    | "decap" ->
-        Option.map (fun outer_src -> Decap { outer_src }) (addr "outer_src")
-    | "irc_decision" ->
-        Option.map (fun rloc -> Irc_decision { rloc }) (addr "rloc")
-    | "link_up" -> Option.map (fun rloc -> Link_up { rloc }) (addr "rloc")
-    | "link_down" -> Option.map (fun rloc -> Link_down { rloc }) (addr "rloc")
-    | "cp_loss" -> Option.map (fun message -> Cp_loss { message }) (str "message")
-    | "cp_retry" -> (
-        (* [message] is absent in pre-span JSONL streams: default it so
-           old files keep parsing. *)
-        let message = Option.value ~default:"map-request" (str "message") in
-        match (addr "eid", field "attempt" Json.to_int_opt) with
-        | Some eid, Some attempt -> Some (Cp_retry { eid; attempt; message })
-        | _ -> None)
+    | "dns_query" -> let+ qname = str "qname" in Dns_query { qname }
+    | "dns_reply" ->
+        let+ qname = str "qname" and+ answered = bool "answered" in
+        Dns_reply { qname; answered }
+    | "map_request" -> let+ eid = addr "eid" in Map_request { eid }
+    | "map_reply" -> let+ eid = addr "eid" in Map_reply { eid }
+    | "cache_hit" -> let+ eid = addr "eid" in Cache_hit { eid }
+    | "cache_miss" -> let+ eid = addr "eid" in Cache_miss { eid }
+    | "cache_evict" ->
+        let+ prefix = parsed Ipv4.prefix_of_string "prefix" in
+        Cache_evict { prefix }
+    | "mapping_push" -> let+ targets = int "targets" in Mapping_push { targets }
+    | "packet_drop" -> let+ cause = str "cause" in Packet_drop { cause }
+    | "encap" ->
+        let+ outer_src = addr "outer_src" and+ outer_dst = addr "outer_dst" in
+        Encap { outer_src; outer_dst }
+    | "decap" -> let+ outer_src = addr "outer_src" in Decap { outer_src }
+    | "irc_decision" -> let+ rloc = addr "rloc" in Irc_decision { rloc }
+    | "link_up" -> let+ rloc = addr "rloc" in Link_up { rloc }
+    | "link_down" -> let+ rloc = addr "rloc" in Link_down { rloc }
+    | "cp_loss" -> let+ message = str "message" in Cp_loss { message }
+    | "cp_retry" ->
+        let+ eid = addr "eid" and+ attempt = int "attempt" in
+        Cp_retry { eid; attempt; message = message () }
     | "cp_timeout" ->
-        let message = Option.value ~default:"map-request" (str "message") in
-        Option.map (fun eid -> Cp_timeout { eid; message }) (addr "eid")
-    | "conn_open" -> Option.map (fun dst -> Conn_open { dst }) (addr "dst")
+        let+ eid = addr "eid" in
+        Cp_timeout { eid; message = message () }
+    | "conn_open" -> let+ dst = addr "dst" in Conn_open { dst }
     | "conn_established" -> Some Conn_established
-    | "conn_failed" ->
-        Option.map (fun reason -> Conn_failed { reason }) (str "reason")
-    | "syn_sent" ->
-        Option.map (fun attempt -> Syn_sent { attempt })
-          (field "attempt" Json.to_int_opt)
+    | "conn_failed" -> let+ reason = str "reason" in Conn_failed { reason }
+    | "syn_sent" -> let+ attempt = int "attempt" in Syn_sent { attempt }
     | "syn_received" -> Some Syn_received
-    | "run_start" -> Option.map (fun label -> Run_start { label }) (str "label")
-    | "note" -> Option.map (fun text -> Note text) (str "text")
-    | "node_crash" -> Option.map (fun role -> Node_crash { role }) (str "role")
-    | "node_restart" ->
-        Option.map (fun role -> Node_restart { role }) (str "role")
-    | "pce_bypass" ->
-        Option.map (fun qname -> Pce_bypass { qname }) (str "qname")
-    | "degraded_to_pull" ->
-        Option.map (fun eid -> Degraded_to_pull { eid }) (addr "eid")
-    | "spoofed_reply" -> (
-        match (addr "eid", field "accepted" Json.to_bool_opt) with
-        | Some eid, Some accepted -> Some (Spoofed_reply { eid; accepted })
-        | _ -> None)
-    | "replayed_reply" -> (
-        match (addr "eid", field "accepted" Json.to_bool_opt) with
-        | Some eid, Some accepted -> Some (Replayed_reply { eid; accepted })
-        | _ -> None)
-    | "poisoned_answer" -> (
-        match (str "qname", field "accepted" Json.to_bool_opt) with
-        | Some qname, Some accepted -> Some (Poisoned_answer { qname; accepted })
-        | _ -> None)
-    | "glean_rejected" ->
-        Option.map (fun eid -> Glean_rejected { eid }) (addr "eid")
+    | "run_start" -> let+ label = str "label" in Run_start { label }
+    | "note" -> let+ text = str "text" in Note text
+    | "node_crash" -> let+ role = str "role" in Node_crash { role }
+    | "node_restart" -> let+ role = str "role" in Node_restart { role }
+    | "pce_bypass" -> let+ qname = str "qname" in Pce_bypass { qname }
+    | "degraded_to_pull" -> let+ eid = addr "eid" in Degraded_to_pull { eid }
+    | "spoofed_reply" ->
+        let+ eid = addr "eid" and+ accepted = bool "accepted" in
+        Spoofed_reply { eid; accepted }
+    | "replayed_reply" ->
+        let+ eid = addr "eid" and+ accepted = bool "accepted" in
+        Replayed_reply { eid; accepted }
+    | "poisoned_answer" ->
+        let+ qname = str "qname" and+ accepted = bool "accepted" in
+        Poisoned_answer { qname; accepted }
+    | "glean_rejected" -> let+ eid = addr "eid" in Glean_rejected { eid }
+    | "ipc_query" ->
+        let+ qname = str "qname" and+ client = addr "client" in
+        Ipc_query { qname; client }
+    | "dns_iterate" ->
+        let+ qname = str "qname" and+ server = str "server" in
+        Dns_iterate { qname; server }
+    | "answer_intercept" ->
+        let+ qname = str "qname" and+ eid = addr "eid"
+        and+ rloc = addr "rloc" in
+        Answer_intercept { qname; eid; rloc }
+    | "answer_decap" ->
+        let+ qname = str "qname" and+ pending = int "pending" in
+        Answer_decap { qname; pending }
+    | "tuple_push" ->
+        let+ entry = tuple () and+ targets = int "targets" in
+        Tuple_push { entry; targets }
+    | "reverse_learn" -> let+ entry = tuple () in Reverse_learn { entry }
     | _ -> None
   in
   match kind with

@@ -17,6 +17,7 @@ type kind =
   | Cache_miss of { eid : Ipv4.addr }
   | Cache_evict of { prefix : Ipv4.prefix }
   | Mapping_push of { targets : int }
+      (** NERD pushed a database update to [targets] routers *)
   | Packet_drop of { cause : string }
   | Encap of { outer_src : Ipv4.addr; outer_dst : Ipv4.addr }
   | Decap of { outer_src : Ipv4.addr }
@@ -43,7 +44,7 @@ type kind =
   | Syn_received  (** the first SYN copy reached the responder *)
   | Run_start of { label : string }
       (** stream marker separating runs in a multi-run JSONL trace *)
-  | Note of string  (** free-form bridge for legacy trace text *)
+  | Note of string  (** free-form text (e.g. a warm-recovery summary) *)
   | Node_crash of { role : string }
       (** a node went down per the lifecycle schedule; [role] is
           {!Netsim.Lifecycle.role_label} output ("pce(1)", "dns(0)",
@@ -66,6 +67,23 @@ type kind =
           forged one *)
   | Glean_rejected of { eid : Ipv4.addr }
       (** the cache admission policy refused a gleaned mapping *)
+  | Ipc_query of { qname : string; client : Ipv4.addr }
+      (** step 1: PCE_S learns a local client's query by IPC with DNS_S *)
+  | Dns_iterate of { qname : string; server : string }
+      (** steps 2-5: the resolver sends an iterative query to [server]
+          (a node label) *)
+  | Answer_intercept of { qname : string; eid : Ipv4.addr; rloc : Ipv4.addr }
+      (** step 6: PCE_D intercepts the authoritative answer on DNS_D's
+          wire and piggybacks the mapping [eid -> rloc] on it *)
+  | Answer_decap of { qname : string; pending : int }
+      (** step 7: PCE_S decapsulates the port-P message; [pending] local
+          clients wait for their tuples *)
+  | Tuple_push of { entry : Mapping.flow_entry; targets : int }
+      (** step 7b: a PCE pushes one per-flow tuple to [targets] ITRs of
+          its domain (NERD's database pushes are [Mapping_push]) *)
+  | Reverse_learn of { entry : Mapping.flow_entry }
+      (** a tunneled packet taught an ETR (at [entry.src_rloc]) the
+          reverse mapping of its flow *)
 
 type t = { time : float; actor : string; flow : int option; kind : kind }
 
@@ -77,9 +95,8 @@ val kind_name : kind -> string
 (** Snake-case tag, also the JSON ["kind"] field. *)
 
 val describe : t -> string
-(** Human-readable one-liner (the string-renderer sink uses this). *)
-
-val pp : Format.formatter -> t -> unit
+(** Human-readable one-liner, the single renderer of events: the
+    walkthrough ring ({!Hub.trace_sink}) shows exactly this text. *)
 
 val to_json : t -> Json.t
 (** Flat object with [time], [actor], [kind], optional [flow], and

@@ -1,25 +1,27 @@
 type sink = Event.t -> unit
 
-type t = { mutable on : bool; mutable sinks : sink list }
+type t = { clock : unit -> float; mutable on : bool; mutable sinks : sink list }
 
-let create ?(enabled = false) () = { on = enabled; sinks = [] }
+let create ?(enabled = false) ~clock () = { clock; on = enabled; sinks = [] }
+
+let or_disabled ~engine = function
+  | Some hub -> hub
+  | None -> create ~clock:(fun () -> Netsim.Engine.now engine) ()
+
 let enabled t = t.on
 let set_enabled t on = t.on <- on
 let add_sink t sink = t.sinks <- t.sinks @ [ sink ]
-let sink_count t = List.length t.sinks
 
+(* Sink fan-out (JSONL rendering, span assembly, the walkthrough ring)
+   is charged to one profiler phase, so "what does observability cost"
+   reads off one line. *)
 let ph_trace = Netsim.Prof.phase "trace"
 
-let dispatch t event = List.iter (fun sink -> sink event) t.sinks
-
-let emit t ~time ~actor ?flow kind =
+let emit t ~actor ?flow kind =
   if t.on then begin
-    (* Sink fan-out (JSONL rendering, span assembly, metrics) is trace
-       emission from the profiler's point of view: charge it to the
-       same phase as Netsim.Trace so "what does observability cost"
-       reads off one line. *)
     Netsim.Prof.enter ph_trace;
-    dispatch t { Event.time; actor; flow; kind };
+    let event = { Event.time = t.clock (); actor; flow; kind } in
+    List.iter (fun sink -> sink event) t.sinks;
     Netsim.Prof.leave ph_trace
   end
 

@@ -1,20 +1,26 @@
-(** Event hub: the recording side of the observability layer.
+(** Event hub: the one instrumentation channel of the simulator.
 
     Each scenario owns one hub; instrumented layers emit typed events
     into it and any number of sinks (JSONL writer, in-memory buffer,
-    legacy string trace, metrics sampler ticks) consume them.
+    latency analyzer, the Figure-1 walkthrough ring, metrics sampler
+    ticks) consume them.  The hub holds the simulation clock, so an
+    emit site names only the actor and the payload.
 
-    The disabled path must be effectively free: {!emit} checks the flag
-    before building the event record, and hot call sites are expected
-    to guard payload construction with {!enabled} so a disabled run
-    does not even allocate the [kind] variant. *)
+    The disabled path must be free: each call site tests {!enabled}
+    once before building its payload, so a disabled run does not even
+    allocate the [kind] variant. *)
 
 type sink = Event.t -> unit
 
 type t
 
-val create : ?enabled:bool -> unit -> t
-(** Hubs start disabled by default. *)
+val create : ?enabled:bool -> clock:(unit -> float) -> unit -> t
+(** [clock] stamps every event (a scenario passes its engine's
+    [Netsim.Engine.now]).  Hubs start disabled by default. *)
+
+val or_disabled : engine:Netsim.Engine.t -> t option -> t
+(** The given hub, or a fresh disabled one on the engine's clock: what
+    a component holds when its creator passes no [?obs]. *)
 
 val enabled : t -> bool
 val set_enabled : t -> bool -> unit
@@ -22,15 +28,14 @@ val set_enabled : t -> bool -> unit
 val add_sink : t -> sink -> unit
 (** Sinks run in registration order on every emitted event. *)
 
-val sink_count : t -> int
-
-val emit :
-  t -> time:float -> actor:string -> ?flow:int -> Event.kind -> unit
-(** Record one event; a no-op when the hub is disabled. *)
+val emit : t -> actor:string -> ?flow:int -> Event.kind -> unit
+(** Record one event at the clock's current time; a no-op when the hub
+    is disabled. *)
 
 val memory_sink : unit -> sink * (unit -> Event.t list)
 (** A buffering sink and its accessor (events in emission order). *)
 
 val trace_sink : Netsim.Trace.t -> sink
-(** The string renderer: appends [Event.describe] text to a legacy
-    {!Netsim.Trace} so walkthrough-style output keeps working. *)
+(** The string renderer: appends [Event.describe] text to a
+    {!Netsim.Trace} ring — the walkthrough printed by [bench f1],
+    [repro_cli trace] and [connect -v]. *)

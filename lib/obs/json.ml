@@ -119,9 +119,19 @@ let parse_string c =
             loop ()
         | Some 'u' ->
             advance c;
-            if c.pos + 4 > String.length c.text then fail c "bad \\u escape";
-            let code = int_of_string ("0x" ^ String.sub c.text c.pos 4) in
-            c.pos <- c.pos + 4;
+            (* Exactly four hex digits: no sign, no underscores. *)
+            let hex () =
+              match peek c with
+              | Some ('0' .. '9' as d) -> advance c; Char.code d - 48
+              | Some ('a' .. 'f' as d) -> advance c; Char.code d - 87
+              | Some ('A' .. 'F' as d) -> advance c; Char.code d - 55
+              | Some _ | None -> fail c "bad \\u escape"
+            in
+            let code = ref 0 in
+            for _ = 1 to 4 do
+              code := (!code lsl 4) lor hex ()
+            done;
+            let code = !code in
             (* Only BMP code points below 0x80 round-trip exactly; the
                exporters never emit anything else. *)
             if code < 0x80 then Buffer.add_char buffer (Char.chr code)

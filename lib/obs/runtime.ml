@@ -56,8 +56,7 @@ let attach ?label ~hub ~registry () =
           Hub.add_sink hub (Export.jsonl_sink oc);
           (* Stream marker so a multi-run JSONL file can be split back
              into per-run segments by [repro_cli spans]. *)
-          Hub.emit hub ~time:0.0 ~actor:"runtime"
-            (Event.Run_start { label = run_label })
+          Hub.emit hub ~actor:"runtime" (Event.Run_start { label = run_label })
       | None -> ());
       if t.latency then begin
         let analyzer = Latency.create () in

@@ -27,31 +27,21 @@ type t = {
   initial_rto : float;
   max_syn_retries : int;
   data_gap : float;
-  obs : Obs.Hub.t option;
+  obs : Obs.Hub.t;
   (* Keyed by the initiator-side flow. *)
   states : (Flow.t, conn_state) Hashtbl.t;
   mutable all : conn list; (* newest first *)
 }
 
-(* Handshake events feed the span layer.  Call sites guard with
-   [obs_on] so a disabled run allocates nothing. *)
-let obs_on t =
-  match t.obs with Some hub -> Obs.Hub.enabled hub | None -> false
-
-let obs_emit t ~eid ~flow kind =
-  match t.obs with
-  | None -> ()
-  | Some hub ->
-      let actor =
-        match
-          Topology.Builder.domain_of_eid
-            (Lispdp.Dataplane.internet t.dataplane) eid
-        with
-        | Some d -> d.Topology.Domain.name ^ "-host"
-        | None -> "host"
-      in
-      Obs.Hub.emit hub ~time:(Netsim.Engine.now t.engine) ~actor
-        ~flow:(Obs.Event.flow_id flow) kind
+(* Handshake events feed the span layer; each is emitted as the host
+   it happens at.  Call sites test [Obs.Hub.enabled] first, so a
+   disabled run allocates nothing. *)
+let host_actor t eid =
+  match
+    Topology.Builder.domain_of_eid (Lispdp.Dataplane.internet t.dataplane) eid
+  with
+  | Some d -> d.Topology.Domain.name ^ "-host"
+  | None -> "host"
 
 let handshake_time conn =
   Option.map (fun e -> e -. conn.started_at) conn.established_at
@@ -74,8 +64,9 @@ let rec on_receive t packet =
       | Some st ->
           if st.conn.first_syn_arrival = None then begin
             st.conn.first_syn_arrival <- Some now;
-            if obs_on t then
-              obs_emit t ~eid:flow.Flow.dst ~flow Obs.Event.Syn_received
+            if Obs.Hub.enabled t.obs then
+              Obs.Hub.emit t.obs ~actor:(host_actor t flow.Flow.dst)
+                ~flow:(Obs.Event.flow_id flow) Obs.Event.Syn_received
           end;
           (* Reply SYN/ACK on the reversed flow. *)
           let reply =
@@ -91,8 +82,9 @@ let rec on_receive t packet =
       | Some st ->
           if st.conn.established_at = None && not st.conn.failed then begin
             st.conn.established_at <- Some now;
-            if obs_on t then
-              obs_emit t ~eid:st.conn.flow.Flow.src ~flow:st.conn.flow
+            if Obs.Hub.enabled t.obs then
+              Obs.Hub.emit t.obs ~actor:(host_actor t st.conn.flow.Flow.src)
+                ~flow:(Obs.Event.flow_id st.conn.flow)
                 Obs.Event.Conn_established;
             (match st.rto_timer with
             | Some h ->
@@ -134,7 +126,8 @@ and send_data t st i =
 let create ~engine ~dataplane ?(initial_rto = 1.0) ?(max_syn_retries = 6)
     ?(data_gap = 0.002) ?obs () =
   let t =
-    { engine; dataplane; initial_rto; max_syn_retries; data_gap; obs;
+    { engine; dataplane; initial_rto; max_syn_retries; data_gap;
+      obs = Obs.Hub.or_disabled ~engine obs;
       states = Hashtbl.create 256; all = [] }
   in
   let internet = Lispdp.Dataplane.internet dataplane in
@@ -153,8 +146,9 @@ let rec send_syn t st ~attempt =
   let now = Netsim.Engine.now t.engine in
   let syn = Packet.make ~flow:st.conn.flow ~segment:Packet.Syn ~sent_at:now in
   st.conn.syn_transmissions <- st.conn.syn_transmissions + 1;
-  if obs_on t then
-    obs_emit t ~eid:st.conn.flow.Flow.src ~flow:st.conn.flow
+  if Obs.Hub.enabled t.obs then
+    Obs.Hub.emit t.obs ~actor:(host_actor t st.conn.flow.Flow.src)
+      ~flow:(Obs.Event.flow_id st.conn.flow)
       (Obs.Event.Syn_sent { attempt = attempt + 1 });
   Lispdp.Dataplane.send_from_host t.dataplane syn;
   let rto = t.initial_rto *. (2.0 ** float_of_int attempt) in
@@ -165,8 +159,9 @@ let rec send_syn t st ~attempt =
            if st.conn.established_at = None then
              if attempt + 1 > t.max_syn_retries then begin
                st.conn.failed <- true;
-               if obs_on t then
-                 obs_emit t ~eid:st.conn.flow.Flow.src ~flow:st.conn.flow
+               if Obs.Hub.enabled t.obs then
+                 Obs.Hub.emit t.obs ~actor:(host_actor t st.conn.flow.Flow.src)
+                   ~flow:(Obs.Event.flow_id st.conn.flow)
                    (Obs.Event.Conn_failed { reason = "syn-retries-exhausted" })
              end
              else send_syn t st ~attempt:(attempt + 1)))

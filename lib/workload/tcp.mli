@@ -25,9 +25,10 @@ val create :
   t
 (** [initial_rto] defaults to 1 s, [max_syn_retries] to 6 (RFC 6298
     style doubling), [data_gap] (pacing between data packets) to 2 ms.
-    With [?obs], handshake milestones ([Syn_sent], [Syn_received],
-    [Conn_established], [Conn_failed]) are emitted for the span layer;
-    a disabled hub costs one boolean test per site. *)
+    On an enabled [?obs] hub (default: a fresh disabled one), handshake
+    milestones ([Syn_sent], [Syn_received], [Conn_established],
+    [Conn_failed]) are emitted for the span layer; a disabled hub costs
+    one boolean test per site. *)
 
 type conn = {
   flow : Nettypes.Flow.t;

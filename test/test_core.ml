@@ -245,11 +245,11 @@ let test_c3_baseline_is_symmetric () =
 
 let test_f1_trace_contains_all_steps () =
   let s = Scenario.build (pce_config ()) in
-  Netsim.Trace.set_enabled (Scenario.trace s) true;
+  let walkthrough = Scenario.walkthrough s in
   let flow = figure1_flow s ~port:6008 in
   ignore (Scenario.open_connection s ~flow ~data_packets:1 ());
   Scenario.run s;
-  let entries = Netsim.Trace.entries (Scenario.trace s) in
+  let entries = Netsim.Trace.entries walkthrough in
   let has fragment =
     List.exists
       (fun e ->

@@ -88,10 +88,18 @@ let test_zone_validation () =
 (* System: full resolutions on the Figure-1 internet                   *)
 (* ------------------------------------------------------------------ *)
 
+(* [trace], when given, is subscribed to the system's event hub as the
+   walkthrough ring. *)
 let make_system ?record_ttl ?trace () =
   let engine = Netsim.Engine.create () in
   let internet = Topology.Builder.figure1 () in
-  let dns = System.create ~engine ~internet ?record_ttl ?trace () in
+  let obs = Obs.Hub.create ~clock:(fun () -> Netsim.Engine.now engine) () in
+  Option.iter
+    (fun trace ->
+      Obs.Hub.add_sink obs (Obs.Hub.trace_sink trace);
+      Obs.Hub.set_enabled obs true)
+    trace;
+  let dns = System.create ~engine ~internet ?record_ttl ~obs () in
   (engine, internet, dns)
 
 let resolve_once engine internet dns ~from_domain ~target =

@@ -176,13 +176,18 @@ let test_tunnel_to_dead_rloc_drops () =
   Alcotest.(check bool) "rloc-unreachable drops recorded" true
     (List.mem_assoc "rloc-unreachable" causes)
 
-let test_drop_observer_fires () =
+let test_drop_events_reach_sink () =
   let s =
     Scenario.build { Scenario.default_config with Scenario.cp = Scenario.Cp_pull_drop }
   in
   let observed = ref [] in
-  Lispdp.Dataplane.set_drop_observer (Scenario.dataplane s)
-    (Some (fun ~cause ~now -> observed := (cause, now) :: !observed));
+  let hub = Scenario.obs s in
+  Obs.Hub.add_sink hub (fun e ->
+      match e.Obs.Event.kind with
+      | Obs.Event.Packet_drop { cause } ->
+          observed := (cause, e.Obs.Event.time) :: !observed
+      | _ -> ());
+  Obs.Hub.set_enabled hub true;
   let internet = Scenario.internet s in
   let flow =
     Flow.create
@@ -196,7 +201,7 @@ let test_drop_observer_fires () =
   | (cause, now) :: _ ->
       Alcotest.(check string) "cause" "mapping-resolution-drop" cause;
       Alcotest.(check bool) "timestamped" true (now > 0.0)
-  | [] -> Alcotest.fail "observer never fired"
+  | [] -> Alcotest.fail "the sink never saw a drop"
 
 (* ------------------------------------------------------------------ *)
 (* PCE failover                                                        *)
@@ -406,7 +411,7 @@ let () =
       ( "dataplane",
         [
           Alcotest.test_case "dead rloc drops" `Quick test_tunnel_to_dead_rloc_drops;
-          Alcotest.test_case "drop observer" `Quick test_drop_observer_fires;
+          Alcotest.test_case "drop observer" `Quick test_drop_events_reach_sink;
         ] );
       ( "pce",
         [

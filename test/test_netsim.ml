@@ -528,12 +528,10 @@ let test_histogram_nan () =
 (* Trace                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let test_trace_order_and_disable () =
+let test_trace_order () =
   let tr = Trace.create () in
   Trace.record tr ~time:0.0 ~actor:"a" "first";
   Trace.record tr ~time:1.0 ~actor:"b" "second";
-  Trace.set_enabled tr false;
-  Trace.record tr ~time:2.0 ~actor:"c" "dropped";
   Alcotest.(check int) "length" 2 (Trace.length tr);
   (match Trace.entries tr with
   | [ e1; e2 ] ->
@@ -560,24 +558,6 @@ let test_trace_capacity_ring () =
   Alcotest.check_raises "non-positive capacity rejected"
     (Invalid_argument "Trace.create: capacity must be positive") (fun () ->
       ignore (Trace.create ~capacity:0 ()))
-
-let test_trace_recordf_disabled_skips_formatting () =
-  let tr = Trace.create () in
-  Trace.set_enabled tr false;
-  (* A %a formatter that records whether it ran: the disabled
-     short-circuit must never invoke it. *)
-  let formatted = ref false in
-  let pp_probe ppf () =
-    formatted := true;
-    Format.pp_print_string ppf "probe"
-  in
-  Trace.recordf tr ~time:0.0 ~actor:"a" "value %a" pp_probe ();
-  Alcotest.(check bool) "disabled recordf never formats" false !formatted;
-  Alcotest.(check int) "nothing recorded" 0 (Trace.length tr);
-  Trace.set_enabled tr true;
-  Trace.recordf tr ~time:1.0 ~actor:"a" "value %a" pp_probe ();
-  Alcotest.(check bool) "enabled recordf formats" true !formatted;
-  Alcotest.(check int) "one entry recorded" 1 (Trace.length tr)
 
 (* ------------------------------------------------------------------ *)
 (* Properties                                                          *)
@@ -883,10 +863,9 @@ let () =
           Alcotest.test_case "validation" `Quick test_faults_validation;
         ] );
       ("trace",
-       [ Alcotest.test_case "order and disable" `Quick test_trace_order_and_disable;
-         Alcotest.test_case "ring-buffer capacity" `Quick test_trace_capacity_ring;
-         Alcotest.test_case "disabled recordf skips formatting" `Quick
-           test_trace_recordf_disabled_skips_formatting ]);
+       [ Alcotest.test_case "order" `Quick test_trace_order;
+         Alcotest.test_case "ring-buffer capacity" `Quick
+           test_trace_capacity_ring ]);
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_engine_drains; prop_engine_matches_reference_order;

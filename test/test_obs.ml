@@ -12,37 +12,53 @@ let addr = Ipv4.addr_of_string
 (* Hub basics                                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* Hubs on a hand-driven clock: [emit_at] sets the time, then emits. *)
+let now = ref 0.0
+let manual_hub ?enabled () = Obs.Hub.create ?enabled ~clock:(fun () -> !now) ()
+
+let emit_at hub time ~actor ?flow kind =
+  now := time;
+  Obs.Hub.emit hub ~actor ?flow kind
+
 let test_hub_disabled_is_noop () =
-  let hub = Obs.Hub.create () in
+  let hub = manual_hub () in
   let sink, events = Obs.Hub.memory_sink () in
   Obs.Hub.add_sink hub sink;
-  Obs.Hub.emit hub ~time:1.0 ~actor:"a" (Obs.Event.Note "dropped");
+  emit_at hub 1.0 ~actor:"a" (Obs.Event.Note "dropped");
   Alcotest.(check int) "disabled hub records nothing" 0
     (List.length (events ()));
   Obs.Hub.set_enabled hub true;
-  Obs.Hub.emit hub ~time:2.0 ~actor:"a" (Obs.Event.Note "kept");
+  emit_at hub 2.0 ~actor:"a" (Obs.Event.Note "kept");
   Obs.Hub.set_enabled hub false;
-  Obs.Hub.emit hub ~time:3.0 ~actor:"a" (Obs.Event.Note "dropped again");
+  emit_at hub 3.0 ~actor:"a" (Obs.Event.Note "dropped again");
   Alcotest.(check int) "only the enabled emit lands" 1
     (List.length (events ()))
 
+(* The disabled path allocates nothing: the same 100k-emit cycle the
+   micro-benchmark reports, guarded and unguarded sites alike. *)
+let test_hub_disabled_allocation_free () =
+  let dw = Experiments.Bench_micro.hub_disabled_alloc_words () in
+  Alcotest.(check bool)
+    (Printf.sprintf "no allocation on the disabled path (%.0f words)" dw)
+    true (dw = 0.0)
+
 let test_hub_sink_order_and_event_order () =
-  let hub = Obs.Hub.create ~enabled:true () in
+  let hub = manual_hub ~enabled:true () in
   let seen = ref [] in
   Obs.Hub.add_sink hub (fun e -> seen := ("first", e.Obs.Event.time) :: !seen);
   Obs.Hub.add_sink hub (fun e -> seen := ("second", e.Obs.Event.time) :: !seen);
-  Obs.Hub.emit hub ~time:1.0 ~actor:"a" (Obs.Event.Note "x");
-  Obs.Hub.emit hub ~time:2.0 ~actor:"a" (Obs.Event.Note "y");
+  emit_at hub 1.0 ~actor:"a" (Obs.Event.Note "x");
+  emit_at hub 2.0 ~actor:"a" (Obs.Event.Note "y");
   Alcotest.(check (list (pair string (float 0.0))))
     "sinks run in registration order, events in emission order"
     [ ("first", 1.0); ("second", 1.0); ("first", 2.0); ("second", 2.0) ]
     (List.rev !seen)
 
 let test_trace_sink_renders_strings () =
-  let hub = Obs.Hub.create ~enabled:true () in
+  let hub = manual_hub ~enabled:true () in
   let trace = Netsim.Trace.create () in
   Obs.Hub.add_sink hub (Obs.Hub.trace_sink trace);
-  Obs.Hub.emit hub ~time:0.5 ~actor:"as0-itr"
+  emit_at hub 0.5 ~actor:"as0-itr"
     (Obs.Event.Cache_miss { eid = addr "100.0.1.1" });
   match Netsim.Trace.entries trace with
   | [ entry ] ->
@@ -267,6 +283,10 @@ let test_sampler_no_interval_drift () =
 (* JSON round-trip                                                     *)
 (* ------------------------------------------------------------------ *)
 
+let sample_tuple =
+  { Mapping.src_eid = addr "100.0.0.1"; dst_eid = addr "100.0.1.1";
+    src_rloc = addr "10.0.0.1"; dst_rloc = addr "12.0.0.1" }
+
 let sample_events =
   [ { Obs.Event.time = 0.1; actor = "as0-h0"; flow = Some 42;
       kind = Obs.Event.Dns_query { qname = "h0.as1.net." } };
@@ -333,7 +353,36 @@ let sample_events =
     { Obs.Event.time = 2.2; actor = "as1-dns"; flow = None;
       kind = Obs.Event.Pce_bypass { qname = "h0.as1.net." } };
     { Obs.Event.time = 2.3; actor = "as0-itr"; flow = Some 42;
-      kind = Obs.Event.Degraded_to_pull { eid = addr "100.0.1.1" } } ]
+      kind = Obs.Event.Degraded_to_pull { eid = addr "100.0.1.1" } };
+    { Obs.Event.time = 2.31; actor = "as0-itr"; flow = Some 42;
+      kind = Obs.Event.Spoofed_reply { eid = addr "100.0.1.1"; accepted = true }
+    };
+    { Obs.Event.time = 2.32; actor = "as0-itr"; flow = Some 42;
+      kind =
+        Obs.Event.Replayed_reply { eid = addr "100.0.1.1"; accepted = false } };
+    { Obs.Event.time = 2.33; actor = "as0-dns"; flow = Some 42;
+      kind =
+        Obs.Event.Poisoned_answer { qname = "h0.as1.net."; accepted = true } };
+    { Obs.Event.time = 2.34; actor = "as1-etr"; flow = None;
+      kind = Obs.Event.Glean_rejected { eid = addr "200.0.0.7" } };
+    { Obs.Event.time = 2.4; actor = "as0-pce"; flow = None;
+      kind =
+        Obs.Event.Ipc_query { qname = "h0.as1.net."; client = addr "100.0.0.1" }
+    };
+    { Obs.Event.time = 2.5; actor = "as0-dns"; flow = Some 42;
+      kind = Obs.Event.Dns_iterate { qname = "h0.as1.net."; server = "root-dns" }
+    };
+    { Obs.Event.time = 2.6; actor = "as1-pce"; flow = None;
+      kind =
+        Obs.Event.Answer_intercept
+          { qname = "h0.as1.net."; eid = addr "100.0.1.1";
+            rloc = addr "12.0.0.1" } };
+    { Obs.Event.time = 2.7; actor = "as0-pce"; flow = None;
+      kind = Obs.Event.Answer_decap { qname = "h0.as1.net."; pending = 2 } };
+    { Obs.Event.time = 2.8; actor = "as0-pce"; flow = None;
+      kind = Obs.Event.Tuple_push { entry = sample_tuple; targets = 2 } };
+    { Obs.Event.time = 2.9; actor = "as1-etr"; flow = Some 42;
+      kind = Obs.Event.Reverse_learn { entry = sample_tuple } } ]
 
 let test_jsonl_round_trip () =
   List.iter
@@ -372,7 +421,26 @@ let test_jsonl_rejects_garbage () =
       | Error _ -> ())
     [ "not json"; "{\"time\":1.0}"; "{}"; "[1,2,3]";
       "{\"time\":1.0,\"actor\":\"a\",\"kind\":\"no_such_kind\"}";
-      "{\"time\":1.0,\"actor\":\"a\",\"kind\":\"encap\"}" ]
+      "{\"time\":1.0,\"actor\":\"a\",\"kind\":\"encap\"}";
+      (* A \u escape needs exactly four hex digits. *)
+      "{\"time\":0.0,\"actor\":\"r\\untime\",\"kind\":\"note\",\"text\":\"x\"}" ]
+
+(* Malformed \u escapes are located parse errors, never exceptions: the
+   four characters must all be hex digits (no sign, no underscore). *)
+let test_json_unicode_escapes () =
+  let parses text = Obs.Json.of_string text in
+  List.iter
+    (fun text ->
+      match parses text with
+      | Ok _ -> Alcotest.failf "accepted %s" text
+      | Error message ->
+          Alcotest.(check bool) ("located error for " ^ text) true
+            (String.starts_with ~prefix:"bad \\u escape at offset" message))
+    [ {|"f\u00zz1"|}; {|"\u1_2_"|}; {|"\u+123"|}; {|"\u12"|}; {|"r\untime"|} ];
+  Alcotest.(check bool) "\\u0041 is A" true
+    (parses {|"\u0041"|} = Ok (Obs.Json.String "A"));
+  Alcotest.(check bool) "upper-case hex" true
+    (parses {|"\u004A"|} = Ok (Obs.Json.String "J"))
 
 let test_jsonl_file_round_trip () =
   let file = Filename.temp_file "obs_test" ".jsonl" in
@@ -380,11 +448,11 @@ let test_jsonl_file_round_trip () =
     ~finally:(fun () -> Sys.remove file)
     (fun () ->
       let oc = open_out file in
-      let hub = Obs.Hub.create ~enabled:true () in
+      let hub = manual_hub ~enabled:true () in
       Obs.Hub.add_sink hub (Obs.Export.jsonl_sink oc);
       List.iter
         (fun e ->
-          Obs.Hub.emit hub ~time:e.Obs.Event.time ~actor:e.Obs.Event.actor
+          emit_at hub e.Obs.Event.time ~actor:e.Obs.Event.actor
             ?flow:e.Obs.Event.flow e.Obs.Event.kind)
         sample_events;
       close_out oc;
@@ -393,11 +461,93 @@ let test_jsonl_file_round_trip () =
       Alcotest.(check bool) "all events survive the file round-trip" true
         (events = sample_events))
 
+(* ------------------------------------------------------------------ *)
+(* Parser robustness: mutated traces and BENCH files                   *)
+(* ------------------------------------------------------------------ *)
+
+(* A real export: the F1 run with a JSONL trace installed, as
+   [repro_cli run f1 --trace-out] writes it. *)
+let f1_trace_lines =
+  lazy
+    (let file = Filename.temp_file "f1" ".jsonl" in
+     Fun.protect
+       ~finally:(fun () -> Sys.remove file)
+       (fun () ->
+         ignore (Obs.Runtime.install ~trace_out:file ());
+         ignore (Experiments.Exp_f1.run ());
+         Obs.Runtime.finalize ();
+         In_channel.with_open_text file In_channel.input_all
+         |> String.split_on_char '\n'
+         |> List.filter (fun line -> line <> "")
+         |> Array.of_list))
+
+(* A real BENCH.json document: the F1 experiment through the runner. *)
+let bench_text =
+  lazy
+    (let outcomes =
+       Experiments.Runner.run ~emit:ignore ~log:ignore
+         [ { Experiments.Runner.task_id = Experiments.Exp_f1.id;
+             task_title = Experiments.Exp_f1.title;
+             task_run = Experiments.Exp_f1.print } ]
+     in
+     Obs.Json.to_string
+       (Experiments.Runner.bench_json ~jobs:1 ~total_wall:1.0 outcomes))
+
+(* Byte edits (replace, insert, delete, insert an escape at a position),
+   biased toward the characters JSON gives meaning to. *)
+let edits =
+  let byte =
+    QCheck.Gen.(
+      oneof
+        [ oneofl [ '\\'; '"'; 'u'; '{'; '}'; '['; ']'; ','; ':'; '0'; 'f';
+                   'e'; '-'; '.'; '_'; ' ' ];
+          char ])
+  in
+  QCheck.Gen.(list_size (1 -- 4) (triple nat (int_bound 3) byte))
+
+let mutate text edits =
+  List.fold_left
+    (fun s (pos, op, c) ->
+      let n = String.length s in
+      if n = 0 then String.make 1 c
+      else
+        let i = pos mod n in
+        match op with
+        | 0 -> String.mapi (fun j x -> if j = i then c else x) s
+        | 1 -> String.sub s 0 i ^ String.make 1 c ^ String.sub s i (n - i)
+        | 2 -> String.sub s 0 i ^ String.sub s (i + 1) (n - i - 1)
+        | _ -> String.sub s 0 i ^ "\\" ^ String.make 1 c ^ String.sub s i (n - i))
+    text edits
+
+let never_raises ~what parse text =
+  match parse text with
+  | Ok _ | Error _ -> true
+  | exception exn ->
+      QCheck.Test.fail_reportf "%s raised %s on %S" what
+        (Printexc.to_string exn) text
+
+let prop_mutated_trace_lines =
+  QCheck.Test.make ~count:5000 ~name:"mutated F1 JSONL lines never raise"
+    (QCheck.make QCheck.Gen.(pair nat edits))
+    (fun (line, edits) ->
+      let lines = Lazy.force f1_trace_lines in
+      never_raises ~what:"Export.parse_event" Obs.Export.parse_event
+        (mutate lines.(line mod Array.length lines) edits))
+
+let prop_mutated_bench_json =
+  QCheck.Test.make ~count:300 ~name:"mutated BENCH.json never raises"
+    (QCheck.make edits)
+    (fun edits ->
+      never_raises ~what:"Json.of_string" Obs.Json.of_string
+        (mutate (Lazy.force bench_text) edits))
+
 let () =
   Alcotest.run "obs"
     [ ( "hub",
         [ Alcotest.test_case "disabled is a no-op" `Quick
             test_hub_disabled_is_noop;
+          Alcotest.test_case "disabled path allocation-free" `Quick
+            test_hub_disabled_allocation_free;
           Alcotest.test_case "sink and event ordering" `Quick
             test_hub_sink_order_and_event_order;
           Alcotest.test_case "trace sink renders strings" `Quick
@@ -425,5 +575,10 @@ let () =
             test_jsonl_old_cp_lines_still_parse;
           Alcotest.test_case "garbage rejected" `Quick
             test_jsonl_rejects_garbage;
+          Alcotest.test_case "json \\u escapes" `Quick
+            test_json_unicode_escapes;
           Alcotest.test_case "file round-trip" `Quick
-            test_jsonl_file_round_trip ] ) ]
+            test_jsonl_file_round_trip ] );
+      ( "robustness",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_mutated_trace_lines; prop_mutated_bench_json ] ) ]

@@ -246,8 +246,9 @@ let test_wrap_disabled_is_identity () =
 
 (* Enabling the profiler must never change what the simulator does:
    it reads the wall clock but draws no randomness and schedules no
-   events.  Fingerprint a full scenario run (trace, timings, dataplane
-   counters) with the profiler off and on, and require equality. *)
+   events.  Fingerprint a full scenario run (walkthrough, timings,
+   dataplane counters) with the profiler off and on, and require
+   equality. *)
 let fingerprint ~seed ~profile =
   if profile then Obs.Prof.start () else Obs.Prof.set_enabled false;
   Fun.protect ~finally:(fun () -> if profile then Obs.Prof.stop ())
@@ -266,6 +267,7 @@ let fingerprint ~seed ~profile =
       ~dst:(Topology.Domain.host_eid internet.Topology.Builder.domains.(1) 0)
       ~src_port:1 ()
   in
+  let walkthrough = Core.Scenario.walkthrough s in
   let c = Core.Scenario.open_connection s ~flow ~data_packets:2 () in
   Core.Scenario.run s;
   let counters = Lispdp.Dataplane.counters (Core.Scenario.dataplane s) in
@@ -273,7 +275,7 @@ let fingerprint ~seed ~profile =
     (Option.value ~default:(-1.0) c.Core.Scenario.dns_time)
     (Option.value ~default:(-1.0) (Core.Scenario.total_setup_time c))
     counters.Lispdp.Dataplane.dropped
-    (Format.asprintf "%a" Netsim.Trace.pp (Core.Scenario.trace s))
+    (Format.asprintf "%a" Netsim.Trace.pp walkthrough)
 
 let prop_profiling_preserves_output =
   QCheck.Test.make ~name:"profiler on/off: identical simulation output"

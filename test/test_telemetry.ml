@@ -261,6 +261,7 @@ let fingerprint ~seed ~telemetry =
       ~dst:(Topology.Domain.host_eid internet.Topology.Builder.domains.(1) 0)
       ~src_port:1 ()
   in
+  let walkthrough = Core.Scenario.walkthrough s in
   let c = Core.Scenario.open_connection s ~flow ~data_packets:2 () in
   Core.Scenario.run s;
   let counters = Lispdp.Dataplane.counters (Core.Scenario.dataplane s) in
@@ -268,7 +269,7 @@ let fingerprint ~seed ~telemetry =
     (Option.value ~default:(-1.0) c.Core.Scenario.dns_time)
     (Option.value ~default:(-1.0) (Core.Scenario.total_setup_time c))
     counters.Lispdp.Dataplane.dropped counters.Lispdp.Dataplane.delivered
-    (Format.asprintf "%a" Netsim.Trace.pp (Core.Scenario.trace s))
+    (Format.asprintf "%a" Netsim.Trace.pp walkthrough)
 
 let prop_telemetry_preserves_output =
   QCheck.Test.make ~name:"telemetry on/off: identical simulation output"
@@ -300,6 +301,7 @@ let fingerprint_pull ~seed ~armed =
       ~dst:(Topology.Domain.host_eid internet.Topology.Builder.domains.(1) 0)
       ~src_port:1 ()
   in
+  let walkthrough = Core.Scenario.walkthrough s in
   let c = Core.Scenario.open_connection s ~flow ~data_packets:2 () in
   Core.Scenario.run s;
   let counters = Lispdp.Dataplane.counters (Core.Scenario.dataplane s) in
@@ -307,7 +309,7 @@ let fingerprint_pull ~seed ~armed =
     (Option.value ~default:(-1.0) c.Core.Scenario.dns_time)
     (Option.value ~default:(-1.0) (Core.Scenario.total_setup_time c))
     counters.Lispdp.Dataplane.dropped counters.Lispdp.Dataplane.delivered
-    (Format.asprintf "%a" Netsim.Trace.pp (Core.Scenario.trace s))
+    (Format.asprintf "%a" Netsim.Trace.pp walkthrough)
 
 let prop_disarmed_adversary_preserves_output =
   QCheck.Test.make
@@ -317,6 +319,185 @@ let prop_disarmed_adversary_preserves_output =
       String.equal
         (fingerprint_pull ~seed ~armed:false)
         (fingerprint_pull ~seed ~armed:true))
+
+(* ------------------------------------------------------------------ *)
+(* One event stream: the hub changes nothing, every drop tally agrees  *)
+(* ------------------------------------------------------------------ *)
+
+type profile = Plain | Cp_loss | Spoof | Flood_capped | Pce_crash
+
+let profile_name = function
+  | Plain -> "none"
+  | Cp_loss -> "cp-loss"
+  | Spoof -> "attack-spoof"
+  | Flood_capped -> "glean-cap+attack-flood"
+  | Pce_crash -> "pce-crash"
+
+let tally_cps =
+  [| Core.Scenario.Cp_pull_drop; Core.Scenario.Cp_pull_queue 4;
+     Core.Scenario.Cp_nerd;
+     Core.Scenario.Cp_pce Core.Pce_control.default_options |]
+
+let tally_profiles = [| Plain; Cp_loss; Spoof; Flood_capped; Pce_crash |]
+
+let tally_config ~seed ~cp ~profile ~telemetry =
+  let c =
+    { Core.Scenario.default_config with
+      Core.Scenario.seed; cp;
+      telemetry = (if telemetry then Some (config ()) else None) }
+  in
+  match profile with
+  | Plain -> c
+  | Cp_loss ->
+      { c with
+        Core.Scenario.cp_faults =
+          Some { Core.Scenario.default_cp_faults with Core.Scenario.cp_loss = 0.3 }
+      }
+  | Spoof ->
+      { c with
+        Core.Scenario.attack =
+          Some { Core.Scenario.default_attack with Core.Scenario.atk_spoof = 1.0 }
+      }
+  | Flood_capped ->
+      { c with
+        Core.Scenario.attack =
+          Some
+            { Core.Scenario.default_attack with
+              Core.Scenario.atk_flood_rate = 400.0; atk_flood_until = 0.5;
+              atk_flood_victim = 1 };
+        auth =
+          Some
+            { Core.Scenario.default_auth with
+              Core.Scenario.auth_glean_cap = Some 4 } }
+  | Pce_crash ->
+      { c with
+        Core.Scenario.node_faults =
+          Some
+            { Core.Scenario.default_node_faults with
+              Core.Scenario.node_windows = [ (Netsim.Lifecycle.Pce 1, 0.0, 5.0) ]
+            } }
+
+(* Every sink a hub can carry: the walkthrough ring, JSONL rendered into
+   a buffer, a latency analyzer, and a buffer of the raw events. *)
+let subscribe_all s =
+  let hub = Core.Scenario.obs s in
+  ignore (Core.Scenario.walkthrough s);
+  let jsonl = Buffer.create 4096 in
+  Obs.Hub.add_sink hub (fun e ->
+      Buffer.add_string jsonl (Obs.Export.event_line e);
+      Buffer.add_char jsonl '\n');
+  Obs.Hub.add_sink hub (Obs.Latency.feed (Obs.Latency.create ()));
+  let sink, events = Obs.Hub.memory_sink () in
+  Obs.Hub.add_sink hub sink;
+  events
+
+type tally = {
+  fingerprint : string;  (* DNS/setup times, drops, deliveries, events *)
+  from_events : (string * int) list;  (* Packet_drop events by cause *)
+  from_dataplane : (string * int) list;
+  from_telemetry : (string * int) list;  (* packet causes only *)
+  dropped : int;
+}
+
+let count_causes causes =
+  List.fold_left
+    (fun acc cause ->
+      let n = Option.value ~default:0 (List.assoc_opt cause acc) in
+      (cause, n + 1) :: List.remove_assoc cause acc)
+    [] causes
+  |> List.sort compare
+
+(* A small Figure-1 run: three connections, both directions. *)
+let tally_run config ~hub =
+  let s = Core.Scenario.build config in
+  Fun.protect ~finally:Netsim.Telemetry.stop @@ fun () ->
+  let events = if hub then subscribe_all s else fun () -> [] in
+  let internet = Core.Scenario.internet s in
+  let eid d h =
+    Topology.Domain.host_eid internet.Topology.Builder.domains.(d) h
+  in
+  let conns =
+    List.map
+      (fun (src, dst, port) ->
+        let flow = Nettypes.Flow.create ~src ~dst ~src_port:port () in
+        Core.Scenario.open_connection s ~flow ~data_packets:3 ())
+      [ (eid 0 0, eid 1 0, 7001); (eid 0 1, eid 1 1, 7002);
+        (eid 1 0, eid 0 1, 7003) ]
+  in
+  Core.Scenario.run s;
+  let dp = Core.Scenario.dataplane s in
+  let counters = Lispdp.Dataplane.counters dp in
+  let times c =
+    Printf.sprintf "%.12g/%.12g"
+      (Option.value ~default:(-1.0) c.Core.Scenario.dns_time)
+      (Option.value ~default:(-1.0) (Core.Scenario.total_setup_time c))
+  in
+  (* Causes the plane tallies that are no packet's death: refused
+     control messages and answers (loss, forged or replayed replies,
+     queries to a crashed node) and refused gleaned mappings. *)
+  let non_packet =
+    [ "cp-message-loss"; "outage-failure"; "spoofed-reply-rejected";
+      "replayed-reply-rejected"; "glean-admission-rejected" ]
+  in
+  { fingerprint =
+      Printf.sprintf "%s dropped=%d delivered=%d events=%d"
+        (String.concat " " (List.map times conns))
+        counters.Lispdp.Dataplane.dropped counters.Lispdp.Dataplane.delivered
+        (Netsim.Engine.events_processed (Core.Scenario.engine s));
+    from_events =
+      List.filter_map
+        (fun e ->
+          match e.Obs.Event.kind with
+          | Obs.Event.Packet_drop { cause } -> Some cause
+          | _ -> None)
+        (events ())
+      |> count_causes;
+    from_dataplane = List.sort compare (Lispdp.Dataplane.drop_causes dp);
+    from_telemetry =
+      List.filter_map
+        (fun (cause, n) ->
+          let label = Netsim.Telemetry.drop_label cause in
+          if List.mem label non_packet then None else Some (label, n))
+        (Netsim.Telemetry.drop_totals ())
+      |> List.sort compare;
+    dropped = counters.Lispdp.Dataplane.dropped }
+
+let show_causes causes =
+  String.concat ", " (List.map (fun (c, n) -> Printf.sprintf "%s=%d" c n) causes)
+
+let prop_hub_and_drop_tallies =
+  QCheck.Test.make ~count:100
+    ~name:"hub on/off: identical simulation, per-cause drop tallies agree"
+    QCheck.(
+      triple (int_range 1 1_000)
+        (int_bound (Array.length tally_cps - 1))
+        (int_bound (Array.length tally_profiles - 1)))
+    (fun (seed, cp_i, profile_i) ->
+      let cp = tally_cps.(cp_i) and profile = tally_profiles.(profile_i) in
+      let label =
+        Printf.sprintf "seed %d, %s, %s" seed (Core.Scenario.cp_label cp)
+          (profile_name profile)
+      in
+      let config = tally_config ~seed ~cp ~profile in
+      let off = tally_run (config ~telemetry:false) ~hub:false in
+      let on = tally_run (config ~telemetry:false) ~hub:true in
+      if off.fingerprint <> on.fingerprint then
+        QCheck.Test.fail_reportf
+          "%s: the hub changed the run\n off: %s\n on:  %s" label
+          off.fingerprint on.fingerprint;
+      let t = tally_run (config ~telemetry:true) ~hub:true in
+      let total = List.fold_left (fun acc (_, n) -> acc + n) 0 t.from_events in
+      if
+        t.from_events <> t.from_dataplane
+        || t.from_events <> t.from_telemetry
+        || total <> t.dropped
+      then
+        QCheck.Test.fail_reportf
+          "%s: drop tallies disagree\n events: %s\n dataplane: %s\n \
+           telemetry: %s\n dropped: %d"
+          label (show_causes t.from_events) (show_causes t.from_dataplane)
+          (show_causes t.from_telemetry) t.dropped;
+      true)
 
 (* With telemetry on, the dataplane's drop bookkeeping and the typed
    per-(node,cause) counters must agree cause-for-cause. *)
@@ -467,5 +648,6 @@ let () =
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_telemetry_preserves_output;
-            prop_disarmed_adversary_preserves_output ] );
+            prop_disarmed_adversary_preserves_output;
+            prop_hub_and_drop_tallies ] );
     ]
