@@ -220,21 +220,33 @@ let test_prof_wrap_disabled =
            (Netsim.Prof.wrap ph_bench ignore) ()
          done))
 
-(* The telemetry plane's disabled path: the dataplane/topology/IRC hot
-   paths call these on every packet movement, so — same contract as the
-   profiler above — each must collapse to one flag test.  Telemetry is
-   never started in this process while the suite runs. *)
+(* The telemetry plane's disabled path: a scenario without a plane
+   leaves its graph's plane [None], and every dataplane/topology/IRC
+   hook site tests that option before calling its hooks, so — same
+   contract as the profiler above — a site must collapse to one [None]
+   test.  The option sits in a mutable record field, as on a graph, so
+   the compiler cannot fold the branch away. *)
+
+type telemetry_site = { mutable plane : Netsim.Telemetry.t option }
+
+let no_plane = { plane = None }
+
+let telemetry_site i =
+  match no_plane.plane with
+  | Some tm ->
+      Netsim.Telemetry.touch tm ~now:(float_of_int i);
+      Netsim.Telemetry.on_link tm ~link:3 ~dir:0 ~bytes:1400;
+      Netsim.Telemetry.on_node_tx tm ~node:7 ~bytes:1400;
+      Netsim.Telemetry.on_flow_packet tm ~eid:i ~flow:i;
+      Netsim.Telemetry.on_drop tm ~node:7 Netsim.Telemetry.No_route;
+      Netsim.Telemetry.on_select tm ~provider:2 ~inbound:true
+  | None -> ()
 
 let test_telemetry_disabled =
   Test.make ~name:"telemetry: 10k link+node+flow+drop hooks (disabled)"
     (Staged.stage (fun () ->
          for i = 1 to 10_000 do
-           Netsim.Telemetry.touch ~now:(float_of_int i);
-           Netsim.Telemetry.on_link ~link:3 ~dir:0 ~bytes:1400;
-           Netsim.Telemetry.on_node_tx ~node:7 ~bytes:1400;
-           Netsim.Telemetry.on_flow_packet ~eid:i ~flow:i;
-           Netsim.Telemetry.on_drop ~node:7 Netsim.Telemetry.No_route;
-           Netsim.Telemetry.on_select ~provider:2 ~inbound:true
+           telemetry_site i
          done))
 
 (* Direct allocation proof, reported alongside the timing rows: a
@@ -254,22 +266,12 @@ let prof_disabled_alloc_words () =
   done;
   Gc.minor_words () -. w0
 
-(* Same proof for the telemetry hooks: zero minor words across 100k
-   disabled full-hook cycles. *)
+(* Same proof for the telemetry hook sites: zero minor words across 100k
+   full-hook sites without a plane. *)
 let telemetry_disabled_alloc_words () =
-  (* Constant [now]: boxing a fresh float per iteration would charge the
-     test loop's allocation to the hooks. *)
-  let cycle i =
-    Netsim.Telemetry.touch ~now:42.0;
-    Netsim.Telemetry.on_link ~link:3 ~dir:0 ~bytes:1400;
-    Netsim.Telemetry.on_node_tx ~node:7 ~bytes:1400;
-    Netsim.Telemetry.on_flow_packet ~eid:i ~flow:i;
-    Netsim.Telemetry.on_drop ~node:7 Netsim.Telemetry.No_route;
-    Netsim.Telemetry.on_select ~provider:2 ~inbound:true
-  in
-  for i = 1 to 1_000 do cycle i done;
+  for i = 1 to 1_000 do telemetry_site i done;
   let w0 = Gc.minor_words () in
-  for i = 1 to 100_000 do cycle i done;
+  for i = 1 to 100_000 do telemetry_site i done;
   Gc.minor_words () -. w0
 
 (* Same proof for the event hub: zero minor words across 100k disabled

@@ -44,22 +44,21 @@ let victim_borders scenario =
   let internet = Scenario.internet scenario in
   internet.Topology.Builder.domains.(victim).Topology.Domain.borders
 
+(* Every TE1 scenario is built with [telemetry_config]. *)
+let plane scenario = Option.get (Scenario.telemetry scenario)
+
+let uplink_stat scenario b ~dir =
+  Netsim.Telemetry.link_stat (plane scenario)
+    ~link:(Topology.Link.id b.Topology.Domain.uplink) ~dir
+
 let inbound_cum scenario =
   Array.map
-    (fun b ->
-      (Netsim.Telemetry.link_stat
-         ~link:(Topology.Link.id b.Topology.Domain.uplink)
-         ~dir:(ingress_dir b))
-        .Netsim.Telemetry.st_bytes)
+    (fun b -> (uplink_stat scenario b ~dir:(ingress_dir b)).st_bytes)
     (victim_borders scenario)
 
 let outbound_cum scenario =
   Array.map
-    (fun b ->
-      (Netsim.Telemetry.link_stat
-         ~link:(Topology.Link.id b.Topology.Domain.uplink)
-         ~dir:(1 - ingress_dir b))
-        .Netsim.Telemetry.st_bytes)
+    (fun b -> (uplink_stat scenario b ~dir:(1 - ingress_dir b)).st_bytes)
     (victim_borders scenario)
 
 (* Per-run capture, reset by [pre_run]: harness runs are sequential
@@ -72,17 +71,21 @@ let jain_samples : (float * float) list ref = ref []
 (* Unrelated 10 Mbit/s entering through the victim's first uplink —
    half the access capacity, invisible to static mapping weights,
    visible to the PCE's load monitors (and to the telemetry plane,
-   since Link.account feeds both). *)
+   since Graph.account_path feeds both). *)
 let background_load scenario =
   let border = (victim_borders scenario).(0) in
-  let link = border.Topology.Domain.uplink in
-  let core = Topology.Link.other_end link border.Topology.Domain.router in
+  let router = border.Topology.Domain.router in
+  let core = Topology.Link.other_end border.Topology.Domain.uplink router in
+  let graph = (Scenario.internet scenario).Topology.Builder.graph in
   let engine = Scenario.engine scenario in
   let tick_interval = 0.05 in
   let bytes_per_tick = int_of_float (10e6 *. tick_interval /. 8.0) in
   let rec tick () =
     if Netsim.Engine.now engine < warmup +. workload_window +. 2.0 then begin
-      Topology.Link.account link ~src:core ~bytes:bytes_per_tick;
+      (* The path from a provider core to a border router is the
+         border's own uplink. *)
+      Topology.Graph.account_path graph ~src:core ~dst:router
+        ~bytes:bytes_per_tick;
       ignore (Netsim.Engine.schedule engine ~delay:tick_interval tick)
     end
   in
@@ -106,15 +109,13 @@ let pre_run scenario =
     let at = warmup +. (float_of_int k *. sample_every) in
     ignore
       (Netsim.Engine.schedule engine ~delay:at (fun () ->
-           Netsim.Telemetry.touch ~now:(Netsim.Engine.now engine);
+           Netsim.Telemetry.touch (plane scenario)
+             ~now:(Netsim.Engine.now engine);
            let win =
              Array.map
                (fun b ->
                  float_of_int
-                   (Netsim.Telemetry.link_stat
-                      ~link:(Topology.Link.id b.Topology.Domain.uplink)
-                      ~dir:(ingress_dir b))
-                     .Netsim.Telemetry.st_win_bytes)
+                   (uplink_stat scenario b ~dir:(ingress_dir b)).st_win_bytes)
                (victim_borders scenario)
            in
            jain_samples :=
@@ -163,17 +164,11 @@ let measure cp ~seed =
     let mn = Array.fold_left Float.min infinity in_bytes in
     if mn > 0.0 then Some (mx /. mn) else None
   in
-  let cell =
-    { c_shares = shares;
-      c_jain_in = Netsim.Stats.jain_index in_bytes;
-      c_jain_out = Netsim.Stats.jain_index out_bytes;
-      c_ratio_in = ratio; c_drops = Harness.drops r;
-      c_samples = List.rev !jain_samples }
-  in
-  (* The plane is process-global; leave it off for whatever runs next
-     in this process. *)
-  Netsim.Telemetry.stop ();
-  cell
+  { c_shares = shares;
+    c_jain_in = Netsim.Stats.jain_index in_bytes;
+    c_jain_out = Netsim.Stats.jain_index out_bytes;
+    c_ratio_in = ratio; c_drops = Harness.drops r;
+    c_samples = List.rev !jain_samples }
 
 let cps = [ ("symmetric", Scenario.Cp_nerd);
             ("pce", Scenario.Cp_pce Pce_control.default_options) ]

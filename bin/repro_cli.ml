@@ -463,20 +463,20 @@ let telemetry_cmd =
               Core.Scenario.telemetry =
                 Some { Netsim.Telemetry.window_s = window; slots; topk } } }
     in
-    let dataplane =
-      Core.Scenario.dataplane r.Experiments.Harness.scenario
-    in
+    let scenario = r.Experiments.Harness.scenario in
+    let dataplane = Core.Scenario.dataplane scenario in
+    let plane = Option.get (Core.Scenario.telemetry scenario) in
     (match format with
     | `Json ->
         print_endline (Obs.Json.to_string
-                         (Obs.Telemetry.json_snapshot ~series ()))
+                         (Obs.Telemetry.json_snapshot ~series plane))
     | `Csv ->
         List.iter
           (fun table -> print_string (Metrics.Table.to_csv table))
-          (Obs.Telemetry.tables ());
-        if series then print_string (Obs.Telemetry.series_csv ())
+          (Obs.Telemetry.tables plane);
+        if series then print_string (Obs.Telemetry.series_csv plane)
     | `Table ->
-        List.iter Metrics.Table.print (Obs.Telemetry.tables ());
+        List.iter Metrics.Table.print (Obs.Telemetry.tables plane);
         (* Occupancy gauges ride the same row producers the scenario
            registers in its metrics registry, so this report and the
            exporter/`obs` view cannot disagree. *)
@@ -494,10 +494,10 @@ let telemetry_cmd =
           [ ("cache", Core.Scenario.cache_gauge_rows dataplane);
             ("flows", Core.Scenario.flow_gauge_rows dataplane) ];
         Metrics.Table.print gauges;
-        if series then print_string (Obs.Telemetry.series_csv ()));
+        if series then print_string (Obs.Telemetry.series_csv plane));
     (match chrome with
     | Some out ->
-        Obs.Telemetry.write_chrome_trace ~file:out ();
+        Obs.Telemetry.write_chrome_trace ~file:out plane;
         Printf.eprintf "wrote %s\n" out
     | None -> ())
   in

@@ -177,6 +177,7 @@ let faults t = t.faults
 let lifecycle t = t.lifecycle
 let adversary t = t.adversary
 let fallback_pull t = t.fallback_pull
+let telemetry t = Topology.Graph.telemetry t.internet.Topology.Builder.graph
 let config t = t.config
 let obs t = t.obs
 let obs_registry t = t.obs_registry
@@ -232,47 +233,38 @@ let build config =
     | `Figure1_scaled scale -> Topology.Builder.figure1 ~scale ()
     | `Random params -> Topology.Builder.generate (Netsim.Rng.split rng) params
   in
-  (* The telemetry plane anchors its window origin at simulated t=0 and
-     learns the provider attachment of every access link up front, so
-     per-provider aggregation is a flat array index on the hot path. *)
-  (match config.telemetry with
-  | None ->
-      (* The plane is process-global: a previous telemetry-enabled
-         scenario in this process must not bleed into an untelemetered
-         one. *)
-      Netsim.Telemetry.stop ()
-  | Some tconfig ->
-      Netsim.Telemetry.start ~config:tconfig ~now:0.0 ();
-      Array.iter
-        (fun provider ->
-          Netsim.Telemetry.set_node_label provider.Topology.Builder.core
-            provider.Topology.Builder.provider_name)
-        internet.Topology.Builder.providers;
-      Array.iter
-        (fun domain ->
-          let dname = domain.Topology.Domain.name in
-          Netsim.Telemetry.set_node_label domain.Topology.Domain.hub
-            (dname ^ ".hub");
-          Netsim.Telemetry.set_node_label domain.Topology.Domain.dns
-            (dname ^ ".dns");
-          Array.iteri
-            (fun i host ->
-              Netsim.Telemetry.set_node_label host
-                (Printf.sprintf "h%d.%s" i dname))
-            domain.Topology.Domain.hosts;
-          Array.iteri
-            (fun i b ->
-              Netsim.Telemetry.set_node_label b.Topology.Domain.router
-                (Printf.sprintf "%s.br%d" dname i);
-              let uplink = b.Topology.Domain.uplink in
-              Netsim.Telemetry.register_uplink
-                ~link:(Topology.Link.id uplink)
-                ~provider:b.Topology.Domain.provider
-                ~egress_dir:
-                  (if Topology.Link.a uplink = b.Topology.Domain.router then 0
-                   else 1))
-            domain.Topology.Domain.borders)
-        internet.Topology.Builder.domains);
+  (* The scenario's own telemetry plane, on the internet's graph before
+     any event: its window origin is simulated t=0, its nodes carry the
+     graph's labels, and it learns the provider attachment of every
+     access link up front, so per-provider aggregation is a flat array
+     index on the hot path. *)
+  let graph = internet.Topology.Builder.graph in
+  let telemetry =
+    Option.map
+      (fun tconfig ->
+        let tm =
+          Netsim.Telemetry.create ~config:tconfig ~now:0.0
+            ~node_name:(fun n ->
+              (Topology.Graph.node graph n).Topology.Node.label)
+            ()
+        in
+        Array.iter
+          (fun domain ->
+            Array.iter
+              (fun b ->
+                let uplink = b.Topology.Domain.uplink in
+                Netsim.Telemetry.register_uplink tm
+                  ~link:(Topology.Link.id uplink)
+                  ~provider:b.Topology.Domain.provider
+                  ~egress_dir:
+                    (if Topology.Link.a uplink = b.Topology.Domain.router then 0
+                     else 1))
+              domain.Topology.Domain.borders)
+          internet.Topology.Builder.domains;
+        Topology.Graph.set_telemetry graph tm;
+        tm)
+      config.telemetry
+  in
   (* The hub starts disabled: instrumented call sites pay one boolean
      test until an exporter, a walkthrough or a test enables it. *)
   let obs = Obs.Hub.create ~clock:(fun () -> Netsim.Engine.now engine) () in
@@ -342,7 +334,7 @@ let build config =
         let f =
           Netsim.Faults.create
             ~rng:(Netsim.Rng.create (config.seed lxor 0xFA17))
-            ~loss:profile.cp_loss ~jitter:profile.cp_jitter ()
+            ~loss:profile.cp_loss ~jitter:profile.cp_jitter ?telemetry ()
         in
         List.iter
           (function
@@ -602,15 +594,15 @@ let build config =
         (Lispdp.Dataplane.drop_causes dataplane));
   Obs.Registry.register_many obs_registry "cache" (fun () ->
       cache_gauge_rows dataplane);
-  (match config.telemetry with
+  (match telemetry with
   | None -> ()
-  | Some _ ->
+  | Some tm ->
       (* Flow/cache occupancy travels through the same registry family
          the telemetry CLI renders, so `obs` and `telemetry` summaries
          read one source of truth. *)
       Obs.Registry.register_many obs_registry "flows" (fun () ->
           flow_gauge_rows dataplane);
-      Obs.Telemetry.register_gauges obs_registry);
+      Obs.Telemetry.register_gauges obs_registry tm);
   let cps =
     match cp with
     | Pull_instance p -> Mapsys.Pull.stats p

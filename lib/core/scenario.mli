@@ -147,12 +147,12 @@ type config = {
           every DNS tap, and crash/restart transitions are scheduled as
           engine events. *)
   telemetry : Netsim.Telemetry.config option;
-      (** enable the {!Netsim.Telemetry} plane: {!build} starts it,
-          registers every domain's provider access links and human
-          labels for all nodes, and exports the [telemetry.*] and
-          [flows.*] gauge families through the scenario registry.
-          [None] (the default) leaves the plane disabled — one boolean
-          test per hook. *)
+      (** give the scenario a {!Netsim.Telemetry} plane: {!build}
+          creates it on the scenario's graph ({!telemetry}), registers
+          every domain's provider access links, names nodes by their
+          graph labels, and exports the [telemetry.*] and [flows.*]
+          gauge families through the scenario registry.  [None] (the
+          default) creates no plane — one [None] test per hook. *)
   attack : attack_profile option;
       (** adversarial control-plane injection; [None] (the default)
           creates no adversary and keeps every run byte-identical to the
@@ -212,6 +212,10 @@ val fallback_pull : t -> Mapsys.Pull.t option
 (** The PCE scenario's pull fallback (its stats count the degraded
     resolutions), when [config.node_faults] is set and [config.cp] is
     [Cp_pce]. *)
+
+val telemetry : t -> Netsim.Telemetry.t option
+(** The scenario's own telemetry plane, when [config.telemetry] is
+    set.  No other scenario shares or resets it. *)
 
 val config : t -> config
 

@@ -66,6 +66,7 @@ let internet t = t.internet
 let counters t = t.counters
 
 let node_label t id = (Topology.Graph.node t.internet.Topology.Builder.graph id).Topology.Node.label
+let telemetry t = Topology.Graph.telemetry t.internet.Topology.Builder.graph
 
 let populate t ~record_ttl =
   let internet = t.internet in
@@ -228,9 +229,11 @@ let resolve t ~resolver:resolver_id ~client ~client_eid ?flow qname ~callback =
                resolver gives up on the whole resolution after its
                query timeout. *)
             t.counters.outage_failures <- t.counters.outage_failures + 1;
-            if Netsim.Telemetry.enabled () then
-              Netsim.Telemetry.on_drop ~node:server
-                Netsim.Telemetry.Outage_failure;
+            (match telemetry t with
+            | Some tm ->
+                Netsim.Telemetry.on_drop tm ~node:server
+                  Netsim.Telemetry.Outage_failure
+            | None -> ());
             ignore
               (Netsim.Engine.schedule t.engine ~delay:t.outage_timeout
                  (Netsim.Prof.wrap ph_dns (fun () -> answer_client None)))
@@ -334,9 +337,11 @@ let resolve t ~resolver:resolver_id ~client ~client_eid ?flow qname ~callback =
         (* Crashed resolver: the client's query is never answered; it
            observes a failed resolution after its own timeout. *)
         t.counters.outage_failures <- t.counters.outage_failures + 1;
-        if Netsim.Telemetry.enabled () then
-          Netsim.Telemetry.on_drop ~node:resolver_id
-            Netsim.Telemetry.Outage_failure;
+        (match telemetry t with
+        | Some tm ->
+            Netsim.Telemetry.on_drop tm ~node:resolver_id
+              Netsim.Telemetry.Outage_failure
+        | None -> ());
         ignore
           (Netsim.Engine.schedule t.engine ~delay:t.outage_timeout
              (Netsim.Prof.wrap ph_dns (fun () ->

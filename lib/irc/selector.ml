@@ -137,10 +137,12 @@ let note_assignment t direction i =
   (match direction with
   | Outbound -> t.uplinks.(i).recent_out <- t.uplinks.(i).recent_out + 1
   | Inbound -> t.uplinks.(i).recent_in <- t.uplinks.(i).recent_in + 1);
-  if Netsim.Telemetry.enabled () then
-    Netsim.Telemetry.on_select
-      ~provider:t.uplinks.(i).border.Topology.Domain.provider
-      ~inbound:(direction = Inbound)
+  match Topology.Graph.telemetry t.graph with
+  | Some tm ->
+      Netsim.Telemetry.on_select tm
+        ~provider:t.uplinks.(i).border.Topology.Domain.provider
+        ~inbound:(direction = Inbound)
+  | None -> ()
 
 let load_estimate t direction border = load_of t direction (uplink_index_of t border)
 

@@ -44,6 +44,7 @@ let engine t = t.engine
 let internet t = t.internet
 let control_plane t = t.control_plane
 let counters t = t.counters
+let graph t = t.internet.Topology.Builder.graph
 
 let create ~engine ~internet ~control_plane ?(cache_capacity = 10_000)
     ?(cache_policy = Map_cache.Lru) ?glean_cap ?(flow_ttl = 300.0) ?obs () =
@@ -90,9 +91,11 @@ let create ~engine ~internet ~control_plane ?(cache_capacity = 10_000)
             delivered normally — only its gleaned copy was refused). *)
          let node = r.border.Topology.Domain.router in
          let on_reject mapping =
-           if Netsim.Telemetry.enabled () then
-             Netsim.Telemetry.on_drop ~node
-               Netsim.Telemetry.Glean_admission_rejected;
+           (match Topology.Graph.telemetry (graph t) with
+           | Some tm ->
+               Netsim.Telemetry.on_drop tm ~node
+                 Netsim.Telemetry.Glean_admission_rejected
+           | None -> ());
            if Obs.Hub.enabled obs then
              Obs.Hub.emit obs
                ~actor:(r.router_domain.Topology.Domain.name ^ "-etr")
@@ -141,10 +144,11 @@ let record_drop t ?packet ?(node = -1) cause =
   let label = Netsim.Telemetry.drop_label cause in
   Hashtbl.replace t.drops label
     (1 + Option.value ~default:0 (Hashtbl.find_opt t.drops label));
-  if Netsim.Telemetry.enabled () then begin
-    Netsim.Telemetry.touch ~now:(Netsim.Engine.now t.engine);
-    Netsim.Telemetry.on_drop ~node cause
-  end;
+  (match Topology.Graph.telemetry (graph t) with
+  | Some tm ->
+      Netsim.Telemetry.touch tm ~now:(Netsim.Engine.now t.engine);
+      Netsim.Telemetry.on_drop tm ~node cause
+  | None -> ());
   if Obs.Hub.enabled t.obs then
     Obs.Hub.emit t.obs ~actor:"dp"
       ?flow:(Option.map (fun p -> Obs.Event.flow_id p.Packet.flow) packet)
@@ -158,8 +162,6 @@ let drop_held t ?node packet ~cause = record_drop t ~packet ?node cause
 let drop_causes t =
   Hashtbl.fold (fun cause n acc -> (cause, n) :: acc) t.drops []
   |> List.sort (fun (_, a) (_, b) -> Int.compare b a)
-
-let graph t = t.internet.Topology.Builder.graph
 
 (* Packet movement and delivery run under the "dataplane" profiler
    phase; calls into the pluggable control plane (miss handling, ETR
@@ -178,8 +180,9 @@ let wire t ~src ~dst packet k =
     let g = graph t in
     match Topology.Graph.latency_between g src dst with
     | latency ->
-        if Netsim.Telemetry.enabled () then
-          Netsim.Telemetry.touch ~now:(Netsim.Engine.now t.engine);
+        (match Topology.Graph.telemetry g with
+        | Some tm -> Netsim.Telemetry.touch tm ~now:(Netsim.Engine.now t.engine)
+        | None -> ());
         Topology.Graph.account_path g ~src ~dst ~bytes:(Packet.size packet);
         ignore
           (Netsim.Engine.schedule t.engine ~delay:latency
@@ -210,9 +213,11 @@ let deliver_to_host t ~from_node packet =
               t.counters.delivered <- t.counters.delivered + 1;
               t.counters.delivered_bytes <-
                 t.counters.delivered_bytes + Packet.size packet;
-              if Netsim.Telemetry.enabled () then
-                Netsim.Telemetry.on_node_rx ~node:host_node
-                  ~bytes:(Packet.size packet);
+              (match Topology.Graph.telemetry (graph t) with
+              | Some tm ->
+                  Netsim.Telemetry.on_node_rx tm ~node:host_node
+                    ~bytes:(Packet.size packet)
+              | None -> ());
               receiver packet
           | None ->
               record_drop t ~packet ~node:host_node
@@ -332,14 +337,15 @@ let send_from_host t packet =
         | None ->
             invalid_arg "Dataplane.send_from_host: source EID is not a host"
       in
-      if Netsim.Telemetry.enabled () then begin
-        Netsim.Telemetry.touch ~now:(Netsim.Engine.now t.engine);
-        Netsim.Telemetry.on_node_tx ~node:src_node
-          ~bytes:(Packet.size packet);
-        Netsim.Telemetry.on_flow_packet
-          ~eid:(Ipv4.addr_to_int flow.Flow.dst)
-          ~flow:(Obs.Event.flow_id flow)
-      end;
+      (match Topology.Graph.telemetry (graph t) with
+      | Some tm ->
+          Netsim.Telemetry.touch tm ~now:(Netsim.Engine.now t.engine);
+          Netsim.Telemetry.on_node_tx tm ~node:src_node
+            ~bytes:(Packet.size packet);
+          Netsim.Telemetry.on_flow_packet tm
+            ~eid:(Ipv4.addr_to_int flow.Flow.dst)
+            ~flow:(Obs.Event.flow_id flow)
+      | None -> ());
       if Topology.Domain.owns_eid src_domain flow.Flow.dst then begin
         (* Intra-domain traffic never touches LISP. *)
         t.counters.intra_domain <- t.counters.intra_domain + 1;

@@ -98,6 +98,7 @@ let dataplane_exn t =
   | None -> invalid_arg "Pull: control plane used before attach"
 
 let stats t = t.stats
+let telemetry t = Topology.Graph.telemetry t.internet.Topology.Builder.graph
 let pending_resolutions t = Hashtbl.length t.pending
 
 let choose_egress t ~src_domain flow =
@@ -290,9 +291,11 @@ let rec send_attempt t resolution router dst_domain mapping ~flow () =
                else begin
                  t.stats.Cp_stats.spoofed_rejected <-
                    t.stats.Cp_stats.spoofed_rejected + 1;
-                 if Netsim.Telemetry.enabled () then
-                   Netsim.Telemetry.on_drop ~node
-                     Netsim.Telemetry.Spoofed_reply_rejected
+                 match telemetry t with
+                 | Some tm ->
+                     Netsim.Telemetry.on_drop tm ~node
+                       Netsim.Telemetry.Spoofed_reply_rejected
+                 | None -> ()
                end)))
       end;
       if Netsim.Adversary.replays_reply adv then
@@ -316,9 +319,11 @@ let rec send_attempt t resolution router dst_domain mapping ~flow () =
                else begin
                  t.stats.Cp_stats.replayed_rejected <-
                    t.stats.Cp_stats.replayed_rejected + 1;
-                 if Netsim.Telemetry.enabled () then
-                   Netsim.Telemetry.on_drop ~node
-                     Netsim.Telemetry.Replayed_reply_rejected
+                 match telemetry t with
+                 | Some tm ->
+                     Netsim.Telemetry.on_drop tm ~node
+                       Netsim.Telemetry.Replayed_reply_rejected
+                 | None -> ()
                end)))
   | Some _ | None -> ());
   if total < infinity && not lost then begin

@@ -10,17 +10,18 @@ type t = {
   mutable windows : window list;
   mutable losses : int;
   mutable blocked : int;
+  telemetry : Telemetry.t option;
 }
 
 let check_probability name p =
   if not (p >= 0.0 && p <= 1.0) then
     invalid_arg (Printf.sprintf "Faults: %s must be in [0, 1]" name)
 
-let create ~rng ?(loss = 0.0) ?(jitter = 0.0) () =
+let create ~rng ?(loss = 0.0) ?(jitter = 0.0) ?telemetry () =
   check_probability "loss" loss;
   if jitter < 0.0 then invalid_arg "Faults.create: negative jitter";
   { rng; loss; jitter; pair_loss = Hashtbl.create 8; windows = [];
-    losses = 0; blocked = 0 }
+    losses = 0; blocked = 0; telemetry }
 
 let loss t = t.loss
 
@@ -70,8 +71,9 @@ let drops_message t ~now ~src ~dst =
     && Rng.bernoulli t.rng ~p
     &&
     (t.losses <- t.losses + 1;
-     if Telemetry.enabled () then
-       Telemetry.on_drop ~node:(-1) Telemetry.Cp_message_loss;
+     (match t.telemetry with
+     | Some tm -> Telemetry.on_drop tm ~node:(-1) Telemetry.Cp_message_loss
+     | None -> ());
      true)
 
 let extra_delay t =

@@ -28,12 +28,15 @@ type scope =
   | Domain of int  (** messages from or to the given endpoint *)
   | Pair of int * int  (** messages between the two endpoints, either direction *)
 
-val create : rng:Rng.t -> ?loss:float -> ?jitter:float -> unit -> t
+val create :
+  rng:Rng.t -> ?loss:float -> ?jitter:float -> ?telemetry:Telemetry.t ->
+  unit -> t
 (** [loss] is the global Bernoulli loss probability in [\[0, 1\]]
     (default 0); [jitter] the maximum extra one-way delay in seconds
     added to every surviving message (default 0, uniform in
     [\[0, jitter)]).  When a probability is exactly 0 no random draw is
-    made, so a zero-loss model leaves the stream untouched. *)
+    made, so a zero-loss model leaves the stream untouched.  Random
+    losses are tallied on [telemetry]'s drop counters, if given. *)
 
 val loss : t -> float
 val set_loss : t -> float -> unit

@@ -1,14 +1,14 @@
-(* Traffic telemetry internals.  Same shape as [Prof]: process-global
-   state behind a single [on] flag, so every hot-path hook compiled into
-   the dataplane costs exactly one flag load and branch while disabled —
-   no closure, no allocation, no clock read.  The simulator is
-   single-domain per process and the bench runner forks one process per
-   experiment, so global state is the cheap and correct choice.
+(* Traffic telemetry internals.  A plane is a value: [Scenario.build]
+   creates one per telemetry-on scenario, sized by that scenario's
+   graph, so two scenarios in one process never share, wipe or disable
+   each other's counters.  "Off" is the absence of a plane: call sites
+   hold a [t option] and pay one [None] test, no closure, no
+   allocation, no clock read.
 
    Unlike the profiler this module counts *simulated* quantities
-   (packets, bytes, drops) against the *simulated* clock, so an enabled
-   telemetry plane is still deterministic: it observes the simulation
-   and never schedules events or draws randomness. *)
+   (packets, bytes, drops) against the *simulated* clock, so a plane is
+   deterministic: it observes the simulation and never schedules events
+   or draws randomness. *)
 
 (* ------------------------------------------------------------------ *)
 (* Typed drop causes                                                   *)
@@ -97,25 +97,12 @@ let drop_cause_of_label label =
   List.find_opt (fun c -> String.equal (drop_label c) label) all_drop_causes
 
 (* ------------------------------------------------------------------ *)
-(* Configuration and switching                                         *)
+(* Configuration                                                       *)
 (* ------------------------------------------------------------------ *)
 
 type config = { window_s : float; slots : int; topk : int }
 
 let default_config = { window_s = 1.0; slots = 60; topk = 32 }
-
-let on = ref false
-let enabled () = !on
-
-let cfg = ref default_config
-let config () = !cfg
-let origin = ref 0.0
-let cur_slot = ref 0
-
-let window_s () = !cfg.window_s
-let slots () = !cfg.slots
-let current_slot () = !cur_slot
-let slot_start i = !origin +. (float_of_int i *. !cfg.window_s)
 
 (* ------------------------------------------------------------------ *)
 (* Windowed series                                                     *)
@@ -133,149 +120,9 @@ type series = {
   slot_id : int array; (* absolute slot each cell holds; -1 = empty *)
 }
 
-let make_series () =
-  let n = !cfg.slots in
-  { cum_pkts = 0; cum_bytes = 0; slot_pkts = Array.make n 0;
-    slot_bytes = Array.make n 0; slot_id = Array.make n (-1) }
-
-let series_add s ~pkts ~bytes =
-  s.cum_pkts <- s.cum_pkts + pkts;
-  s.cum_bytes <- s.cum_bytes + bytes;
-  let n = Array.length s.slot_id in
-  let i = !cur_slot mod n in
-  if s.slot_id.(i) <> !cur_slot then begin
-    s.slot_id.(i) <- !cur_slot;
-    s.slot_pkts.(i) <- 0;
-    s.slot_bytes.(i) <- 0
-  end;
-  s.slot_pkts.(i) <- s.slot_pkts.(i) + pkts;
-  s.slot_bytes.(i) <- s.slot_bytes.(i) + bytes
-
-(* Sum of the cells still inside the sliding window
-   (cur_slot - slots, cur_slot]. *)
-let series_window s =
-  let n = Array.length s.slot_id in
-  let lo = !cur_slot - n in
-  let pkts = ref 0 and bytes = ref 0 in
-  for i = 0 to n - 1 do
-    if s.slot_id.(i) > lo then begin
-      pkts := !pkts + s.slot_pkts.(i);
-      bytes := !bytes + s.slot_bytes.(i)
-    end
-  done;
-  (!pkts, !bytes)
-
-type slot_sample = {
-  sl_slot : int;
-  sl_start : float;
-  sl_pkts : int;
-  sl_bytes : int;
-}
-
-let series_samples s =
-  let n = Array.length s.slot_id in
-  let lo = !cur_slot - n in
-  let acc = ref [] in
-  for slot = !cur_slot downto max 0 (lo + 1) do
-    let i = slot mod n in
-    if s.slot_id.(i) = slot then
-      acc :=
-        { sl_slot = slot; sl_start = slot_start slot;
-          sl_pkts = s.slot_pkts.(i); sl_bytes = s.slot_bytes.(i) }
-        :: !acc
-  done;
-  !acc
-
 (* Growable stores of series, indexed by small int keys (link id, node
-   id, provider id).  Growth and series creation only happen while
-   telemetry is enabled, off the disabled path. *)
+   id, provider id). *)
 type store = { mutable cells : series option array }
-
-let make_store () = { cells = [||] }
-
-let store_get st key =
-  if key < 0 then invalid_arg "Telemetry: negative key";
-  let len = Array.length st.cells in
-  if key >= len then begin
-    let cells = Array.make (max 16 (max (key + 1) (2 * len))) None in
-    Array.blit st.cells 0 cells 0 len;
-    st.cells <- cells
-  end;
-  match st.cells.(key) with
-  | Some s -> s
-  | None ->
-      let s = make_series () in
-      st.cells.(key) <- Some s;
-      s
-
-let store_find st key =
-  if key >= 0 && key < Array.length st.cells then st.cells.(key) else None
-
-let store_keys st =
-  let acc = ref [] in
-  for i = Array.length st.cells - 1 downto 0 do
-    if st.cells.(i) <> None then acc := i :: !acc
-  done;
-  !acc
-
-(* Key classes.  Link stores are indexed by [2 * link_id + dir] so the
-   two directions of one link stay separate. *)
-let link_store = make_store ()
-let node_tx_store = make_store ()
-let node_rx_store = make_store ()
-let node_fwd_store = make_store ()
-let prov_in_store = make_store ()
-let prov_out_store = make_store ()
-
-(* Uplink registration: link id -> provider id and which direction
-   leaves the customer domain (egress). *)
-let uplink_provider : int array ref = ref [||]
-let uplink_egress_dir : int array ref = ref [||]
-
-let ensure_int_array arr len default =
-  let n = Array.length !arr in
-  if len > n then begin
-    let a = Array.make (max 16 (max len (2 * n))) default in
-    Array.blit !arr 0 a 0 n;
-    arr := a
-  end
-
-let register_uplink ~link ~provider ~egress_dir =
-  if link < 0 || provider < 0 then
-    invalid_arg "Telemetry.register_uplink: negative id";
-  if egress_dir <> 0 && egress_dir <> 1 then
-    invalid_arg "Telemetry.register_uplink: dir must be 0 or 1";
-  ensure_int_array uplink_provider (link + 1) (-1);
-  ensure_int_array uplink_egress_dir (link + 1) 0;
-  !uplink_provider.(link) <- provider;
-  !uplink_egress_dir.(link) <- egress_dir
-
-let provider_of_link link =
-  if link >= 0 && link < Array.length !uplink_provider then
-    let p = !uplink_provider.(link) in
-    if p >= 0 then Some p else None
-  else None
-
-(* Node labels, for reports only. *)
-let node_labels : (int, string) Hashtbl.t = Hashtbl.create 64
-let set_node_label node label = Hashtbl.replace node_labels node label
-let node_label node = Hashtbl.find_opt node_labels node
-
-(* ------------------------------------------------------------------ *)
-(* Drop accounting                                                     *)
-(* ------------------------------------------------------------------ *)
-
-(* Flat per-(node, cause) counters: row [node + 1] (row 0 holds drops
-   with no attributable node), column [cause_index]. *)
-let drop_rows : int array ref = ref [||] (* (node+1) * n_causes + cause *)
-let drop_row_count = ref 0
-let drops_total = ref 0
-
-let drop_cell node cause =
-  let row = node + 1 in
-  if row >= !drop_row_count then drop_row_count := row + 1;
-  ensure_int_array drop_rows (!drop_row_count * n_causes) 0;
-  (row * n_causes) + cause_index cause
 
 (* ------------------------------------------------------------------ *)
 (* Space-Saving heavy-hitter sketches                                  *)
@@ -344,109 +191,207 @@ module Sketch = struct
       (fun (ka, ca, _) (kb, cb, _) ->
         if ca <> cb then Int.compare cb ca else Int.compare ka kb)
       !l
-
-  let reset t =
-    Hashtbl.reset t.index;
-    t.used <- 0;
-    t.total <- 0
 end
 
-let eid_sketch = ref (Sketch.create ~cap:default_config.topk)
-let flow_sketch = ref (Sketch.create ~cap:default_config.topk)
+(* ------------------------------------------------------------------ *)
+(* The plane                                                           *)
+(* ------------------------------------------------------------------ *)
 
-(* IRC selection decisions, cumulative per provider and direction. *)
-let sel_out : int array ref = ref [||]
-let sel_in : int array ref = ref [||]
-let sel_max = ref 0
+type t = {
+  cfg : config;
+  origin : float;
+  mutable cur_slot : int;
+  name_of_node : int -> string;
+  (* Link stores are indexed by [2 * link_id + dir] so the two
+     directions of one link stay separate. *)
+  link_store : store;
+  node_tx_store : store;
+  node_rx_store : store;
+  node_fwd_store : store;
+  prov_in_store : store;
+  prov_out_store : store;
+  (* Uplink registration: link id -> provider id and which direction
+     leaves the customer domain (egress). *)
+  mutable uplink_provider : int array;
+  mutable uplink_egress_dir : int array;
+  (* Flat per-(node, cause) drop counters: row [node + 1] (row 0 holds
+     drops with no attributable node), column [cause_index]. *)
+  mutable drop_rows : int array;
+  mutable drop_row_count : int;
+  mutable drops_total : int;
+  eid_sketch : Sketch.t;
+  flow_sketch : Sketch.t;
+  (* IRC selection decisions, cumulative per provider and direction. *)
+  mutable sel_out : int array;
+  mutable sel_in : int array;
+  mutable sel_max : int;
+}
+
+let create ?(config = default_config) ~node_name ~now () =
+  if config.window_s <= 0.0 then
+    invalid_arg "Telemetry.create: window must be positive";
+  if config.slots <= 0 then invalid_arg "Telemetry.create: slots must be > 0";
+  let store () = { cells = [||] } in
+  { cfg = config; origin = now; cur_slot = 0; name_of_node = node_name;
+    link_store = store (); node_tx_store = store (); node_rx_store = store ();
+    node_fwd_store = store (); prov_in_store = store ();
+    prov_out_store = store (); uplink_provider = [||];
+    uplink_egress_dir = [||]; drop_rows = [||]; drop_row_count = 0;
+    drops_total = 0; eid_sketch = Sketch.create ~cap:config.topk;
+    flow_sketch = Sketch.create ~cap:config.topk; sel_out = [||];
+    sel_in = [||]; sel_max = 0 }
+
+let config t = t.cfg
+let current_slot t = t.cur_slot
+let slot_start t i = t.origin +. (float_of_int i *. t.cfg.window_s)
+
+let node_name t node = if node < 0 then "(unattributed)" else t.name_of_node node
+
+let series_add t s ~pkts ~bytes =
+  s.cum_pkts <- s.cum_pkts + pkts;
+  s.cum_bytes <- s.cum_bytes + bytes;
+  let n = Array.length s.slot_id in
+  let i = t.cur_slot mod n in
+  if s.slot_id.(i) <> t.cur_slot then begin
+    s.slot_id.(i) <- t.cur_slot;
+    s.slot_pkts.(i) <- 0;
+    s.slot_bytes.(i) <- 0
+  end;
+  s.slot_pkts.(i) <- s.slot_pkts.(i) + pkts;
+  s.slot_bytes.(i) <- s.slot_bytes.(i) + bytes
+
+(* Sum of the cells still inside the sliding window
+   (cur_slot - slots, cur_slot]. *)
+let series_window t s =
+  let n = Array.length s.slot_id in
+  let lo = t.cur_slot - n in
+  let pkts = ref 0 and bytes = ref 0 in
+  for i = 0 to n - 1 do
+    if s.slot_id.(i) > lo then begin
+      pkts := !pkts + s.slot_pkts.(i);
+      bytes := !bytes + s.slot_bytes.(i)
+    end
+  done;
+  (!pkts, !bytes)
+
+type slot_sample = {
+  sl_slot : int;
+  sl_start : float;
+  sl_pkts : int;
+  sl_bytes : int;
+}
+
+let series_samples t s =
+  let n = Array.length s.slot_id in
+  let lo = t.cur_slot - n in
+  let acc = ref [] in
+  for slot = t.cur_slot downto max 0 (lo + 1) do
+    let i = slot mod n in
+    if s.slot_id.(i) = slot then
+      acc :=
+        { sl_slot = slot; sl_start = slot_start t slot;
+          sl_pkts = s.slot_pkts.(i); sl_bytes = s.slot_bytes.(i) }
+        :: !acc
+  done;
+  !acc
+
+(* [a] grown (doubling, at least 16) to hold [len] cells. *)
+let grown a len default =
+  let n = Array.length a in
+  if len <= n then a
+  else begin
+    let b = Array.make (max 16 (max len (2 * n))) default in
+    Array.blit a 0 b 0 n;
+    b
+  end
+
+let store_get t st key =
+  if key < 0 then invalid_arg "Telemetry: negative key";
+  if key >= Array.length st.cells then
+    st.cells <- grown st.cells (key + 1) None;
+  match st.cells.(key) with
+  | Some s -> s
+  | None ->
+      let n = t.cfg.slots in
+      let s =
+        { cum_pkts = 0; cum_bytes = 0; slot_pkts = Array.make n 0;
+          slot_bytes = Array.make n 0; slot_id = Array.make n (-1) }
+      in
+      st.cells.(key) <- Some s;
+      s
+
+let store_find st key =
+  if key >= 0 && key < Array.length st.cells then st.cells.(key) else None
+
+let store_keys st =
+  let acc = ref [] in
+  for i = Array.length st.cells - 1 downto 0 do
+    if st.cells.(i) <> None then acc := i :: !acc
+  done;
+  !acc
+
+let register_uplink t ~link ~provider ~egress_dir =
+  if link < 0 || provider < 0 then
+    invalid_arg "Telemetry.register_uplink: negative id";
+  if egress_dir <> 0 && egress_dir <> 1 then
+    invalid_arg "Telemetry.register_uplink: dir must be 0 or 1";
+  t.uplink_provider <- grown t.uplink_provider (link + 1) (-1);
+  t.uplink_egress_dir <- grown t.uplink_egress_dir (link + 1) 0;
+  t.uplink_provider.(link) <- provider;
+  t.uplink_egress_dir.(link) <- egress_dir
+
+let provider_of_link t link =
+  if link >= 0 && link < Array.length t.uplink_provider then
+    let p = t.uplink_provider.(link) in
+    if p >= 0 then Some p else None
+  else None
 
 (* ------------------------------------------------------------------ *)
 (* Hot-path hooks                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let touch ~now =
-  if !on then begin
-    let s = int_of_float ((now -. !origin) /. !cfg.window_s) in
-    if s > !cur_slot then cur_slot := s
-  end
+let touch t ~now =
+  let s = int_of_float ((now -. t.origin) /. t.cfg.window_s) in
+  if s > t.cur_slot then t.cur_slot <- s
 
-let on_link ~link ~dir ~bytes =
-  if !on then begin
-    series_add (store_get link_store ((2 * link) + dir)) ~pkts:1 ~bytes;
-    match provider_of_link link with
-    | Some p ->
-        let st =
-          if dir = !uplink_egress_dir.(link) then prov_out_store
-          else prov_in_store
-        in
-        series_add (store_get st p) ~pkts:1 ~bytes
-    | None -> ()
-  end
+let on_link t ~link ~dir ~bytes =
+  series_add t (store_get t t.link_store ((2 * link) + dir)) ~pkts:1 ~bytes;
+  match provider_of_link t link with
+  | Some p ->
+      let st =
+        if dir = t.uplink_egress_dir.(link) then t.prov_out_store
+        else t.prov_in_store
+      in
+      series_add t (store_get t st p) ~pkts:1 ~bytes
+  | None -> ()
 
-let on_node_tx ~node ~bytes =
-  if !on then series_add (store_get node_tx_store node) ~pkts:1 ~bytes
+let on_node_tx t ~node ~bytes =
+  series_add t (store_get t t.node_tx_store node) ~pkts:1 ~bytes
 
-let on_node_rx ~node ~bytes =
-  if !on then series_add (store_get node_rx_store node) ~pkts:1 ~bytes
+let on_node_rx t ~node ~bytes =
+  series_add t (store_get t t.node_rx_store node) ~pkts:1 ~bytes
 
-let on_node_fwd ~node ~bytes =
-  if !on then series_add (store_get node_fwd_store node) ~pkts:1 ~bytes
+let on_node_fwd t ~node ~bytes =
+  series_add t (store_get t t.node_fwd_store node) ~pkts:1 ~bytes
 
-let on_flow_packet ~eid ~flow =
-  if !on then begin
-    Sketch.observe !eid_sketch eid;
-    Sketch.observe !flow_sketch flow
-  end
+let on_flow_packet t ~eid ~flow =
+  Sketch.observe t.eid_sketch eid;
+  Sketch.observe t.flow_sketch flow
 
-let on_drop ~node cause =
-  if !on then begin
-    Stdlib.incr drops_total;
-    let cell = drop_cell node cause in
-    !drop_rows.(cell) <- !drop_rows.(cell) + 1
-  end
+let on_drop t ~node cause =
+  t.drops_total <- t.drops_total + 1;
+  let row = node + 1 in
+  if row >= t.drop_row_count then t.drop_row_count <- row + 1;
+  t.drop_rows <- grown t.drop_rows (t.drop_row_count * n_causes) 0;
+  let cell = (row * n_causes) + cause_index cause in
+  t.drop_rows.(cell) <- t.drop_rows.(cell) + 1
 
-let on_select ~provider ~inbound =
-  if !on then begin
-    if provider >= !sel_max then sel_max := provider + 1;
-    ensure_int_array sel_out !sel_max 0;
-    ensure_int_array sel_in !sel_max 0;
-    let a = if inbound then sel_in else sel_out in
-    !a.(provider) <- !a.(provider) + 1
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Lifecycle                                                           *)
-(* ------------------------------------------------------------------ *)
-
-let reset_stores () =
-  link_store.cells <- [||];
-  node_tx_store.cells <- [||];
-  node_rx_store.cells <- [||];
-  node_fwd_store.cells <- [||];
-  prov_in_store.cells <- [||];
-  prov_out_store.cells <- [||];
-  uplink_provider := [||];
-  uplink_egress_dir := [||];
-  Hashtbl.reset node_labels;
-  drop_rows := [||];
-  drop_row_count := 0;
-  drops_total := 0;
-  sel_out := [||];
-  sel_in := [||];
-  sel_max := 0
-
-let start ?(config = default_config) ~now () =
-  if config.window_s <= 0.0 then
-    invalid_arg "Telemetry.start: window must be positive";
-  if config.slots <= 0 then invalid_arg "Telemetry.start: slots must be > 0";
-  cfg := config;
-  origin := now;
-  cur_slot := 0;
-  reset_stores ();
-  eid_sketch := Sketch.create ~cap:config.topk;
-  flow_sketch := Sketch.create ~cap:config.topk;
-  on := true
-
-let stop () = on := false
+let on_select t ~provider ~inbound =
+  if provider >= t.sel_max then t.sel_max <- provider + 1;
+  t.sel_out <- grown t.sel_out t.sel_max 0;
+  t.sel_in <- grown t.sel_in t.sel_max 0;
+  let a = if inbound then t.sel_in else t.sel_out in
+  a.(provider) <- a.(provider) + 1
 
 (* ------------------------------------------------------------------ *)
 (* Results                                                             *)
@@ -461,58 +406,57 @@ type stat = {
 
 let zero_stat = { st_pkts = 0; st_bytes = 0; st_win_pkts = 0; st_win_bytes = 0 }
 
-let stat_of_series = function
+let stat_of_series t = function
   | None -> zero_stat
   | Some s ->
-      let wp, wb = series_window s in
+      let wp, wb = series_window t s in
       { st_pkts = s.cum_pkts; st_bytes = s.cum_bytes; st_win_pkts = wp;
         st_win_bytes = wb }
 
-let link_stat ~link ~dir =
-  stat_of_series (store_find link_store ((2 * link) + dir))
+let link_stat t ~link ~dir =
+  stat_of_series t (store_find t.link_store ((2 * link) + dir))
 
-let node_stat ~node kind =
+let node_stat t ~node kind =
   let st =
     match kind with
-    | `Tx -> node_tx_store
-    | `Rx -> node_rx_store
-    | `Fwd -> node_fwd_store
+    | `Tx -> t.node_tx_store
+    | `Rx -> t.node_rx_store
+    | `Fwd -> t.node_fwd_store
   in
-  stat_of_series (store_find st node)
+  stat_of_series t (store_find st node)
 
-let provider_stat ~provider dir =
-  let st = match dir with `In -> prov_in_store | `Out -> prov_out_store in
-  stat_of_series (store_find st provider)
+let provider_store t = function `In -> t.prov_in_store | `Out -> t.prov_out_store
 
-let providers () =
+let provider_stat t ~provider dir =
+  stat_of_series t (store_find (provider_store t dir) provider)
+
+let providers t =
   List.sort_uniq Int.compare
-    (store_keys prov_in_store @ store_keys prov_out_store
-    @ List.filter_map
-        (fun link -> provider_of_link link)
-        (List.init (Array.length !uplink_provider) Fun.id))
+    (store_keys t.prov_in_store @ store_keys t.prov_out_store
+    @ List.filter_map (provider_of_link t)
+        (List.init (Array.length t.uplink_provider) Fun.id))
 
-let nodes () =
+let nodes t =
   List.sort_uniq Int.compare
-    (store_keys node_tx_store @ store_keys node_rx_store
-   @ store_keys node_fwd_store)
+    (store_keys t.node_tx_store @ store_keys t.node_rx_store
+   @ store_keys t.node_fwd_store)
 
-let links () =
+let links t =
   List.sort_uniq Int.compare
-    (List.map (fun k -> k / 2) (store_keys link_store))
+    (List.map (fun k -> k / 2) (store_keys t.link_store))
 
-let series_of st key =
-  match store_find st key with None -> [] | Some s -> series_samples s
+let series_of t st key =
+  match store_find st key with None -> [] | Some s -> series_samples t s
 
-let link_series ~link ~dir = series_of link_store ((2 * link) + dir)
+let link_series t ~link ~dir = series_of t t.link_store ((2 * link) + dir)
 
-let provider_series ~provider dir =
-  let st = match dir with `In -> prov_in_store | `Out -> prov_out_store in
-  series_of st provider
+let provider_series t ~provider dir =
+  series_of t (provider_store t dir) provider
 
-let selections () =
-  List.init !sel_max (fun p ->
-      let get a = if p < Array.length !a then !a.(p) else 0 in
-      (p, get sel_out, get sel_in))
+let selections t =
+  List.init t.sel_max (fun p ->
+      let get a = if p < Array.length a then a.(p) else 0 in
+      (p, get t.sel_out, get t.sel_in))
 
 (* ------------------------------------------------------------------ *)
 (* Derived TE-balance metrics                                          *)
@@ -545,10 +489,10 @@ let max_min_ratio bytes =
     else float_of_int mx /. float_of_int mn
   end
 
-let balance ~window () =
-  let ps = Array.of_list (providers ()) in
+let balance t ~window =
+  let ps = Array.of_list (providers t) in
   let grab dir p =
-    let s = provider_stat ~provider:p dir in
+    let s = provider_stat t ~provider:p dir in
     if window then s.st_win_bytes else s.st_bytes
   in
   let in_bytes = Array.map (grab `In) ps in
@@ -567,13 +511,13 @@ let balance ~window () =
 (* Drop reports                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let dropped () = !drops_total
+let dropped t = t.drops_total
 
-let drop_totals () =
+let drop_totals t =
   let totals = Array.make n_causes 0 in
-  for row = 0 to !drop_row_count - 1 do
+  for row = 0 to t.drop_row_count - 1 do
     for c = 0 to n_causes - 1 do
-      totals.(c) <- totals.(c) + !drop_rows.((row * n_causes) + c)
+      totals.(c) <- totals.(c) + t.drop_rows.((row * n_causes) + c)
     done
   done;
   let l = ref [] in
@@ -586,12 +530,12 @@ let drop_totals () =
       else Int.compare (cause_index ca) (cause_index cb))
     !l
 
-let drops_by_node () =
+let drops_by_node t =
   let out = ref [] in
-  for row = !drop_row_count - 1 downto 0 do
+  for row = t.drop_row_count - 1 downto 0 do
     let causes = ref [] in
     for c = n_causes - 1 downto 0 do
-      let n = !drop_rows.((row * n_causes) + c) in
+      let n = t.drop_rows.((row * n_causes) + c) in
       if n > 0 then causes := (cause_of_index.(c), n) :: !causes
     done;
     if !causes <> [] then out := (row - 1, !causes) :: !out
@@ -608,8 +552,8 @@ let hitters sk =
   List.map
     (fun (key, count, error) ->
       { hh_key = key; hh_count = count; hh_error = error })
-    (Sketch.entries !sk)
+    (Sketch.entries sk)
 
-let top_eids () = hitters eid_sketch
-let top_flows () = hitters flow_sketch
-let flow_packets_observed () = Sketch.total !flow_sketch
+let top_eids t = hitters t.eid_sketch
+let top_flows t = hitters t.flow_sketch
+let flow_packets_observed t = Sketch.total t.flow_sketch

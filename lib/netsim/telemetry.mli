@@ -4,26 +4,29 @@
     The simulator's links and counters know cumulative totals, but
     nothing in the stack can answer windowed questions — how much of the
     last second's inbound traffic entered through provider 2, which EIDs
-    are hot right now, which node is shedding packets and why.  This
-    module maintains that view: cumulative and sliding-window per-link /
+    are hot right now, which node is shedding packets and why.  A plane
+    maintains that view: cumulative and sliding-window per-link /
     per-node / per-provider packet+byte counters backed by ring buffers,
     a typed drop-cause enum with per-(node, cause) counters, bounded-
     memory Space-Saving top-k sketches for EIDs and flows, and derived
     traffic-engineering balance metrics (per-provider shares, Jain's
     fairness index, max/min load ratio).
 
-    Like {!Prof}, the module is process-global and **disabled by
-    default**: every hook compiled into the dataplane hot path pays one
-    flag load and branch while disabled — no allocation, no clock read
+    A plane ({!t}) belongs to one scenario: [Scenario.build] creates it
+    from the scenario's config and hands it to the scenario's graph,
+    where every hook site reads it.  Two scenarios in one process never
+    share counters.  There is no global switch: "disabled" means the
+    call site holds no plane, so every hook on the dataplane hot path
+    costs one [None] test — no allocation, no clock read
     ([bench/bench_micro.ml] pins the cost, [test/test_telemetry.ml]
-    asserts the disabled path allocates nothing).  Telemetry observes
+    asserts the no-plane path allocates nothing).  A plane observes
     only simulated quantities against the simulated clock and never
-    schedules events or draws randomness, so enabling it leaves the
-    simulation byte-identical.
+    schedules events or draws randomness, so a run with a plane is
+    byte-identical to one without.
 
-    All keys are small non-negative ints: {!Topology.Link.id} values,
-    {!Topology.Node.id} values, and provider indexes from
-    [Topology.Domain.border.provider]. *)
+    All keys are small non-negative ints: {!Topology.Link.id} values
+    (dense per graph), {!Topology.Node.id} values, and provider indexes
+    from [Topology.Domain.border.provider]. *)
 
 (** {1 Typed drop causes} *)
 
@@ -58,7 +61,7 @@ val drop_label : drop_cause -> string
 val drop_cause_of_label : string -> drop_cause option
 val all_drop_causes : drop_cause list
 
-(** {1 Configuration and switching} *)
+(** {1 Configuration} *)
 
 type config = {
   window_s : float;  (** sliding-window slot length, simulated seconds *)
@@ -69,102 +72,101 @@ type config = {
 val default_config : config
 (** 60 slots of 1 simulated second, top-32 sketches. *)
 
-val enabled : unit -> bool
+(** {1 The plane} *)
 
-val start : ?config:config -> now:float -> unit -> unit
-(** Reset all accumulators and sketches, anchor the window origin at
-    [now] (simulated time) and enable. *)
+type t
 
-val stop : unit -> unit
-(** Disable; accumulated results stay readable. *)
+val create :
+  ?config:config -> node_name:(int -> string) -> now:float -> unit -> t
+(** A fresh plane with every counter at zero and its window origin at
+    [now] (simulated time).  [node_name] names nodes in reports; a
+    scenario passes its graph's labels. *)
 
-val config : unit -> config
-val window_s : unit -> float
-val slots : unit -> int
-val current_slot : unit -> int
-val slot_start : int -> float
+val config : t -> config
+val current_slot : t -> int
+
+val node_name : t -> int -> string
+(** [node_name] given to {!create}; ["(unattributed)"] for [-1]. *)
 
 (** {1 Registration}
 
     One-off, off the hot path. *)
 
-val register_uplink : link:int -> provider:int -> egress_dir:int -> unit
+val register_uplink : t -> link:int -> provider:int -> egress_dir:int -> unit
 (** Tag a provider access link so its traffic aggregates into the
     per-provider stores.  [egress_dir] is the {!on_link} direction that
     leaves the customer domain (0 = a→b, 1 = b→a); the other direction
     counts as provider ingress. *)
 
-val set_node_label : int -> string -> unit
-val node_label : int -> string option
-
 (** {1 Hot-path hooks}
 
-    All are single-branch no-ops while disabled. *)
+    Each does its work unconditionally; a call site without a plane
+    skips it with one [None] test. *)
 
-val touch : now:float -> unit
+val touch : t -> now:float -> unit
 (** Advance the window clock to simulated time [now].  Call sites that
     move packets call this once per packet; the rotation itself is a
     compare (lazy ring invalidation does the rest). *)
 
-val on_link : link:int -> dir:int -> bytes:int -> unit
+val on_link : t -> link:int -> dir:int -> bytes:int -> unit
 (** One packet of [bytes] crossed link [link] in direction [dir]
     (0 = a→b, 1 = b→a).  Registered uplinks also feed the provider
     stores. *)
 
-val on_node_tx : node:int -> bytes:int -> unit
+val on_node_tx : t -> node:int -> bytes:int -> unit
 (** Packet originated at [node] (host transmit). *)
 
-val on_node_rx : node:int -> bytes:int -> unit
+val on_node_rx : t -> node:int -> bytes:int -> unit
 (** Packet delivered to [node] (host receive). *)
 
-val on_node_fwd : node:int -> bytes:int -> unit
+val on_node_fwd : t -> node:int -> bytes:int -> unit
 (** Packet transited [node] (interior hop of a routed path). *)
 
-val on_flow_packet : eid:int -> flow:int -> unit
+val on_flow_packet : t -> eid:int -> flow:int -> unit
 (** Feed the heavy-hitter sketches: one packet toward destination [eid]
     on flow [flow] (both as raw ints). *)
 
-val on_drop : node:int -> drop_cause -> unit
+val on_drop : t -> node:int -> drop_cause -> unit
 (** Packet died at [node] for [cause]; pass [node = -1] when no single
     node is attributable (the report shows it as unattributed). *)
 
-val on_select : provider:int -> inbound:bool -> unit
+val on_select : t -> provider:int -> inbound:bool -> unit
 (** The IRC engine assigned a flow to an uplink of [provider]. *)
 
 (** {1 Counter results} *)
 
 type stat = {
-  st_pkts : int;  (** cumulative packets since {!start} *)
+  st_pkts : int;  (** cumulative packets since {!create} *)
   st_bytes : int;
   st_win_pkts : int;  (** packets inside the sliding window *)
   st_win_bytes : int;
 }
 
-val link_stat : link:int -> dir:int -> stat
-val node_stat : node:int -> [ `Tx | `Rx | `Fwd ] -> stat
-val provider_stat : provider:int -> [ `In | `Out ] -> stat
+val link_stat : t -> link:int -> dir:int -> stat
+val node_stat : t -> node:int -> [ `Tx | `Rx | `Fwd ] -> stat
+val provider_stat : t -> provider:int -> [ `In | `Out ] -> stat
 (** All return zeros for keys never seen. *)
 
-val providers : unit -> int list
+val providers : t -> int list
 (** Providers with registered uplinks or recorded traffic, ascending. *)
 
-val nodes : unit -> int list
-val links : unit -> int list
+val nodes : t -> int list
+val links : t -> int list
 
 type slot_sample = {
-  sl_slot : int;  (** absolute window index since {!start} *)
+  sl_slot : int;  (** absolute window index since {!create} *)
   sl_start : float;  (** simulated time the window opened *)
   sl_pkts : int;
   sl_bytes : int;
 }
 
-val link_series : link:int -> dir:int -> slot_sample list
-val provider_series : provider:int -> [ `In | `Out ] -> slot_sample list
+val link_series : t -> link:int -> dir:int -> slot_sample list
+val provider_series : t -> provider:int -> [ `In | `Out ] -> slot_sample list
 (** Retained windows in ascending slot order (empty slots omitted). *)
 
-val selections : unit -> (int * int * int) list
+val selections : t -> (int * int * int) list
 (** Per provider: (provider, outbound assignments, inbound assignments)
-    made by the IRC engine since {!start}. *)
+    made by the IRC engine since {!create}. *)
 
 (** {1 Derived TE-balance metrics} *)
 
@@ -180,17 +182,17 @@ type balance = {
   bal_ratio_out : float;
 }
 
-val balance : window:bool -> unit -> balance
+val balance : t -> window:bool -> balance
 (** TE balance across providers, over the sliding window
     ([window:true]) or cumulatively. *)
 
 (** {1 Drop reports} *)
 
-val dropped : unit -> int
-val drop_totals : unit -> (drop_cause * int) list
+val dropped : t -> int
+val drop_totals : t -> (drop_cause * int) list
 (** Per-cause totals, descending count. *)
 
-val drops_by_node : unit -> (int * (drop_cause * int) list) list
+val drops_by_node : t -> (int * (drop_cause * int) list) list
 (** Per-node cause breakdowns, ascending node; node [-1] collects drops
     recorded without an attributable node. *)
 
@@ -202,12 +204,12 @@ type heavy_hitter = {
   hh_error : int;  (** over-estimation bound: true >= count - error *)
 }
 
-val top_eids : unit -> heavy_hitter list
-val top_flows : unit -> heavy_hitter list
+val top_eids : t -> heavy_hitter list
+val top_flows : t -> heavy_hitter list
 (** Monitored keys, descending estimated count.  Any key whose true
     frequency exceeds [total/topk] is guaranteed present. *)
 
-val flow_packets_observed : unit -> int
+val flow_packets_observed : t -> int
 
 (** {1 Sketch internals (exposed for tests)} *)
 
@@ -220,5 +222,4 @@ module Sketch : sig
   (** (key, estimated count, error) descending by count. *)
 
   val total : t -> int
-  val reset : t -> unit
 end

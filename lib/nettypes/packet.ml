@@ -14,18 +14,13 @@ let segment_bytes = function
 type encap = { outer_src : Ipv4.addr; outer_dst : Ipv4.addr }
 
 type t = {
-  id : int;
   flow : Flow.t;
   segment : segment;
   sent_at : float;
   encap : encap option;
 }
 
-let next_id = ref 0
-
-let make ~flow ~segment ~sent_at =
-  incr next_id;
-  { id = !next_id; flow; segment; sent_at; encap = None }
+let make ~flow ~segment ~sent_at = { flow; segment; sent_at; encap = None }
 
 let encapsulate t ~outer_src ~outer_dst =
   match t.encap with
@@ -52,4 +47,4 @@ let pp ppf t =
       Format.fprintf ppf "[%a => %a | " Ipv4.pp_addr e.outer_src Ipv4.pp_addr
         e.outer_dst
   | None -> Format.pp_print_string ppf "[");
-  Format.fprintf ppf "#%d %a %a]" t.id Flow.pp t.flow pp_segment t.segment
+  Format.fprintf ppf "%a %a]" Flow.pp t.flow pp_segment t.segment

@@ -20,7 +20,6 @@ type encap = { outer_src : Ipv4.addr; outer_dst : Ipv4.addr }
 (** LISP outer header: RLOC-to-RLOC. *)
 
 type t = {
-  id : int;  (** unique per {!make} call, for tracing *)
   flow : Flow.t;
   segment : segment;
   sent_at : float;  (** emission time at the source host *)
@@ -28,7 +27,7 @@ type t = {
 }
 
 val make : flow:Flow.t -> segment:segment -> sent_at:float -> t
-(** Fresh packet with a globally unique id and no encapsulation. *)
+(** Fresh packet with no encapsulation. *)
 
 val encapsulate : t -> outer_src:Ipv4.addr -> outer_dst:Ipv4.addr -> t
 (** Raises [Invalid_argument] if the packet is already encapsulated. *)

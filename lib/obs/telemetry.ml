@@ -1,4 +1,4 @@
-include Netsim.Telemetry
+open Netsim.Telemetry
 
 (* ------------------------------------------------------------------ *)
 (* Registry gauges                                                     *)
@@ -7,42 +7,36 @@ include Netsim.Telemetry
 (* One collector family: sampled metric exports and the `telemetry`
    subcommand read the same snapshot code, so the numbers cannot
    drift apart. *)
-let gauge_rows () =
-  if not (enabled ()) then []
-  else begin
-    let fi = float_of_int in
-    let b = balance ~window:true () in
-    let per_provider =
-      List.concat
-        (List.mapi
-           (fun i p ->
-             let tag dir name =
-               Printf.sprintf "provider.%d.%s.%s" p dir name
-             in
-             let stat_in = provider_stat ~provider:p `In in
-             let stat_out = provider_stat ~provider:p `Out in
-             [ (tag "in" "win_bytes", fi stat_in.st_win_bytes);
-               (tag "in" "bytes", fi stat_in.st_bytes);
-               (tag "in" "share", b.bal_in_share.(i));
-               (tag "out" "win_bytes", fi stat_out.st_win_bytes);
-               (tag "out" "bytes", fi stat_out.st_bytes);
-               (tag "out" "share", b.bal_out_share.(i)) ])
-           (Array.to_list b.bal_providers))
-    in
-    [ ("jain_in", b.bal_jain_in); ("jain_out", b.bal_jain_out);
-      ("dropped", fi (dropped ()));
-      ("flow_packets", fi (flow_packets_observed ())) ]
-    @ (if Float.is_finite b.bal_ratio_in then
-         [ ("ratio_in", b.bal_ratio_in) ]
-       else [])
-    @ (if Float.is_finite b.bal_ratio_out then
-         [ ("ratio_out", b.bal_ratio_out) ]
-       else [])
-    @ per_provider
-  end
+let gauge_rows t =
+  let fi = float_of_int in
+  let b = balance t ~window:true in
+  let per_provider =
+    List.concat
+      (List.mapi
+         (fun i p ->
+           let tag dir name = Printf.sprintf "provider.%d.%s.%s" p dir name in
+           let stat_in = provider_stat t ~provider:p `In in
+           let stat_out = provider_stat t ~provider:p `Out in
+           [ (tag "in" "win_bytes", fi stat_in.st_win_bytes);
+             (tag "in" "bytes", fi stat_in.st_bytes);
+             (tag "in" "share", b.bal_in_share.(i));
+             (tag "out" "win_bytes", fi stat_out.st_win_bytes);
+             (tag "out" "bytes", fi stat_out.st_bytes);
+             (tag "out" "share", b.bal_out_share.(i)) ])
+         (Array.to_list b.bal_providers))
+  in
+  [ ("jain_in", b.bal_jain_in); ("jain_out", b.bal_jain_out);
+    ("dropped", fi (dropped t));
+    ("flow_packets", fi (flow_packets_observed t)) ]
+  @ (if Float.is_finite b.bal_ratio_in then [ ("ratio_in", b.bal_ratio_in) ]
+     else [])
+  @ (if Float.is_finite b.bal_ratio_out then
+       [ ("ratio_out", b.bal_ratio_out) ]
+     else [])
+  @ per_provider
 
-let register_gauges registry =
-  Registry.register_many registry "telemetry" gauge_rows
+let register_gauges registry t =
+  Registry.register_many registry "telemetry" (fun () -> gauge_rows t)
 
 (* ------------------------------------------------------------------ *)
 (* JSON snapshot                                                       *)
@@ -92,43 +86,36 @@ let json_of_hitters hs =
              ("error", Json.Int h.hh_error) ])
        hs)
 
-let node_name node =
-  if node < 0 then "(unattributed)"
-  else
-    match node_label node with
-    | Some l -> l
-    | None -> Printf.sprintf "n%d" node
-
-let json_snapshot ?(series = false) () =
-  let c = config () in
+let json_snapshot ?(series = false) t =
+  let c = config t in
   let provider_block p =
     Json.Obj
       ([ ("provider", Json.Int p);
-         ("in", json_of_stat (provider_stat ~provider:p `In));
-         ("out", json_of_stat (provider_stat ~provider:p `Out)) ]
+         ("in", json_of_stat (provider_stat t ~provider:p `In));
+         ("out", json_of_stat (provider_stat t ~provider:p `Out)) ]
       @
       if series then
-        [ ("in_series", json_of_samples (provider_series ~provider:p `In));
-          ("out_series", json_of_samples (provider_series ~provider:p `Out))
+        [ ("in_series", json_of_samples (provider_series t ~provider:p `In));
+          ("out_series", json_of_samples (provider_series t ~provider:p `Out))
         ]
       else [])
   in
   let node_block n =
     Json.Obj
-      [ ("node", Json.Int n); ("name", Json.String (node_name n));
-        ("tx", json_of_stat (node_stat ~node:n `Tx));
-        ("rx", json_of_stat (node_stat ~node:n `Rx));
-        ("fwd", json_of_stat (node_stat ~node:n `Fwd)) ]
+      [ ("node", Json.Int n); ("name", Json.String (node_name t n));
+        ("tx", json_of_stat (node_stat t ~node:n `Tx));
+        ("rx", json_of_stat (node_stat t ~node:n `Rx));
+        ("fwd", json_of_stat (node_stat t ~node:n `Fwd)) ]
   in
   let link_block l =
     Json.Obj
       [ ("link", Json.Int l);
-        ("ab", json_of_stat (link_stat ~link:l ~dir:0));
-        ("ba", json_of_stat (link_stat ~link:l ~dir:1)) ]
+        ("ab", json_of_stat (link_stat t ~link:l ~dir:0));
+        ("ba", json_of_stat (link_stat t ~link:l ~dir:1)) ]
   in
   let drop_block (node, causes) =
     Json.Obj
-      [ ("node", Json.Int node); ("name", Json.String (node_name node));
+      [ ("node", Json.Int node); ("name", Json.String (node_name t node));
         ( "causes",
           Json.Obj
             (List.map
@@ -138,22 +125,22 @@ let json_snapshot ?(series = false) () =
   Json.Obj
     [ ("window_s", Json.Float c.window_s); ("slots", Json.Int c.slots);
       ("topk", Json.Int c.topk);
-      ("current_slot", Json.Int (current_slot ()));
-      ("balance_window", json_of_balance (balance ~window:true ()));
-      ("balance_total", json_of_balance (balance ~window:false ()));
-      ("providers", Json.List (List.map provider_block (providers ())));
-      ("nodes", Json.List (List.map node_block (nodes ())));
-      ("links", Json.List (List.map link_block (links ())));
-      ("dropped", Json.Int (dropped ()));
+      ("current_slot", Json.Int (current_slot t));
+      ("balance_window", json_of_balance (balance t ~window:true));
+      ("balance_total", json_of_balance (balance t ~window:false));
+      ("providers", Json.List (List.map provider_block (providers t)));
+      ("nodes", Json.List (List.map node_block (nodes t)));
+      ("links", Json.List (List.map link_block (links t)));
+      ("dropped", Json.Int (dropped t));
       ( "drop_totals",
         Json.Obj
           (List.map
              (fun (cause, n) -> (drop_label cause, Json.Int n))
-             (drop_totals ())) );
-      ("drops_by_node", Json.List (List.map drop_block (drops_by_node ())));
-      ("top_eids", json_of_hitters (top_eids ()));
-      ("top_flows", json_of_hitters (top_flows ()));
-      ("flow_packets", Json.Int (flow_packets_observed ()));
+             (drop_totals t)) );
+      ("drops_by_node", Json.List (List.map drop_block (drops_by_node t)));
+      ("top_eids", json_of_hitters (top_eids t));
+      ("top_flows", json_of_hitters (top_flows t));
+      ("flow_packets", Json.Int (flow_packets_observed t));
       ( "selections",
         Json.List
           (List.map
@@ -161,15 +148,15 @@ let json_snapshot ?(series = false) () =
                Json.Obj
                  [ ("provider", Json.Int p); ("out", Json.Int out);
                    ("in", Json.Int inb) ])
-             (selections ())) ) ]
+             (selections t)) ) ]
 
 (* ------------------------------------------------------------------ *)
 (* Tables                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let provider_table () =
-  let b = balance ~window:true () in
-  let bt = balance ~window:false () in
+let provider_table t =
+  let b = balance t ~window:true in
+  let bt = balance t ~window:false in
   let table =
     Metrics.Table.create ~title:"per-provider traffic (TE balance)"
       ~columns:
@@ -178,8 +165,8 @@ let provider_table () =
   in
   Array.iteri
     (fun i p ->
-      let stat_in = provider_stat ~provider:p `In in
-      let stat_out = provider_stat ~provider:p `Out in
+      let stat_in = provider_stat t ~provider:p `In in
+      let stat_out = provider_stat t ~provider:p `Out in
       Metrics.Table.add_row table
         [ Printf.sprintf "P%d" p;
           Metrics.Table.cell_bytes stat_in.st_bytes;
@@ -198,13 +185,13 @@ let provider_table () =
       cell_ratio b.bal_ratio_out; "-"; "-" ];
   table
 
-let node_table ?(limit = 20) () =
+let node_table ?(limit = 20) t =
   let table =
     Metrics.Table.create ~title:"per-node traffic (top by total bytes)"
       ~columns:[ "node"; "tx"; "rx"; "fwd"; "tx bytes"; "rx bytes"; "fwd bytes" ]
   in
   let weight n =
-    let s k = (node_stat ~node:n k).st_bytes in
+    let s k = (node_stat t ~node:n k).st_bytes in
     s `Tx + s `Rx + s `Fwd
   in
   let sorted =
@@ -212,16 +199,16 @@ let node_table ?(limit = 20) () =
       (fun a b ->
         let wa = weight a and wb = weight b in
         if wa <> wb then Int.compare wb wa else Int.compare a b)
-      (nodes ())
+      (nodes t)
   in
   List.iteri
     (fun i n ->
       if i < limit then begin
-        let tx = node_stat ~node:n `Tx
-        and rx = node_stat ~node:n `Rx
-        and fwd = node_stat ~node:n `Fwd in
+        let tx = node_stat t ~node:n `Tx
+        and rx = node_stat t ~node:n `Rx
+        and fwd = node_stat t ~node:n `Fwd in
         Metrics.Table.add_row table
-          [ node_name n; Metrics.Table.cell_int tx.st_pkts;
+          [ node_name t n; Metrics.Table.cell_int tx.st_pkts;
             Metrics.Table.cell_int rx.st_pkts;
             Metrics.Table.cell_int fwd.st_pkts;
             Metrics.Table.cell_bytes tx.st_bytes;
@@ -231,8 +218,8 @@ let node_table ?(limit = 20) () =
     sorted;
   table
 
-let drop_table () =
-  let total = dropped () in
+let drop_table t =
+  let total = dropped t in
   let table =
     Metrics.Table.create ~title:"drop attribution"
       ~columns:[ "node"; "cause"; "count"; "share" ]
@@ -242,12 +229,12 @@ let drop_table () =
       List.iter
         (fun (cause, n) ->
           Metrics.Table.add_row table
-            [ node_name node; drop_label cause; Metrics.Table.cell_int n;
+            [ node_name t node; drop_label cause; Metrics.Table.cell_int n;
               Metrics.Table.cell_pct
                 (if total = 0 then 0.0
                  else float_of_int n /. float_of_int total) ])
         causes)
-    (drops_by_node ());
+    (drops_by_node t);
   table
 
 let hitter_table ~title ~key_label fmt_key hitters =
@@ -263,29 +250,29 @@ let hitter_table ~title ~key_label fmt_key hitters =
     hitters;
   table
 
-let top_eid_table ?(limit = 10) () =
-  let hitters = List.filteri (fun i _ -> i < limit) (top_eids ()) in
+let top_eid_table ?(limit = 10) t =
+  let hitters = List.filteri (fun i _ -> i < limit) (top_eids t) in
   hitter_table ~title:"top destination EIDs (Space-Saving)"
     ~key_label:"eid"
     (fun key -> Format.asprintf "%a" Nettypes.Ipv4.pp_addr
         (Nettypes.Ipv4.addr_of_int key))
     hitters
 
-let top_flow_table ?(limit = 10) () =
-  let hitters = List.filteri (fun i _ -> i < limit) (top_flows ()) in
+let top_flow_table ?(limit = 10) t =
+  let hitters = List.filteri (fun i _ -> i < limit) (top_flows t) in
   hitter_table ~title:"top flows (Space-Saving)" ~key_label:"flow"
     (fun key -> Printf.sprintf "%#x" key)
     hitters
 
-let tables () =
-  [ provider_table (); node_table (); drop_table (); top_eid_table ();
-    top_flow_table () ]
+let tables t =
+  [ provider_table t; node_table t; drop_table t; top_eid_table t;
+    top_flow_table t ]
 
 (* ------------------------------------------------------------------ *)
 (* Windowed series CSV                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let series_csv () =
+let series_csv t =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "slot,start_s,provider,direction,pkts,bytes\n";
   List.iter
@@ -298,9 +285,9 @@ let series_csv () =
                 (Printf.sprintf "%d,%.3f,%d,%s,%d,%d\n" s.sl_slot s.sl_start
                    p dir s.sl_pkts s.sl_bytes))
             samples)
-        [ ("in", provider_series ~provider:p `In);
-          ("out", provider_series ~provider:p `Out) ])
-    (providers ());
+        [ ("in", provider_series t ~provider:p `In);
+          ("out", provider_series t ~provider:p `Out) ])
+    (providers t);
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
@@ -311,7 +298,7 @@ let series_csv () =
    track per provider and direction, one sample per retained window.
    Merge into a span trace (same pid) and Perfetto draws provider load
    under the causal spans. *)
-let chrome_counter_events ?(pid = 1) () =
+let chrome_counter_events ?(pid = 1) t =
   List.concat_map
     (fun p ->
       List.concat_map
@@ -328,11 +315,11 @@ let chrome_counter_events ?(pid = 1) () =
                   ("tid", Json.Int 0);
                   ("args", Json.Obj [ ("bytes", Json.Int s.sl_bytes) ]) ])
             samples)
-        [ ("in", provider_series ~provider:p `In);
-          ("out", provider_series ~provider:p `Out) ])
-    (providers ())
+        [ ("in", provider_series t ~provider:p `In);
+          ("out", provider_series t ~provider:p `Out) ])
+    (providers t)
 
-let write_chrome_trace ~file () =
+let write_chrome_trace ~file t =
   let oc = open_out file in
   Fun.protect
     ~finally:(fun () -> close_out oc)
@@ -340,6 +327,6 @@ let write_chrome_trace ~file () =
       output_string oc
         (Json.to_string
            (Json.Obj
-              [ ("traceEvents", Json.List (chrome_counter_events ()));
+              [ ("traceEvents", Json.List (chrome_counter_events t));
                 ("displayTimeUnit", Json.String "ms") ]));
       output_char oc '\n')

@@ -1,66 +1,59 @@
-(** Observability surface over {!Netsim.Telemetry}.
+(** Reports over a {!Netsim.Telemetry} plane.
 
-    Re-exports the whole core telemetry plane (hooks, counters, balance
-    metrics, drop attribution, heavy-hitter sketches) and adds the
-    presentation layers the rest of the observability stack already has
-    for {!Prof}: registry gauges, a JSON snapshot, rendered tables, a
-    windowed-series CSV, and Chrome-trace counter events. *)
+    The presentation layers the rest of the observability stack already
+    has for {!Prof}: registry gauges, a JSON snapshot, rendered tables, a
+    windowed-series CSV, and Chrome-trace counter events.  Every report
+    reads the plane it is given (a scenario's, via [Scenario.telemetry]);
+    the counters and hooks themselves live in {!Netsim.Telemetry}. *)
 
-include module type of Netsim.Telemetry
+val register_gauges : Registry.t -> Netsim.Telemetry.t -> unit
+(** Register a ["telemetry"] gauge family over the plane: window/
+    cumulative bytes and shares per provider and direction, Jain
+    indexes, load ratios (only when finite), drop and sketch totals. *)
 
-val register_gauges : Registry.t -> unit
-(** Register a ["telemetry"] gauge family: window/cumulative bytes and
-    shares per provider and direction, Jain indexes, load ratios (only
-    when finite), drop and sketch totals.  Rows are empty while
-    telemetry is disabled. *)
-
-val gauge_rows : unit -> (string * float) list
+val gauge_rows : Netsim.Telemetry.t -> (string * float) list
 (** The rows {!register_gauges} exports, for callers that sample
     directly. *)
 
-val json_snapshot : ?series:bool -> unit -> Json.t
+val json_snapshot : ?series:bool -> Netsim.Telemetry.t -> Json.t
 (** Full structured snapshot: config, TE balance (window and total),
     per-provider / per-node / per-link stats, drop totals and
     per-node attributions, top EIDs/flows with error bounds, and IRC
-    selection counts.  [series:true] additionally embeds the retained
-    per-provider windowed series.  Non-finite load ratios serialise as
-    [null]. *)
-
-val node_name : int -> string
-(** Label registered via {!set_node_label}, else ["n<id>"];
-    ["(unattributed)"] for [-1]. *)
+    selection counts.  Nodes carry their {!Netsim.Telemetry.node_name}.
+    [series:true] additionally embeds the retained per-provider
+    windowed series.  Non-finite load ratios serialise as [null]. *)
 
 (** {1 Tables} *)
 
-val provider_table : unit -> Metrics.Table.t
+val provider_table : Netsim.Telemetry.t -> Metrics.Table.t
 (** Per-provider in/out bytes and shares, with a trailing Jain/ratio
     summary row over the sliding window. *)
 
-val node_table : ?limit:int -> unit -> Metrics.Table.t
+val node_table : ?limit:int -> Netsim.Telemetry.t -> Metrics.Table.t
 (** Per-node tx/rx/fwd counters, heaviest nodes first (default top
     20). *)
 
-val drop_table : unit -> Metrics.Table.t
+val drop_table : Netsim.Telemetry.t -> Metrics.Table.t
 (** Per-(node, cause) drop counts with share of all drops. *)
 
-val top_eid_table : ?limit:int -> unit -> Metrics.Table.t
-val top_flow_table : ?limit:int -> unit -> Metrics.Table.t
+val top_eid_table : ?limit:int -> Netsim.Telemetry.t -> Metrics.Table.t
+val top_flow_table : ?limit:int -> Netsim.Telemetry.t -> Metrics.Table.t
 
-val tables : unit -> Metrics.Table.t list
+val tables : Netsim.Telemetry.t -> Metrics.Table.t list
 (** All of the above, in report order. *)
 
 (** {1 Series export} *)
 
-val series_csv : unit -> string
+val series_csv : Netsim.Telemetry.t -> string
 (** Retained per-provider windowed series as CSV
     ([slot,start_s,provider,direction,pkts,bytes]). *)
 
 (** {1 Chrome trace} *)
 
-val chrome_counter_events : ?pid:int -> unit -> Json.t list
+val chrome_counter_events : ?pid:int -> Netsim.Telemetry.t -> Json.t list
 (** ["ph":"C"] counter events (one track per provider and direction,
     one sample per retained window) on the simulated-time axis, in
     microseconds — mergeable with {!Prof.chrome_events} output. *)
 
-val write_chrome_trace : file:string -> unit -> unit
+val write_chrome_trace : file:string -> Netsim.Telemetry.t -> unit
 (** Write [{"traceEvents": [...]}] containing the counter events. *)

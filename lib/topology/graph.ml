@@ -5,6 +5,7 @@ type t = {
   mutable links : Link.t list;
   (* Per-source Dijkstra results: distance and predecessor arrays. *)
   sssp_cache : (Node.id, float array * int array) Hashtbl.t;
+  mutable telemetry : Netsim.Telemetry.t option;
 }
 
 let dummy_node : Node.t = { id = -1; kind = Node.Host; label = "" }
@@ -12,7 +13,7 @@ let dummy_node : Node.t = { id = -1; kind = Node.Host; label = "" }
 let create () =
   { nodes = Array.make 16 dummy_node; node_count = 0;
     adjacency = Array.make 16 []; links = [];
-    sssp_cache = Hashtbl.create 64 }
+    sssp_cache = Hashtbl.create 64; telemetry = None }
 
 let grow t =
   let capacity = Array.length t.nodes in
@@ -52,7 +53,9 @@ let connect t a b ~latency ?capacity_bps ?kind () =
   if a = b then invalid_arg "Graph.connect: self-loop";
   if link_between t a b <> None then
     invalid_arg (Printf.sprintf "Graph.connect: duplicate link %d-%d" a b);
-  let link = Link.create ~a ~b ~latency ?capacity_bps ?kind () in
+  (* Dense per-graph ids: [links] is newest first. *)
+  let id = match t.links with l :: _ -> Link.id l + 1 | [] -> 0 in
+  let link = Link.create ~id ~a ~b ~latency ?capacity_bps ?kind () in
   t.adjacency.(a) <- (b, link) :: t.adjacency.(a);
   t.adjacency.(b) <- (a, link) :: t.adjacency.(b);
   t.links <- link :: t.links;
@@ -60,6 +63,8 @@ let connect t a b ~latency ?capacity_bps ?kind () =
   link
 
 let links t = t.links
+let telemetry t = t.telemetry
+let set_telemetry t plane = t.telemetry <- Some plane
 
 let set_link_up t link up =
   if Link.is_up link <> up then begin
@@ -184,16 +189,20 @@ let path_between t a b =
 
 let account_path t ~src ~dst ~bytes =
   let path = path_between t src dst in
-  let telemetry = Netsim.Telemetry.enabled () in
   let rec charge = function
     | u :: (v :: tail as rest) ->
-        (match link_between t u v with
-        | Some link -> Link.account link ~src:u ~bytes
-        | None -> assert false);
-        (* Interior hops transit [v]; endpoints are charged by the
-           dataplane as tx/rx instead. *)
-        if telemetry && tail <> [] then
-          Netsim.Telemetry.on_node_fwd ~node:v ~bytes;
+        let link =
+          match link_between t u v with Some l -> l | None -> assert false
+        in
+        Link.account link ~src:u ~bytes;
+        (match t.telemetry with
+        | Some tm ->
+            Netsim.Telemetry.on_link tm ~link:(Link.id link)
+              ~dir:(if u = Link.a link then 0 else 1) ~bytes;
+            (* Interior hops transit [v]; endpoints are charged by the
+               dataplane as tx/rx instead. *)
+            if tail <> [] then Netsim.Telemetry.on_node_fwd tm ~node:v ~bytes
+        | None -> ());
         charge rest
     | [ _ ] | [] -> ()
   in

@@ -30,8 +30,9 @@ val connect :
   t -> Node.id -> Node.id -> latency:float -> ?capacity_bps:float ->
   ?kind:Link.kind -> unit ->
   Link.t
-(** Add a bidirectional link.  Raises [Invalid_argument] on unknown
-    endpoints, a self-loop, or a duplicate link. *)
+(** Add a bidirectional link with the next dense id (0, 1, ... per
+    graph).  Raises [Invalid_argument] on unknown endpoints, a
+    self-loop, or a duplicate link. *)
 
 val link_between : t -> Node.id -> Node.id -> Link.t option
 val links : t -> Link.t list
@@ -48,7 +49,16 @@ val path_between : t -> Node.id -> Node.id -> Node.id list
 val account_path : t -> src:Node.id -> dst:Node.id -> bytes:int -> unit
 (** Charge [bytes] to every link along the shortest path from [src] to
     [dst] in the forward direction — how data-plane transmissions feed
-    the utilisation counters. *)
+    the utilisation counters.  With a telemetry plane, also feeds its
+    per-link counters and the forwarding counters of interior nodes. *)
+
+val telemetry : t -> Netsim.Telemetry.t option
+(** The plane measuring this graph's traffic; [None] (the default)
+    means telemetry is off.  Every hook site reads it here. *)
+
+val set_telemetry : t -> Netsim.Telemetry.t -> unit
+(** Attach the plane, once, before any traffic ([Scenario.build] does
+    this right after building the internet). *)
 
 val set_link_up : t -> Link.t -> bool -> unit
 (** Fail or restore a link.  Down links are invisible to shortest-path

@@ -12,16 +12,10 @@ type t = {
   mutable bytes_ba : int;
 }
 
-(* Process-global sequential ids: creation order is deterministic per
-   run, and the telemetry plane keys its per-link stores on them. *)
-let next_id = ref 0
-
-let create ~a ~b ~latency ?(capacity_bps = 1e9) ?(kind = External) () =
+let create ~id ~a ~b ~latency ?(capacity_bps = 1e9) ?(kind = External) () =
   if latency <= 0.0 then invalid_arg "Link.create: latency must be positive";
   if capacity_bps <= 0.0 then
     invalid_arg "Link.create: capacity must be positive";
-  let id = !next_id in
-  incr next_id;
   { id; a; b; latency; capacity_bps; kind; up = true; bytes_ab = 0;
     bytes_ba = 0 }
 
@@ -45,16 +39,8 @@ let other_end t node =
 let connects t node = node = t.a || node = t.b
 
 let account t ~src ~bytes =
-  if src = t.a then begin
-    t.bytes_ab <- t.bytes_ab + bytes;
-    if Netsim.Telemetry.enabled () then
-      Netsim.Telemetry.on_link ~link:t.id ~dir:0 ~bytes
-  end
-  else if src = t.b then begin
-    t.bytes_ba <- t.bytes_ba + bytes;
-    if Netsim.Telemetry.enabled () then
-      Netsim.Telemetry.on_link ~link:t.id ~dir:1 ~bytes
-  end
+  if src = t.a then t.bytes_ab <- t.bytes_ab + bytes
+  else if src = t.b then t.bytes_ba <- t.bytes_ba + bytes
   else invalid_arg "Link.account: node is not an endpoint"
 
 let bytes_from t node =

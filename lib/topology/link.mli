@@ -12,18 +12,19 @@ type kind =
   | External  (** provider access links and the core mesh *)
 
 val create :
-  a:Node.id -> b:Node.id -> latency:float -> ?capacity_bps:float ->
+  id:int -> a:Node.id -> b:Node.id -> latency:float -> ?capacity_bps:float ->
   ?kind:kind -> unit -> t
-(** [latency] in seconds, must be positive.  [capacity_bps] defaults to
-    1 Gbit/s; [kind] to [External].  Shortest-path computation uses the
-    kind to keep inter-domain routes valley-free: a path may use
-    internal links only while leaving its source domain or after
-    entering its destination domain, never to transit through a
-    third domain. *)
+(** [id] is the link's number in its graph ({!Graph.connect} passes
+    the next dense one).  [latency] in seconds, must be positive.
+    [capacity_bps] defaults to 1 Gbit/s; [kind] to [External].
+    Shortest-path computation uses the kind to keep inter-domain routes
+    valley-free: a path may use internal links only while leaving its
+    source domain or after entering its destination domain, never to
+    transit through a third domain. *)
 
 val id : t -> int
-(** Process-global sequential id (creation order), the key for the
-    telemetry plane's per-link stores. *)
+(** Dense per-graph id: a graph numbers its links 0..n-1 in creation
+    order.  The key for the telemetry plane's per-link stores. *)
 
 val a : t -> Node.id
 val b : t -> Node.id
@@ -47,9 +48,8 @@ val set_up_internal : t -> bool -> unit
 
 val account : t -> src:Node.id -> bytes:int -> unit
 (** Record [bytes] flowing from endpoint [src] toward the other end.
-    Also feeds the telemetry plane's windowed per-link (and, for
-    registered uplinks, per-provider) counters when
-    {!Netsim.Telemetry.enabled} — one flag test otherwise. *)
+    A plain byte counter: {!Graph.account_path} also feeds the graph's
+    telemetry plane, if it has one. *)
 
 val bytes_from : t -> Node.id -> int
 (** Cumulative bytes sent from the given endpoint over this link. *)

@@ -1,28 +1,31 @@
 (* The telemetry plane: window rotation, Space-Saving error bounds,
    drop-cause labels, TE-balance math, the disabled path's zero-cost
-   contract, and enabled-vs-disabled simulation identity. *)
+   contract, enabled-vs-disabled simulation identity, conservation
+   laws against the links' own byte counters, and the independence of
+   two scenarios' planes in one process. *)
 
 let config ?(window_s = 1.0) ?(slots = 4) ?(topk = 8) () =
   { Netsim.Telemetry.window_s; slots; topk }
 
-let start ?window_s ?slots ?topk ?(now = 0.0) () =
-  Netsim.Telemetry.start ~config:(config ?window_s ?slots ?topk ()) ~now ()
+let plane ?window_s ?slots ?topk ?(now = 0.0) () =
+  Netsim.Telemetry.create ~config:(config ?window_s ?slots ?topk ())
+    ~node_name:(Printf.sprintf "n%d") ~now ()
 
 (* ------------------------------------------------------------------ *)
 (* Sliding-window counters                                             *)
 (* ------------------------------------------------------------------ *)
 
 let test_window_rotation () =
-  start ();
+  let tm = plane () in
   let feed ~now ~bytes =
-    Netsim.Telemetry.touch ~now;
-    Netsim.Telemetry.on_link ~link:0 ~dir:0 ~bytes
+    Netsim.Telemetry.touch tm ~now;
+    Netsim.Telemetry.on_link tm ~link:0 ~dir:0 ~bytes
   in
   (* One packet per second for 10 s; ring holds 4 slots. *)
   for second = 0 to 9 do
     feed ~now:(float_of_int second +. 0.5) ~bytes:100
   done;
-  let s = Netsim.Telemetry.link_stat ~link:0 ~dir:0 in
+  let s = Netsim.Telemetry.link_stat tm ~link:0 ~dir:0 in
   Alcotest.(check int) "cumulative packets" 10 s.Netsim.Telemetry.st_pkts;
   Alcotest.(check int) "cumulative bytes" 1000 s.Netsim.Telemetry.st_bytes;
   Alcotest.(check int) "window packets = ring size" 4
@@ -30,20 +33,19 @@ let test_window_rotation () =
   Alcotest.(check int) "window bytes" 400 s.Netsim.Telemetry.st_win_bytes;
   (* Advancing the clock without traffic empties the window but not the
      cumulative counters. *)
-  Netsim.Telemetry.touch ~now:100.0;
-  let s = Netsim.Telemetry.link_stat ~link:0 ~dir:0 in
+  Netsim.Telemetry.touch tm ~now:100.0;
+  let s = Netsim.Telemetry.link_stat tm ~link:0 ~dir:0 in
   Alcotest.(check int) "idle window drains" 0 s.Netsim.Telemetry.st_win_pkts;
-  Alcotest.(check int) "cumulative survives" 10 s.Netsim.Telemetry.st_pkts;
-  Netsim.Telemetry.stop ()
+  Alcotest.(check int) "cumulative survives" 10 s.Netsim.Telemetry.st_pkts
 
 let test_series_ascending () =
-  start ();
+  let tm = plane () in
   List.iter
     (fun now ->
-      Netsim.Telemetry.touch ~now;
-      Netsim.Telemetry.on_link ~link:1 ~dir:1 ~bytes:10)
+      Netsim.Telemetry.touch tm ~now;
+      Netsim.Telemetry.on_link tm ~link:1 ~dir:1 ~bytes:10)
     [ 0.1; 1.1; 1.2; 3.7 ];
-  let series = Netsim.Telemetry.link_series ~link:1 ~dir:1 in
+  let series = Netsim.Telemetry.link_series tm ~link:1 ~dir:1 in
   let slots = List.map (fun s -> s.Netsim.Telemetry.sl_slot) series in
   Alcotest.(check (list int)) "retained slots ascending" [ 0; 1; 3 ] slots;
   let pkts = List.map (fun s -> s.Netsim.Telemetry.sl_pkts) series in
@@ -54,8 +56,7 @@ let test_series_ascending () =
         "slot start = slot * window"
         (float_of_int s.Netsim.Telemetry.sl_slot)
         s.Netsim.Telemetry.sl_start)
-    series;
-  Netsim.Telemetry.stop ()
+    series
 
 (* ------------------------------------------------------------------ *)
 (* Space-Saving sketch                                                 *)
@@ -163,40 +164,39 @@ let test_drop_labels_pinned () =
     (List.map Netsim.Telemetry.drop_label Netsim.Telemetry.all_drop_causes)
 
 let test_drop_attribution () =
-  start ();
-  Netsim.Telemetry.on_drop ~node:3 Netsim.Telemetry.No_route;
-  Netsim.Telemetry.on_drop ~node:3 Netsim.Telemetry.No_route;
-  Netsim.Telemetry.on_drop ~node:5 Netsim.Telemetry.Resolution_timeout;
-  Netsim.Telemetry.on_drop ~node:(-1) Netsim.Telemetry.Cp_message_loss;
-  Alcotest.(check int) "total drops" 4 (Netsim.Telemetry.dropped ());
-  (match Netsim.Telemetry.drop_totals () with
+  let tm = plane () in
+  Netsim.Telemetry.on_drop tm ~node:3 Netsim.Telemetry.No_route;
+  Netsim.Telemetry.on_drop tm ~node:3 Netsim.Telemetry.No_route;
+  Netsim.Telemetry.on_drop tm ~node:5 Netsim.Telemetry.Resolution_timeout;
+  Netsim.Telemetry.on_drop tm ~node:(-1) Netsim.Telemetry.Cp_message_loss;
+  Alcotest.(check int) "total drops" 4 (Netsim.Telemetry.dropped tm);
+  (match Netsim.Telemetry.drop_totals tm with
   | (first_cause, 2) :: _ ->
       Alcotest.(check string) "heaviest cause first" "no-route"
         (Netsim.Telemetry.drop_label first_cause)
   | _ -> Alcotest.fail "expected no-route x2 first");
-  let by_node = Netsim.Telemetry.drops_by_node () in
+  let by_node = Netsim.Telemetry.drops_by_node tm in
   Alcotest.(check (list int)) "nodes ascending, unattributed first"
     [ -1; 3; 5 ]
-    (List.map fst by_node);
-  Netsim.Telemetry.stop ()
+    (List.map fst by_node)
 
 (* ------------------------------------------------------------------ *)
 (* TE balance                                                          *)
 (* ------------------------------------------------------------------ *)
 
 let test_balance_metrics () =
-  start ();
+  let tm = plane () in
   (* Two providers; links 10 and 11, egress a->b (dir 0). *)
-  Netsim.Telemetry.register_uplink ~link:10 ~provider:0 ~egress_dir:0;
-  Netsim.Telemetry.register_uplink ~link:11 ~provider:1 ~egress_dir:0;
-  Netsim.Telemetry.touch ~now:0.5;
+  Netsim.Telemetry.register_uplink tm ~link:10 ~provider:0 ~egress_dir:0;
+  Netsim.Telemetry.register_uplink tm ~link:11 ~provider:1 ~egress_dir:0;
+  Netsim.Telemetry.touch tm ~now:0.5;
   (* Inbound (dir 1): 300 bytes via provider 0, 100 via provider 1. *)
-  Netsim.Telemetry.on_link ~link:10 ~dir:1 ~bytes:300;
-  Netsim.Telemetry.on_link ~link:11 ~dir:1 ~bytes:100;
+  Netsim.Telemetry.on_link tm ~link:10 ~dir:1 ~bytes:300;
+  Netsim.Telemetry.on_link tm ~link:11 ~dir:1 ~bytes:100;
   (* Outbound: perfectly balanced. *)
-  Netsim.Telemetry.on_link ~link:10 ~dir:0 ~bytes:200;
-  Netsim.Telemetry.on_link ~link:11 ~dir:0 ~bytes:200;
-  let b = Netsim.Telemetry.balance ~window:false () in
+  Netsim.Telemetry.on_link tm ~link:10 ~dir:0 ~bytes:200;
+  Netsim.Telemetry.on_link tm ~link:11 ~dir:0 ~bytes:200;
+  let b = Netsim.Telemetry.balance tm ~window:false in
   Alcotest.(check (float 1e-9)) "in share p0" 0.75 b.Netsim.Telemetry.bal_in_share.(0);
   Alcotest.(check (float 1e-9)) "in share p1" 0.25 b.Netsim.Telemetry.bal_in_share.(1);
   Alcotest.(check (float 1e-9)) "jain out = 1 (balanced)" 1.0
@@ -206,28 +206,33 @@ let test_balance_metrics () =
   Alcotest.(check (float 1e-9)) "jain in"
     (Netsim.Stats.jain_index [| 300.0; 100.0 |])
     b.Netsim.Telemetry.bal_jain_in;
-  let p0_in = Netsim.Telemetry.provider_stat ~provider:0 `In in
+  let p0_in = Netsim.Telemetry.provider_stat tm ~provider:0 `In in
   Alcotest.(check int) "provider store fed" 300
-    p0_in.Netsim.Telemetry.st_bytes;
-  Netsim.Telemetry.stop ()
+    p0_in.Netsim.Telemetry.st_bytes
 
 (* ------------------------------------------------------------------ *)
 (* Disabled path                                                       *)
 (* ------------------------------------------------------------------ *)
 
+(* "Disabled" is a hook site whose plane option is [None].  The option
+   sits in a mutable record field, as on a graph, so the compiler
+   cannot fold the branch away. *)
+type site = { mutable plane : Netsim.Telemetry.t option }
+
 let test_disabled_path_allocation_free () =
-  Netsim.Telemetry.stop ();
-  (* Constant [now]: boxing a fresh float in the test loop would be
-     charged to the hooks. *)
+  let site = { plane = None } in
   let cycle i =
-    Netsim.Telemetry.touch ~now:42.0;
-    Netsim.Telemetry.on_link ~link:3 ~dir:0 ~bytes:1400;
-    Netsim.Telemetry.on_node_tx ~node:7 ~bytes:1400;
-    Netsim.Telemetry.on_node_rx ~node:8 ~bytes:1400;
-    Netsim.Telemetry.on_node_fwd ~node:9 ~bytes:1400;
-    Netsim.Telemetry.on_flow_packet ~eid:i ~flow:i;
-    Netsim.Telemetry.on_drop ~node:7 Netsim.Telemetry.No_route;
-    Netsim.Telemetry.on_select ~provider:2 ~inbound:true
+    match site.plane with
+    | Some tm ->
+        Netsim.Telemetry.touch tm ~now:(float_of_int i);
+        Netsim.Telemetry.on_link tm ~link:3 ~dir:0 ~bytes:1400;
+        Netsim.Telemetry.on_node_tx tm ~node:7 ~bytes:1400;
+        Netsim.Telemetry.on_node_rx tm ~node:8 ~bytes:1400;
+        Netsim.Telemetry.on_node_fwd tm ~node:9 ~bytes:1400;
+        Netsim.Telemetry.on_flow_packet tm ~eid:i ~flow:i;
+        Netsim.Telemetry.on_drop tm ~node:7 Netsim.Telemetry.No_route;
+        Netsim.Telemetry.on_select tm ~provider:2 ~inbound:true
+    | None -> ()
   in
   for i = 1 to 1_000 do cycle i done;
   let w0 = Gc.minor_words () in
@@ -253,7 +258,6 @@ let fingerprint ~seed ~telemetry =
         Core.Scenario.telemetry =
           (if telemetry then Some (config ~slots:8 ()) else None) }
   in
-  Fun.protect ~finally:Netsim.Telemetry.stop @@ fun () ->
   let internet = Core.Scenario.internet s in
   let flow =
     Nettypes.Flow.create
@@ -407,23 +411,24 @@ let count_causes causes =
     [] causes
   |> List.sort compare
 
-(* A small Figure-1 run: three connections, both directions. *)
-let tally_run config ~hub =
-  let s = Core.Scenario.build config in
-  Fun.protect ~finally:Netsim.Telemetry.stop @@ fun () ->
-  let events = if hub then subscribe_all s else fun () -> [] in
+(* Three Figure-1 connections, both directions. *)
+let open_three s =
   let internet = Core.Scenario.internet s in
   let eid d h =
     Topology.Domain.host_eid internet.Topology.Builder.domains.(d) h
   in
-  let conns =
-    List.map
-      (fun (src, dst, port) ->
-        let flow = Nettypes.Flow.create ~src ~dst ~src_port:port () in
-        Core.Scenario.open_connection s ~flow ~data_packets:3 ())
-      [ (eid 0 0, eid 1 0, 7001); (eid 0 1, eid 1 1, 7002);
-        (eid 1 0, eid 0 1, 7003) ]
-  in
+  List.map
+    (fun (src, dst, port) ->
+      let flow = Nettypes.Flow.create ~src ~dst ~src_port:port () in
+      Core.Scenario.open_connection s ~flow ~data_packets:3 ())
+    [ (eid 0 0, eid 1 0, 7001); (eid 0 1, eid 1 1, 7002);
+      (eid 1 0, eid 0 1, 7003) ]
+
+(* A small Figure-1 run: three connections, both directions. *)
+let tally_run config ~hub =
+  let s = Core.Scenario.build config in
+  let events = if hub then subscribe_all s else fun () -> [] in
+  let conns = open_three s in
   Core.Scenario.run s;
   let dp = Core.Scenario.dataplane s in
   let counters = Lispdp.Dataplane.counters dp in
@@ -454,11 +459,12 @@ let tally_run config ~hub =
       |> count_causes;
     from_dataplane = List.sort compare (Lispdp.Dataplane.drop_causes dp);
     from_telemetry =
-      List.filter_map
-        (fun (cause, n) ->
-          let label = Netsim.Telemetry.drop_label cause in
-          if List.mem label non_packet then None else Some (label, n))
-        (Netsim.Telemetry.drop_totals ())
+      (match Core.Scenario.telemetry s with
+      | Some tm -> Netsim.Telemetry.drop_totals tm
+      | None -> [])
+      |> List.filter_map (fun (cause, n) ->
+             let label = Netsim.Telemetry.drop_label cause in
+             if List.mem label non_packet then None else Some (label, n))
       |> List.sort compare;
     dropped = counters.Lispdp.Dataplane.dropped }
 
@@ -508,7 +514,6 @@ let test_scenario_drop_agreement () =
         Core.Scenario.cp = Core.Scenario.Cp_pull_drop;
         Core.Scenario.telemetry = Some (config ()) }
   in
-  Fun.protect ~finally:Netsim.Telemetry.stop @@ fun () ->
   let internet = Core.Scenario.internet s in
   let flow =
     Nettypes.Flow.create
@@ -522,7 +527,8 @@ let test_scenario_drop_agreement () =
   let typed =
     List.map
       (fun (cause, n) -> (Netsim.Telemetry.drop_label cause, n))
-      (Netsim.Telemetry.drop_totals ())
+      (Netsim.Telemetry.drop_totals
+         (Option.get (Core.Scenario.telemetry s)))
   in
   Alcotest.(check (list (pair string int)))
     "legacy string table and typed counters agree" legacy typed
@@ -593,18 +599,255 @@ let test_security_record_round_trip () =
 (* json_snapshot must always be printable and re-parseable, including
    the degenerate zero-traffic balance (infinite ratios become null). *)
 let test_json_snapshot_well_formed () =
-  start ();
-  Netsim.Telemetry.register_uplink ~link:0 ~provider:0 ~egress_dir:0;
-  Netsim.Telemetry.touch ~now:0.2;
-  Netsim.Telemetry.on_link ~link:0 ~dir:1 ~bytes:100;
-  Netsim.Telemetry.on_drop ~node:2 Netsim.Telemetry.No_receiver;
-  let text = Obs.Json.to_string (Obs.Telemetry.json_snapshot ~series:true ()) in
+  let tm = plane () in
+  Netsim.Telemetry.register_uplink tm ~link:0 ~provider:0 ~egress_dir:0;
+  Netsim.Telemetry.touch tm ~now:0.2;
+  Netsim.Telemetry.on_link tm ~link:0 ~dir:1 ~bytes:100;
+  Netsim.Telemetry.on_drop tm ~node:2 Netsim.Telemetry.No_receiver;
+  let text = Obs.Json.to_string (Obs.Telemetry.json_snapshot ~series:true tm) in
   (match Obs.Json.of_string text with
   | Error msg -> Alcotest.failf "snapshot does not re-parse: %s" msg
   | Ok json ->
       Alcotest.(check (option int)) "drop count present" (Some 1)
-        (Option.bind (Obs.Json.member "dropped" json) Obs.Json.to_int_opt));
-  Netsim.Telemetry.stop ()
+        (Option.bind (Obs.Json.member "dropped" json) Obs.Json.to_int_opt))
+
+(* ------------------------------------------------------------------ *)
+(* Conservation laws                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* A small internet in pce-flap's shape: PCE with rebalancing
+   monitors, border 0 of domain [k mod domains] failing for 0.5 s every
+   second, and [flows] flows arriving at 20/s. *)
+let flap_run ~seed ~domains ~flows =
+  let s =
+    Core.Scenario.build
+      { Core.Scenario.default_config with
+        Core.Scenario.seed;
+        topology =
+          `Random
+            { Topology.Builder.default_params with
+              Topology.Builder.domain_count = domains; provider_count = 4;
+              borders_per_domain = 3; hosts_per_domain = 3 };
+        cp = Core.Scenario.Cp_pce Core.Pce_control.default_options;
+        telemetry = Some (config ()) }
+  in
+  let engine = Core.Scenario.engine s in
+  let at time f = ignore (Netsim.Engine.schedule_at engine ~time f) in
+  let duration = float_of_int flows /. 20.0 in
+  Option.iter
+    (fun pce ->
+      Core.Pce_control.run_monitoring pce ~interval:0.5
+        ~until:(duration +. 5.0) ~rebalance:true)
+    (Core.Scenario.pce s);
+  for k = 1 to int_of_float duration do
+    let domain = k mod domains and time = float_of_int k in
+    at time (fun () -> Core.Scenario.fail_uplink s ~domain ~border:0);
+    at (time +. 0.5) (fun () ->
+        Core.Scenario.restore_uplink s ~domain ~border:0)
+  done;
+  let traffic =
+    Workload.Traffic.create
+      ~rng:(Netsim.Rng.split (Core.Scenario.rng s))
+      ~internet:(Core.Scenario.internet s) ()
+  in
+  for i = 0 to flows - 1 do
+    at (float_of_int i /. 20.0) (fun () ->
+        let flow = Workload.Traffic.random_flow traffic () in
+        ignore (Core.Scenario.open_connection s ~flow ~data_packets:8 ()))
+  done;
+  Core.Scenario.run s;
+  s
+
+(* The laws that tie the plane to the counters it shadows.  Each
+   returns the first violation found. *)
+let conservation_violations s =
+  let tm = Option.get (Core.Scenario.telemetry s) in
+  let internet = Core.Scenario.internet s in
+  let sum f l = List.fold_left (fun acc x -> acc + f x) 0 l in
+  let links =
+    List.concat_map
+      (fun l ->
+        let open Topology.Link in
+        [ (Printf.sprintf "link %d a->b" (id l),
+           (Netsim.Telemetry.link_stat tm ~link:(id l) ~dir:0).st_bytes,
+           bytes_from l (a l));
+          (Printf.sprintf "link %d b->a" (id l),
+           (Netsim.Telemetry.link_stat tm ~link:(id l) ~dir:1).st_bytes,
+           bytes_from l (b l)) ])
+      (Topology.Graph.links internet.Topology.Builder.graph)
+  in
+  let borders =
+    Array.to_list internet.Topology.Builder.domains
+    |> List.concat_map (fun d -> Array.to_list d.Topology.Domain.borders)
+  in
+  let provider_ids =
+    List.sort_uniq compare
+      (List.map (fun b -> b.Topology.Domain.provider) borders)
+  in
+  let uplink_bytes p ~egress =
+    sum
+      (fun b ->
+        let uplink = b.Topology.Domain.uplink
+        and router = b.Topology.Domain.router in
+        Topology.Link.bytes_from uplink
+          (if egress then router else Topology.Link.other_end uplink router))
+      (List.filter (fun b -> b.Topology.Domain.provider = p) borders)
+  in
+  let provider_laws =
+    List.concat_map
+      (fun p ->
+        [ (Printf.sprintf "provider %d in" p,
+           (Netsim.Telemetry.provider_stat tm ~provider:p `In).st_bytes,
+           uplink_bytes p ~egress:false);
+          (Printf.sprintf "provider %d out" p,
+           (Netsim.Telemetry.provider_stat tm ~provider:p `Out).st_bytes,
+           uplink_bytes p ~egress:true) ])
+      provider_ids
+  in
+  let dp = Lispdp.Dataplane.counters (Core.Scenario.dataplane s) in
+  let node kind f =
+    sum (fun n -> f (Netsim.Telemetry.node_stat tm ~node:n kind))
+      (Netsim.Telemetry.nodes tm)
+  in
+  let observed = Netsim.Telemetry.flow_packets_observed tm in
+  let node_laws =
+    Netsim.Telemetry.
+      [ ("node tx pkts = flow packets", node `Tx (fun st -> st.st_pkts),
+         observed);
+        ("flow packets = sent", observed, dp.Lispdp.Dataplane.sent);
+        ("node rx pkts = delivered", node `Rx (fun st -> st.st_pkts),
+         dp.Lispdp.Dataplane.delivered);
+        ("node rx bytes = delivered bytes", node `Rx (fun st -> st.st_bytes),
+         dp.Lispdp.Dataplane.delivered_bytes);
+        ("providers registered", List.length (providers tm),
+         List.length provider_ids) ]
+  in
+  List.filter (fun (_, got, want) -> got <> want)
+    (links @ provider_laws @ node_laws)
+
+let prop_conservation =
+  QCheck.Test.make ~count:12
+    ~name:"plane conserves link, provider and node bytes under flaps"
+    QCheck.(pair (int_range 1 1_000) (int_range 3 6))
+    (fun (seed, domains) ->
+      let s = flap_run ~seed ~domains ~flows:40 in
+      let dp = Lispdp.Dataplane.counters (Core.Scenario.dataplane s) in
+      if dp.Lispdp.Dataplane.delivered = 0 then
+        QCheck.Test.fail_reportf "seed %d: nothing delivered" seed;
+      match conservation_violations s with
+      | [] -> true
+      | (law, got, want) :: _ ->
+          QCheck.Test.fail_reportf "seed %d, %d domains: %s: plane %d, \
+                                    counter %d" seed domains law got want)
+
+(* ------------------------------------------------------------------ *)
+(* One plane per scenario                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* Figure-1 PCE with three connections. *)
+let figure1_pce () =
+  let s =
+    Core.Scenario.build
+      { Core.Scenario.default_config with
+        Core.Scenario.telemetry = Some (config ()) }
+  in
+  ignore (open_three s);
+  s
+
+(* A 6-domain random internet under pull-queue, with border 0 of
+   domain 1 down from 0.3 s to 0.8 s. *)
+let random_pull_flap () =
+  let s =
+    Core.Scenario.build
+      { Core.Scenario.default_config with
+        Core.Scenario.seed = 7;
+        topology =
+          `Random
+            { Topology.Builder.default_params with
+              Topology.Builder.domain_count = 6; hosts_per_domain = 2 };
+        cp = Core.Scenario.Cp_pull_queue 8;
+        telemetry = Some (config ()) }
+  in
+  let engine = Core.Scenario.engine s in
+  let at time f = ignore (Netsim.Engine.schedule_at engine ~time f) in
+  at 0.3 (fun () -> Core.Scenario.fail_uplink s ~domain:1 ~border:0);
+  at 0.8 (fun () -> Core.Scenario.restore_uplink s ~domain:1 ~border:0);
+  let traffic =
+    Workload.Traffic.create
+      ~rng:(Netsim.Rng.split (Core.Scenario.rng s))
+      ~internet:(Core.Scenario.internet s) ()
+  in
+  for i = 0 to 19 do
+    at (float_of_int i *. 0.05) (fun () ->
+        let flow = Workload.Traffic.random_flow traffic () in
+        ignore (Core.Scenario.open_connection s ~flow ~data_packets:4 ()))
+  done;
+  s
+
+(* Run [scenarios] in alternating 50 ms steps until all drain, then
+   render each one's series snapshot. *)
+let run_in_steps scenarios =
+  let drained s = Netsim.Engine.pending (Core.Scenario.engine s) = 0 in
+  let rec step k =
+    if not (List.for_all drained scenarios) then begin
+      let until = 0.05 *. float_of_int k in
+      List.iter (fun s -> Core.Scenario.run ~until s) scenarios;
+      step (k + 1)
+    end
+  in
+  step 1;
+  List.map
+    (fun s ->
+      Obs.Json.to_string
+        (Obs.Telemetry.json_snapshot ~series:true
+           (Option.get (Core.Scenario.telemetry s))))
+    scenarios
+
+let test_planes_independent () =
+  let solo make = List.hd (run_in_steps [ make () ]) in
+  let fig_first = solo figure1_pce and rand_first = solo random_pull_flap in
+  let together = run_in_steps [ figure1_pce (); random_pull_flap () ] in
+  let fig_last = solo figure1_pce and rand_last = solo random_pull_flap in
+  Alcotest.(check string) "figure-1 interleaved = solo first" fig_first
+    (List.nth together 0);
+  Alcotest.(check string) "random interleaved = solo first" rand_first
+    (List.nth together 1);
+  Alcotest.(check string) "figure-1 solo last = solo first" fig_first fig_last;
+  Alcotest.(check string) "random solo last = solo first" rand_first rand_last
+
+(* A plane is sized by its own graph: the 200th build of one config
+   costs the major heap what the 10th did.  A build's major-heap words
+   are what it allocates there directly plus what survives into the
+   collection right after it. *)
+let test_build_cost_flat () =
+  let config =
+    { Core.Scenario.default_config with
+      Core.Scenario.topology =
+        `Random
+          { Topology.Builder.default_params with
+            Topology.Builder.domain_count = 8; borders_per_domain = 3 };
+      telemetry = Some Netsim.Telemetry.default_config }
+  in
+  let major_words () =
+    let _, _, major = Gc.counters () in
+    major
+  in
+  let words =
+    Array.init 200 (fun _ ->
+        Gc.minor ();
+        let w0 = major_words () in
+        let s = Core.Scenario.build config in
+        Gc.minor ();
+        let w = major_words () -. w0 in
+        ignore (Sys.opaque_identity s);
+        w)
+  in
+  let w10 = words.(9) and w200 = words.(199) in
+  Alcotest.(check bool)
+    (Printf.sprintf "build 200 (%.0f words) within 5%% of build 10 (%.0f)"
+       w200 w10)
+    true
+    (Float.abs (w200 -. w10) <= 0.05 *. w10)
 
 let () =
   Alcotest.run "telemetry"
@@ -636,6 +879,9 @@ let () =
         [
           Alcotest.test_case "disabled path allocation-free" `Quick
             test_disabled_path_allocation_free;
+          Alcotest.test_case "planes independent" `Quick
+            test_planes_independent;
+          Alcotest.test_case "build cost flat" `Quick test_build_cost_flat;
         ] );
       ( "serialisation",
         [
@@ -649,5 +895,5 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [ prop_telemetry_preserves_output;
             prop_disarmed_adversary_preserves_output;
-            prop_hub_and_drop_tallies ] );
+            prop_hub_and_drop_tallies; prop_conservation ] );
     ]

@@ -76,12 +76,42 @@ let test_graph_account_path () =
   Alcotest.(check int) "reverse direction empty" 0 (Link.bytes_from link_ac c);
   Alcotest.(check int) "direct link unused" 0 (Link.bytes_from link_ad a)
 
+(* Links are numbered per graph: a second graph starts again at 0. *)
+let test_graph_link_ids () =
+  let ids g = List.sort compare (List.map Link.id (Graph.links g)) in
+  let g1, _, _, _, _ = diamond () in
+  let g2, _, _, _, _ = diamond () in
+  Alcotest.(check (list int)) "dense from 0" [ 0; 1; 2; 3; 4 ] (ids g1);
+  Alcotest.(check (list int)) "second graph from 0" (ids g1) (ids g2)
+
+(* With a plane attached, the same walk feeds its per-link counters and
+   the forwarding counter of the interior node only. *)
+let test_graph_account_path_plane () =
+  let g, a, _, c, d = diamond () in
+  let plane =
+    Netsim.Telemetry.create ~now:0.0
+      ~node_name:(fun n -> (Graph.node g n).Node.label) ()
+  in
+  Graph.set_telemetry g plane;
+  Graph.account_path g ~src:a ~dst:d ~bytes:1000;
+  let bytes u v =
+    let link = Option.get (Graph.link_between g u v) in
+    let dir = if Link.a link = u then 0 else 1 in
+    (Netsim.Telemetry.link_stat plane ~link:(Link.id link) ~dir)
+      .Netsim.Telemetry.st_bytes
+  in
+  Alcotest.(check int) "a->c" 1000 (bytes a c);
+  Alcotest.(check int) "c->d" 1000 (bytes c d);
+  Alcotest.(check int) "c->a" 0 (bytes c a);
+  Alcotest.(check (list int)) "only c forwards" [ c ]
+    (Netsim.Telemetry.nodes plane)
+
 (* ------------------------------------------------------------------ *)
 (* Link                                                                *)
 (* ------------------------------------------------------------------ *)
 
 let test_link_accounting () =
-  let l = Link.create ~a:0 ~b:1 ~latency:0.01 ~capacity_bps:1e6 () in
+  let l = Link.create ~id:0 ~a:0 ~b:1 ~latency:0.01 ~capacity_bps:1e6 () in
   Link.account l ~src:0 ~bytes:500;
   Link.account l ~src:0 ~bytes:500;
   Link.account l ~src:1 ~bytes:100;
@@ -93,7 +123,7 @@ let test_link_accounting () =
   Alcotest.(check int) "reset" 0 (Link.bytes_from l 0)
 
 let test_link_other_end () =
-  let l = Link.create ~a:3 ~b:9 ~latency:0.01 () in
+  let l = Link.create ~id:0 ~a:3 ~b:9 ~latency:0.01 () in
   Alcotest.(check int) "other of a" 9 (Link.other_end l 3);
   Alcotest.(check int) "other of b" 3 (Link.other_end l 9);
   Alcotest.check_raises "stranger" (Invalid_argument "Link.other_end: node is not an endpoint")
@@ -357,6 +387,9 @@ let () =
           Alcotest.test_case "duplicate rejected" `Quick test_graph_duplicate_link_rejected;
           Alcotest.test_case "cache invalidation" `Quick test_graph_cache_invalidation;
           Alcotest.test_case "account path" `Quick test_graph_account_path;
+          Alcotest.test_case "link ids per graph" `Quick test_graph_link_ids;
+          Alcotest.test_case "account path feeds plane" `Quick
+            test_graph_account_path_plane;
         ] );
       ( "link",
         [
