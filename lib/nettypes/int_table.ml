@@ -1,7 +1,10 @@
 (* Open-addressing int-keyed table: linear probing, power-of-two
    capacity, tombstone deletion.  Keys are hashed with a Fibonacci
    multiplier so clustered key ranges (sequential addresses) spread
-   across the table. *)
+   across the table.  The product's high bits are folded into the low
+   bits that pick the slot: the low bits of a product depend only on the
+   low bits of the key, and packed prefix keys (a /24 is [network lsl 6
+   lor 24]) all share theirs. *)
 
 let empty_key = -1
 let tomb_key = -2
@@ -17,7 +20,9 @@ type 'a t = {
 
 let fib = 0x2545F4914F6CDD1D
 
-let slot_of t key = key * fib land max_int land t.mask
+let slot_of t key =
+  let h = key * fib in
+  (h lxor (h lsr 29)) land t.mask
 
 let rec capacity_for n cap = if cap >= n then cap else capacity_for n (2 * cap)
 

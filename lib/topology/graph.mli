@@ -5,6 +5,18 @@
     message and packet delays in the simulator derive from
     {!latency_between}.
 
+    Each source's shortest-path tree is two flat arrays over (node,
+    phase) search states: a float array of distances, and an int array
+    packing each state's incoming link id and its predecessor's phase
+    (the predecessor node is that link's other end).  A binary heap of
+    state ids settles states in (distance, state id) order, so ties
+    break the same way on every run.  {!latency_between} reads one
+    cell; {!path_between} and {!account_path} walk back from the
+    destination, one step per hop, and a warm {!account_path}
+    allocates nothing.  A dropped tree is rebuilt into its own arrays.
+    A cold build runs in the profiler's [routing] phase; a warm lookup
+    stays in its caller's phase.
+
     Routing is {e valley-free}: every path decomposes into an internal
     prefix (leaving the source domain over {!Link.Internal} links), an
     external middle (access and core links), and an internal suffix
@@ -62,8 +74,13 @@ val set_telemetry : t -> Netsim.Telemetry.t -> unit
 
 val set_link_up : t -> Link.t -> bool -> unit
 (** Fail or restore a link.  Down links are invisible to shortest-path
-    computation; routing caches are invalidated. *)
+    computation.  Any change drops every cached tree ({!invalidate_cache}).
+    Dropping only the trees a change affects would not save work: a
+    border router's external state is reachable only over its own
+    uplink, so every tree from outside its domain uses that uplink.  On
+    a flapping internet such a rule dropped every cached tree at every
+    flap anyway. *)
 
 val invalidate_cache : t -> unit
-(** Must be called if links are added after latency queries (builders do
-    this automatically via [connect]). *)
+(** Drop every cached tree; each is rebuilt, in place, on its source's
+    next query.  {!connect}, {!add_node} and {!set_link_up} call it. *)

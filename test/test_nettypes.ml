@@ -153,6 +153,23 @@ let test_int_table_churn_keeps_probes_short () =
   if mean > 4.0 then
     Alcotest.failf "mean probe length %.2f after churn (want <= 4)" mean
 
+(* Packed /24 prefix keys ([network lsl 6 lor 24], as the map-cache
+   index packs them) share their low 14 bits.  A hash that kept only the
+   low bits of [key * fib] started every one of them at the same slot:
+   4,096 keys averaged 2,048.5 probes each. *)
+let test_int_table_prefix_keys_spread () =
+  let t = Int_table.create ~dummy:(-1) () in
+  let keys =
+    List.init 4096 (fun i -> ((10 lsl 24) lor (i lsl 8)) lsl 6 lor 24)
+  in
+  List.iter (fun k -> Int_table.add t k k) keys;
+  let probes =
+    List.fold_left (fun acc k -> acc + Int_table.probe_length t k) 0 keys
+  in
+  let mean = float_of_int probes /. 4096.0 in
+  if mean > 2.0 then
+    Alcotest.failf "mean probe length %.2f over /24 keys (want <= 2)" mean
+
 (* ------------------------------------------------------------------ *)
 (* Prefix_table                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -526,6 +543,8 @@ let () =
             test_int_table_mass_remove_cleans_tombstones;
           Alcotest.test_case "churn keeps probes short" `Quick
             test_int_table_churn_keeps_probes_short;
+          Alcotest.test_case "prefix keys spread" `Quick
+            test_int_table_prefix_keys_spread;
         ] );
       ( "mapping",
         [

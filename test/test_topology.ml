@@ -107,6 +107,327 @@ let test_graph_account_path_plane () =
     (Netsim.Telemetry.nodes plane)
 
 (* ------------------------------------------------------------------ *)
+(* Route oracle                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* The dense O(V^2) valley-free Dijkstra that [Graph] routed with before
+   its binary heap: scan every (node, phase) state for the nearest
+   unsettled one, relax its links with a strict [<].  The heap must
+   reproduce its trees bit for bit, tie-breaks included. *)
+module Oracle = struct
+  let phases = 3
+
+  let dijkstra g src =
+    let states = Graph.node_count g * phases in
+    let dist = Array.make states infinity in
+    let pred = Array.make states (-1) in
+    let visited = Array.make states false in
+    dist.(src * phases) <- 0.0;
+    for _ = 1 to states do
+      let u = ref (-1) and best = ref infinity in
+      for v = 0 to states - 1 do
+        if (not visited.(v)) && dist.(v) < !best then begin
+          best := dist.(v);
+          u := v
+        end
+      done;
+      if !u >= 0 then begin
+        visited.(!u) <- true;
+        let phase = !u mod phases in
+        List.iter
+          (fun (v, link) ->
+            let next =
+              if not (Link.is_up link) then None
+              else
+                match (Link.kind link, phase) with
+                | Link.Internal, 0 -> Some 0
+                | Link.Internal, _ -> Some 2
+                | Link.External, (0 | 1) -> Some 1
+                | Link.External, _ -> None
+            in
+            match next with
+            | Some p ->
+                let state = (v * phases) + p in
+                let candidate = dist.(!u) +. Link.latency link in
+                if candidate < dist.(state) then begin
+                  dist.(state) <- candidate;
+                  pred.(state) <- !u
+                end
+            | None -> ())
+          (Graph.neighbours g (!u / phases))
+      end
+    done;
+    (dist, pred)
+
+  (* [b]'s nearest reachable state, lowest phase on a tie; a border
+     router is never reached in phase 2. *)
+  let best_state g dist b =
+    let allowed =
+      match (Graph.node g b).Node.kind with
+      | Node.Border_router -> [ 0; 1 ]
+      | _ -> [ 0; 1; 2 ]
+    in
+    List.fold_left
+      (fun acc p ->
+        let state = (b * phases) + p in
+        match acc with
+        | Some s when dist.(s) <= dist.(state) -> acc
+        | Some _ | None -> if dist.(state) = infinity then acc else Some state)
+      None allowed
+
+  (* Latency and node path from [src] to [dst], or [None] when
+     unreachable. *)
+  let route g (dist, pred) src dst =
+    if src = dst then Some (0.0, [ src ])
+    else
+      match best_state g dist dst with
+      | None -> None
+      | Some final ->
+          let rec walk state acc =
+            let node = state / phases in
+            if node = src && state mod phases = 0 then node :: acc
+            else walk pred.(state) (node :: acc)
+          in
+          Some (dist.(final), walk final [])
+end
+
+let link_of g u v =
+  match Graph.link_between g u v with
+  | Some l -> l
+  | None -> Alcotest.failf "no link %d-%d on the path" u v
+
+(* Valley-free: up links only, internal* external* internal*, and a
+   border router is not entered from its own domain after external
+   links. *)
+let valley_free g path =
+  let rec hops = function
+    | u :: (v :: _ as rest) -> link_of g u v :: hops rest
+    | [ _ ] | [] -> []
+  in
+  let links = hops path in
+  let rec drop kind = function
+    | l :: rest when Link.kind l = kind -> drop kind rest
+    | rest -> rest
+  in
+  let after_prefix = drop Link.Internal links in
+  let suffix = drop Link.External after_prefix in
+  let entered_inside =
+    List.length suffix < List.length after_prefix && suffix <> []
+  in
+  let dst = List.nth path (List.length path - 1) in
+  List.for_all Link.is_up links
+  && List.for_all (fun l -> Link.kind l = Link.Internal) suffix
+  && not (entered_inside && (Graph.node g dst).Node.kind = Node.Border_router)
+
+(* [account_path] must charge each hop of [path_between], sender side,
+   and nothing else. *)
+let charges_path g src dst path =
+  let by_id = Array.of_list (List.rev (Graph.links g)) in
+  let counters () =
+    Array.map (fun l -> (Link.bytes_from l (Link.a l), Link.bytes_from l (Link.b l))) by_id
+  in
+  let before = counters () in
+  Graph.account_path g ~src ~dst ~bytes:1;
+  let charged = Array.map2 (fun (a0, b0) (a1, b1) -> (a1 - a0, b1 - b0)) before (counters ()) in
+  let expected = Array.make (Array.length by_id) (0, 0) in
+  let rec hop = function
+    | u :: (v :: _ as rest) ->
+        let l = link_of g u v in
+        let ab, ba = expected.(Link.id l) in
+        expected.(Link.id l) <- (if u = Link.a l then (ab + 1, ba) else (ab, ba + 1));
+        hop rest
+    | [ _ ] | [] -> ()
+  in
+  hop path;
+  charged = expected
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* Routes from [src] to every node must equal the oracle's — latency
+   bit for bit, path tie-breaks included, the same unreachable pairs —
+   and be valley-free, and [account_path] must charge exactly the links
+   of [path_between]. *)
+let check_source g src =
+  let tree = Oracle.dijkstra g src in
+  for dst = 0 to Graph.node_count g - 1 do
+    let heap =
+      match Graph.latency_between g src dst with
+      | l -> Some l
+      | exception Not_found -> None
+    in
+    match (Oracle.route g tree src dst, heap) with
+    | None, Some l ->
+        QCheck.Test.fail_reportf "%d->%d: oracle unreachable, heap %g" src dst l
+    | Some (ol, _), None ->
+        QCheck.Test.fail_reportf "%d->%d: heap unreachable, oracle %g" src dst ol
+    | Some (ol, opath), Some l ->
+        if not (same_bits ol l) then
+          QCheck.Test.fail_reportf "%d->%d: latency %h, oracle %h" src dst l ol;
+        let path = Graph.path_between g src dst in
+        if path <> opath then
+          QCheck.Test.fail_reportf "%d->%d: path differs from the oracle's" src dst;
+        if not (valley_free g path) then
+          QCheck.Test.fail_reportf "%d->%d: path is not valley-free" src dst;
+        if not (charges_path g src dst path) then
+          QCheck.Test.fail_reportf "%d->%d: account_path charged other links" src dst
+    | None, None -> (
+        match Graph.path_between g src dst with
+        | exception Not_found -> ()
+        | _ -> QCheck.Test.fail_reportf "%d->%d: path without latency" src dst)
+  done
+
+(* A random internet from one seed: 3-7 domains, 2-5 providers, 2-3
+   borders, either core shape, and half the time fixed core and access
+   latencies, so that equal-cost paths exercise the tie-breaks. *)
+let oracle_internet seed =
+  let rng = Netsim.Rng.create seed in
+  let provider_count = 2 + Netsim.Rng.int rng 4 in
+  let params =
+    { Builder.default_params with
+      domain_count = 3 + Netsim.Rng.int rng 5;
+      provider_count;
+      borders_per_domain = 2 + Netsim.Rng.int rng 2;
+      core_shape =
+        (if Netsim.Rng.bool rng then
+           Builder.Two_tier (2 + Netsim.Rng.int rng (provider_count - 1))
+         else Builder.Full_mesh) }
+  in
+  let params =
+    if Netsim.Rng.bool rng then
+      { params with core_latency = (0.02, 0.02); access_latency = (0.004, 0.004) }
+    else params
+  in
+  (rng, params)
+
+(* Random link toggles, internal and external, each followed by a check
+   of three sampled sources. *)
+let prop_routes_match_oracle =
+  QCheck.Test.make ~name:"heap routes = dense oracle under link toggles"
+    ~count:12
+    (QCheck.make
+       ~print:(fun seed ->
+         let _, p = oracle_internet seed in
+         Printf.sprintf "seed %d: %d domains, %d providers, %d borders, %s core%s"
+           seed p.Builder.domain_count p.Builder.provider_count
+           p.Builder.borders_per_domain
+           (match p.Builder.core_shape with
+           | Builder.Full_mesh -> "full-mesh"
+           | Builder.Two_tier k -> Printf.sprintf "two-tier %d" k)
+           (if fst p.Builder.core_latency = snd p.Builder.core_latency then
+              ", fixed latencies"
+            else ""))
+       QCheck.Gen.(int_range 1 1_000_000))
+    (fun seed ->
+      let rng, params = oracle_internet seed in
+      let g = (Builder.generate rng params).Builder.graph in
+      let links = Array.of_list (Graph.links g) in
+      for _ = 1 to 24 do
+        let l = links.(Netsim.Rng.int rng (Array.length links)) in
+        Graph.set_link_up g l (not (Link.is_up l));
+        for _ = 1 to 3 do
+          check_source g (Netsim.Rng.int rng (Graph.node_count g))
+        done
+      done;
+      true)
+
+(* Hand-built ties.  Two equal-cost paths s-a-d and s-b-d: the state
+   settled first (lower id) relaxes d first, and a strict [<] keeps it.
+   Then x at distance 2 in all three phases — internally via a (phase
+   0), externally via b (phase 1), and into its domain via c (phase 2):
+   the lowest phase wins. *)
+let test_routing_ties () =
+  let g = Graph.create () in
+  let node label = Graph.add_node g ~kind:Node.Hub ~label in
+  let s = node "s" and a = node "a" and b = node "b" and d = node "d" in
+  List.iter
+    (fun (u, v) -> ignore (Graph.connect g u v ~latency:1.0 ()))
+    [ (s, b); (s, a); (b, d); (a, d) ];
+  Alcotest.(check (list int)) "lower id settles first" [ s; a; d ]
+    (Graph.path_between g s d);
+  let g = Graph.create () in
+  let node label = Graph.add_node g ~kind:Node.Host ~label in
+  let s = node "s" and c = node "c" and b = node "b" and a = node "a" in
+  let x = node "x" in
+  List.iter
+    (fun (kind, u, v) -> ignore (Graph.connect g u v ~latency:1.0 ~kind ()))
+    [ (Link.External, s, c); (Link.Internal, c, x); (Link.External, s, b);
+      (Link.External, b, x); (Link.Internal, s, a); (Link.Internal, a, x) ];
+  Alcotest.(check (list int)) "lowest phase on a tie" [ s; a; x ]
+    (Graph.path_between g s x);
+  for src = 0 to Graph.node_count g - 1 do
+    check_source g src
+  done
+
+(* ------------------------------------------------------------------ *)
+(* Routing cost pins                                                   *)
+(* ------------------------------------------------------------------ *)
+
+let pin_internet () =
+  (Builder.generate (Netsim.Rng.create 42)
+     { Builder.default_params with domain_count = 32; borders_per_domain = 3 })
+    .Builder.graph
+
+(* Builds every tree once from a fresh (fully connected) graph. *)
+let warm_all g =
+  let n = Graph.node_count g in
+  for src = 0 to n - 1 do
+    ignore (Graph.latency_between g src ((src + 1) mod n))
+  done
+
+let minor_words f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+(* A warm [account_path] walks the cached tree: no path list, no
+   per-hop lookup.  The list-building version allocated ~50 words per
+   call. *)
+let test_account_path_allocation () =
+  let g = pin_internet () in
+  let n = Graph.node_count g in
+  warm_all g;
+  let pairs = Array.init 1000 (fun i -> ((i * 7919) mod n, (i * 104_729 + 1) mod n)) in
+  let words =
+    minor_words (fun () ->
+        Array.iter (fun (src, dst) -> Graph.account_path g ~src ~dst ~bytes:1200) pairs)
+  in
+  if words >= 1000.0 then
+    Alcotest.failf "1000 warm account_path calls allocated %.0f minor words" words
+
+(* A flap drops every tree; rebuilding refills each one in place
+   (the dense version allocated ~5,900 words per tree). *)
+let test_rebuild_allocation () =
+  let g = pin_internet () in
+  let n = Graph.node_count g in
+  warm_all g;
+  Graph.set_link_up g (List.hd (Graph.links g)) false;
+  let words =
+    minor_words (fun () ->
+        for src = 0 to n - 1 do
+          try ignore (Graph.latency_between g src ((src + 1) mod n))
+          with Not_found -> ()
+        done)
+  in
+  if words /. float_of_int n >= 64.0 then
+    Alcotest.failf "rebuilding %d trees allocated %.0f minor words" n words
+
+(* Cold tree builds, and only they, run in the [routing] phase. *)
+let test_routing_phase () =
+  let g = pin_internet () in
+  let n = Graph.node_count g in
+  Netsim.Prof.start ();
+  warm_all g;
+  warm_all g;
+  Netsim.Prof.stop ();
+  let calls =
+    List.fold_left
+      (fun acc p ->
+        if p.Netsim.Prof.ps_name = "routing" then p.Netsim.Prof.ps_calls else acc)
+      0 (Netsim.Prof.report ()).Netsim.Prof.r_phases
+  in
+  Alcotest.(check int) "one routing call per source" n calls
+
+(* ------------------------------------------------------------------ *)
 (* Link                                                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -390,6 +711,16 @@ let () =
           Alcotest.test_case "link ids per graph" `Quick test_graph_link_ids;
           Alcotest.test_case "account path feeds plane" `Quick
             test_graph_account_path_plane;
+        ] );
+      ( "routing",
+        [
+          QCheck_alcotest.to_alcotest prop_routes_match_oracle;
+          Alcotest.test_case "ties" `Quick test_routing_ties;
+          Alcotest.test_case "warm account_path allocation" `Quick
+            test_account_path_allocation;
+          Alcotest.test_case "rebuild allocation" `Quick test_rebuild_allocation;
+          Alcotest.test_case "routing phase on cold builds" `Quick
+            test_routing_phase;
         ] );
       ( "link",
         [
