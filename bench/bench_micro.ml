@@ -1,6 +1,6 @@
 (* Micro-benchmarks of the simulator's hot paths (Bechamel): event-queue
-   throughput, map-cache operations, longest-prefix matching, shortest
-   paths, and a complete PCE connection end-to-end. *)
+   throughput, map-cache longest-prefix lookups, shortest paths, and a
+   complete PCE connection end-to-end. *)
 
 open Bechamel
 open Toolkit
@@ -36,26 +36,6 @@ let test_map_cache =
              (Lispdp.Map_cache.lookup cache_for_bench ~now:1.0
                 (Nettypes.Ipv4.addr_of_int
                    ((100 lsl 24) lor ((i mod 200) lsl 8) lor 7)))
-         done))
-
-let trie_for_bench =
-  let t = Nettypes.Prefix_table.create () in
-  for i = 0 to 999 do
-    Nettypes.Prefix_table.add t
-      (Nettypes.Ipv4.prefix
-         (Nettypes.Ipv4.addr_of_int ((i * 7919) land 0xFFFFFF00))
-         (8 + (i mod 17)))
-      i
-  done;
-  t
-
-let test_trie =
-  Test.make ~name:"prefix-trie: 1k LPM lookups"
-    (Staged.stage (fun () ->
-         for i = 0 to 999 do
-           ignore
-             (Nettypes.Prefix_table.lookup trie_for_bench
-                (Nettypes.Ipv4.addr_of_int ((i * 104729) land 0xFFFFFFFF)))
          done))
 
 let internet_for_bench =
@@ -290,7 +270,7 @@ let hub_disabled_alloc_words () =
   Gc.minor_words () -. w0
 
 let tests =
-  [ test_engine; test_map_cache; test_trie; test_dijkstra; test_pce_connection;
+  [ test_engine; test_map_cache; test_dijkstra; test_pce_connection;
     test_wire_encode; test_wire_decode; test_zipf; test_samples_exact;
     test_samples_reservoir; test_p2; test_hub_disabled;
     test_spans_disabled; test_prof_disabled; test_prof_wrap_disabled;

@@ -12,8 +12,6 @@ open Core
 let id = "v1"
 let title = "V1: validation — analytic vs simulated timings (Figure 1)"
 
-let server_processing = 0.0005
-
 (* Closed-form cold T_DNS: client->resolver, three iterative legs
    (query + processing + response), resolver->client. *)
 let analytic_t_dns internet =
@@ -22,7 +20,9 @@ let analytic_t_dns internet =
   let lat = Topology.Builder.latency internet in
   let client = as_s.Topology.Domain.hosts.(0) in
   let resolver = as_s.Topology.Domain.dns in
-  let leg server = (2.0 *. lat resolver server) +. server_processing in
+  let leg server =
+    (2.0 *. lat resolver server) +. Dnssim.System.server_processing
+  in
   lat client resolver
   +. leg internet.Topology.Builder.root_dns
   +. leg internet.Topology.Builder.tld_dns

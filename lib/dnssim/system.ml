@@ -49,8 +49,6 @@ type t = {
   taps : (Topology.Node.id, tap_context -> unit) Hashtbl.t;
   tap_guards : (Topology.Node.id, tap_guard) Hashtbl.t;
   outages : (Topology.Node.id, unit -> bool) Hashtbl.t;
-  outage_timeout : float;
-  server_processing : float;
   obs : Obs.Hub.t;
   counters : counters;
   (* Off-path answer forgery: consulted once per final address answer;
@@ -100,12 +98,16 @@ let populate t ~record_ttl =
         { node = dns; cache = Hashtbl.create 64; observer = None })
     internet.Topology.Builder.domains
 
-let create ~engine ~internet ?(record_ttl = 3600.0) ?(server_processing = 0.0005)
-    ?(outage_timeout = 2.0) ?obs () =
+let server_processing = 0.0005
+
+(* How long a querier waits on a crashed node before giving up. *)
+let outage_timeout = 2.0
+
+let create ~engine ~internet ?(record_ttl = 3600.0) ?obs () =
   let t =
     { engine; internet; zones = Hashtbl.create 16; resolvers = Hashtbl.create 16;
       taps = Hashtbl.create 4; tap_guards = Hashtbl.create 4;
-      outages = Hashtbl.create 4; outage_timeout; server_processing;
+      outages = Hashtbl.create 4;
       obs = Obs.Hub.or_disabled ~engine obs;
       counters =
         { client_queries = 0; iterative_queries = 0; responses = 0;
@@ -235,13 +237,13 @@ let resolve t ~resolver:resolver_id ~client ~client_eid ?flow qname ~callback =
                   Netsim.Telemetry.Outage_failure
             | None -> ());
             ignore
-              (Netsim.Engine.schedule t.engine ~delay:t.outage_timeout
+              (Netsim.Engine.schedule t.engine ~delay:outage_timeout
                  (Netsim.Prof.wrap ph_dns (fun () -> answer_client None)))
           end
           else
           (* Server-side processing, then answer. *)
           ignore
-            (Netsim.Engine.schedule t.engine ~delay:t.server_processing
+            (Netsim.Engine.schedule t.engine ~delay:server_processing
                (Netsim.Prof.wrap ph_dns (fun () ->
                  let zone =
                    match Hashtbl.find_opt t.zones server with
@@ -343,7 +345,7 @@ let resolve t ~resolver:resolver_id ~client ~client_eid ?flow qname ~callback =
               Netsim.Telemetry.Outage_failure
         | None -> ());
         ignore
-          (Netsim.Engine.schedule t.engine ~delay:t.outage_timeout
+          (Netsim.Engine.schedule t.engine ~delay:outage_timeout
              (Netsim.Prof.wrap ph_dns (fun () ->
                   if Obs.Hub.enabled t.obs then
                     Obs.Hub.emit t.obs ~actor:(node_label t client) ?flow

@@ -21,17 +21,20 @@ val create :
   engine:Netsim.Engine.t ->
   internet:Topology.Builder.t ->
   ?record_ttl:float ->
-  ?server_processing:float ->
-  ?outage_timeout:float ->
   ?obs:Obs.Hub.t ->
   unit ->
   t
-(** [record_ttl] defaults to 3600 s; [server_processing] (per query, at
-    each server) to 0.5 ms; [outage_timeout] (how long a querier waits
-    on a crashed node before giving up, see {!set_server_outage}) to
-    2 s.  [obs] (default: a fresh disabled hub) receives typed
-    [Dns_query] (step 1), [Dns_iterate] (steps 2-5), [Dns_reply]
-    (step 8) and [Poisoned_answer] events when enabled. *)
+(** [record_ttl] defaults to 3600 s.  Each server spends
+    {!server_processing} on a query, and a querier waits 2 s on a
+    crashed node before giving up (see {!set_server_outage}).  [obs]
+    (default: a fresh disabled hub) receives typed [Dns_query]
+    (step 1), [Dns_iterate] (steps 2-5), [Dns_reply] (step 8) and
+    [Poisoned_answer] events when enabled. *)
+
+val server_processing : float
+(** Seconds a DNS server spends on one query (0.5 ms); the closed-form
+    T_DNS of the validation experiment adds it once per iterative
+    leg. *)
 
 val engine : t -> Netsim.Engine.t
 val internet : t -> Topology.Builder.t
@@ -77,9 +80,9 @@ val set_server_outage :
   t -> server:Topology.Node.id -> (unit -> bool) option -> unit
 (** Declare a liveness predicate for a DNS node (authoritative server
     or resolver).  While the predicate holds, queries reaching the node
-    die: the querier observes a failed resolution after
-    [outage_timeout] seconds (counted in [outage_failures]).  Without a
-    predicate the node is permanently up and behaviour is untouched. *)
+    die: the querier observes a failed resolution after 2 s (counted
+    in [outage_failures]).  Without a predicate the node is
+    permanently up and behaviour is untouched. *)
 
 val set_poisoner :
   t -> (qname:Name.t -> Nettypes.Ipv4.addr option) option -> unit

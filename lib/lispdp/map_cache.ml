@@ -1,10 +1,11 @@
 open Nettypes
 
-(* Entries live in a prefix trie for longest-prefix lookup and in a flat
-   int-keyed exact index (the prefix packed into a single int) so the
-   insert/refresh/remove paths skip the trie walk that
-   [Prefix_table.find_exact] costs.  On top of those two shared
-   structures each eviction policy keeps its own victim-selection state:
+(* Entries live in one flat int-keyed index, the prefix packed into a
+   single int.  Insert, refresh and remove are one exact probe; a
+   longest-prefix match probes once per populated prefix length,
+   longest first, and a 33-slot count of live entries per length says
+   which lengths those are.  On top of that shared index each eviction
+   policy keeps its own victim-selection state:
 
    - LRU: an intrusive doubly-linked recency list (head = most recent);
      the victim is the tail.
@@ -70,9 +71,15 @@ and bucket = {
 }
 
 (* A /len prefix packs into [network lsl 6 lor len]: 32 + 6 bits, well
-   inside an OCaml int, and distinct prefixes give distinct keys. *)
+   inside an OCaml int, and distinct prefixes give distinct keys.  Keys
+   order like prefixes: by network, then by length. *)
 let prefix_key p =
   (Ipv4.addr_to_int (Ipv4.prefix_network p) lsl 6) lor Ipv4.prefix_length p
+
+let netmask len = (0xFFFFFFFF lsl (32 - len)) land 0xFFFFFFFF
+
+(* The key of the /len prefix that holds [addr]. *)
+let addr_key addr len = ((Ipv4.addr_to_int addr land netmask len) lsl 6) lor len
 
 let dummy_entry =
   { mapping =
@@ -105,8 +112,8 @@ type t = {
   policy : policy;
   glean_cap : int option;
   mutable gleaned_live : int;
-  table : entry Prefix_table.t;
-  index : entry Int_table.t; (* packed prefix -> entry, exact match *)
+  index : entry Int_table.t; (* packed prefix -> entry *)
+  by_length : int array; (* live entries per prefix length, 0..32 *)
   mutable head : entry option; (* most recently used (LRU / TTL-hybrid) *)
   mutable tail : entry option; (* least recently used (LRU / TTL-hybrid) *)
   mutable lfu_min : bucket option; (* lowest frequency class (LFU) *)
@@ -123,8 +130,8 @@ let create ?(policy = Lru) ?(capacity = 10_000) ?glean_cap () =
   | Some c when c < 0 -> invalid_arg "Map_cache.create: negative glean_cap"
   | Some _ | None -> ());
   { capacity; policy; glean_cap; gleaned_live = 0;
-    table = Prefix_table.create ();
     index = Int_table.create ~dummy:dummy_entry ();
+    by_length = Array.make 33 0;
     head = None; tail = None; lfu_min = None;
     heap = { h_arr = [||]; h_len = 0 };
     stats =
@@ -137,7 +144,7 @@ let set_expire_hook t hook = t.expire_hook <- hook
 let set_reject_hook t hook = t.reject_hook <- hook
 
 let stats t = t.stats
-let length t = Prefix_table.length t.table
+let length t = Int_table.length t.index
 let capacity t = t.capacity
 let policy t = t.policy
 let glean_cap t = t.glean_cap
@@ -309,8 +316,10 @@ let drop_entry t e =
   | Lru | Ttl_hybrid -> unlink t e);
   if e.provenance = Gleaned then t.gleaned_live <- t.gleaned_live - 1;
   e.dead <- true;
-  Prefix_table.remove t.table e.mapping.Mapping.eid_prefix;
-  Int_table.remove t.index (prefix_key e.mapping.Mapping.eid_prefix);
+  let prefix = e.mapping.Mapping.eid_prefix in
+  let len = Ipv4.prefix_length prefix in
+  t.by_length.(len) <- t.by_length.(len) - 1;
+  Int_table.remove t.index (prefix_key prefix);
   if t.policy = Ttl_hybrid then heap_compact t.heap ~live:(length t)
 
 (* Explicit removal: count as an invalidation and tell the hook, so the
@@ -325,19 +334,43 @@ let remove t prefix =
   | Some e -> invalidate t e
   | None -> ()
 
+(* The victims are found by probing every key the prefix covers at each
+   populated length from its own to 32, so the cost follows the covered
+   key space, not the cache size (a whole-index pass per call is
+   quadratic under invalidation churn with millions of entries).  When
+   that would take more probes than the cache holds entries, one pass
+   over the index is cheaper and is made instead.  Victims die in
+   ascending key order, i.e. ascending (network, length): the order of
+   a depth-first walk of the covered prefix tree. *)
 let remove_covered t prefix =
-  (* Only the covered subtree is walked: under invalidation churn with
-     millions of entries a whole-table fold per call is quadratic. *)
-  let victims =
-    Prefix_table.fold_covered t.table prefix ~init:[] ~f:(fun _ e acc ->
-        e :: acc)
-  in
-  List.iter (invalidate t) victims;
+  let network = Ipv4.addr_to_int (Ipv4.prefix_network prefix) in
+  let len = Ipv4.prefix_length prefix in
+  let probes = ref 0 in
+  for l = len to 32 do
+    if t.by_length.(l) > 0 then probes := !probes + (1 lsl (l - len))
+  done;
+  let keys = ref [] in
+  if !probes <= length t then
+    for l = len to 32 do
+      if t.by_length.(l) > 0 then
+        for i = 0 to (1 lsl (l - len)) - 1 do
+          let key = ((network + (i lsl (32 - l))) lsl 6) lor l in
+          if Int_table.mem t.index key then keys := key :: !keys
+        done
+    done
+  else
+    Int_table.iter t.index ~f:(fun key _ ->
+        if key land 63 >= len && (key lsr 6) land netmask len = network then
+          keys := key :: !keys);
+  let victims = List.sort Int.compare !keys in
+  List.iter
+    (fun key -> Option.iter (invalidate t) (Int_table.find t.index key))
+    victims;
   List.length victims
 
 let clear t =
-  Prefix_table.clear t.table;
   Int_table.clear t.index;
+  Array.fill t.by_length 0 33 0;
   t.head <- None;
   t.tail <- None;
   t.lfu_min <- None;
@@ -423,7 +456,8 @@ let insert t ~now ?(provenance = Verified) mapping =
             bucket = None; dead = false }
         in
         if provenance = Gleaned then t.gleaned_live <- t.gleaned_live + 1;
-        Prefix_table.add t.table mapping.Mapping.eid_prefix e;
+        let len = Ipv4.prefix_length mapping.Mapping.eid_prefix in
+        t.by_length.(len) <- t.by_length.(len) + 1;
         Int_table.add t.index key e;
         (match t.policy with
         | Lru -> push_front t e
@@ -435,23 +469,27 @@ let insert t ~now ?(provenance = Verified) mapping =
           t.stats.insertions <- t.stats.insertions + 1
       end
 
-(* Longest-prefix match skipping (and reaping) expired entries. *)
-let rec live_lookup t ~now addr =
-  match Prefix_table.lookup t.table addr with
-  | None -> None
-  | Some (_, e) ->
-      if e.expires_at > now then Some e
-      else begin
+(* Longest-prefix match at lengths [len] and below, skipping (and
+   reaping) expired entries.  An address has one candidate key per
+   length, so after reaping an expired match the next-longest match is
+   further down the lengths. *)
+let rec live_lookup t ~now addr len =
+  if len < 0 then None
+  else if t.by_length.(len) = 0 then live_lookup t ~now addr (len - 1)
+  else
+    match Int_table.find t.index (addr_key addr len) with
+    | None -> live_lookup t ~now addr (len - 1)
+    | Some e as hit when e.expires_at > now -> hit
+    | Some e ->
         drop_entry t e;
         t.stats.expirations <- t.stats.expirations + 1;
         (match t.expire_hook with
         | Some hook -> hook e.mapping
         | None -> ());
-        live_lookup t ~now addr
-      end
+        live_lookup t ~now addr (len - 1)
 
 let lookup t ~now addr =
-  match live_lookup t ~now addr with
+  match live_lookup t ~now addr 32 with
   | Some e ->
       t.stats.hits <- t.stats.hits + 1;
       (match t.policy with
@@ -464,12 +502,11 @@ let lookup t ~now addr =
       t.stats.misses <- t.stats.misses + 1;
       None
 
-let contains t ~now addr = live_lookup t ~now addr <> None
+let contains t ~now addr = live_lookup t ~now addr 32 <> None
 
 let provenance_of t prefix =
-  match Int_table.find t.index (prefix_key prefix) with
-  | Some e when not e.dead -> Some e.provenance
-  | Some _ | None -> None
+  Int_table.find t.index (prefix_key prefix)
+  |> Option.map (fun e -> e.provenance)
 
 let hit_ratio t =
   let total = t.stats.hits + t.stats.misses in

@@ -82,11 +82,13 @@ val remove : t -> Nettypes.Ipv4.prefix -> unit
 val remove_covered : t -> Nettypes.Ipv4.prefix -> int
 (** Remove the exact entry {e and} every more-specific entry inside the
     prefix (e.g. gleaned /32 host routes under a re-registered site
-    prefix — the entries a Solicit-Map-Request invalidates).  Walks
-    only the covered trie subtree, so the cost is proportional to the
-    victims, not the cache size.  Each victim counts as an
-    invalidation and is reported to the evict hook.  Returns the
-    number of entries removed. *)
+    prefix — the entries a Solicit-Map-Request invalidates).  Probes
+    the keys the prefix covers at each populated length, or makes one
+    pass over the cache when that is fewer probes, so the cost is
+    bounded by both the covered key space and the cache size.  Each
+    victim counts as an invalidation and is reported to the evict
+    hook, in ascending (network, length) order.  Returns the number of
+    entries removed. *)
 
 val length : t -> int
 val capacity : t -> int

@@ -18,7 +18,6 @@ val create :
   internet:Topology.Builder.t ->
   registry:Registry.t ->
   alt:Alt.t ->
-  ?cache_speedup:float ->
   ?faults:Netsim.Faults.t ->
   ?retry:Netsim.Faults.retry ->
   ?nonce_rng:Netsim.Rng.t ->
@@ -29,10 +28,10 @@ val create :
   unit ->
   t
 (** [alt] provides the hierarchy geometry (CONS and ALT share the
-    aggregation-tree shape); [cache_speedup] (default 0.5) multiplies
-    the resolution latency once a destination's mapping is warm anywhere
-    in the hierarchy.  [faults]/[retry]/[nonce_rng]/[adversary]/[auth]/
-    [glean_cap] behave as in {!Pull.create}. *)
+    aggregation-tree shape).  Once a destination's mapping is warm
+    anywhere in the hierarchy, its resolution latency is halved.
+    [faults]/[retry]/[nonce_rng]/[adversary]/[auth]/[glean_cap] behave
+    as in {!Pull.create}. *)
 
 val control_plane : t -> Lispdp.Dataplane.control_plane
 val attach : t -> Lispdp.Dataplane.t -> unit

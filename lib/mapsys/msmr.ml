@@ -4,14 +4,13 @@ type t = {
   registry : Registry.t;
 }
 
+(* Per-delegation-hop lookup cost inside the mapping system. *)
+let ddt_hop_latency = 0.010
+
 let create ~engine ~internet ~registry ~alt ?(mode = Pull.Drop_while_pending)
-    ?(mr_provider = 0) ?(ddt_hop_latency = 0.010) ?faults ?retry ?nonce_rng
-    ?adversary ?auth ?glean_cap ?obs () =
-  if mr_provider < 0 || mr_provider >= Array.length internet.Topology.Builder.providers
-  then invalid_arg "Msmr.create: unknown provider";
-  if ddt_hop_latency <= 0.0 then
-    invalid_arg "Msmr.create: non-positive DDT hop latency";
-  let mr_node = internet.Topology.Builder.providers.(mr_provider).Topology.Builder.core in
+    ?faults ?retry ?nonce_rng ?adversary ?auth ?glean_cap ?obs () =
+  (* The MR/MS complex sits in the first provider's core. *)
+  let mr_node = internet.Topology.Builder.providers.(0).Topology.Builder.core in
   let graph = internet.Topology.Builder.graph in
   (* ITR -> MR, the delegation walk inside the mapping system, and the
      map-server's proxy reply MR -> ITR. *)
@@ -36,9 +35,6 @@ let create ~engine ~internet ~registry ~alt ?(mode = Pull.Drop_while_pending)
 
 let control_plane t = Pull.control_plane t.pull
 let stats t = Pull.stats t.pull
-
-let resolver_node t =
-  t.internet.Topology.Builder.providers.(0).Topology.Builder.core
 
 (* One map-register per border router, sized as a one-mapping database
    transfer. *)

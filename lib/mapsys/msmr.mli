@@ -24,8 +24,6 @@ val create :
   registry:Registry.t ->
   alt:Alt.t ->
   ?mode:Pull.mode ->
-  ?mr_provider:int ->
-  ?ddt_hop_latency:float ->
   ?faults:Netsim.Faults.t ->
   ?retry:Netsim.Faults.retry ->
   ?nonce_rng:Netsim.Rng.t ->
@@ -35,10 +33,9 @@ val create :
   ?obs:Obs.Hub.t ->
   unit ->
   t
-(** [mode] defaults to [Drop_while_pending]; [mr_provider] (default 0)
-    is the provider whose core hosts the MR/MS complex;
-    [ddt_hop_latency] (default 10 ms) is the per-delegation-hop lookup
-    cost inside the mapping system.  [faults]/[retry]/[nonce_rng]/
+(** [mode] defaults to [Drop_while_pending].  The MR/MS complex sits
+    in the first provider's core, and each delegation hop inside the
+    mapping system costs 10 ms.  [faults]/[retry]/[nonce_rng]/
     [adversary]/[auth]/[glean_cap] behave as in {!Pull.create} (the MR
     front end inherits the same loss, retransmission and attack
     model). *)
@@ -54,6 +51,3 @@ val stats : t -> Cp_stats.t
 val refresh_registrations : t -> unit
 (** One round of map-registers from every border router (cost
     accounting only; registration state is implicit in the registry). *)
-
-val resolver_node : t -> Topology.Node.id
-(** Where the MR/MS complex lives. *)

@@ -44,8 +44,6 @@ type t = {
   resolution_latency :
     (router:Lispdp.Dataplane.router -> dst_domain:Topology.Domain.t -> float)
     option;
-  glean_ttl : float;
-  server_processing : float;
   stats : Cp_stats.t;
   glean : Glean.t;
   pending : (int * int, resolution) Hashtbl.t; (* router node, dst domain *)
@@ -63,10 +61,14 @@ type t = {
   obs : Obs.Hub.t;
 }
 
+(* Lifetime of a gleaned host route, and the map-request processing
+   time at the answering server. *)
+let glean_ttl = 60.0
+let server_processing = 0.0005
+
 let create ~engine ~internet ~registry ~alt ~mode ?name ?latency_of
-    ?resolution_latency ?(glean_ttl = 60.0) ?(server_processing = 0.0005)
-    ?(smr = false) ?faults ?retry ?lifecycle ?nonce_rng ?adversary
-    ?(auth = no_auth) ?glean_cap ?obs () =
+    ?resolution_latency ?(smr = false) ?faults ?retry ?lifecycle ?nonce_rng
+    ?adversary ?(auth = no_auth) ?glean_cap ?obs () =
   let latency_of =
     match latency_of with
     | Some f -> f
@@ -74,7 +76,7 @@ let create ~engine ~internet ~registry ~alt ~mode ?name ?latency_of
   in
   { engine; internet; registry; alt; mode;
     name = Option.value name ~default:(mode_name mode);
-    latency_of; resolution_latency; glean_ttl; server_processing; smr;
+    latency_of; resolution_latency; smr;
     faults; retry; lifecycle; cached_at = Hashtbl.create 16;
     stats = Cp_stats.create ();
     glean = Glean.create ?cap:glean_cap (); pending = Hashtbl.create 64;
@@ -186,7 +188,7 @@ let rec send_attempt t resolution router dst_domain mapping ~flow () =
   Alt.note_request t.alt ~src:src_id ~dst:dst_id;
   let total =
     match t.resolution_latency with
-    | Some f -> f ~router ~dst_domain +. t.server_processing
+    | Some f -> f ~router ~dst_domain +. server_processing
     | None ->
         let request_latency = t.latency_of ~src:src_id ~dst:dst_id in
         let authoritative = authoritative_router t mapping in
@@ -213,7 +215,7 @@ let rec send_attempt t resolution router dst_domain mapping ~flow () =
                   to_hub +. Topology.Graph.latency_between graph hub requester
               | exception Not_found -> infinity)
         in
-        request_latency +. t.server_processing +. reply_latency
+        request_latency +. server_processing +. reply_latency
   in
   (* Lifecycle windows are consulted before any fault draw so that a
      run whose crash schedule is empty takes exactly the same RNG
@@ -474,7 +476,7 @@ let note_etr_packet t router ~outer_src packet =
          symmetric without a resolution. *)
       let gleaned =
         Mapping.create ~eid_prefix:(Ipv4.prefix src_eid 32)
-          ~rlocs:[ Mapping.rloc itr_rloc ] ~ttl:t.glean_ttl
+          ~rlocs:[ Mapping.rloc itr_rloc ] ~ttl:glean_ttl
       in
       Lispdp.Dataplane.install_mapping dp router
         ~provenance:Lispdp.Map_cache.Gleaned gleaned

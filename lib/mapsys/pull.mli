@@ -59,8 +59,6 @@ val create :
   ?latency_of:(src:int -> dst:int -> float) ->
   ?resolution_latency:
     (router:Lispdp.Dataplane.router -> dst_domain:Topology.Domain.t -> float) ->
-  ?glean_ttl:float ->
-  ?server_processing:float ->
   ?smr:bool ->
   ?faults:Netsim.Faults.t ->
   ?retry:Netsim.Faults.retry ->
@@ -76,8 +74,8 @@ val create :
     domain ids (default: the ALT model); [resolution_latency], when
     given, replaces the whole request+reply timing computation (used by
     the MS/MR front end, whose reply is proxied rather than sent by the
-    authoritative ETR); [glean_ttl] defaults to 60 s;
-    [server_processing] (at the authoritative ETR) to 0.5 ms.  [obs]
+    authoritative ETR).  Either way the answering server adds 0.5 ms of
+    processing, and a gleaned host route lives 60 s.  [obs]
     receives typed [Map_request]/[Map_reply] events when enabled,
     flow-scoped with the id of the packet that triggered the miss.
 

@@ -1,44 +1,31 @@
 open Nettypes
 
-type t = {
-  by_prefix : (int * Mapping.t) Prefix_table.t; (* domain id with mapping *)
-  by_domain : Mapping.t array;
-}
+(* Domain id -> its registered mapping. *)
+type t = Mapping.t array
 
 let create ~internet ~ttl =
-  let domains = internet.Topology.Builder.domains in
-  let by_prefix = Prefix_table.create () in
-  let by_domain =
-    Array.map (fun d -> Topology.Domain.advertised_mapping d ~ttl) domains
-  in
-  Array.iteri
-    (fun i m -> Prefix_table.add by_prefix m.Mapping.eid_prefix (i, m))
-    by_domain;
-  { by_prefix; by_domain }
-
-let mapping_for_eid t eid = Option.map snd (Prefix_table.lookup_value t.by_prefix eid)
+  Array.map
+    (fun d -> Topology.Domain.advertised_mapping d ~ttl)
+    internet.Topology.Builder.domains
 
 let mapping_of_domain t id =
-  if id < 0 || id >= Array.length t.by_domain then
+  if id < 0 || id >= Array.length t then
     invalid_arg "Registry.mapping_of_domain: unknown domain";
-  t.by_domain.(id)
+  t.(id)
 
 let update_mapping t id mapping =
-  if id < 0 || id >= Array.length t.by_domain then
+  if id < 0 || id >= Array.length t then
     invalid_arg "Registry.update_mapping: unknown domain";
-  Prefix_table.remove t.by_prefix t.by_domain.(id).Mapping.eid_prefix;
-  t.by_domain.(id) <- mapping;
-  Prefix_table.add t.by_prefix mapping.Mapping.eid_prefix (id, mapping)
+  t.(id) <- mapping
 
 let authoritative_rloc mapping =
   match Mapping.best_rlocs mapping with
   | r :: _ -> r.Mapping.rloc_addr
   | [] -> assert false
 
-let size t = Array.length t.by_domain
+let size t = Array.length t
 
 let total_wire_bytes t =
-  Wire.Codec.size
-    (Wire.Codec.Database_push { mappings = Array.to_list t.by_domain })
+  Wire.Codec.size (Wire.Codec.Database_push { mappings = Array.to_list t })
 
-let iter t ~f = Array.iteri f t.by_domain
+let iter t ~f = Array.iteri f t

@@ -11,9 +11,6 @@ val create : internet:Topology.Builder.t -> ttl:float -> t
 (** Registers the advertised mapping of every domain in the internet
     with the given mapping TTL. *)
 
-val mapping_for_eid : t -> Nettypes.Ipv4.addr -> Nettypes.Mapping.t option
-(** Longest-prefix match over registered EID prefixes. *)
-
 val mapping_of_domain : t -> int -> Nettypes.Mapping.t
 (** By domain id; raises [Invalid_argument] for an unknown id. *)
 

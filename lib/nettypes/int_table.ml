@@ -1,5 +1,5 @@
 (* Open-addressing int-keyed table: linear probing, power-of-two
-   capacity, tombstone deletion.  Keys are hashed with a Fibonacci
+   capacity, backward-shift deletion.  Keys are hashed with a Fibonacci
    multiplier so clustered key ranges (sequential addresses) spread
    across the table.  The product's high bits are folded into the low
    bits that pick the slot: the low bits of a product depend only on the
@@ -7,7 +7,6 @@
    lor 24]) all share theirs. *)
 
 let empty_key = -1
-let tomb_key = -2
 
 type 'a t = {
   dummy : 'a;
@@ -15,7 +14,6 @@ type 'a t = {
   mutable vals : 'a array;
   mutable mask : int; (* capacity - 1; capacity is a power of two *)
   mutable live : int;
-  mutable tombs : int;
 }
 
 let fib = 0x2545F4914F6CDD1D
@@ -24,133 +22,97 @@ let slot_of t key =
   let h = key * fib in
   (h lxor (h lsr 29)) land t.mask
 
-let rec capacity_for n cap = if cap >= n then cap else capacity_for n (2 * cap)
+let initial_capacity = 16
 
-let create ?(initial = 16) ~dummy () =
-  (* Size so [initial] bindings fit under the 1/2 load factor. *)
-  let cap = capacity_for (2 * Stdlib.max 1 initial) 16 in
+let create ~dummy () =
   { dummy;
-    keys = Array.make cap empty_key;
-    vals = Array.make cap dummy;
-    mask = cap - 1;
-    live = 0;
-    tombs = 0 }
+    keys = Array.make initial_capacity empty_key;
+    vals = Array.make initial_capacity dummy;
+    mask = initial_capacity - 1;
+    live = 0 }
 
 let length t = t.live
 
-(* Probe for [key]; returns its slot or [-1] when absent. *)
-let find_slot t key =
+(* Probe for [key]: its slot when present, else the empty slot that
+   ends its probe chain (where [add] puts it). *)
+let probe t key =
   let i = ref (slot_of t key) in
-  let result = ref (-3) in
-  while !result = -3 do
+  while
     let k = Array.unsafe_get t.keys !i in
-    if k = key then result := !i
-    else if k = empty_key then result := -1
-    else i := (!i + 1) land t.mask
+    k <> key && k <> empty_key
+  do
+    i := (!i + 1) land t.mask
   done;
-  !result
+  !i
 
 let find t key =
-  let s = find_slot t key in
-  if s < 0 then None else Some (Array.unsafe_get t.vals s)
+  let s = probe t key in
+  if Array.unsafe_get t.keys s = key then Some (Array.unsafe_get t.vals s)
+  else None
 
-let mem t key = find_slot t key >= 0
+let mem t key = Array.unsafe_get t.keys (probe t key) = key
 
-let rehash t cap =
+let grow t =
   let okeys = t.keys and ovals = t.vals in
+  let cap = 2 * Array.length okeys in
   t.keys <- Array.make cap empty_key;
   t.vals <- Array.make cap t.dummy;
   t.mask <- cap - 1;
-  t.tombs <- 0;
   Array.iteri
     (fun i k ->
-      if k >= 0 then begin
-        let j = ref (slot_of t k) in
-        while Array.unsafe_get t.keys !j <> empty_key do
-          j := (!j + 1) land t.mask
-        done;
-        t.keys.(!j) <- k;
-        t.vals.(!j) <- ovals.(i)
+      if k <> empty_key then begin
+        let s = probe t k in
+        t.keys.(s) <- k;
+        t.vals.(s) <- ovals.(i)
       end)
     okeys
 
 let add t key v =
   if key < 0 then invalid_arg "Int_table.add: negative key";
-  (* Grow at 1/2 live occupancy.  Tombstones are cleaned in place only
-     once they amount to 1/8 of the table: a fixed-size cache of
-     power-of-two capacity parks the table exactly at the load
-     boundary, where remove+add churn would otherwise pay a full
-     O(capacity) rehash per insertion to reclaim a single tombstone.
-     Between the two bounds total occupancy stays under 5/8, so probe
-     chains stay short and always terminate. *)
-  let cap = t.mask + 1 in
-  if 2 * (t.live + 1) > cap then rehash t (2 * cap)
-  else if 2 * (t.live + t.tombs + 1) > cap && 8 * t.tombs >= cap then
-    rehash t cap;
-  let i = ref (slot_of t key) in
-  let first_tomb = ref (-1) in
-  let slot = ref (-3) in
-  while !slot = -3 do
-    let k = Array.unsafe_get t.keys !i in
-    if k = key then slot := !i
-    else if k = empty_key then
-      slot := (if !first_tomb >= 0 then !first_tomb else !i)
-    else begin
-      if k = tomb_key && !first_tomb < 0 then first_tomb := !i;
-      i := (!i + 1) land t.mask
-    end
-  done;
-  let s = !slot in
+  (* Grow at 1/2 occupancy, so probe chains stay short and always end
+     at an empty slot. *)
+  if 2 * (t.live + 1) > t.mask + 1 then grow t;
+  let s = probe t key in
   if t.keys.(s) <> key then begin
-    if t.keys.(s) = tomb_key then t.tombs <- t.tombs - 1;
     t.keys.(s) <- key;
     t.live <- t.live + 1
   end;
   t.vals.(s) <- v
 
+(* Backward-shift deletion: close the hole by moving back into it each
+   later binding of the cluster that may legally sit there (its home
+   slot is not in the cyclic range between the hole and itself), until
+   the cluster ends.  No tombstone is left, so probe chains cross only
+   live bindings and there is nothing to sweep. *)
 let remove t key =
-  let s = find_slot t key in
-  if s >= 0 then begin
-    t.keys.(s) <- tomb_key;
-    t.vals.(s) <- t.dummy;
-    t.live <- t.live - 1;
-    t.tombs <- t.tombs + 1;
-    (* Without this, a removal-heavy phase (mass invalidation, cache
-       churn) leaves the table mostly tombstones: every miss probes to
-       the next truly-empty slot, and nothing short of the next [add]
-       ever cleans up.  Rehashing once tombstones outnumber live
-       entries bounds the dead load factor at 1/2 and shrinks the
-       arrays back down after a bulk delete; the O(capacity) cost
-       amortises against the removals that created the tombstones.
-       The new table is sized at 1/4 load so the shrink lands well
-       clear of the grow boundary (no grow/shrink hysteresis). *)
-    if t.tombs > t.live then rehash t (capacity_for (4 * (t.live + 1)) 16)
+  let s = probe t key in
+  if t.keys.(s) = key then begin
+    let hole = ref s in
+    let j = ref ((s + 1) land t.mask) in
+    while t.keys.(!j) <> empty_key do
+      let k = t.keys.(!j) in
+      if (!j - slot_of t k) land t.mask >= (!j - !hole) land t.mask then begin
+        t.keys.(!hole) <- k;
+        t.vals.(!hole) <- t.vals.(!j);
+        hole := !j
+      end;
+      j := (!j + 1) land t.mask
+    done;
+    t.keys.(!hole) <- empty_key;
+    t.vals.(!hole) <- t.dummy;
+    t.live <- t.live - 1
   end
 
-let tombstones t = t.tombs
-
 (* Slots inspected to resolve [key] (present or absent) — the table's
-   probe cost, exposed so tests can pin the tombstone-cleanup
-   behaviour. *)
-let probe_length t key =
-  let i = ref (slot_of t key) in
-  let probes = ref 1 in
-  let stop = ref false in
-  while not !stop do
-    let k = Array.unsafe_get t.keys !i in
-    if k = key || k = empty_key then stop := true
-    else begin
-      incr probes;
-      i := (!i + 1) land t.mask
-    end
-  done;
-  !probes
+   probe cost, exposed so tests can pin probe lengths. *)
+let probe_length t key = ((probe t key - slot_of t key) land t.mask) + 1
 
 let iter t ~f =
-  Array.iteri (fun i k -> if k >= 0 then f k (Array.unsafe_get t.vals i)) t.keys
+  Array.iteri
+    (fun i k -> if k <> empty_key then f k (Array.unsafe_get t.vals i))
+    t.keys
 
 let clear t =
   Array.fill t.keys 0 (Array.length t.keys) empty_key;
   Array.fill t.vals 0 (Array.length t.vals) t.dummy;
-  t.live <- 0;
-  t.tombs <- 0
+  t.live <- 0

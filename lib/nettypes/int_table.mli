@@ -7,17 +7,16 @@
     prefix encodings and [Hashtbl]'s generic machinery shows up in the
     profile.
 
-    Keys must be [>= 0] (negative values are the table's internal
-    sentinels); [add] raises otherwise.  Not resistant to adversarial
-    key sets — this is a simulator, keys come from address allocation
-    patterns. *)
+    Keys must be [>= 0] ([-1] marks an empty slot); [add] raises
+    otherwise.  Not resistant to adversarial key sets — this is a
+    simulator, keys come from address allocation patterns. *)
 
 type 'a t
 
-val create : ?initial:int -> dummy:'a -> unit -> 'a t
-(** [create ~dummy ()] makes an empty table.  [dummy] fills empty value
-    cells; it is never returned from lookups.  [initial] sizes the
-    table for an expected binding count (it still grows on demand). *)
+val create : dummy:'a -> unit -> 'a t
+(** [create ~dummy ()] makes an empty table; it grows on demand.
+    [dummy] fills empty value cells; it is never returned from
+    lookups. *)
 
 val find : 'a t -> int -> 'a option
 val mem : 'a t -> int -> bool
@@ -27,18 +26,13 @@ val add : 'a t -> int -> 'a -> unit
     @raise Invalid_argument on a negative key. *)
 
 val remove : 'a t -> int -> unit
-(** No-op when the key is absent.  Deletion leaves a tombstone; once
-    tombstones outnumber live bindings the table rehashes in place (and
-    shrinks), so probe lengths stay bounded through removal-heavy
-    phases and [tombstones t <= max 1 (length t)] holds between
-    operations. *)
+(** No-op when the key is absent.  Deletion shifts later bindings of
+    the probe cluster back over the freed slot and leaves no
+    tombstone: probe chains cross only live bindings, and remove+add
+    churn at a steady size never reallocates the arrays. *)
 
 val length : 'a t -> int
 (** Number of bindings. *)
-
-val tombstones : 'a t -> int
-(** Number of tombstone slots currently in the table (deleted bindings
-    not yet reclaimed by a rehash). *)
 
 val probe_length : 'a t -> int -> int
 (** Number of slots a lookup of this key inspects, counting the final

@@ -377,21 +377,13 @@ let test_smr_restores_inflight_transfer () =
 let test_scenario_restore_uplink () =
   let s = Scenario.build Scenario.default_config in
   Scenario.fail_uplink s ~domain:1 ~border:0;
-  (match Mapsys.Registry.mapping_for_eid (Scenario.registry s)
-           (Topology.Domain.host_eid
-              (Scenario.internet s).Topology.Builder.domains.(1)
-              0)
-   with
-  | Some m -> Alcotest.(check int) "registry shrunk" 1 (List.length m.Mapping.rlocs)
-  | None -> Alcotest.fail "mapping lost");
+  let rlocs () =
+    List.length
+      (Mapsys.Registry.mapping_of_domain (Scenario.registry s) 1).Mapping.rlocs
+  in
+  Alcotest.(check int) "registry shrunk" 1 (rlocs ());
   Scenario.restore_uplink s ~domain:1 ~border:0;
-  match Mapsys.Registry.mapping_for_eid (Scenario.registry s)
-          (Topology.Domain.host_eid
-             (Scenario.internet s).Topology.Builder.domains.(1)
-             0)
-  with
-  | Some m -> Alcotest.(check int) "registry restored" 2 (List.length m.Mapping.rlocs)
-  | None -> Alcotest.fail "mapping lost after restore"
+  Alcotest.(check int) "registry restored" 2 (rlocs ())
 
 let () =
   Alcotest.run "failover"

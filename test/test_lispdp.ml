@@ -403,6 +403,183 @@ let prop_cache_glean_cap_bound =
            + s.Map_cache.invalidations)
 
 (* ------------------------------------------------------------------ *)
+(* Map_cache against a list model                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* The model is a plain list of (prefix, expires_at), searched by brute
+   force.  The caches below never fill, so eviction never enters. *)
+
+(* The model's entries that hold [a], longest prefix first. *)
+let model_covering model a =
+  let longer (p, _) (q, _) =
+    Int.compare (Ipv4.prefix_length q) (Ipv4.prefix_length p)
+  in
+  List.sort longer (List.filter (fun (p, _) -> Ipv4.prefix_mem p a) model)
+
+let model_insert model p ~expires_at =
+  (p, expires_at)
+  :: List.filter (fun (q, _) -> not (Ipv4.prefix_equal p q)) model
+
+let show = function None -> "none" | Some p -> Ipv4.prefix_to_string p
+
+(* Prefixes of every length 0-32 under a few /12 anchors, so lookups hit
+   nested chains of matches; probes are either inside a cached prefix
+   or anywhere at all. *)
+let anchors = [| 0x0A000000; 0x0A100000; 0xC0A00000 |]
+
+let gen_prefix =
+  QCheck.Gen.(
+    map3
+      (fun a low len ->
+        Ipv4.prefix (Ipv4.addr_of_int (anchors.(a) lor low)) len)
+      (int_bound 2) (int_bound 0xFFFFF) (int_range 0 32))
+
+type op = Insert of Ipv4.prefix * int | Probe of int * int * bool
+
+let gen_op =
+  QCheck.Gen.(
+    frequency
+      [ (2, map2 (fun p ttl -> Insert (p, ttl)) gen_prefix (int_range 1 12));
+        (3, map3 (fun sel off b -> Probe (sel, off, b)) nat nat bool) ])
+
+let probe_addr model sel off =
+  match model with
+  | [] -> Ipv4.addr_of_int (off land 0xFFFFFFFF)
+  | _ when sel mod 5 = 0 -> Ipv4.addr_of_int (off land 0xFFFFFFFF)
+  | _ ->
+      let p, _ = List.nth model (sel mod List.length model) in
+      Ipv4.prefix_nth p (off mod Ipv4.prefix_size p)
+
+(* [lookup] (and [contains]) return the longest live match; each longer
+   match that has expired is reaped on the way and counted as an
+   expiration.  The clock advances one step per operation. *)
+let prop_cache_lookup_matches_model =
+  QCheck.Test.make ~name:"cache lookup = list-model LPM" ~count:300
+    (QCheck.make QCheck.Gen.(list_size (1 -- 80) gen_op))
+    (fun ops ->
+      let c = Map_cache.create () in
+      let model = ref [] and expired = ref 0 in
+      List.iteri
+        (fun i op ->
+          let now = float_of_int i in
+          match op with
+          | Insert (p, ttl) ->
+              Map_cache.insert c ~now
+                (Mapping.create ~eid_prefix:p
+                   ~rlocs:[ Mapping.rloc (addr "12.0.0.1") ]
+                   ~ttl:(float_of_int ttl));
+              model := model_insert !model p ~expires_at:(now +. float_of_int ttl)
+          | Probe (sel, off, use_lookup) ->
+              let a = probe_addr !model sel off in
+              let rec longest_live = function
+                | [] -> None
+                | (p, expires_at) :: rest ->
+                    if expires_at > now then Some p
+                    else begin
+                      incr expired;
+                      model :=
+                        List.filter
+                          (fun (q, _) -> not (Ipv4.prefix_equal q p))
+                          !model;
+                      longest_live rest
+                    end
+              in
+              let want = longest_live (model_covering !model a) in
+              if use_lookup then begin
+                let got =
+                  Option.map
+                    (fun m -> m.Mapping.eid_prefix)
+                    (Map_cache.lookup c ~now a)
+                in
+                if not (Option.equal Ipv4.prefix_equal got want) then
+                  QCheck.Test.fail_reportf "op %d: %s matched %s, model says %s"
+                    i (Ipv4.addr_to_string a) (show got) (show want)
+              end
+              else if Map_cache.contains c ~now a <> Option.is_some want then
+                QCheck.Test.fail_reportf "op %d: contains %s disagrees with %s"
+                  i (Ipv4.addr_to_string a) (show want);
+              if (Map_cache.stats c).Map_cache.expirations <> !expired then
+                QCheck.Test.fail_reportf "op %d: %d expirations, model says %d" i
+                  (Map_cache.stats c).Map_cache.expirations !expired;
+              if Map_cache.length c <> List.length !model then
+                QCheck.Test.fail_reportf "op %d: %d entries, model says %d" i
+                  (Map_cache.length c) (List.length !model))
+        ops;
+      true)
+
+(* [remove_covered q] removes exactly the model's entries under [q] —
+   expired or not, since only a lookup reaps — returns their number and
+   reports them to the evict hook in ascending (network, length)
+   order. *)
+let remove_covered_matches_model (entries, q) =
+  let c = Map_cache.create () in
+  let model = ref [] in
+  List.iteri
+    (fun i (p, ttl) ->
+      let now = float_of_int i in
+      Map_cache.insert c ~now
+        (Mapping.create ~eid_prefix:p ~rlocs:[ Mapping.rloc (addr "12.0.0.1") ]
+           ~ttl:(float_of_int ttl));
+      model := model_insert !model p ~expires_at:(now +. float_of_int ttl))
+    entries;
+  let hooked = ref [] in
+  Map_cache.set_evict_hook c
+    (Some (fun m -> hooked := m.Mapping.eid_prefix :: !hooked));
+  let covered, kept =
+    List.partition (fun (p, _) -> Ipv4.prefix_subsumes q p) !model
+  in
+  let want = List.sort Ipv4.prefix_compare (List.map fst covered) in
+  let removed = Map_cache.remove_covered c q in
+  let hooked = List.rev !hooked in
+  if removed <> List.length want then
+    QCheck.Test.fail_reportf "%s: removed %d, model covers %d"
+      (Ipv4.prefix_to_string q) removed (List.length want);
+  if not (List.equal Ipv4.prefix_equal hooked want) then
+    QCheck.Test.fail_reportf "%s: hook saw [%s], want [%s]"
+      (Ipv4.prefix_to_string q)
+      (String.concat " " (List.map Ipv4.prefix_to_string hooked))
+      (String.concat " " (List.map Ipv4.prefix_to_string want));
+  Map_cache.length c = List.length kept
+  && (Map_cache.stats c).Map_cache.invalidations = removed
+  && List.for_all (fun (p, _) -> Map_cache.provenance_of c p <> None) kept
+  && List.for_all (fun p -> Map_cache.provenance_of c p = None) want
+
+(* A few entries of any length under a short covering prefix: probing
+   every covered key would cost far more than the cache holds, so this
+   exercises the one-pass path. *)
+let prop_cache_remove_covered_scan =
+  let shorten p len =
+    Ipv4.prefix (Ipv4.prefix_network p) (Stdlib.min len (Ipv4.prefix_length p))
+  in
+  QCheck.Test.make ~name:"cache remove_covered = model (scan)" ~count:300
+    (QCheck.make
+       QCheck.Gen.(
+         pair
+           (list_size (1 -- 30) (pair gen_prefix (int_range 1 40)))
+           (map2 shorten gen_prefix (int_range 0 24))))
+    remove_covered_matches_model
+
+(* Over a thousand /24s (and a few shorter prefixes) in one /12,
+   covered by a /16-/24: fewer covered keys than entries, so this
+   exercises the per-key probe path. *)
+let prop_cache_remove_covered_probe =
+  let in_12 len =
+    QCheck.Gen.map
+      (fun low -> Ipv4.prefix (Ipv4.addr_of_int (0x0A000000 lor low)) len)
+      (QCheck.Gen.int_bound 0xFFFFF)
+  in
+  QCheck.Test.make ~name:"cache remove_covered = model (probe)" ~count:50
+    (QCheck.make
+       QCheck.Gen.(
+         pair
+           (map2 ( @ )
+              (list_size (1000 -- 1500) (pair (in_12 24) (int_range 1 2000)))
+              (list_size (0 -- 8)
+                 (pair (int_range 20 23 >>= in_12) (int_range 1 2000))))
+           (int_range 16 24 >>= in_12)))
+    remove_covered_matches_model
+
+(* ------------------------------------------------------------------ *)
 (* Flow_table                                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -755,6 +932,9 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [ prop_cache_never_exceeds_capacity;
             prop_cache_glean_cap_bound;
+            prop_cache_lookup_matches_model;
+            prop_cache_remove_covered_scan;
+            prop_cache_remove_covered_probe;
             prop_cache_stats_balance Map_cache.Lru;
             prop_cache_stats_balance Map_cache.Lfu;
             prop_cache_stats_balance Map_cache.Ttl_hybrid ] );

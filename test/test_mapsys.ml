@@ -60,13 +60,12 @@ let test_registry_lookup () =
   Alcotest.(check int) "one mapping per domain" 2 (Mapsys.Registry.size registry);
   let as_d = internet.Topology.Builder.domains.(1) in
   let eid = Topology.Domain.host_eid as_d 0 in
-  (match Mapsys.Registry.mapping_for_eid registry eid with
-  | Some m ->
-      Alcotest.(check bool) "covers the eid" true (Mapping.covers m eid);
-      Alcotest.(check int) "both borders advertised" 2 (List.length m.Mapping.rlocs)
-  | None -> Alcotest.fail "mapping not found");
-  Alcotest.(check bool) "unknown eid" true
-    (Mapsys.Registry.mapping_for_eid registry (Ipv4.addr_of_string "9.9.9.9") = None)
+  let m = Mapsys.Registry.mapping_of_domain registry 1 in
+  Alcotest.(check bool) "covers the eid" true (Mapping.covers m eid);
+  Alcotest.(check int) "both borders advertised" 2 (List.length m.Mapping.rlocs);
+  Alcotest.check_raises "unknown domain"
+    (Invalid_argument "Registry.mapping_of_domain: unknown domain") (fun () ->
+      ignore (Mapsys.Registry.mapping_of_domain registry 2))
 
 let test_registry_update () =
   let internet = Topology.Builder.figure1 () in
@@ -78,9 +77,10 @@ let test_registry_update () =
       ~ttl:60.0
   in
   Mapsys.Registry.update_mapping registry 1 replacement;
-  match Mapsys.Registry.mapping_for_eid registry (Topology.Domain.host_eid as_d 0) with
-  | Some m -> Alcotest.(check int) "replaced" 1 (List.length m.Mapping.rlocs)
-  | None -> Alcotest.fail "mapping lost on update"
+  let m = Mapsys.Registry.mapping_of_domain registry 1 in
+  Alcotest.(check int) "replaced" 1 (List.length m.Mapping.rlocs);
+  Alcotest.(check bool) "same prefix" true
+    (Mapping.covers m (Topology.Domain.host_eid as_d 0))
 
 let test_registry_wire_bytes () =
   let internet = Topology.Builder.figure1 () in

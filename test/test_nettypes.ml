@@ -1,5 +1,6 @@
 (* Unit and property tests for nettypes: IPv4 parsing/prefix arithmetic,
-   longest-prefix-match trie, mapping selection, packet encapsulation. *)
+   the int-keyed hash table and the map-cache's prefix index built on
+   it, mapping selection, packet encapsulation. *)
 
 open Nettypes
 
@@ -107,10 +108,9 @@ let test_int_table_roundtrip () =
   Alcotest.(check bool) "removed" false (Int_table.mem t (42 * 7919));
   Alcotest.(check int) "length after remove" 99 (Int_table.length t)
 
-(* A bulk delete must trigger the in-place rehash from [remove]: the
-   survivors stay findable through short probes instead of scanning a
-   tombstone field, and the tombstone count collapses.  This pins the
-   remove-side cleanup (before it, tombstones only ever accumulated). *)
+(* After a bulk delete the survivors stay findable through short
+   probes: deletion shifts bindings back instead of leaving a field of
+   tombstones that every probe would have to cross. *)
 let test_int_table_mass_remove_cleans_tombstones () =
   let t = Int_table.create ~dummy:(-1) () in
   let n = 10_000 in
@@ -121,8 +121,6 @@ let test_int_table_mass_remove_cleans_tombstones () =
     Int_table.remove t i
   done;
   Alcotest.(check int) "survivors" 10 (Int_table.length t);
-  Alcotest.(check bool) "tombstones bounded by live entries" true
-    (Int_table.tombstones t <= Stdlib.max 1 (Int_table.length t));
   for i = n - 10 to n - 1 do
     Alcotest.(check (option int)) "survivor findable" (Some i)
       (Int_table.find t i);
@@ -131,9 +129,9 @@ let test_int_table_mass_remove_cleans_tombstones () =
 
 (* Fixed-size churn at a power-of-two working set — a cache evicting
    one entry per insert parks the table exactly at its load boundary.
-   Probes must stay short and tombstones bounded; the thrashing mode
-   (a full rehash per insertion to reclaim a single tombstone) would
-   time this out long before the assertions fail. *)
+   Probes must stay short, and churn must not pay a full rehash per
+   insertion (that would time this out long before the assertion
+   fails). *)
 let test_int_table_churn_keeps_probes_short () =
   let t = Int_table.create ~dummy:(-1) () in
   let window = 4096 in
@@ -143,8 +141,6 @@ let test_int_table_churn_keeps_probes_short () =
     Int_table.add t i i
   done;
   Alcotest.(check int) "window live" window (Int_table.length t);
-  Alcotest.(check bool) "tombstones bounded by live entries" true
-    (Int_table.tombstones t <= Stdlib.max 1 (Int_table.length t));
   let probes = ref 0 in
   for i = total - window to total - 1 do
     probes := !probes + Int_table.probe_length t i
@@ -152,6 +148,39 @@ let test_int_table_churn_keeps_probes_short () =
   let mean = float_of_int !probes /. float_of_int window in
   if mean > 4.0 then
     Alcotest.failf "mean probe length %.2f after churn (want <= 4)" mean
+
+(* M1's shape: a full cache evicting its oldest /24 on every insert, a
+   FIFO churn of 16,384 live packed /24 keys.  A table that deletes by
+   tombstone must sweep them in place now and then, and each sweep
+   allocates two fresh 64k-slot arrays in the major heap.  Once the
+   table has grown, this churn must allocate none and keep probes
+   short. *)
+let test_int_table_fifo_churn_allocates_nothing () =
+  let t = Int_table.create ~dummy:(-1) () in
+  let live = 16_384 in
+  let key i = (((10 lsl 24) + (i lsl 8)) lsl 6) lor 24 in
+  let churn ~from ~until =
+    for i = from to until - 1 do
+      if i >= live then Int_table.remove t (key (i - live));
+      Int_table.add t (key i) i
+    done
+  in
+  churn ~from:0 ~until:(4 * live);
+  let major () = (Gc.quick_stat ()).Gc.major_words in
+  let before = major () in
+  churn ~from:(4 * live) ~until:(16 * live);
+  let allocated = major () -. before in
+  if allocated > 1024.0 then
+    Alcotest.failf "churn allocated %.0f major-heap words (want none)"
+      allocated;
+  Alcotest.(check int) "window live" live (Int_table.length t);
+  let probes = ref 0 in
+  for i = 15 * live to (16 * live) - 1 do
+    probes := !probes + Int_table.probe_length t (key i)
+  done;
+  let mean = float_of_int !probes /. float_of_int live in
+  if mean > 2.0 then
+    Alcotest.failf "mean probe length %.2f after churn (want <= 2)" mean
 
 (* Packed /24 prefix keys ([network lsl 6 lor 24], as the map-cache
    index packs them) share their low 14 bits.  A hash that kept only the
@@ -171,88 +200,117 @@ let test_int_table_prefix_keys_spread () =
     Alcotest.failf "mean probe length %.2f over /24 keys (want <= 2)" mean
 
 (* ------------------------------------------------------------------ *)
-(* Prefix_table                                                        *)
+(* Prefix table                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let test_trie_longest_match () =
-  let t = Prefix_table.create () in
-  Prefix_table.add t (pfx "10.0.0.0/8") "eight";
-  Prefix_table.add t (pfx "10.1.0.0/16") "sixteen";
-  Prefix_table.add t (pfx "10.1.2.0/24") "twentyfour";
-  let lookup a =
-    match Prefix_table.lookup t (addr a) with
-    | Some (_, v) -> v
-    | None -> "none"
+(* The prefix table is Lispdp.Map_cache's one index: an Int_table keyed
+   by the packed prefix, probed at each populated length, longest
+   first.  An entry's value is told apart by its RLOC. *)
+module Map_cache = Lispdp.Map_cache
+
+let bind t p rloc =
+  Map_cache.insert t ~now:0.0
+    (Mapping.create ~eid_prefix:(pfx p) ~rlocs:[ Mapping.rloc (addr rloc) ]
+       ~ttl:60.0)
+
+let table entries =
+  let t = Map_cache.create () in
+  List.iter (fun (p, rloc) -> bind t p rloc) entries;
+  t
+
+let lookup_rloc t a =
+  match Map_cache.lookup t ~now:1.0 (addr a) with
+  | Some m -> Ipv4.addr_to_string (List.hd m.Mapping.rlocs).Mapping.rloc_addr
+  | None -> "none"
+
+(* The entries [remove_covered p] takes out, in the order it reports
+   them to the evict hook. *)
+let removed_under t p =
+  let seen = ref [] in
+  Map_cache.set_evict_hook t
+    (Some (fun m -> seen := Ipv4.prefix_to_string m.Mapping.eid_prefix :: !seen));
+  let n = Map_cache.remove_covered t (pfx p) in
+  Alcotest.(check int) "count = victims" (List.length !seen) n;
+  List.rev !seen
+
+let test_prefix_table_longest_match () =
+  let t =
+    table
+      [ ("10.0.0.0/8", "8.0.0.0"); ("10.1.0.0/16", "16.0.0.0");
+        ("10.1.2.0/24", "24.0.0.0") ]
   in
-  Alcotest.(check string) "most specific" "twentyfour" (lookup "10.1.2.9");
-  Alcotest.(check string) "middle" "sixteen" (lookup "10.1.3.9");
-  Alcotest.(check string) "least" "eight" (lookup "10.9.9.9");
-  Alcotest.(check string) "miss" "none" (lookup "11.0.0.1")
+  Alcotest.(check string) "most specific" "24.0.0.0" (lookup_rloc t "10.1.2.9");
+  Alcotest.(check string) "middle" "16.0.0.0" (lookup_rloc t "10.1.3.9");
+  Alcotest.(check string) "least" "8.0.0.0" (lookup_rloc t "10.9.9.9");
+  Alcotest.(check string) "miss" "none" (lookup_rloc t "11.0.0.1")
 
-let test_trie_exact_and_remove () =
-  let t = Prefix_table.create () in
-  Prefix_table.add t (pfx "10.0.0.0/8") 1;
-  Prefix_table.add t (pfx "10.0.0.0/16") 2;
-  Alcotest.(check (option int)) "exact /8" (Some 1)
-    (Prefix_table.find_exact t (pfx "10.0.0.0/8"));
-  Alcotest.(check (option int)) "exact /16" (Some 2)
-    (Prefix_table.find_exact t (pfx "10.0.0.0/16"));
-  Alcotest.(check int) "length" 2 (Prefix_table.length t);
-  Prefix_table.remove t (pfx "10.0.0.0/16");
-  Alcotest.(check (option int)) "removed" None
-    (Prefix_table.find_exact t (pfx "10.0.0.0/16"));
-  Alcotest.(check int) "length after remove" 1 (Prefix_table.length t);
-  Prefix_table.remove t (pfx "10.0.0.0/16");
-  Alcotest.(check int) "idempotent remove" 1 (Prefix_table.length t)
+let test_prefix_table_exact_and_remove () =
+  let t = table [ ("10.0.0.0/8", "1.0.0.1"); ("10.0.0.0/16", "2.0.0.2") ] in
+  let exact p = Map_cache.provenance_of t (pfx p) <> None in
+  Alcotest.(check bool) "exact /8" true (exact "10.0.0.0/8");
+  Alcotest.(check bool) "exact /16" true (exact "10.0.0.0/16");
+  Alcotest.(check int) "length" 2 (Map_cache.length t);
+  Map_cache.remove t (pfx "10.0.0.0/16");
+  Alcotest.(check bool) "removed" false (exact "10.0.0.0/16");
+  Alcotest.(check int) "length after remove" 1 (Map_cache.length t);
+  Alcotest.(check string) "shorter match left" "1.0.0.1"
+    (lookup_rloc t "10.0.0.1");
+  Map_cache.remove t (pfx "10.0.0.0/16");
+  Alcotest.(check int) "idempotent remove" 1 (Map_cache.length t)
 
-let test_trie_replace () =
-  let t = Prefix_table.create () in
-  Prefix_table.add t (pfx "10.0.0.0/8") 1;
-  Prefix_table.add t (pfx "10.0.0.0/8") 2;
-  Alcotest.(check int) "size unchanged" 1 (Prefix_table.length t);
-  Alcotest.(check (option int)) "replaced" (Some 2)
-    (Prefix_table.find_exact t (pfx "10.0.0.0/8"))
+let test_prefix_table_replace () =
+  let t = table [ ("10.0.0.0/8", "1.0.0.1"); ("10.0.0.0/8", "2.0.0.2") ] in
+  Alcotest.(check int) "size unchanged" 1 (Map_cache.length t);
+  Alcotest.(check string) "replaced" "2.0.0.2" (lookup_rloc t "10.0.0.1")
 
-let test_trie_default_route () =
-  let t = Prefix_table.create () in
-  Prefix_table.add t (pfx "0.0.0.0/0") "default";
-  Prefix_table.add t (pfx "10.0.0.0/8") "ten";
-  Alcotest.(check (option string)) "falls back to default" (Some "default")
-    (Prefix_table.lookup_value t (addr "99.1.1.1"));
-  Alcotest.(check (option string)) "specific wins" (Some "ten")
-    (Prefix_table.lookup_value t (addr "10.1.1.1"))
+(* /0 catches everything no longer prefix matches; a /32 host route
+   beats the /8 around it. *)
+let test_prefix_table_default_route () =
+  let t =
+    table
+      [ ("0.0.0.0/0", "10.0.0.1"); ("10.0.0.0/8", "11.0.0.1");
+        ("10.1.1.1/32", "12.0.0.1") ]
+  in
+  Alcotest.(check string) "falls back to /0" "10.0.0.1"
+    (lookup_rloc t "99.1.1.1");
+  Alcotest.(check string) "/8 wins" "11.0.0.1" (lookup_rloc t "10.1.1.2");
+  Alcotest.(check string) "/32 wins" "12.0.0.1" (lookup_rloc t "10.1.1.1");
+  Alcotest.(check string) "/0 covers the top address" "10.0.0.1"
+    (lookup_rloc t "255.255.255.255")
 
-let test_trie_covering () =
-  let t = Prefix_table.create () in
-  Prefix_table.add t (pfx "10.0.0.0/8") "eight";
-  (match Prefix_table.covering t (pfx "10.1.0.0/16") with
-  | Some (p, v) ->
-      Alcotest.(check string) "covering value" "eight" v;
-      Alcotest.(check string) "covering prefix" "10.0.0.0/8"
-        (Ipv4.prefix_to_string p)
-  | None -> Alcotest.fail "expected covering prefix");
-  Alcotest.(check bool) "no covering" true
-    (Prefix_table.covering t (pfx "11.0.0.0/16") = None)
-
-let test_trie_to_list_sorted () =
-  let t = Prefix_table.create () in
-  Prefix_table.add t (pfx "11.0.0.0/8") 3;
-  Prefix_table.add t (pfx "10.0.0.0/8") 1;
-  Prefix_table.add t (pfx "10.128.0.0/9") 2;
-  let listed = List.map (fun (p, _) -> Ipv4.prefix_to_string p) (Prefix_table.to_list t) in
+(* Entries come out in ascending (network, length) order, whatever the
+   insertion order. *)
+let test_prefix_table_sorted_listing () =
+  let t =
+    table
+      [ ("11.0.0.0/8", "3.0.0.3"); ("10.0.0.0/8", "1.0.0.1");
+        ("10.128.0.0/9", "2.0.0.2") ]
+  in
   Alcotest.(check (list string)) "ascending order"
-    [ "10.0.0.0/8"; "10.128.0.0/9"; "11.0.0.0/8" ] listed
+    [ "10.0.0.0/8"; "10.128.0.0/9"; "11.0.0.0/8" ]
+    (removed_under t "0.0.0.0/0")
 
-let test_trie_fold_covered () =
-  let t = Prefix_table.create () in
-  Prefix_table.add t (pfx "10.0.0.0/8") "eight";
-  Prefix_table.add t (pfx "10.1.0.0/16") "sixteen";
-  Prefix_table.add t (pfx "10.1.2.0/24") "twentyfour";
-  Prefix_table.add t (pfx "11.0.0.0/8") "sibling";
+let test_prefix_table_iter_and_clear () =
+  let entries = [ ("10.0.0.0/8", "1.0.0.1"); ("11.0.0.0/8", "2.0.0.2") ] in
+  Alcotest.(check int) "a walk visits all" 2
+    (List.length (removed_under (table entries) "0.0.0.0/0"));
+  let t = table entries in
+  Map_cache.clear t;
+  Alcotest.(check int) "empty after clear" 0 (Map_cache.length t);
+  Alcotest.(check string) "lookup after clear" "none"
+    (lookup_rloc t "10.0.0.1");
+  bind t "11.0.0.0/8" "3.0.0.3";
+  Alcotest.(check string) "refilled" "3.0.0.3" (lookup_rloc t "11.0.0.1");
+  Alcotest.(check string) "cleared entry stays gone" "none"
+    (lookup_rloc t "10.0.0.1")
+
+let test_prefix_table_fold_covered () =
   let covered p =
-    List.sort compare
-      (Prefix_table.fold_covered t (pfx p) ~init:[] ~f:(fun q _ acc ->
-           Ipv4.prefix_to_string q :: acc))
+    removed_under
+      (table
+         [ ("10.0.0.0/8", "8.0.0.0"); ("10.1.0.0/16", "16.0.0.0");
+           ("10.1.2.0/24", "24.0.0.0"); ("11.0.0.0/8", "11.0.0.0") ])
+      p
   in
   Alcotest.(check (list string)) "subtree incl. the prefix itself"
     [ "10.0.0.0/8"; "10.1.0.0/16"; "10.1.2.0/24" ]
@@ -264,9 +322,10 @@ let test_trie_fold_covered () =
     [ "10.1.2.0/24" ] (covered "10.1.0.0/20");
   Alcotest.(check (list string)) "absent subtree" [] (covered "12.0.0.0/8")
 
-(* fold_covered agrees with filtering the whole-table fold — the
-   remove_covered fast path must not change what is covered. *)
-let prop_trie_fold_covered_matches_filter =
+(* The covered set [remove_covered] takes out agrees with filtering a
+   fold over every bound prefix — probing by length must not change
+   what is covered. *)
+let prop_prefix_table_covered_matches_filter =
   let gen =
     QCheck.Gen.(
       pair
@@ -275,73 +334,34 @@ let prop_trie_fold_covered_matches_filter =
   in
   QCheck.Test.make ~name:"fold_covered = fold + subsumes filter" ~count:300
     (QCheck.make gen) (fun (entries, (qraw, qlen)) ->
-      let t = Prefix_table.create () in
+      let bound =
+        List.sort_uniq compare
+          (List.map
+             (fun (raw, len) ->
+               Ipv4.prefix (Ipv4.addr_of_int (raw * 251 land 0xFFFFFFFF)) len)
+             entries)
+      in
+      let t = Map_cache.create () in
       List.iter
-        (fun (raw, len) ->
-          let p = Ipv4.prefix (Ipv4.addr_of_int (raw * 251 land 0xFFFFFFFF)) len in
-          Prefix_table.add t p ())
-        entries;
+        (fun p ->
+          Map_cache.insert t ~now:0.0
+            (Mapping.create ~eid_prefix:p
+               ~rlocs:[ Mapping.rloc (addr "1.0.0.1") ] ~ttl:60.0))
+        bound;
       let q = Ipv4.prefix (Ipv4.addr_of_int (qraw * 257 land 0xFFFFFFFF)) qlen in
-      let fast =
-        List.sort compare
-          (Prefix_table.fold_covered t q ~init:[] ~f:(fun p () acc -> p :: acc))
-      in
+      let victims = ref [] in
+      Map_cache.set_evict_hook t
+        (Some (fun m -> victims := m.Mapping.eid_prefix :: !victims));
+      let n = Map_cache.remove_covered t q in
+      let fast = List.sort compare !victims in
       let slow =
-        List.sort compare
-          (Prefix_table.fold t ~init:[] ~f:(fun p () acc ->
-               if Ipv4.prefix_subsumes q p then p :: acc else acc))
-      in
-      fast = slow)
-
-let prop_trie_matches_reference =
-  (* The trie's longest-prefix match agrees with a brute-force scan. *)
-  let gen =
-    QCheck.Gen.(
-      pair
-        (list_size (1 -- 30)
-           (pair (int_bound 0xFFFFFF) (int_range 4 24)))
-        (int_bound 0xFFFFFF))
-  in
-  QCheck.Test.make ~name:"trie lookup = reference scan" ~count:300
-    (QCheck.make gen) (fun (entries, probe_raw) ->
-      let t = Prefix_table.create () in
-      let prefixes =
-        List.map
-          (fun (raw, len) ->
-            let p = Ipv4.prefix (Ipv4.addr_of_int (raw * 251 land 0xFFFFFFFF)) len in
-            Prefix_table.add t p (Ipv4.prefix_to_string p);
-            p)
-          entries
-      in
-      let probe = Ipv4.addr_of_int (probe_raw * 257 land 0xFFFFFFFF) in
-      let reference =
         List.fold_left
-          (fun acc p ->
-            if Ipv4.prefix_mem p probe then
-              match acc with
-              | Some best when Ipv4.prefix_length best >= Ipv4.prefix_length p -> acc
-              | Some _ | None -> Some p
-            else acc)
-          None prefixes
+          (fun acc p -> if Ipv4.prefix_subsumes q p then p :: acc else acc)
+          [] bound
       in
-      match (Prefix_table.lookup t probe, reference) with
-      | None, None -> true
-      | Some (p, _), Some q -> Ipv4.prefix_length p = Ipv4.prefix_length q
-      | Some _, None | None, Some _ -> false)
-
-let test_trie_iter_and_clear () =
-  let t = Prefix_table.create () in
-  Prefix_table.add t (pfx "10.0.0.0/8") 1;
-  Prefix_table.add t (pfx "11.0.0.0/8") 2;
-  let sum = ref 0 in
-  Prefix_table.iter t ~f:(fun _ v -> sum := !sum + v);
-  Alcotest.(check int) "iter visits all" 3 !sum;
-  Alcotest.(check int) "fold agrees" 3
-    (Prefix_table.fold t ~init:0 ~f:(fun _ v acc -> acc + v));
-  Prefix_table.clear t;
-  Alcotest.(check bool) "empty after clear" true (Prefix_table.is_empty t);
-  Alcotest.(check (option int)) "lookup after clear" None
-    (Prefix_table.lookup_value t (addr "10.0.0.1"))
+      fast = List.sort compare slow
+      && n = List.length slow
+      && Map_cache.length t = List.length bound - n)
 
 (* ------------------------------------------------------------------ *)
 (* Mapping                                                             *)
@@ -525,17 +545,6 @@ let () =
           Alcotest.test_case "prefix subsumes" `Quick test_prefix_subsumes;
           Alcotest.test_case "prefix nth" `Quick test_prefix_nth;
         ] );
-      ( "prefix_table",
-        [
-          Alcotest.test_case "longest match" `Quick test_trie_longest_match;
-          Alcotest.test_case "exact and remove" `Quick test_trie_exact_and_remove;
-          Alcotest.test_case "replace" `Quick test_trie_replace;
-          Alcotest.test_case "default route" `Quick test_trie_default_route;
-          Alcotest.test_case "covering" `Quick test_trie_covering;
-          Alcotest.test_case "sorted listing" `Quick test_trie_to_list_sorted;
-          Alcotest.test_case "iter and clear" `Quick test_trie_iter_and_clear;
-          Alcotest.test_case "fold covered" `Quick test_trie_fold_covered;
-        ] );
       ( "int_table",
         [
           Alcotest.test_case "roundtrip" `Quick test_int_table_roundtrip;
@@ -545,6 +554,22 @@ let () =
             test_int_table_churn_keeps_probes_short;
           Alcotest.test_case "prefix keys spread" `Quick
             test_int_table_prefix_keys_spread;
+          Alcotest.test_case "fifo churn allocates nothing" `Quick
+            test_int_table_fifo_churn_allocates_nothing;
+        ] );
+      ( "prefix_table",
+        [
+          Alcotest.test_case "longest match" `Quick test_prefix_table_longest_match;
+          Alcotest.test_case "exact and remove" `Quick
+            test_prefix_table_exact_and_remove;
+          Alcotest.test_case "replace" `Quick test_prefix_table_replace;
+          Alcotest.test_case "default route" `Quick
+            test_prefix_table_default_route;
+          Alcotest.test_case "sorted listing" `Quick
+            test_prefix_table_sorted_listing;
+          Alcotest.test_case "iter and clear" `Quick
+            test_prefix_table_iter_and_clear;
+          Alcotest.test_case "fold covered" `Quick test_prefix_table_fold_covered;
         ] );
       ( "mapping",
         [
@@ -572,6 +597,6 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_trie_matches_reference; prop_trie_fold_covered_matches_filter;
-            prop_prefix_mem_network; prop_flow_hash_reverse_consistent ] );
+          [ prop_prefix_table_covered_matches_filter; prop_prefix_mem_network;
+            prop_flow_hash_reverse_consistent ] );
     ]
