@@ -289,62 +289,34 @@ let unprofiled f =
 (* ------------------------------------------------------------------ *)
 
 (* Events/s of the raw dispatch loop under the steady-state shape of
-   simulator timer traffic: [streams] concurrent self-rescheduling
-   timers per engine, each firing and re-arming until the event budget
-   runs out.  The sharded variant models independent source-domain
-   event streams — one engine per shard, a handful of outstanding
-   timers each — dispatched by [Engine.Shards.run] on one Domain per
-   shard.  These feed the BENCH.json "engine" block and the
-   `bench --check` throughput floors. *)
+   simulator timer traffic: 64 concurrent self-rescheduling timers,
+   each firing and re-arming until 2M events have fired.  This feeds
+   the BENCH.json "engine" block and the `bench --check` throughput
+   floor. *)
 
-let feed_streams e ~streams ~events =
-  let remaining = ref events in
-  let rec tick () =
-    if !remaining > 0 then begin
-      decr remaining;
-      ignore (Netsim.Engine.schedule e ~delay:1.0 tick)
-    end
-  in
-  for _ = 1 to streams do
-    ignore (Netsim.Engine.schedule e ~delay:0.5 tick)
-  done
-
-let engine_dispatch_single ?(streams = 64) ?(events = 2_000_000) () =
+let engine_dispatch_single () =
   unprofiled (fun () ->
       let e = Netsim.Engine.create () in
-      feed_streams e ~streams ~events;
+      let remaining = ref 2_000_000 in
+      let rec tick () =
+        if !remaining > 0 then begin
+          decr remaining;
+          ignore (Netsim.Engine.schedule e ~delay:1.0 tick)
+        end
+      in
+      for _ = 1 to 64 do
+        ignore (Netsim.Engine.schedule e ~delay:0.5 tick)
+      done;
       let t0 = Netsim.Prof.now_s () in
       Netsim.Engine.run e;
       let dt = Netsim.Prof.now_s () -. t0 in
       if dt <= 0.0 then 0.0
       else float_of_int (Netsim.Engine.events_processed e) /. dt)
 
-let engine_dispatch_sharded ?(shards = 4) ?(streams = 8) ?(events = 2_000_000)
-    () =
-  unprofiled (fun () ->
-      let pool = Netsim.Engine.Shards.create shards in
-      for s = 0 to shards - 1 do
-        feed_streams
-          (Netsim.Engine.Shards.get pool s)
-          ~streams ~events:(events / shards)
-      done;
-      let t0 = Netsim.Prof.now_s () in
-      Netsim.Engine.Shards.run pool;
-      let dt = Netsim.Prof.now_s () -. t0 in
-      if dt <= 0.0 then 0.0
-      else float_of_int (Netsim.Engine.Shards.events_processed pool) /. dt)
-
-let default_shards = 4
-
-(* The BENCH.json "engine" block: measured dispatch throughput plus
-   the configuration that produced it. *)
+(* The BENCH.json "engine" block: measured dispatch throughput. *)
 let engine_block () =
-  let single = engine_dispatch_single () in
-  let sharded = engine_dispatch_sharded ~shards:default_shards () in
   Obs.Json.Obj
-    [ ("single_events_per_sec", Obs.Json.Float single);
-      ("sharded_events_per_sec", Obs.Json.Float sharded);
-      ("shards", Obs.Json.Int default_shards) ]
+    [ ("single_events_per_sec", Obs.Json.Float (engine_dispatch_single ())) ]
 
 let print () =
   let ols =
@@ -399,8 +371,4 @@ let print () =
   Metrics.Table.add_row table
     [ "engine: dispatch throughput (single domain)";
       Printf.sprintf "%.2fM events/s" (engine_dispatch_single () /. 1e6) ];
-  Metrics.Table.add_row table
-    [ Printf.sprintf "engine: dispatch throughput (%d shards)" default_shards;
-      Printf.sprintf "%.2fM events/s"
-        (engine_dispatch_sharded ~shards:default_shards () /. 1e6) ];
   Metrics.Table.print table

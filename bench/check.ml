@@ -42,12 +42,11 @@ let default_tolerance = 0.3
    the aggregate numbers the plain tolerance was sized for. *)
 let events_per_sec_widening = 1.5
 
-(* Absolute dispatch-throughput floors for the engine micro-bench
+(* Absolute dispatch-throughput floor for the engine micro-bench
    (BENCH.json "engine" block): raw event dispatch must stay above
-   2M events/s single-domain and 10M events/s Domain-sharded.  Perf
-   class, so --soft downgrades a slow shared runner to a warning. *)
+   2M events/s.  Perf class, so --soft downgrades a slow shared runner
+   to a warning. *)
 let engine_single_floor = 2e6
-let engine_sharded_floor = 1e7
 
 (* Row values are simulated quantities but travel through the JSON
    float printer (%.12g), so float equality is up to a relative
@@ -288,7 +287,7 @@ let check_experiment ~tolerance ~id ~base ~cur =
   | _ -> ());
   List.rev !findings @ check_blocks ~id ~base ~cur
 
-(* Engine dispatch floors: absolute thresholds on the current record's
+(* Engine dispatch floor: an absolute threshold on the current record's
    "engine" block (no baseline needed — the floor is the acceptance
    bar, not a ratchet).  Records without the block (pre-engine-block
    BENCH.json, or a run that skipped the micro measurement) produce no
@@ -296,25 +295,21 @@ let check_experiment ~tolerance ~id ~base ~cur =
 let check_engine cur =
   match Obs.Json.member "engine" cur with
   | Some (Obs.Json.Obj _ as eng) ->
-      let floor_finding field floor note =
-        match fnum eng field with
+      let field = "single_events_per_sec"
+      and note = "dispatch throughput floor, single domain" in
+      [ (match fnum eng field with
         | Some v ->
-            [ { f_exp = "engine"; f_field = field; f_base = "-";
-                f_cur = f3 v; f_threshold = Printf.sprintf ">= %s" (f3 floor);
-                f_class = Perf; f_ok = v >= floor; f_note = note } ]
+            { f_exp = "engine"; f_field = field; f_base = "-"; f_cur = f3 v;
+              f_threshold = Printf.sprintf ">= %s" (f3 engine_single_floor);
+              f_class = Perf; f_ok = v >= engine_single_floor; f_note = note }
         | None ->
-            [ { f_exp = "engine"; f_field = field; f_base = "-";
-                f_cur = "missing"; f_threshold = "present"; f_class = Perf;
-                f_ok = false; f_note = note ^ " (field missing)" } ]
-      in
-      floor_finding "single_events_per_sec" engine_single_floor
-        "dispatch throughput floor, single domain"
-      @ floor_finding "sharded_events_per_sec" engine_sharded_floor
-          "dispatch throughput floor, Domain-sharded"
+            { f_exp = "engine"; f_field = field; f_base = "-";
+              f_cur = "missing"; f_threshold = "present"; f_class = Perf;
+              f_ok = false; f_note = note ^ " (field missing)" }) ]
   | _ -> []
 
 (* Every finding of [cur] against [base]: experiments missing from the
-   current run, then each current experiment, then the engine floors. *)
+   current run, then each current experiment, then the engine floor. *)
 let findings ~tolerance ~base ~cur =
   let base_exps = experiments_of base and cur_exps = experiments_of cur in
   List.filter_map

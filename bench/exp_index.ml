@@ -71,10 +71,9 @@ let all : entry list =
     { exp_id = "micro"; exp_title = "Micro-benchmarks (Bechamel)";
       tables = (fun () -> []); print = Bench_micro.print } ]
 
-(* 100k-flow (S) and multi-policy million-EID (M2/M3) cells: heavy.
-   `main.exe` runs these only when they are named explicitly.  M1 stays
-   in the default sweep — it is the model-validation gate, and its
+(* 100k-flow (S) cells: heavy.  `main.exe` runs these only when they
+   are named explicitly.  The M-series stays in the default sweep: its
    cache rows must be in BASELINE.json for `bench --check`. *)
-let scale_ids = [ Exp_s1.id; Exp_s2.id; Exp_m2.id; Exp_m3.id ]
+let scale_ids = [ Exp_s1.id; Exp_s2.id ]
 
 let find id = List.find_opt (fun e -> e.exp_id = id) all

@@ -105,7 +105,7 @@ let () =
   let selected =
     if requested = [] then
       (* The scale experiments (S1/S2, 100k-flow cells) only run when
-         named: the default sweep stays under a minute per core. *)
+         named, to keep the default sweep to a few minutes. *)
       List.filter
         (fun (id, _, _) -> not (List.mem id Experiments.Exp_index.scale_ids))
         experiments
@@ -132,9 +132,9 @@ let () =
     Experiments.Runner.run ~jobs ~latency ~profile ?prof_trace tasks
   in
   let total_wall = Unix.gettimeofday () -. t0 in
-  (* Raw engine dispatch throughput (single-domain + Domain-sharded),
-     measured in-process after the experiments so the numbers land in
-     BENCH.json's "engine" block for the --check throughput floors. *)
+  (* Raw engine dispatch throughput, measured in-process after the
+     experiments so the number lands in BENCH.json's "engine" block for
+     the --check throughput floor. *)
   let engine = Experiments.Bench_micro.engine_block () in
   Experiments.Runner.write_bench_json ~engine ~path:bench_json ~jobs
     ~total_wall outcomes;

@@ -804,40 +804,6 @@ let prof_cmd =
              telemetry.")
     Term.(const run $ ids $ chrome)
 
-let bench_engine_cmd =
-  let events =
-    Arg.(value & opt int 2_000_000 & info [ "events" ] ~docv:"N"
-           ~doc:"Events to dispatch per measurement.")
-  in
-  let shards =
-    Arg.(value & opt int 4 & info [ "shards" ] ~docv:"N"
-           ~doc:"Shard count for the Domain-sharded measurement.")
-  in
-  let run events shards =
-    if events < 1 then begin
-      prerr_endline "--events must be positive";
-      exit 2
-    end;
-    if shards < 1 then begin
-      prerr_endline "--shards must be positive";
-      exit 2
-    end;
-    let single = Experiments.Bench_micro.engine_dispatch_single ~events () in
-    let sharded =
-      Experiments.Bench_micro.engine_dispatch_sharded ~shards ~events ()
-    in
-    Printf.printf "engine dispatch, single domain:   %8.2fM events/s\n"
-      (single /. 1e6);
-    Printf.printf "engine dispatch, %2d shards:       %8.2fM events/s\n" shards
-      (sharded /. 1e6)
-  in
-  Cmd.v
-    (Cmd.info "bench-engine"
-       ~doc:"Measure raw event-engine dispatch throughput: self-scheduling \
-             timer streams on a single engine and on a Domain-sharded pool \
-             (one engine per shard, deterministic per-shard results).")
-    Term.(const run $ events $ shards)
-
 let () =
   let info =
     Cmd.info "repro_cli" ~version:"1.0.0"
@@ -847,5 +813,4 @@ let () =
   in
   exit (Cmd.eval (Cmd.group info
        [ list_cmd; run_cmd; trace_cmd; topology_cmd; connect_cmd; simulate_cmd;
-         compare_cmd; obs_cmd; telemetry_cmd; spans_cmd; prof_cmd;
-         bench_engine_cmd ]))
+         compare_cmd; obs_cmd; telemetry_cmd; spans_cmd; prof_cmd ]))

@@ -760,10 +760,10 @@ let open_connection t ~flow ?data_packets ?data_bytes ?on_established
   connection
 
 let walkthrough t =
-  let ring = Netsim.Trace.create () in
-  Obs.Hub.add_sink t.obs (Obs.Hub.trace_sink ring);
+  let log = Netsim.Trace.create () in
+  Obs.Hub.add_sink t.obs (Obs.Hub.trace_sink log);
   Obs.Hub.set_enabled t.obs true;
-  ring
+  log
 
 let run ?until t =
   Netsim.Engine.run ?until t.engine;

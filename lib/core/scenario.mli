@@ -227,7 +227,7 @@ val obs : t -> Obs.Hub.t
     already enabled and wired. *)
 
 val walkthrough : t -> Netsim.Trace.t
-(** Subscribe a fresh string ring to the scenario's hub (enabling it)
+(** Subscribe a fresh string log to the scenario's hub (enabling it)
     and return it: as the scenario runs, every event lands there
     rendered by {!Obs.Event.describe} — the step-by-step walkthrough of
     the paper's Figure 1.  Only callers that print a walkthrough ask

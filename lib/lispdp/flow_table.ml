@@ -130,18 +130,6 @@ let lookup t ~now ~src_eid ~dst_eid =
     None
   end
 
-let remove t ~src_eid ~dst_eid =
-  let s = find_slot t (Ipv4.addr_to_int src_eid) (Ipv4.addr_to_int dst_eid) in
-  if s >= 0 then free_slot t s
-
-let update_src_rloc t ~now ~src_eid ~dst_eid ~rloc =
-  let s = find_slot t (Ipv4.addr_to_int src_eid) (Ipv4.addr_to_int dst_eid) in
-  if s >= 0 && Array.unsafe_get t.expires s > now then begin
-    t.entries.(s) <- { t.entries.(s) with Mapping.src_rloc = rloc };
-    true
-  end
-  else false
-
 (* [length] and [iter] walk the table, reaping any expired slot they
    pass — the lazy counterpart of the reap [lookup] does on a hit. *)
 
@@ -160,10 +148,3 @@ let iter t ~now ~f =
         f (Array.unsafe_get t.entries s)
       else free_slot t s
   done
-
-let clear t =
-  Array.fill t.k1 0 (t.mask + 1) empty_key;
-  Array.fill t.k2 0 (t.mask + 1) empty_key;
-  Array.fill t.entries 0 (t.mask + 1) dummy_entry;
-  t.occupied <- 0;
-  t.tombs <- 0

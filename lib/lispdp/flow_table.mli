@@ -19,20 +19,10 @@ val lookup :
   Nettypes.Mapping.flow_entry option
 (** Exact match on the EID pair; expired entries are absent. *)
 
-val remove : t -> src_eid:Nettypes.Ipv4.addr -> dst_eid:Nettypes.Ipv4.addr -> unit
-
 val length : t -> now:float -> int
 (** Number of live entries at [now].  Expired slots encountered during
     the count are reaped, so occupancy gauges report only entries a
     lookup could still return. *)
-
-val clear : t -> unit
-
-val update_src_rloc :
-  t -> now:float -> src_eid:Nettypes.Ipv4.addr -> dst_eid:Nettypes.Ipv4.addr ->
-  rloc:Nettypes.Ipv4.addr -> bool
-(** Rewrite the source locator of a live entry (the TE re-optimisation
-    move); returns [false] if no live entry exists. *)
 
 val iter : t -> now:float -> f:(Nettypes.Mapping.flow_entry -> unit) -> unit
 (** Visit live entries; expired slots encountered are reaped. *)

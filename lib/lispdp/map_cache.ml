@@ -50,8 +50,8 @@ type entry = {
   mapping : Mapping.t;
   expires_at : float;
   mutable provenance : provenance;
-  (* Recency links: the global list under LRU / TTL-hybrid, the
-     within-bucket list under LFU. *)
+  (* Recency links: the global list under LRU, the within-bucket list
+     under LFU; unused under TTL-hybrid. *)
   mutable prev : entry option;
   mutable next : entry option;
   (* LFU state: hit-count class and the bucket currently holding the
@@ -114,8 +114,8 @@ type t = {
   mutable gleaned_live : int;
   index : entry Int_table.t; (* packed prefix -> entry *)
   by_length : int array; (* live entries per prefix length, 0..32 *)
-  mutable head : entry option; (* most recently used (LRU / TTL-hybrid) *)
-  mutable tail : entry option; (* least recently used (LRU / TTL-hybrid) *)
+  mutable head : entry option; (* most recently used (LRU) *)
+  mutable tail : entry option; (* least recently used (LRU) *)
   mutable lfu_min : bucket option; (* lowest frequency class (LFU) *)
   heap : heap; (* expiry min-heap (TTL-hybrid) *)
   stats : stats;
@@ -150,7 +150,7 @@ let policy t = t.policy
 let glean_cap t = t.glean_cap
 let gleaned t = t.gleaned_live
 
-(* ---- global recency list (LRU / TTL-hybrid) ---- *)
+(* ---- global recency list (LRU) ---- *)
 
 let unlink t e =
   (match e.prev with Some p -> p.next <- e.next | None -> t.head <- e.next);
@@ -312,8 +312,9 @@ let heap_compact h ~live =
 
 let drop_entry t e =
   (match t.policy with
+  | Lru -> unlink t e
   | Lfu -> bucket_unlink t e
-  | Lru | Ttl_hybrid -> unlink t e);
+  | Ttl_hybrid -> ());
   if e.provenance = Gleaned then t.gleaned_live <- t.gleaned_live - 1;
   e.dead <- true;
   let prefix = e.mapping.Mapping.eid_prefix in
@@ -462,9 +463,7 @@ let insert t ~now ?(provenance = Verified) mapping =
         (match t.policy with
         | Lru -> push_front t e
         | Lfu -> lfu_insert t e
-        | Ttl_hybrid ->
-            push_front t e;
-            heap_push t.heap e);
+        | Ttl_hybrid -> heap_push t.heap e);
         if refreshed_freq = None then
           t.stats.insertions <- t.stats.insertions + 1
       end
@@ -493,10 +492,11 @@ let lookup t ~now addr =
   | Some e ->
       t.stats.hits <- t.stats.hits + 1;
       (match t.policy with
-      | Lru | Ttl_hybrid ->
+      | Lru ->
           unlink t e;
           push_front t e
-      | Lfu -> lfu_promote t e);
+      | Lfu -> lfu_promote t e
+      | Ttl_hybrid -> ());
       Some e.mapping
   | None ->
       t.stats.misses <- t.stats.misses + 1;

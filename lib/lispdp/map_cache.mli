@@ -69,8 +69,9 @@ val glean_cap : t -> int option
 val lookup : t -> now:float -> Nettypes.Ipv4.addr -> Nettypes.Mapping.t option
 (** Longest-prefix match among live entries; a hit refreshes the
     entry's standing under the eviction policy (recency position for
-    {!Lru}/{!Ttl_hybrid}, hit-count class for {!Lfu}).  Expired entries
-    behave as absent (and are reaped). *)
+    {!Lru}, hit-count class for {!Lfu}; nothing for {!Ttl_hybrid},
+    whose victim depends only on expiry).  Expired entries behave as
+    absent (and are reaped). *)
 
 val contains : t -> now:float -> Nettypes.Ipv4.addr -> bool
 (** Like {!lookup} without touching the entry's policy standing. *)

@@ -1,9 +1,5 @@
-(* Domain-safety audit (engine sharding): plain mutable fields, not
-   atomics, deliberately — a [t] is per-control-plane-instance state,
-   and every instance belongs to exactly one scenario, hence to one
-   shard's engine.  Cross-shard aggregation goes through [merge] after
-   the parallel section joins.  Sharing one [t] across shards would
-   race; don't. *)
+(* Control-plane cost counters: each control-plane instance owns one
+   [t] and bumps it in place. *)
 type t = {
   mutable map_requests : int;
   mutable map_replies : int;
@@ -28,22 +24,6 @@ let create () =
     replayed_accepted = 0; replayed_rejected = 0 }
 
 let message_total t = t.map_requests + t.map_replies + t.push_messages
-
-let merge a b =
-  { map_requests = a.map_requests + b.map_requests;
-    map_replies = a.map_replies + b.map_replies;
-    push_messages = a.push_messages + b.push_messages;
-    control_bytes = a.control_bytes + b.control_bytes;
-    detoured_packets = a.detoured_packets + b.detoured_packets;
-    resolutions = a.resolutions + b.resolutions;
-    retransmissions = a.retransmissions + b.retransmissions;
-    timeouts = a.timeouts + b.timeouts;
-    bypasses = a.bypasses + b.bypasses;
-    recoveries = a.recoveries + b.recoveries;
-    spoofed_accepted = a.spoofed_accepted + b.spoofed_accepted;
-    spoofed_rejected = a.spoofed_rejected + b.spoofed_rejected;
-    replayed_accepted = a.replayed_accepted + b.replayed_accepted;
-    replayed_rejected = a.replayed_rejected + b.replayed_rejected }
 
 let pp ppf t =
   Format.fprintf ppf

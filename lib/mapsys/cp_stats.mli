@@ -31,7 +31,4 @@ val create : unit -> t
 val message_total : t -> int
 (** Requests + replies + pushes. *)
 
-val merge : t -> t -> t
-(** Pointwise sum (fresh record). *)
-
 val pp : Format.formatter -> t -> unit

@@ -7,8 +7,7 @@ type t = {
 (* Per-delegation-hop lookup cost inside the mapping system. *)
 let ddt_hop_latency = 0.010
 
-let create ~engine ~internet ~registry ~alt ?(mode = Pull.Drop_while_pending)
-    ?faults ?retry ?nonce_rng ?adversary ?auth ?glean_cap ?obs () =
+let create ~engine ~internet ~registry ~alt ?faults ?retry ?nonce_rng ?adversary ?auth ?glean_cap ?obs () =
   (* The MR/MS complex sits in the first provider's core. *)
   let mr_node = internet.Topology.Builder.providers.(0).Topology.Builder.core in
   let graph = internet.Topology.Builder.graph in
@@ -27,9 +26,9 @@ let create ~engine ~internet ~registry ~alt ?(mode = Pull.Drop_while_pending)
     +. leg mr_node itr
   in
   let pull =
-    Pull.create ~engine ~internet ~registry ~alt ~mode ~name:"msmr"
-      ~resolution_latency ?faults ?retry ?nonce_rng ?adversary ?auth
-      ?glean_cap ?obs ()
+    Pull.create ~engine ~internet ~registry ~alt ~mode:Pull.Drop_while_pending
+      ~name:"msmr" ~resolution_latency ?faults ?retry ?nonce_rng ?adversary
+      ?auth ?glean_cap ?obs ()
   in
   { pull; internet; registry }
 

@@ -23,7 +23,6 @@ val create :
   internet:Topology.Builder.t ->
   registry:Registry.t ->
   alt:Alt.t ->
-  ?mode:Pull.mode ->
   ?faults:Netsim.Faults.t ->
   ?retry:Netsim.Faults.retry ->
   ?nonce_rng:Netsim.Rng.t ->
@@ -33,12 +32,11 @@ val create :
   ?obs:Obs.Hub.t ->
   unit ->
   t
-(** [mode] defaults to [Drop_while_pending].  The MR/MS complex sits
-    in the first provider's core, and each delegation hop inside the
-    mapping system costs 10 ms.  [faults]/[retry]/[nonce_rng]/
-    [adversary]/[auth]/[glean_cap] behave as in {!Pull.create} (the MR
-    front end inherits the same loss, retransmission and attack
-    model). *)
+(** The MR/MS complex sits in the first provider's core, and each
+    delegation hop inside the mapping system costs 10 ms.
+    [faults]/[retry]/[nonce_rng]/[adversary]/[auth]/[glean_cap] behave
+    as in {!Pull.create} (the MR front end inherits the same loss,
+    retransmission and attack model). *)
 
 val control_plane : t -> Lispdp.Dataplane.control_plane
 

@@ -17,12 +17,7 @@
    when more than half the queued events are cancelled the heap is
    compacted in place, so a burst of long-dated cancels (retransmit
    timers cleared on success) cannot bloat the heap or [pending_hwm]'s
-   denominator in memory terms.
-
-   [Shards] adds opt-in in-process parallel dispatch: N independent
-   engines, one OCaml 5 [Domain] each.  Shards must not share mutable
-   simulation state; determinism of any merged output comes from
-   merging by simulated (time, shard) order — see [Trace.merge]. *)
+   denominator in memory terms. *)
 
 type t = {
   id : int;
@@ -68,30 +63,29 @@ let st_free = '\000'
 let st_pending = '\001'
 let st_cancelled = '\002'
 
-(* Engine ids come off a process-wide atomic so sharded dispatch can
-   create engines from any domain. *)
-let next_engine_id = Atomic.make 1
+(* Engine ids are process-wide so that a handle from one engine is
+   rejected by every other. *)
+let next_engine_id = ref 1
 
 (* Process-wide event count, across every engine instance: the bench
    runner's workers report events/sec from it, and an experiment may
-   build one engine per (control plane × parameter) cell.  An
-   [Atomic.t] because sharded dispatch fires events from several
-   domains at once; the hot loop batches its contribution and flushes
-   once per [run]/[step] so the shared cache line is not contended on
-   every event. *)
-let total_fired = Atomic.make 0
+   build one engine per (control plane × parameter) cell.  [run] adds
+   its events once, at exit. *)
+let total_fired = ref 0
 
 let no_thunk = ignore
 
 let initial_heap = 256
 let initial_slots = 256
 
-let create ?(start = 0.0) () =
+let create () =
   let s_cap = initial_slots in
   let s_next = Array.init s_cap (fun i -> i + 1) in
   s_next.(s_cap - 1) <- -1;
-  { id = Atomic.fetch_and_add next_engine_id 1 land id_mask;
-    clock = start;
+  let id = !next_engine_id land id_mask in
+  incr next_engine_id;
+  { id;
+    clock = 0.0;
     h_time = Array.make initial_heap 0.0;
     h_seq = Array.make initial_heap 0;
     h_thunk = Array.make initial_heap no_thunk;
@@ -107,7 +101,7 @@ let pending t = t.live
 let pending_hwm t = t.hwm
 let events_processed t = t.fired
 let compactions t = t.compacted
-let total_events_processed () = Atomic.get total_fired
+let total_events_processed () = !total_fired
 
 (* ------------------------------------------------------------------ *)
 (* Slot pool                                                           *)
@@ -363,162 +357,50 @@ let cancel t h =
    uninstrumented callback bodies). *)
 let ph_dispatch = Prof.phase "engine"
 
-(* Fire the heap top (assumed pending, time already read).  Returns
-   after running the callback; exceptions propagate. *)
-let fire_top t time =
-  let thunk = t.h_thunk.(0) in
-  free_slot t t.h_slot.(0);
-  remove_top t;
-  t.clock <- time;
-  t.live <- t.live - 1;
-  t.fired <- t.fired + 1;
-  if Prof.enabled () then begin
-    Prof.enter ph_dispatch;
-    (match thunk () with
-    | () -> ()
-    | exception ex ->
-        Prof.leave ph_dispatch;
-        raise ex);
-    Prof.leave ph_dispatch
-  end
-  else thunk ()
-
-(* Discard cancelled events sitting at the top of the heap.  They do
-   not advance the clock. *)
-let rec drop_cancelled t =
-  if t.size > 0 && Bytes.unsafe_get t.s_state t.h_slot.(0) = st_cancelled
-  then begin
-    free_slot t t.h_slot.(0);
-    t.cancelled_pending <- t.cancelled_pending - 1;
-    remove_top t;
-    drop_cancelled t
-  end
-
-let step t =
-  drop_cancelled t;
-  if t.size = 0 then false
-  else begin
-    (match fire_top t t.h_time.(0) with
-    | () -> ()
-    | exception ex ->
-        Atomic.incr total_fired;
-        raise ex);
-    Atomic.incr total_fired;
-    true
-  end
-
-let run ?until t =
-  (* The hot loop counts fired events locally and flushes the shared
-     atomic once at exit, so sharded dispatch does not contend on the
-     global cache line per event. *)
-  let fired0 = t.fired in
-  let flush () =
-    let n = t.fired - fired0 in
-    if n > 0 then ignore (Atomic.fetch_and_add total_fired n)
-  in
-  (* Inlined drop-cancelled + fire: one bounds-free pass over the heap
-     top per iteration. *)
-  let dispatch_until horizon =
-    let stop = ref false in
-    while not !stop do
-      if t.size = 0 then stop := true
+(* Each iteration looks at the heap top once: a cancelled event is
+   reaped without advancing the clock, a live one fires unless it lies
+   beyond [horizon]. *)
+let dispatch t horizon =
+  let stop = ref false in
+  while not !stop do
+    if t.size = 0 then stop := true
+    else begin
+      let s = Array.unsafe_get t.h_slot 0 in
+      if Bytes.unsafe_get t.s_state s = st_cancelled then begin
+        free_slot t s;
+        t.cancelled_pending <- t.cancelled_pending - 1;
+        remove_top t
+      end
       else begin
-        let s = Array.unsafe_get t.h_slot 0 in
-        if Bytes.unsafe_get t.s_state s = st_cancelled then begin
-          (* Cancelled events do not advance the clock. *)
-          free_slot t s;
-          t.cancelled_pending <- t.cancelled_pending - 1;
-          remove_top t
-        end
+        let time = Array.unsafe_get t.h_time 0 in
+        if time > horizon then stop := true
         else begin
-          let time = Array.unsafe_get t.h_time 0 in
-          if time > horizon then stop := true
-          else begin
-            let thunk = Array.unsafe_get t.h_thunk 0 in
-            free_slot t s;
-            remove_top t;
-            t.clock <- time;
-            t.live <- t.live - 1;
-            t.fired <- t.fired + 1;
-            if Prof.enabled () then begin
-              Prof.enter ph_dispatch;
-              (match thunk () with
-              | () -> ()
-              | exception ex ->
-                  Prof.leave ph_dispatch;
-                  raise ex);
-              Prof.leave ph_dispatch
-            end
-            else thunk ()
+          let thunk = Array.unsafe_get t.h_thunk 0 in
+          free_slot t s;
+          remove_top t;
+          t.clock <- time;
+          t.live <- t.live - 1;
+          t.fired <- t.fired + 1;
+          if Prof.enabled () then begin
+            Prof.enter ph_dispatch;
+            (match thunk () with
+            | () -> ()
+            | exception ex ->
+                Prof.leave ph_dispatch;
+                raise ex);
+            Prof.leave ph_dispatch
           end
+          else thunk ()
         end
       end
-    done
-  in
-  (match until with
-  | None -> (
-      match dispatch_until infinity with
-      | () -> ()
-      | exception ex ->
-          flush ();
-          raise ex)
-  | Some horizon -> (
-      match dispatch_until horizon with
-      | () -> if t.clock < horizon then t.clock <- horizon
-      | exception ex ->
-          flush ();
-          raise ex));
-  flush ()
-
-(* ------------------------------------------------------------------ *)
-(* Sharded dispatch                                                    *)
-(* ------------------------------------------------------------------ *)
-
-module Shards = struct
-  type engine = t
-
-  type pool = { engines : engine array }
-
-  let create ?start n =
-    if n < 1 then invalid_arg "Engine.Shards.create: need at least one shard";
-    { engines = Array.init n (fun _ -> create ?start ()) }
-
-  let count p = Array.length p.engines
-  let get p i = p.engines.(i)
-
-  let events_processed p =
-    Array.fold_left (fun acc e -> acc + e.fired) 0 p.engines
-
-  let pending p = Array.fold_left (fun acc e -> acc + e.live) 0 p.engines
-
-  let run ?until ?(parallel = true) p =
-    let n = Array.length p.engines in
-    if (not parallel) || n = 1 then
-      Array.iter (fun e -> run ?until e) p.engines
-    else begin
-      (* The self-profiler's phase stack is process-global and
-         single-domain; pause it around the parallel section so
-         concurrent enter/leave cannot corrupt it.  Sharded dispatch
-         throughput is measured by the bench harness directly. *)
-      let prof_was_on = Prof.enabled () in
-      if prof_was_on then Prof.pause ();
-      let spawned =
-        Array.init (n - 1) (fun i ->
-            let e = p.engines.(i + 1) in
-            Domain.spawn (fun () -> run ?until e))
-      in
-      let first_error = ref None in
-      (match run ?until p.engines.(0) with
-      | () -> ()
-      | exception ex -> first_error := Some ex);
-      Array.iter
-        (fun d ->
-          match Domain.join d with
-          | () -> ()
-          | exception ex ->
-              if !first_error = None then first_error := Some ex)
-        spawned;
-      if prof_was_on then Prof.resume ();
-      match !first_error with None -> () | Some ex -> raise ex
     end
-end
+  done
+
+let run ?until t =
+  let fired0 = t.fired in
+  Fun.protect
+    ~finally:(fun () -> total_fired := !total_fired + (t.fired - fired0))
+    (fun () -> dispatch t (Option.value until ~default:infinity));
+  match until with
+  | Some horizon when t.clock < horizon -> t.clock <- horizon
+  | Some _ | None -> ()

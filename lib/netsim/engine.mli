@@ -4,7 +4,8 @@
     callbacks.  Events scheduled for the same instant fire in FIFO order
     (insertion order), which keeps simulations deterministic.  All
     simulated network latencies, timers and timeouts are expressed as
-    events on one engine instance.
+    events on one engine instance, and {!run} is the only way they
+    fire: one sequential dispatch loop per run.
 
     Internally the queue is an implicit 4-ary min-heap on [(time, seq)]
     stored in parallel flat arrays (timestamps in an unboxed
@@ -22,8 +23,8 @@ type handle
     using one on a different engine raises, and a handle whose event
     already fired is simply stale. *)
 
-val create : ?start:float -> unit -> t
-(** Fresh engine whose clock reads [start] (default [0.0]) seconds. *)
+val create : unit -> t
+(** Fresh engine whose clock reads [0.0] seconds. *)
 
 val now : t -> float
 (** Current virtual time in seconds. *)
@@ -56,11 +57,9 @@ val compactions : t -> int
 val run : ?until:float -> t -> unit
 (** Execute events in timestamp order.  With [?until], stop once the next
     event would fire strictly after [until] and advance the clock to
-    [until]; otherwise run until the queue drains. *)
-
-val step : t -> bool
-(** Fire exactly the next event.  Returns [false] when the queue is
-    empty. *)
+    [until]; otherwise run until the queue drains.  An exception raised
+    by a callback propagates out of [run]; the events fired up to and
+    including that callback still count. *)
 
 val events_processed : t -> int
 (** Total callbacks fired since [create] — a cheap progress/efficiency
@@ -70,42 +69,5 @@ val total_events_processed : unit -> int
 (** Process-wide total of callbacks fired across every engine instance
     ever created.  The bench runner reads the delta around an experiment
     to report events/sec even when the experiment builds one engine per
-    cell.  Backed by an [Atomic.t], so reads are safe under sharded
-    dispatch. *)
-
-(** Opt-in parallel dispatch of independent event streams.
-
-    A pool holds [n] engines, one per shard.  Shards must not share
-    mutable simulation state; under that contract [run ~parallel:true]
-    (the default) dispatches each shard on its own OCaml 5 [Domain]
-    and yields per-shard results identical to running the shards
-    sequentially.  Deterministic cross-shard ordering of any merged
-    output comes from sorting by simulated [(time, shard)] — see
-    [Trace.merge]. *)
-module Shards : sig
-  type engine := t
-
-  type pool
-
-  val create : ?start:float -> int -> pool
-  (** [create n] makes a pool of [n] independent engines.
-      @raise Invalid_argument if [n < 1]. *)
-
-  val count : pool -> int
-
-  val get : pool -> int -> engine
-  (** [get p i] is shard [i]'s engine, for wiring up its event stream. *)
-
-  val run : ?until:float -> ?parallel:bool -> pool -> unit
-  (** Run every shard to completion (or to [until]).  With
-      [~parallel:false], shards run sequentially on the calling
-      domain — byte-identical per-shard results either way.  The
-      self-profiler is paused around the parallel section (its state
-      is process-global and not domain-safe). *)
-
-  val events_processed : pool -> int
-  (** Sum of {!events_processed} over the shards. *)
-
-  val pending : pool -> int
-  (** Sum of {!pending} over the shards. *)
-end
+    cell.  Each {!run} adds the events it fired once, when it returns
+    or raises. *)

@@ -224,51 +224,6 @@ module P2 = struct
     end
 end
 
-module Histogram = struct
-  type t = {
-    lo : float;
-    hi : float;
-    width : float;
-    bins : int array;
-    mutable count : int;
-    mutable nan : int;
-  }
-
-  let create ~lo ~hi ~bins =
-    if bins <= 0 then invalid_arg "Stats.Histogram.create: bins must be > 0";
-    if not (hi > lo) then invalid_arg "Stats.Histogram.create: hi must be > lo";
-    { lo; hi; width = (hi -. lo) /. float_of_int bins; bins = Array.make bins 0;
-      count = 0; nan = 0 }
-
-  let add t x =
-    if Float.is_nan x then t.nan <- t.nan + 1
-    else begin
-      let raw = int_of_float ((x -. t.lo) /. t.width) in
-      let idx = Stdlib.max 0 (Stdlib.min (Array.length t.bins - 1) raw) in
-      t.bins.(idx) <- t.bins.(idx) + 1;
-      t.count <- t.count + 1
-    end
-
-  let count t = t.count
-  let nan_count t = t.nan
-  let bin_count t = Array.length t.bins
-
-  let bin t i =
-    let lower = t.lo +. (float_of_int i *. t.width) in
-    (lower, lower +. t.width, t.bins.(i))
-
-  let fraction_below t value =
-    if t.count = 0 then 0.0
-    else begin
-      let acc = ref 0 in
-      for i = 0 to Array.length t.bins - 1 do
-        let _, upper, n = bin t i in
-        if upper <= value then acc := !acc + n
-      done;
-      float_of_int !acc /. float_of_int t.count
-    end
-end
-
 let jain_index xs =
   let n = Array.length xs in
   if n = 0 then 1.0

@@ -1,11 +1,11 @@
 (** Online statistics for simulation measurements.
 
-    Four collectors cover the experiments' needs: {!Summary} for
+    Three collectors cover the experiments' needs: {!Summary} for
     streaming mean/variance, {!Samples} for quantiles and CDF export
     (exact by default, bounded-memory reservoir sampling for
-    million-flow runs), {!P2} for O(1)-memory single-quantile tracking,
-    and {!Histogram} for fixed-bin densities.  {!jain_index} computes
-    the fairness metric used by the traffic-engineering experiments. *)
+    million-flow runs) and {!P2} for O(1)-memory single-quantile
+    tracking.  {!jain_index} computes the fairness metric used by the
+    traffic-engineering experiments. *)
 
 module Summary : sig
   (** Welford's streaming mean and variance. *)
@@ -98,33 +98,6 @@ module P2 : sig
   val quantile : t -> float
   (** Current estimate; exact while fewer than five observations have
       been seen.  Raises [Invalid_argument] when empty. *)
-end
-
-module Histogram : sig
-  (** Fixed-width bins over [\[lo, hi)]; out-of-range values are clamped
-      into the edge bins so nothing is silently dropped.  NaN samples are
-      counted separately — they land in no bin and are excluded from
-      {!count} and {!fraction_below}. *)
-
-  type t
-
-  val create : lo:float -> hi:float -> bins:int -> t
-  val add : t -> float -> unit
-
-  val count : t -> int
-  (** Binned (non-NaN) observations. *)
-
-  val nan_count : t -> int
-  (** NaN observations rejected by {!add}. *)
-
-  val bin_count : t -> int
-
-  val bin : t -> int -> float * float * int
-  (** [bin t i] is [(lower_edge, upper_edge, occupancy)]. *)
-
-  val fraction_below : t -> float -> float
-  (** Fraction of binned observations in bins entirely below the given
-      value. *)
 end
 
 val jain_index : float array -> float

@@ -12,7 +12,7 @@ let enabled t = t.on
 let set_enabled t on = t.on <- on
 let add_sink t sink = t.sinks <- t.sinks @ [ sink ]
 
-(* Sink fan-out (JSONL rendering, span assembly, the walkthrough ring)
+(* Sink fan-out (JSONL rendering, span assembly, the walkthrough log)
    is charged to one profiler phase, so "what does observability cost"
    reads off one line. *)
 let ph_trace = Netsim.Prof.phase "trace"

@@ -2,7 +2,7 @@
 
     Each scenario owns one hub; instrumented layers emit typed events
     into it and any number of sinks (JSONL writer, in-memory buffer,
-    latency analyzer, the Figure-1 walkthrough ring, metrics sampler
+    latency analyzer, the Figure-1 walkthrough log, metrics sampler
     ticks) consume them.  The hub holds the simulation clock, so an
     emit site names only the actor and the payload.
 
@@ -37,5 +37,5 @@ val memory_sink : unit -> sink * (unit -> Event.t list)
 
 val trace_sink : Netsim.Trace.t -> sink
 (** The string renderer: appends [Event.describe] text to a
-    {!Netsim.Trace} ring — the walkthrough printed by [bench f1],
+    {!Netsim.Trace} log — the walkthrough printed by [bench f1],
     [repro_cli trace] and [connect -v]. *)

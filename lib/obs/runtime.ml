@@ -16,13 +16,6 @@ type t = {
   mutable run_seq : int;
 }
 
-(* Domain-safety audit (engine sharding): this ref is process-global
-   but is only read/written during install/attach/finalize — the
-   single-domain setup and teardown phases around a run.  Scenarios
-   dispatched in parallel via [Netsim.Engine.Shards] must attach
-   before and finalize after the parallel section; the sharded bench
-   paths never touch the runtime, so no atomics are needed here
-   (unlike [Netsim.Engine]'s process-wide event counter). *)
 let current : t option ref = ref None
 
 let install ?trace_out ?metrics_out ?(metrics_interval = 1.0)

@@ -580,6 +580,209 @@ let prop_cache_remove_covered_probe =
     remove_covered_matches_model
 
 (* ------------------------------------------------------------------ *)
+(* Eviction policies against a list model                              *)
+(* ------------------------------------------------------------------ *)
+
+(* Twelve /24s (100.0.k.0/24), a cache of 3-5 entries, TTLs of 1-8 s
+   and clock steps of whole seconds.  Each TTL also carries a fraction
+   unique to the operation that drew it, so no two entries share an
+   expiry and TTL-hybrid's victim is always well defined.  Lookups
+   favour four hot prefixes, so LFU's hit-count classes fill up. *)
+
+type evict_op =
+  | E_insert of int * int  (** prefix, whole-second TTL *)
+  | E_refresh of int * int  (** a cached prefix (by rank), TTL *)
+  | E_lookup of int
+  | E_contains of int
+  | E_remove of int
+  | E_advance of int
+
+let show_evict_op = function
+  | E_insert (k, ttl) -> Printf.sprintf "insert %d ttl %d" k ttl
+  | E_refresh (r, ttl) -> Printf.sprintf "refresh #%d ttl %d" r ttl
+  | E_lookup k -> Printf.sprintf "lookup %d" k
+  | E_contains k -> Printf.sprintf "contains %d" k
+  | E_remove k -> Printf.sprintf "remove %d" k
+  | E_advance d -> Printf.sprintf "advance %d" d
+
+let gen_evict_case =
+  QCheck.Gen.(
+    pair (int_range 3 5)
+      (list_size (1 -- 100)
+         (frequency
+            [ (3, map2 (fun k t -> E_insert (k, t)) (int_bound 11) (int_range 1 8));
+              (1, map2 (fun r t -> E_refresh (r, t)) nat (int_range 1 8));
+              ( 4,
+                map
+                  (fun k -> E_lookup k)
+                  (frequency [ (3, int_bound 3); (1, int_bound 11) ]) );
+              (1, map (fun k -> E_contains k) (int_bound 11));
+              (1, map (fun k -> E_remove k) (int_bound 11));
+              (2, map (fun d -> E_advance d) (int_range 1 3)) ])))
+
+(* One cached prefix as the model sees it.  [m_used] and [m_entered]
+   are operation indices, so they never tie. *)
+type model_entry = {
+  m_prefix : int;
+  m_expires : float;
+  m_used : int;  (** last insert, refresh or hit (LRU) *)
+  m_hits : int;  (** hit-count class: 1 on insert, kept on refresh (LFU) *)
+  m_entered : int;  (** when it entered that class (LFU) *)
+}
+
+(* The victim is the least entry under the policy's order: least
+   recently used; lowest hit count, then least recently entered into
+   that class; smallest expiry.  Expired entries stay candidates until
+   a lookup reaps them. *)
+let victim_order policy a b =
+  match policy with
+  | Map_cache.Lru -> Int.compare a.m_used b.m_used
+  | Map_cache.Lfu ->
+      compare (a.m_hits, a.m_entered) (b.m_hits, b.m_entered)
+  | Map_cache.Ttl_hybrid -> Float.compare a.m_expires b.m_expires
+
+(* Runs the cache and the model side by side.  After every operation
+   the lookup result, [length], all seven stats counters and the
+   sequence of deaths the evict and expire hooks saw must agree. *)
+let eviction_matches_model policy (capacity, ops) =
+  let c = Map_cache.create ~policy ~capacity () in
+  let prefix k = Printf.sprintf "100.0.%d.0/24" k in
+  let seen = ref [] in
+  let saw kind m =
+    seen := (kind, Ipv4.prefix_to_string m.Mapping.eid_prefix) :: !seen
+  in
+  Map_cache.set_evict_hook c (Some (saw "evict"));
+  Map_cache.set_expire_hook c (Some (saw "expire"));
+  let model = ref [] and deaths = ref [] in
+  let want =
+    { Map_cache.hits = 0; misses = 0; insertions = 0; evictions = 0;
+      expirations = 0; invalidations = 0; glean_rejections = 0 }
+  in
+  let die kind e =
+    model := List.filter (fun x -> x.m_prefix <> e.m_prefix) !model;
+    deaths := (kind, prefix e.m_prefix) :: !deaths
+  in
+  let find k = List.find_opt (fun e -> e.m_prefix = k) !model in
+  let now = ref 0.0 in
+  let insert i k ttl =
+    let ttl = float_of_int ttl +. (float_of_int (i + 1) /. 1024.0) in
+    Map_cache.insert c ~now:!now (mapping ~prefix:(prefix k) ~ttl ());
+    let expires = !now +. ttl in
+    match find k with
+    | Some e ->
+        model :=
+          { e with m_expires = expires; m_used = i; m_entered = i }
+          :: List.filter (fun x -> x.m_prefix <> k) !model
+    | None ->
+        if List.length !model >= capacity then begin
+          let v = List.hd (List.sort (victim_order policy) !model) in
+          if v.m_expires <= !now then begin
+            want.expirations <- want.expirations + 1;
+            die "expire" v
+          end
+          else begin
+            want.evictions <- want.evictions + 1;
+            die "evict" v
+          end
+        end;
+        want.insertions <- want.insertions + 1;
+        model :=
+          { m_prefix = k; m_expires = expires; m_used = i; m_hits = 1;
+            m_entered = i }
+          :: !model
+  in
+  (* The model's answer to a lookup or contains of [k]: an expired
+     entry is reaped and counted, a live one returned. *)
+  let live k =
+    match find k with
+    | Some e when e.m_expires > !now -> Some e
+    | Some e ->
+        want.expirations <- want.expirations + 1;
+        die "expire" e;
+        None
+    | None -> None
+  in
+  let counters (s : Map_cache.stats) =
+    [ s.hits; s.misses; s.insertions; s.evictions; s.expirations;
+      s.invalidations; s.glean_rejections ]
+  in
+  List.iteri
+    (fun i op ->
+      let addr_of k = addr (Printf.sprintf "100.0.%d.9" k) in
+      (match op with
+      | E_advance d -> now := !now +. float_of_int d
+      | E_insert (k, ttl) -> insert i k ttl
+      | E_refresh (r, ttl) -> (
+          match List.sort compare (List.map (fun e -> e.m_prefix) !model) with
+          | [] -> insert i (r mod 12) ttl
+          | ks -> insert i (List.nth ks (r mod List.length ks)) ttl)
+      | E_lookup k ->
+          let got =
+            Option.map
+              (fun m -> Ipv4.prefix_to_string m.Mapping.eid_prefix)
+              (Map_cache.lookup c ~now:!now (addr_of k))
+          in
+          let expected =
+            match live k with
+            | Some e ->
+                want.hits <- want.hits + 1;
+                model :=
+                  { e with m_used = i; m_hits = e.m_hits + 1; m_entered = i }
+                  :: List.filter (fun x -> x.m_prefix <> k) !model;
+                Some (prefix k)
+            | None ->
+                want.misses <- want.misses + 1;
+                None
+          in
+          if got <> expected then
+            QCheck.Test.fail_reportf "op %d (lookup %d): got %s, model says %s"
+              i k
+              (Option.value got ~default:"miss")
+              (Option.value expected ~default:"miss")
+      | E_contains k ->
+          let got = Map_cache.contains c ~now:!now (addr_of k) in
+          if got <> Option.is_some (live k) then
+            QCheck.Test.fail_reportf "op %d: contains %d disagrees" i k
+      | E_remove k -> (
+          Map_cache.remove c (pfx (prefix k));
+          match find k with
+          | Some e ->
+              want.invalidations <- want.invalidations + 1;
+              die "evict" e
+          | None -> ()));
+      if Map_cache.length c <> List.length !model then
+        QCheck.Test.fail_reportf "op %d (%s): %d entries, model says %d" i
+          (show_evict_op op) (Map_cache.length c) (List.length !model);
+      if counters (Map_cache.stats c) <> counters want then
+        QCheck.Test.fail_reportf "op %d (%s): stats [%s], model says [%s]" i
+          (show_evict_op op)
+          (String.concat " "
+             (List.map string_of_int (counters (Map_cache.stats c))))
+          (String.concat " " (List.map string_of_int (counters want)));
+      if !seen <> !deaths then
+        let show l =
+          String.concat " "
+            (List.rev_map (fun (kind, p) -> kind ^ ":" ^ p) l)
+        in
+        QCheck.Test.fail_reportf "op %d (%s): hooks saw [%s], model says [%s]"
+          i (show_evict_op op) (show !seen) (show !deaths))
+    ops;
+  true
+
+let prop_cache_eviction_matches_model policy =
+  QCheck.Test.make
+    ~name:
+      (Printf.sprintf "eviction (%s) = list model"
+         (Map_cache.policy_label policy))
+    ~count:500
+    (QCheck.make
+       ~print:(fun (capacity, ops) ->
+         Printf.sprintf "capacity %d: %s" capacity
+           (String.concat "; " (List.map show_evict_op ops)))
+       gen_evict_case)
+    (eviction_matches_model policy)
+
+(* ------------------------------------------------------------------ *)
 (* Flow_table                                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -615,24 +818,6 @@ let test_flow_table_expiry () =
     (Flow_table.lookup t ~now:11.0 ~src_eid:(addr "100.0.0.1")
        ~dst_eid:(addr "100.0.1.1")
     = None)
-
-let test_flow_table_update_src_rloc () =
-  let t = Flow_table.create () in
-  Flow_table.install t ~now:0.0 (entry ());
-  Alcotest.(check bool) "update succeeds" true
-    (Flow_table.update_src_rloc t ~now:1.0 ~src_eid:(addr "100.0.0.1")
-       ~dst_eid:(addr "100.0.1.1") ~rloc:(addr "11.0.0.1"));
-  (match
-     Flow_table.lookup t ~now:1.0 ~src_eid:(addr "100.0.0.1")
-       ~dst_eid:(addr "100.0.1.1")
-   with
-  | Some e ->
-      Alcotest.(check string) "rewritten" "11.0.0.1"
-        (Ipv4.addr_to_string e.Mapping.src_rloc)
-  | None -> Alcotest.fail "entry vanished");
-  Alcotest.(check bool) "update of absent entry fails" false
-    (Flow_table.update_src_rloc t ~now:1.0 ~src_eid:(addr "1.1.1.1")
-       ~dst_eid:(addr "2.2.2.2") ~rloc:(addr "11.0.0.1"))
 
 let test_flow_table_iter_live_only () =
   let t = Flow_table.create ~ttl:10.0 () in
@@ -912,7 +1097,6 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_flow_table_roundtrip;
           Alcotest.test_case "expiry" `Quick test_flow_table_expiry;
-          Alcotest.test_case "update src rloc" `Quick test_flow_table_update_src_rloc;
           Alcotest.test_case "iter live only" `Quick test_flow_table_iter_live_only;
           Alcotest.test_case "length reaps expired" `Quick
             test_flow_table_length_reaps_expired;
@@ -937,5 +1121,8 @@ let () =
             prop_cache_remove_covered_probe;
             prop_cache_stats_balance Map_cache.Lru;
             prop_cache_stats_balance Map_cache.Lfu;
-            prop_cache_stats_balance Map_cache.Ttl_hybrid ] );
+            prop_cache_stats_balance Map_cache.Ttl_hybrid;
+            prop_cache_eviction_matches_model Map_cache.Lru;
+            prop_cache_eviction_matches_model Map_cache.Lfu;
+            prop_cache_eviction_matches_model Map_cache.Ttl_hybrid ] );
     ]

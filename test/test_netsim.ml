@@ -12,7 +12,6 @@ let check_float = Alcotest.(check (float 1e-9))
 let test_engine_empty () =
   let e = Engine.create () in
   check_float "starts at zero" 0.0 (Engine.now e);
-  Alcotest.(check bool) "step on empty" false (Engine.step e);
   Engine.run e;
   check_float "still zero" 0.0 (Engine.now e)
 
@@ -293,7 +292,9 @@ let test_engine_events_processed () =
   Alcotest.(check int) "only live events count" 5 (Engine.events_processed e)
 
 let test_engine_schedule_at_exact () =
-  let e = Engine.create ~start:10.0 () in
+  let e = Engine.create () in
+  Engine.run ~until:10.0 e;
+  check_float "run ~until advances the clock" 10.0 (Engine.now e);
   let fired_at = ref nan in
   ignore (Engine.schedule_at e ~time:12.5 (fun () -> fired_at := Engine.now e));
   Engine.run e;
@@ -351,16 +352,14 @@ let test_engine_cancel_compaction () =
   check_float "clock at last survivor, not at cancelled horizon" 1.0
     (Engine.now e)
 
-(* Regression (issue 7): [total_events_processed] was a plain ref —
-   racy under Domain-sharded dispatch.  Two shards dispatching
-   concurrently must lose no counts. *)
-let test_engine_atomic_total_two_domains () =
-  let before = Engine.total_events_processed () in
-  let pool = Engine.Shards.create 2 in
-  let per_shard = 20_000 in
-  for s = 0 to 1 do
-    let e = Engine.Shards.get pool s in
-    let remaining = ref (per_shard - 1) in
+(* [total_events_processed] is what every experiment's strict [events]
+   field reads, through the bench runner: each [run] must add exactly
+   the events it fired, also when a callback raises and when [~until]
+   stops it early. *)
+let test_engine_total_events () =
+  let total () = Engine.total_events_processed () in
+  let chain e n =
+    let remaining = ref (n - 1) in
     let rec tick () =
       if !remaining > 0 then begin
         decr remaining;
@@ -368,13 +367,36 @@ let test_engine_atomic_total_two_domains () =
       end
     in
     ignore (Engine.schedule e ~delay:1.0 tick)
+  in
+  let before = total () in
+  let a = Engine.create () and b = Engine.create () in
+  chain a 7;
+  chain b 11;
+  Engine.run a;
+  Engine.run b;
+  Alcotest.(check int) "two engines in turn add their sum"
+    (Engine.events_processed a + Engine.events_processed b)
+    (total () - before);
+  Alcotest.(check int) "every chained event fired" 18 (total () - before);
+  let e = Engine.create () in
+  for i = 1 to 5 do
+    ignore
+      (Engine.schedule e ~delay:(float_of_int i) (fun () ->
+           if i = 3 then failwith "third callback"))
   done;
-  Engine.Shards.run ~parallel:true pool;
-  Alcotest.(check int) "per-shard counts" (2 * per_shard)
-    (Engine.Shards.events_processed pool);
-  Alcotest.(check int) "process-wide total lost no increments"
-    (2 * per_shard)
-    (Engine.total_events_processed () - before)
+  let before = total () in
+  Alcotest.check_raises "run re-raises the callback's exception"
+    (Failure "third callback") (fun () -> Engine.run e);
+  Alcotest.(check int) "events up to the raising one count" 3
+    (total () - before);
+  let e = Engine.create () in
+  chain e 10;
+  let before = total () in
+  Engine.run ~until:4.5 e;
+  Alcotest.(check int) "an early stop adds only what fired" 4
+    (total () - before);
+  Engine.run e;
+  Alcotest.(check int) "the second run adds the rest" 10 (total () - before)
 
 (* ------------------------------------------------------------------ *)
 (* Stats                                                               *)
@@ -418,17 +440,6 @@ let test_samples_cdf_monotone () =
   in
   check_pairs cdf
 
-let test_histogram () =
-  let h = Stats.Histogram.create ~lo:0.0 ~hi:10.0 ~bins:10 in
-  List.iter (Stats.Histogram.add h) [ 0.5; 1.5; 1.7; 9.5; -3.0; 42.0 ];
-  Alcotest.(check int) "count includes clamped" 6 (Stats.Histogram.count h);
-  let _, _, first = Stats.Histogram.bin h 0 in
-  Alcotest.(check int) "underflow clamped into first bin" 2 first;
-  let _, _, last = Stats.Histogram.bin h 9 in
-  Alcotest.(check int) "overflow clamped into last bin" 2 last;
-  let _, _, second = Stats.Histogram.bin h 1 in
-  Alcotest.(check int) "bin [1,2)" 2 second
-
 let test_samples_to_list_order () =
   let s = Stats.Samples.create () in
   List.iter (Stats.Samples.add s) [ 3.0; 1.0; 2.0 ];
@@ -437,13 +448,6 @@ let test_samples_to_list_order () =
   (* percentile on the same collector still works (sorting is cached
      separately). *)
   check_float "median" 2.0 (Stats.Samples.median s)
-
-let test_histogram_fraction_below () =
-  let h = Stats.Histogram.create ~lo:0.0 ~hi:10.0 ~bins:10 in
-  List.iter (Stats.Histogram.add h) [ 0.5; 1.5; 2.5; 3.5 ];
-  check_float "half below 2" 0.5 (Stats.Histogram.fraction_below h 2.0);
-  check_float "all below 10" 1.0 (Stats.Histogram.fraction_below h 10.0);
-  check_float "none below 0" 0.0 (Stats.Histogram.fraction_below h 0.0)
 
 let test_jain () =
   check_float "balanced" 1.0 (Stats.jain_index [| 5.0; 5.0; 5.0; 5.0 |]);
@@ -516,14 +520,6 @@ let test_p2_small_n_exact () =
     (Invalid_argument "Stats.P2.create: p must be in (0, 100)") (fun () ->
       ignore (Stats.P2.create ~p:100.0))
 
-let test_histogram_nan () =
-  let h = Stats.Histogram.create ~lo:0.0 ~hi:10.0 ~bins:10 in
-  List.iter (Stats.Histogram.add h) [ 1.0; Float.nan; 5.0; Float.nan; Float.nan ];
-  Alcotest.(check int) "count excludes NaN" 2 (Stats.Histogram.count h);
-  Alcotest.(check int) "NaN counted separately" 3 (Stats.Histogram.nan_count h);
-  check_float "fraction_below over binned values only" 0.5
-    (Stats.Histogram.fraction_below h 2.0)
-
 (* ------------------------------------------------------------------ *)
 (* Trace                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -540,24 +536,6 @@ let test_trace_order () =
   | _ -> Alcotest.fail "expected two entries");
   Alcotest.(check bool) "find" true
     (Trace.find tr ~f:(fun e -> e.Trace.actor = "b") <> None)
-
-let test_trace_capacity_ring () =
-  let tr = Trace.create ~capacity:3 () in
-  for i = 1 to 5 do
-    Trace.record tr ~time:(float_of_int i) ~actor:"a"
-      (Printf.sprintf "event %d" i)
-  done;
-  Alcotest.(check int) "length counts everything recorded" 5 (Trace.length tr);
-  Alcotest.(check int) "only the last [capacity] are retained" 3
-    (Trace.retained tr);
-  Alcotest.(check (list string)) "oldest entries evicted first"
-    [ "event 3"; "event 4"; "event 5" ]
-    (List.map (fun e -> e.Trace.event) (Trace.entries tr));
-  Trace.clear tr;
-  Alcotest.(check int) "clear resets the count" 0 (Trace.length tr);
-  Alcotest.check_raises "non-positive capacity rejected"
-    (Invalid_argument "Trace.create: capacity must be positive") (fun () ->
-      ignore (Trace.create ~capacity:0 ()))
 
 (* ------------------------------------------------------------------ *)
 (* Properties                                                          *)
@@ -805,8 +783,8 @@ let () =
             test_engine_foreign_cancel_rejected;
           Alcotest.test_case "cancel compaction" `Quick
             test_engine_cancel_compaction;
-          Alcotest.test_case "atomic total across domains" `Quick
-            test_engine_atomic_total_two_domains;
+          Alcotest.test_case "total events across runs" `Quick
+            test_engine_total_events;
         ] );
       ( "rng",
         [
@@ -838,8 +816,6 @@ let () =
           Alcotest.test_case "percentiles" `Quick test_samples_percentiles;
           Alcotest.test_case "cdf monotone" `Quick test_samples_cdf_monotone;
           Alcotest.test_case "to_list order" `Quick test_samples_to_list_order;
-          Alcotest.test_case "histogram" `Quick test_histogram;
-          Alcotest.test_case "fraction below" `Quick test_histogram_fraction_below;
           Alcotest.test_case "jain" `Quick test_jain;
           Alcotest.test_case "reservoir bounded" `Quick
             test_samples_reservoir_bounded;
@@ -848,7 +824,6 @@ let () =
           Alcotest.test_case "sort is total" `Quick test_samples_sort_total_order;
           Alcotest.test_case "p2 tracks exact" `Quick test_p2_tracks_exact;
           Alcotest.test_case "p2 small n" `Quick test_p2_small_n_exact;
-          Alcotest.test_case "histogram nan" `Quick test_histogram_nan;
         ] );
       ( "faults",
         [
@@ -863,9 +838,7 @@ let () =
           Alcotest.test_case "validation" `Quick test_faults_validation;
         ] );
       ("trace",
-       [ Alcotest.test_case "order" `Quick test_trace_order;
-         Alcotest.test_case "ring-buffer capacity" `Quick
-           test_trace_capacity_ring ]);
+       [ Alcotest.test_case "order" `Quick test_trace_order ]);
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_engine_drains; prop_engine_matches_reference_order;
