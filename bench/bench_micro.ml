@@ -218,12 +218,11 @@ let telemetry_site i =
       Netsim.Telemetry.on_link tm ~link:3 ~dir:0 ~bytes:1400;
       Netsim.Telemetry.on_node_tx tm ~node:7 ~bytes:1400;
       Netsim.Telemetry.on_flow_packet tm ~eid:i ~flow:i;
-      Netsim.Telemetry.on_drop tm ~node:7 Netsim.Telemetry.No_route;
       Netsim.Telemetry.on_select tm ~provider:2 ~inbound:true
   | None -> ()
 
 let test_telemetry_disabled =
-  Test.make ~name:"telemetry: 10k link+node+flow+drop hooks (disabled)"
+  Test.make ~name:"telemetry: 10k link+node+flow hooks (disabled)"
     (Staged.stage (fun () ->
          for i = 1 to 10_000 do
            telemetry_site i

@@ -65,5 +65,5 @@ let print () =
   let walkthrough = Scenario.walkthrough scenario in
   let connection = connect scenario in
   Format.printf "--- event trace (steps 1-8 of the paper's Figure 1) ---@.";
-  Format.printf "%a@." Netsim.Trace.pp walkthrough;
+  Format.printf "%a@." Obs.Event.pp_log (walkthrough ());
   Metrics.Table.print (table scenario connection)

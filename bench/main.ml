@@ -136,8 +136,7 @@ let () =
      experiments so the number lands in BENCH.json's "engine" block for
      the --check throughput floor. *)
   let engine = Experiments.Bench_micro.engine_block () in
-  Experiments.Runner.write_bench_json ~engine ~path:bench_json ~jobs
-    ~total_wall outcomes;
+  Experiments.Runner.write_bench_json ~engine ~path:bench_json ~jobs outcomes;
   Printf.eprintf "    total %.1fs wall (%d jobs); perf record: %s\n%!"
     total_wall jobs bench_json;
   if List.exists (fun o -> not o.Experiments.Runner.out_summary.s_ok) outcomes

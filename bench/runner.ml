@@ -315,9 +315,8 @@ let run ?(jobs = 1) ?(latency = true) ?(profile = true) ?prof_trace
   Array.to_list (Array.map Option.get outcomes)
 
 (* BENCH.json: the machine-readable perf record, one object per
-   experiment plus run-level totals.  Schema documented in
-   doc/performance.md. *)
-let bench_json ?engine ~jobs ~total_wall outcomes =
+   experiment.  Schema documented in doc/performance.md. *)
+let bench_json ?engine ~jobs outcomes =
   let latency_run (label, metrics) =
     (* A list of objects, not one object: run labels can repeat when an
        experiment replays the same scenario config. *)
@@ -349,20 +348,15 @@ let bench_json ?engine ~jobs ~total_wall outcomes =
   in
   Obs.Json.Obj
     ([ ("schema", Obs.Json.String "lisp-pce-bench/6");
-       ("jobs", Obs.Json.Int jobs);
-       ("total_wall_s", Obs.Json.Float total_wall);
-       ( "total_events",
-         Obs.Json.Int
-           (List.fold_left (fun a o -> a + o.out_summary.s_events) 0 outcomes)
-       ) ]
+       ("jobs", Obs.Json.Int jobs) ]
     @ (match engine with
       | Some block -> [ ("engine", block) ]
       | None -> [])
     @ [ ("experiments", Obs.Json.List (List.map experiment outcomes)) ])
 
-let write_bench_json ?engine ~path ~jobs ~total_wall outcomes =
+let write_bench_json ?engine ~path ~jobs outcomes =
   let oc = open_out path in
   output_string oc
-    (Obs.Json.to_string (bench_json ?engine ~jobs ~total_wall outcomes));
+    (Obs.Json.to_string (bench_json ?engine ~jobs outcomes));
   output_char oc '\n';
   close_out oc

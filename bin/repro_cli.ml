@@ -377,9 +377,9 @@ let obs_cmd =
         Metrics.Table.add_row table [ "kind: " ^ kind; string_of_int n ])
       (sorted kinds);
     Metrics.Table.print table;
-    (* Per-cause drop breakdown: the JSONL cause strings are the typed
-       {!Netsim.Telemetry.drop_cause} labels, so streams from older
-       builds that predate the enum are flagged rather than dropped. *)
+    (* Per-cause drop breakdown: the JSONL cause strings are the labels
+       of {!Netsim.Drop.cause}, so streams from older builds that
+       predate the enum are flagged rather than dropped. *)
     let total_drops = Hashtbl.fold (fun _ n acc -> acc + n) drops 0 in
     if total_drops > 0 then begin
       let drop_table =
@@ -392,7 +392,7 @@ let obs_cmd =
             [ cause; string_of_int n;
               Metrics.Table.cell_pct
                 (float_of_int n /. float_of_int total_drops);
-              (match Netsim.Telemetry.drop_cause_of_label cause with
+              (match Netsim.Drop.of_label cause with
               | Some _ -> "yes"
               | None -> "NO (unknown label)") ])
         (sorted drops);
@@ -673,7 +673,9 @@ let connect_cmd =
     in
     let c = Scenario.open_connection scenario ~flow ~data_packets:3 () in
     Scenario.run scenario;
-    Option.iter (Format.printf "%a@." Netsim.Trace.pp) walkthrough;
+    Option.iter
+      (fun events -> Format.printf "%a@." Obs.Event.pp_log (events ()))
+      walkthrough;
     let counters = Lispdp.Dataplane.counters (Scenario.dataplane scenario) in
     Format.printf "control plane : %s@." (Scenario.cp_label config.Scenario.cp);
     Format.printf "T_DNS         : %.1f ms@."

@@ -48,7 +48,7 @@ let () =
   let connection = Scenario.open_connection scenario ~flow ~data_packets:3 () in
   Scenario.run scenario;
 
-  Format.printf "Event trace:@.%a@." Netsim.Trace.pp walkthrough;
+  Format.printf "Event trace:@.%a@." Obs.Event.pp_log (walkthrough ());
 
   let counters = Lispdp.Dataplane.counters (Scenario.dataplane scenario) in
   let dns = Option.value ~default:nan connection.Scenario.dns_time in

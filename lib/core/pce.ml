@@ -23,11 +23,9 @@ and advertisement = {
   mutable adv_rloc : Ipv4.addr;
 }
 
-let create ~domain ~graph ~policy ?ewma_alpha ?hysteresis ?noise ?rng () =
+let create ~domain ~graph ~policy =
   { domain;
-    selector =
-      Irc.Selector.create ~domain ~graph ~policy ?ewma_alpha ?hysteresis
-        ?noise ?rng ();
+    selector = Irc.Selector.create ~domain ~graph ~policy;
     pending = Hashtbl.create 32; entries = Hashtbl.create 64;
     names = Hashtbl.create 64; advertised = Hashtbl.create 64 }
 

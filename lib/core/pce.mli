@@ -28,11 +28,6 @@ val create :
   domain:Topology.Domain.t ->
   graph:Topology.Graph.t ->
   policy:Irc.Policy.t ->
-  ?ewma_alpha:float ->
-  ?hysteresis:float ->
-  ?noise:float ->
-  ?rng:Netsim.Rng.t ->
-  unit ->
   t
 
 val domain : t -> Topology.Domain.t

@@ -8,15 +8,17 @@ type options = {
   push_scope : push_scope;
   reverse_scope : reverse_scope;
   ipc_latency : float;
-  config_latency : float;
-  multicast_latency : float;
   flow_ttl : float;
 }
 
 let default_options =
   { policy = Irc.Policy.Min_load; push_scope = Push_all_itrs;
-    reverse_scope = Reverse_multicast; ipc_latency = 0.0001;
-    config_latency = 0.001; multicast_latency = 0.0005; flow_ttl = 300.0 }
+    reverse_scope = Reverse_multicast; ipc_latency = 0.0001; flow_ttl = 300.0 }
+
+(* PCE_S -> ITR mapping configuration (step 7b), and the ETR -> sibling
+   ETRs reverse push. *)
+let config_latency = 0.001
+let multicast_latency = 0.0005
 
 type t = {
   engine : Netsim.Engine.t;
@@ -105,7 +107,7 @@ let push_entry t pce entry =
   in
   let install router =
     ignore
-      (Netsim.Engine.schedule t.engine ~delay:t.options.config_latency
+      (Netsim.Engine.schedule t.engine ~delay:config_latency
          (Netsim.Prof.wrap ph_pce (fun () ->
               Lispdp.Dataplane.install_flow_entry dp router entry)))
   in
@@ -157,7 +159,7 @@ let push_entry t pce entry =
           ignore
             (Netsim.Engine.schedule t.engine
                ~delay:
-                 (t.options.config_latency +. Netsim.Faults.extra_delay faults)
+                 (config_latency +. Netsim.Faults.extra_delay faults)
                (Netsim.Prof.wrap ph_pce (fun () ->
                     Lispdp.Dataplane.install_flow_entry dp router entry)))
       in
@@ -266,15 +268,14 @@ let on_intercept t ~dst_pce ctx =
                (Netsim.Engine.schedule t.engine ~delay:t.options.ipc_latency
                   ctx.Dnssim.System.tap_complete))))
 
-let create ~engine ~internet ~dns ?(options = default_options) ?rng ?faults
+let create ~engine ~internet ~dns ?(options = default_options) ?faults
     ?push_retry ?lifecycle ?fallback ?(watchdog = 0.25) ?registry ?obs () =
   let domains = internet.Topology.Builder.domains in
   let pces =
     Array.map
       (fun domain ->
-        let rng = Option.map Netsim.Rng.split rng in
         Pce.create ~domain ~graph:internet.Topology.Builder.graph
-          ~policy:options.policy ?rng ())
+          ~policy:options.policy)
       domains
   in
   let resolver_domains = Hashtbl.create 16 in
@@ -408,8 +409,7 @@ let note_etr_packet t router ~outer_src packet =
             List.iter
               (fun sibling ->
                 ignore
-                  (Netsim.Engine.schedule t.engine
-                     ~delay:t.options.multicast_latency
+                  (Netsim.Engine.schedule t.engine ~delay:multicast_latency
                      (Netsim.Prof.wrap ph_pce (fun () ->
                           Lispdp.Dataplane.install_flow_entry dp sibling
                             reverse))))
@@ -432,9 +432,9 @@ let choose_egress t ~src_domain flow =
    reverse-multicast (reverse) design choice. *)
 let miss_cause packet =
   match packet.Packet.segment with
-  | Packet.Syn_ack -> Netsim.Telemetry.Pce_no_mapping_reverse
+  | Packet.Syn_ack -> Netsim.Drop.Pce_no_mapping_reverse
   | Packet.Syn | Packet.Ack | Packet.Data _ | Packet.Fin ->
-      Netsim.Telemetry.Pce_no_mapping_forward
+      Netsim.Drop.Pce_no_mapping_forward
 
 (* A miss under the pure paper model is a drop (the push should have
    beaten the first packet).  With a pull fallback configured (the

@@ -29,14 +29,13 @@ type options = {
   push_scope : push_scope;
   reverse_scope : reverse_scope;
   ipc_latency : float;  (** PCE <-> co-located DNS server (step 1/7a) *)
-  config_latency : float;  (** PCE_S -> ITR mapping configuration (7b) *)
-  multicast_latency : float;  (** ETR -> sibling ETRs reverse push *)
   flow_ttl : float;  (** lifetime of installed flow entries *)
 }
+(** The PCE_S -> ITR mapping configuration (step 7b) takes 1 ms and the
+    ETR -> sibling ETRs reverse push 0.5 ms, whatever the options. *)
 
 val default_options : options
-(** min-load policy, push-all, multicast, 0.1 ms IPC, 1 ms config,
-    0.5 ms multicast, 300 s flow TTL. *)
+(** min-load policy, push-all, multicast, 0.1 ms IPC, 300 s flow TTL. *)
 
 type t
 
@@ -45,7 +44,6 @@ val create :
   internet:Topology.Builder.t ->
   dns:Dnssim.System.t ->
   ?options:options ->
-  ?rng:Netsim.Rng.t ->
   ?faults:Netsim.Faults.t ->
   ?push_retry:Netsim.Faults.retry ->
   ?lifecycle:Netsim.Lifecycle.t ->

@@ -91,9 +91,6 @@ type config = {
   dns_record_ttl : float;
   cache_capacity : int;
   cache_policy : Lispdp.Map_cache.policy;
-  alt_fanout : int;
-  alt_hop_latency : float;
-  initial_rto : float;
   data_gap : float;
   nerd_propagation : float;  (** NERD database-update propagation delay *)
   cp_faults : cp_fault_profile option;
@@ -117,10 +114,9 @@ type config = {
 let default_config =
   { seed = 1; topology = `Figure1; cp = Cp_pce Pce_control.default_options;
     mapping_ttl = 60.0; dns_record_ttl = 3600.0; cache_capacity = 10_000;
-    cache_policy = Lispdp.Map_cache.Lru; alt_fanout = 2; alt_hop_latency = 0.020; initial_rto = 1.0;
-    data_gap = 0.002; nerd_propagation = 30.0; cp_faults = None;
-    node_faults = None; telemetry = None; attack = None; auth = None;
-    run_label = None }
+    cache_policy = Lispdp.Map_cache.Lru; data_gap = 0.002;
+    nerd_propagation = 30.0; cp_faults = None; node_faults = None;
+    telemetry = None; attack = None; auth = None; run_label = None }
 
 type connection = {
   flow : Flow.t;
@@ -246,7 +242,7 @@ let build config =
           Netsim.Telemetry.create ~config:tconfig ~now:0.0
             ~node_name:(fun n ->
               (Topology.Graph.node graph n).Topology.Node.label)
-            ()
+            ~drops:(Topology.Graph.drops graph) ()
         in
         Array.iter
           (fun domain ->
@@ -275,8 +271,7 @@ let build config =
   let registry = Mapsys.Registry.create ~internet ~ttl:config.mapping_ttl in
   let alt =
     Mapsys.Alt.create
-      ~domains:(Array.length internet.Topology.Builder.domains)
-      ~fanout:config.alt_fanout ~hop_latency:config.alt_hop_latency ()
+      ~domains:(Array.length internet.Topology.Builder.domains) ()
   in
   let flow_ttl =
     match config.cp with
@@ -322,8 +317,9 @@ let build config =
   in
   (* Split unconditionally so every control plane leaves the scenario
      RNG in the same state — workloads drawn from later splits must be
-     identical across control planes. *)
-  let cp_rng = Netsim.Rng.split rng in
+     identical across control planes.  No control plane draws from
+     this split; the call keeps the later splits where they are. *)
+  ignore (Netsim.Rng.split rng);
   (* The fault model's stream is derived from the seed, NOT split from
      the scenario RNG: a profile must never shift the workload streams,
      so loss-free and lossy runs stay comparable flow for flow. *)
@@ -334,7 +330,8 @@ let build config =
         let f =
           Netsim.Faults.create
             ~rng:(Netsim.Rng.create (config.seed lxor 0xFA17))
-            ~loss:profile.cp_loss ~jitter:profile.cp_jitter ?telemetry ()
+            ~loss:profile.cp_loss ~jitter:profile.cp_jitter
+            ~drops:(Topology.Graph.drops graph) ()
         in
         List.iter
           (function
@@ -429,9 +426,8 @@ let build config =
         in
         fallback_pull := fallback;
         let pce_control =
-          Pce_control.create ~engine ~internet ~dns ~options ~rng:cp_rng
-            ?faults ?push_retry:retry ?lifecycle ?fallback ~watchdog ~registry
-            ~obs ()
+          Pce_control.create ~engine ~internet ~dns ~options ?faults
+            ?push_retry:retry ?lifecycle ?fallback ~watchdog ~registry ~obs ()
         in
         let dp = make_dataplane (Pce_control.control_plane pce_control) in
         Pce_control.attach pce_control dp;
@@ -442,8 +438,7 @@ let build config =
         (Pce_instance pce_control, dp)
   in
   let tcp =
-    Workload.Tcp.create ~engine ~dataplane ~initial_rto:config.initial_rto
-      ~data_gap:config.data_gap ~obs ()
+    Workload.Tcp.create ~engine ~dataplane ~data_gap:config.data_gap ~obs ()
   in
   (* DNSSEC-style validation is a resolver property, independent of
      whether an attacker is present. *)
@@ -760,10 +755,10 @@ let open_connection t ~flow ?data_packets ?data_bytes ?on_established
   connection
 
 let walkthrough t =
-  let log = Netsim.Trace.create () in
-  Obs.Hub.add_sink t.obs (Obs.Hub.trace_sink log);
+  let sink, events = Obs.Hub.memory_sink () in
+  Obs.Hub.add_sink t.obs sink;
   Obs.Hub.set_enabled t.obs true;
-  log
+  events
 
 let run ?until t =
   Netsim.Engine.run ?until t.engine;

@@ -130,9 +130,6 @@ type config = {
   cache_capacity : int;  (** map-cache entries per border router *)
   cache_policy : Lispdp.Map_cache.policy;
       (** map-cache eviction policy (default LRU) *)
-  alt_fanout : int;
-  alt_hop_latency : float;
-  initial_rto : float;
   data_gap : float;
   nerd_propagation : float;  (** NERD database-update propagation delay *)
   cp_faults : cp_fault_profile option;
@@ -168,8 +165,11 @@ type config = {
 
 val default_config : config
 (** Figure-1 topology, PCE control plane with default options, 60 s
-    mapping TTL, 3600 s DNS TTL, ALT fanout 2 at 20 ms/hop, 1 s RTO,
-    30 s NERD propagation, no control-plane faults. *)
+    mapping TTL, 3600 s DNS TTL, 30 s NERD propagation, no
+    control-plane faults.  Every scenario resolves through an ALT of
+    fanout 2 at 20 ms/hop ({!Mapsys.Alt.create}'s defaults) and opens
+    TCP with a 1 s initial SYN RTO and 6 retries
+    ({!Workload.Tcp.create}). *)
 
 type connection = {
   flow : Nettypes.Flow.t;
@@ -226,12 +226,12 @@ val obs : t -> Obs.Hub.t
     {!Obs.Runtime} is installed (CLI export flags) the hub arrives
     already enabled and wired. *)
 
-val walkthrough : t -> Netsim.Trace.t
-(** Subscribe a fresh string log to the scenario's hub (enabling it)
-    and return it: as the scenario runs, every event lands there
-    rendered by {!Obs.Event.describe} — the step-by-step walkthrough of
-    the paper's Figure 1.  Only callers that print a walkthrough ask
-    for one, so runs that merely enable the hub render no strings. *)
+val walkthrough : t -> unit -> Obs.Event.t list
+(** Subscribe a fresh {!Obs.Hub.memory_sink} to the scenario's hub
+    (enabling it) and return its accessor: as the scenario runs, every
+    typed event lands in the buffer, and [Obs.Event.pp_log] prints them
+    as the step-by-step walkthrough of the paper's Figure 1.  Events
+    become strings only when printed. *)
 
 val obs_registry : t -> Obs.Registry.t
 (** The scenario's metrics registry.  Pre-registered at build time:

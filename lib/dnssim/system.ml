@@ -64,7 +64,7 @@ let internet t = t.internet
 let counters t = t.counters
 
 let node_label t id = (Topology.Graph.node t.internet.Topology.Builder.graph id).Topology.Node.label
-let telemetry t = Topology.Graph.telemetry t.internet.Topology.Builder.graph
+let drops t = Topology.Graph.drops t.internet.Topology.Builder.graph
 
 let populate t ~record_ttl =
   let internet = t.internet in
@@ -117,8 +117,6 @@ let create ~engine ~internet ?(record_ttl = 3600.0) ?obs () =
   in
   populate t ~record_ttl;
   t
-
-let resolver_node _t domain = domain.Topology.Domain.dns
 
 let set_response_tap t ~server tap =
   match tap with
@@ -231,11 +229,8 @@ let resolve t ~resolver:resolver_id ~client ~client_eid ?flow qname ~callback =
                resolver gives up on the whole resolution after its
                query timeout. *)
             t.counters.outage_failures <- t.counters.outage_failures + 1;
-            (match telemetry t with
-            | Some tm ->
-                Netsim.Telemetry.on_drop tm ~node:server
-                  Netsim.Telemetry.Outage_failure
-            | None -> ());
+            Netsim.Drop.record (drops t) ~node:server
+              Netsim.Drop.Outage_failure;
             ignore
               (Netsim.Engine.schedule t.engine ~delay:outage_timeout
                  (Netsim.Prof.wrap ph_dns (fun () -> answer_client None)))
@@ -339,11 +334,8 @@ let resolve t ~resolver:resolver_id ~client ~client_eid ?flow qname ~callback =
         (* Crashed resolver: the client's query is never answered; it
            observes a failed resolution after its own timeout. *)
         t.counters.outage_failures <- t.counters.outage_failures + 1;
-        (match telemetry t with
-        | Some tm ->
-            Netsim.Telemetry.on_drop tm ~node:resolver_id
-              Netsim.Telemetry.Outage_failure
-        | None -> ());
+        Netsim.Drop.record (drops t) ~node:resolver_id
+          Netsim.Drop.Outage_failure;
         ignore
           (Netsim.Engine.schedule t.engine ~delay:outage_timeout
              (Netsim.Prof.wrap ph_dns (fun () ->

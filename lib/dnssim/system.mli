@@ -39,9 +39,6 @@ val server_processing : float
 val engine : t -> Netsim.Engine.t
 val internet : t -> Topology.Builder.t
 
-val resolver_node : t -> Topology.Domain.t -> Topology.Node.id
-(** The resolver serving a domain (its [dns] node). *)
-
 type tap_context = {
   tap_qname : Name.t;
   tap_answer : Nettypes.Ipv4.addr;  (** the address in the intercepted reply *)

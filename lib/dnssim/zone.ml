@@ -38,12 +38,6 @@ type answer =
   | Referral of Name.t * Topology.Node.id
   | Name_error
 
-let pp_answer ppf = function
-  | Address a -> Format.fprintf ppf "A %a" Nettypes.Ipv4.pp_addr a
-  | Referral (apex, server) ->
-      Format.fprintf ppf "referral %a -> node %d" Name.pp apex server
-  | Name_error -> Format.pp_print_string ppf "NXDOMAIN"
-
 let answer t qname =
   if not (Name.in_zone qname ~zone:t.apex) then Name_error
   else

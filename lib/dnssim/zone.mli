@@ -29,8 +29,6 @@ type answer =
   | Referral of Name.t * Topology.Node.id  (** ask the child zone's server *)
   | Name_error  (** no such name in this zone *)
 
-val pp_answer : Format.formatter -> answer -> unit
-
 val answer : t -> Name.t -> answer
 (** Authoritative response for a query name.  Names outside the zone get
     [Name_error] (the simulator never misdirects queries, but the case

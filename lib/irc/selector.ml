@@ -24,11 +24,6 @@ type t = {
   domain : Topology.Domain.t;
   graph : Topology.Graph.t;
   policy : Policy.t;
-  ewma_alpha : float;
-  hysteresis : float;
-  assign_penalty : float;
-  noise : float;
-  rng : Netsim.Rng.t option;
   uplinks : uplink_state array;
   mutable last_observed : float option;
   mutable out_assign : sticky Flow.Map.t;
@@ -38,10 +33,17 @@ type t = {
   mutable moved : int;
 }
 
-let create ~domain ~graph ~policy ?(ewma_alpha = 0.3) ?(hysteresis = 0.05)
-    ?(assign_penalty = 0.02) ?(noise = 0.0) ?rng () =
-  if noise > 0.0 && rng = None then
-    invalid_arg "Selector.create: noise requires an rng";
+(* Smoothing factor of the load estimate. *)
+let ewma_alpha = 0.3
+
+(* Score improvement a candidate must offer before [rebalance] moves an
+   existing assignment. *)
+let hysteresis = 0.05
+
+(* Score added per assignment made since the last observation. *)
+let assign_penalty = 0.02
+
+let create ~domain ~graph ~policy =
   let uplinks =
     Array.map
       (fun border ->
@@ -56,23 +58,13 @@ let create ~domain ~graph ~policy ?(ewma_alpha = 0.3) ?(hysteresis = 0.05)
           ewma_out = 0.0; ewma_in = 0.0; recent_out = 0; recent_in = 0 })
       domain.Topology.Domain.borders
   in
-  { domain; graph; policy; ewma_alpha; hysteresis; assign_penalty; noise;
-    rng; uplinks;
-    last_observed = None; out_assign = Flow.Map.empty;
+  { domain; graph; policy; uplinks; last_observed = None;
+    out_assign = Flow.Map.empty;
     in_assign = Flow.Map.empty; rr_out = 0; rr_in = 0; moved = 0 }
 
 let domain t = t.domain
 let policy t = t.policy
 let moved_flows t = t.moved
-
-let noisy t sample =
-  if t.noise <= 0.0 then sample
-  else
-    match t.rng with
-    | Some rng ->
-        let factor = 1.0 +. (t.noise *. ((2.0 *. Netsim.Rng.float rng) -. 1.0)) in
-        Float.max 0.0 (sample *. factor)
-    | None -> sample
 
 let observe t ~now =
   match t.last_observed with
@@ -87,15 +79,13 @@ let observe t ~now =
           let out_bytes = Topology.Link.bytes_from link router in
           let in_bytes = Topology.Link.bytes_from link core in
           let capacity = Topology.Link.capacity_bps link in
-          let sample_of delta =
-            noisy t (float_of_int delta *. 8.0 /. (capacity *. dt))
-          in
+          let sample_of delta = float_of_int delta *. 8.0 /. (capacity *. dt) in
           let out_sample = sample_of (out_bytes - u.last_out_bytes) in
           let in_sample = sample_of (in_bytes - u.last_in_bytes) in
           u.ewma_out <-
-            (t.ewma_alpha *. out_sample) +. ((1.0 -. t.ewma_alpha) *. u.ewma_out);
+            (ewma_alpha *. out_sample) +. ((1.0 -. ewma_alpha) *. u.ewma_out);
           u.ewma_in <-
-            (t.ewma_alpha *. in_sample) +. ((1.0 -. t.ewma_alpha) *. u.ewma_in);
+            (ewma_alpha *. in_sample) +. ((1.0 -. ewma_alpha) *. u.ewma_in);
           u.last_out_bytes <- out_bytes;
           u.last_in_bytes <- in_bytes;
           u.recent_out <- 0;
@@ -131,7 +121,7 @@ let scored_load t direction i =
       | Outbound -> t.uplinks.(i).recent_out
       | Inbound -> t.uplinks.(i).recent_in
     in
-    load_of t direction i +. (t.assign_penalty *. float_of_int recent)
+    load_of t direction i +. (assign_penalty *. float_of_int recent)
 
 let note_assignment t direction i =
   (match direction with
@@ -250,7 +240,7 @@ let rebalance_direction t direction =
             let best = argmin scores in
             if
               best <> sticky.border_index
-              && scores.(best) +. t.hysteresis < scores.(sticky.border_index)
+              && scores.(best) +. hysteresis < scores.(sticky.border_index)
             then begin
               t.moved <- t.moved + 1;
               note_assignment t direction best;

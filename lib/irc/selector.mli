@@ -19,24 +19,13 @@ type t
 type direction = Outbound | Inbound
 
 val create :
-  domain:Topology.Domain.t ->
-  graph:Topology.Graph.t ->
-  policy:Policy.t ->
-  ?ewma_alpha:float ->
-  ?hysteresis:float ->
-  ?assign_penalty:float ->
-  ?noise:float ->
-  ?rng:Netsim.Rng.t ->
-  unit ->
-  t
-(** [ewma_alpha] (default 0.3) is the smoothing factor of the load
-    estimate; [hysteresis] (default 0.05) is the score improvement a
-    candidate must offer before an existing assignment is moved by
-    {!rebalance}; [assign_penalty] (default 0.02) is the score added per
-    assignment made since the last observation, preventing bursts from
-    herding onto one uplink while the load estimate is stale; [noise]
-    (default 0) adds multiplicative measurement noise (requires
-    [rng]). *)
+  domain:Topology.Domain.t -> graph:Topology.Graph.t -> policy:Policy.t -> t
+(** The load estimate is an EWMA with smoothing factor 0.3.  A
+    candidate must improve on an existing assignment's score by more
+    than 0.05 (the hysteresis) before {!rebalance} moves it.  Each
+    assignment made since the last observation adds 0.02 to its
+    uplink's score, which keeps bursts from herding onto one uplink
+    while the load estimate is stale. *)
 
 val domain : t -> Topology.Domain.t
 val policy : t -> Policy.t

@@ -7,7 +7,7 @@ type router = {
   flows : Flow_table.t;
 }
 
-type miss_decision = Miss_drop of Netsim.Telemetry.drop_cause | Miss_hold
+type miss_decision = Miss_drop of Netsim.Drop.cause | Miss_hold
 
 type control_plane = {
   cp_name : string;
@@ -37,7 +37,6 @@ type t = {
   receivers : (int, Packet.t -> unit) Hashtbl.t; (* EID -> host callback *)
   obs : Obs.Hub.t;
   counters : counters;
-  drops : (string, int) Hashtbl.t;
 }
 
 let engine t = t.engine
@@ -72,8 +71,7 @@ let create ~engine ~internet ~control_plane ?(cache_capacity = 10_000)
       receivers = Hashtbl.create 64; obs;
       counters =
         { sent = 0; delivered = 0; dropped = 0; held = 0; encapsulated = 0;
-          decapsulated = 0; intra_domain = 0; delivered_bytes = 0 };
-      drops = Hashtbl.create 8 }
+          decapsulated = 0; intra_domain = 0; delivered_bytes = 0 } }
   in
   Array.iter
     (Array.iter (fun r ->
@@ -86,16 +84,13 @@ let create ~engine ~internet ~control_plane ?(cache_capacity = 10_000)
          Map_cache.set_evict_hook r.cache (Some emit_death);
          Map_cache.set_expire_hook r.cache (Some emit_death);
          (* Admission rejections are control-plane refusals, not packet
-            deaths: they feed the typed drop counters and the event
-            stream but never [record_drop] (the packet itself was
-            delivered normally — only its gleaned copy was refused). *)
+            deaths: they go to the drop ledger and the event stream but
+            never through [record_drop] (the packet itself was delivered
+            normally — only its gleaned copy was refused). *)
          let node = r.border.Topology.Domain.router in
          let on_reject mapping =
-           (match Topology.Graph.telemetry (graph t) with
-           | Some tm ->
-               Netsim.Telemetry.on_drop tm ~node
-                 Netsim.Telemetry.Glean_admission_rejected
-           | None -> ());
+           Netsim.Drop.record (Topology.Graph.drops (graph t)) ~node
+             Netsim.Drop.Glean_admission_rejected;
            if Obs.Hub.enabled obs then
              Obs.Hub.emit obs
                ~actor:(r.router_domain.Topology.Domain.name ^ "-etr")
@@ -136,23 +131,19 @@ let set_host_receiver t eid receiver =
   | None -> Hashtbl.remove t.receivers (Ipv4.addr_to_int eid)
 
 (* The single choke point for packet deaths: every drop carries a typed
-   cause ([Netsim.Telemetry.drop_cause]) and, when attributable, the
-   node it died at.  The string label keys the per-cause table and the
-   [Packet_drop] event, so every consumer sees the same cause names. *)
+   cause and, when attributable, the node it died at, and goes to the
+   graph's drop ledger.  The [Packet_drop] event carries the cause's
+   label. *)
 let record_drop t ?packet ?(node = -1) cause =
   t.counters.dropped <- t.counters.dropped + 1;
-  let label = Netsim.Telemetry.drop_label cause in
-  Hashtbl.replace t.drops label
-    (1 + Option.value ~default:0 (Hashtbl.find_opt t.drops label));
+  Netsim.Drop.record (Topology.Graph.drops (graph t)) ~node cause;
   (match Topology.Graph.telemetry (graph t) with
-  | Some tm ->
-      Netsim.Telemetry.touch tm ~now:(Netsim.Engine.now t.engine);
-      Netsim.Telemetry.on_drop tm ~node cause
+  | Some tm -> Netsim.Telemetry.touch tm ~now:(Netsim.Engine.now t.engine)
   | None -> ());
   if Obs.Hub.enabled t.obs then
     Obs.Hub.emit t.obs ~actor:"dp"
       ?flow:(Option.map (fun p -> Obs.Event.flow_id p.Packet.flow) packet)
-      (Obs.Event.Packet_drop { cause = label })
+      (Obs.Event.Packet_drop { cause = Netsim.Drop.label cause })
 
 (* A control plane gave up on packets it had answered [Miss_hold] for:
    they leave the simulation here so abandoned hold queues show up in
@@ -160,8 +151,11 @@ let record_drop t ?packet ?(node = -1) cause =
 let drop_held t ?node packet ~cause = record_drop t ~packet ?node cause
 
 let drop_causes t =
-  Hashtbl.fold (fun cause n acc -> (cause, n) :: acc) t.drops []
-  |> List.sort (fun (_, a) (_, b) -> Int.compare b a)
+  List.filter_map
+    (fun (cause, n) ->
+      if Netsim.Drop.is_packet cause then Some (Netsim.Drop.label cause, n)
+      else None)
+    (Netsim.Drop.totals (Topology.Graph.drops (graph t)))
 
 (* Packet movement and delivery run under the "dataplane" profiler
    phase; calls into the pluggable control plane (miss handling, ETR
@@ -173,7 +167,7 @@ let ph_map = Netsim.Prof.phase "map_resolution"
 (* Move [packet] from node [src] to node [dst]: charge the links on the
    shortest path and invoke [k] after the path latency.  If link
    failures have disconnected the endpoints the packet is dropped under
-   cause ["no-route"]. *)
+   [No_route]. *)
 let wire t ~src ~dst packet k =
   if src = dst then k ()
   else begin
@@ -188,7 +182,7 @@ let wire t ~src ~dst packet k =
           (Netsim.Engine.schedule t.engine ~delay:latency
              (Netsim.Prof.wrap ph_dp k))
     | exception Not_found ->
-        record_drop t ~packet ~node:src Netsim.Telemetry.No_route
+        record_drop t ~packet ~node:src Netsim.Drop.No_route
   end
 
 let host_node_of_eid t eid =
@@ -205,7 +199,7 @@ let deliver_to_host t ~from_node packet =
   let dst_eid = packet.Packet.flow.Flow.dst in
   match host_node_of_eid t dst_eid with
   | None ->
-      record_drop t ~packet ~node:from_node Netsim.Telemetry.No_such_eid
+      record_drop t ~packet ~node:from_node Netsim.Drop.No_such_eid
   | Some (_domain, host_node) ->
       wire t ~src:from_node ~dst:host_node packet (fun () ->
           match Hashtbl.find_opt t.receivers (Ipv4.addr_to_int dst_eid) with
@@ -221,7 +215,7 @@ let deliver_to_host t ~from_node packet =
               receiver packet
           | None ->
               record_drop t ~packet ~node:host_node
-                Netsim.Telemetry.No_receiver)
+                Netsim.Drop.No_receiver)
 
 (* A packet arrived at a border router from the core side. *)
 let etr_receive t router packet =
@@ -258,13 +252,13 @@ let tunnel t router packet ~outer_src ~outer_dst =
   let router_node = router.border.Topology.Domain.router in
   match router_of_rloc t outer_dst with
   | None ->
-      record_drop t ~packet ~node:router_node Netsim.Telemetry.No_such_rloc
+      record_drop t ~packet ~node:router_node Netsim.Drop.No_such_rloc
   | Some remote
     when not (Topology.Link.is_up remote.border.Topology.Domain.uplink) ->
       (* The RLOC's access link is down: inter-domain routing has no
          path to this locator. *)
       record_drop t ~packet ~node:router_node
-        Netsim.Telemetry.Rloc_unreachable
+        Netsim.Drop.Rloc_unreachable
   | Some remote ->
       let encapsulated = Packet.encapsulate packet ~outer_src ~outer_dst in
       t.counters.encapsulated <- t.counters.encapsulated + 1;
@@ -323,7 +317,7 @@ let transmit_from_itr t router packet =
   | Some (outer_src, outer_dst) -> tunnel t router packet ~outer_src ~outer_dst
   | None ->
       record_drop t ~packet ~node:router.border.Topology.Domain.router
-        Netsim.Telemetry.Post_resolution_miss
+        Netsim.Drop.Post_resolution_miss
 
 let send_from_host t packet =
   let flow = packet.Packet.flow in

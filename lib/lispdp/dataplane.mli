@@ -23,7 +23,7 @@ type router = {
 }
 
 type miss_decision =
-  | Miss_drop of Netsim.Telemetry.drop_cause
+  | Miss_drop of Netsim.Drop.cause
       (** drop the packet now, counted under the given typed cause *)
   | Miss_hold
       (** the control plane took custody of the packet and will either
@@ -62,8 +62,8 @@ val create :
     per site.
     [glean_cap] bounds the gleaned-entry population of every border's
     map-cache (see {!Map_cache.create}); admission rejections emit
-    [Glean_rejected] events and the [glean-admission-rejected] typed
-    drop cause (but are {e not} packet drops). *)
+    [Glean_rejected] events and go to the drop ledger as
+    [Glean_admission_rejected] (but are {e not} packet drops). *)
 
 val engine : t -> Netsim.Engine.t
 val internet : t -> Topology.Builder.t
@@ -105,7 +105,7 @@ val send_from_host : t -> Nettypes.Packet.t -> unit
 
 val transmit_from_itr : t -> router -> Nettypes.Packet.t -> unit
 (** Re-run the lookup-and-tunnel step for a packet the control plane
-    held; a second miss drops it under cause ["post-resolution-miss"]. *)
+    held; a second miss drops it under [Post_resolution_miss]. *)
 
 val deliver_via : t -> router -> Nettypes.Packet.t -> extra_delay:float -> unit
 (** Control-plane detour: the packet appears at the given (remote)
@@ -127,18 +127,19 @@ type counters = {
 val counters : t -> counters
 
 val drop_causes : t -> (string * int) list
-(** Drop counts keyed by cause label ({!Netsim.Telemetry.drop_label}),
-    sorted by descending count.  Each drop is also a [Packet_drop] event
-    on the hub: drop timelines are a sink that keeps those. *)
+(** The packet causes ({!Netsim.Drop.is_packet}) of the graph's drop
+    ledger, labelled ({!Netsim.Drop.label}) when called, by descending
+    count with ties in {!Netsim.Drop.all} order.  Rejections are in the
+    ledger but not here.  Each drop is also a [Packet_drop] event on the
+    hub: drop timelines are a sink that keeps those. *)
 
 val drop_held :
-  t -> ?node:int -> Nettypes.Packet.t ->
-  cause:Netsim.Telemetry.drop_cause -> unit
+  t -> ?node:int -> Nettypes.Packet.t -> cause:Netsim.Drop.cause -> unit
 (** A control plane abandons a packet it had answered [Miss_hold] for
     (resolution timeout, unreachable destination): the packet is counted
-    as a regular drop under [cause], with the usual counter and event
-    side effects.  [node] is the router it was held at, for the
-    telemetry plane's per-node drop attribution. *)
+    as a regular drop under [cause], with the usual counter, ledger and
+    event side effects.  [node] is the router it was held at, for the
+    ledger's per-node attribution. *)
 
 val cache_stats_totals : t -> Map_cache.stats
 (** Aggregate map-cache statistics over all routers. *)

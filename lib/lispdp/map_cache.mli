@@ -139,8 +139,8 @@ val set_expire_hook : t -> (Nettypes.Mapping.t -> unit) option -> unit
 val set_reject_hook : t -> (Nettypes.Mapping.t -> unit) option -> unit
 (** Observer invoked with the refused mapping each time the glean
     admission cap rejects a new gleaned insert; the observability
-    layer uses it to emit [Glean_rejected] events and the
-    [glean-admission-rejected] drop cause. *)
+    layer uses it to emit [Glean_rejected] events and record the
+    [Glean_admission_rejected] drop cause. *)
 
 val hit_ratio : t -> float
 (** [hits / (hits + misses)]; 0 when no lookups have happened. *)

@@ -108,5 +108,5 @@ let control_plane (_ : t) =
     cp_choose_egress = (fun ~src_domain flow -> choose_egress ~src_domain flow);
     cp_handle_miss =
       (fun _router _packet ->
-        Lispdp.Dataplane.Miss_drop Netsim.Telemetry.Nerd_database_miss);
+        Lispdp.Dataplane.Miss_drop Netsim.Drop.Nerd_database_miss);
     cp_note_etr_packet = (fun _router ~outer_src:_ _packet -> ()) }

@@ -18,7 +18,7 @@ let no_auth =
     sig_cpu_cost = Wire.Auth.default_sig_cpu_cost }
 
 (* Any class-E address: never a registered RLOC, so traffic tunneled to
-   a forged mapping blackholes under the ["no-such-rloc"] drop cause. *)
+   a forged mapping blackholes under the [No_such_rloc] drop cause. *)
 let attacker_rloc = Ipv4.addr_of_int 0xF000_0042
 
 (* One in-flight resolution: an ITR (identified by its router node)
@@ -100,7 +100,7 @@ let dataplane_exn t =
   | None -> invalid_arg "Pull: control plane used before attach"
 
 let stats t = t.stats
-let telemetry t = Topology.Graph.telemetry t.internet.Topology.Builder.graph
+let drops t = Topology.Graph.drops t.internet.Topology.Builder.graph
 let pending_resolutions t = Hashtbl.length t.pending
 
 let choose_egress t ~src_domain flow =
@@ -293,11 +293,8 @@ let rec send_attempt t resolution router dst_domain mapping ~flow () =
                else begin
                  t.stats.Cp_stats.spoofed_rejected <-
                    t.stats.Cp_stats.spoofed_rejected + 1;
-                 match telemetry t with
-                 | Some tm ->
-                     Netsim.Telemetry.on_drop tm ~node
-                       Netsim.Telemetry.Spoofed_reply_rejected
-                 | None -> ()
+                 Netsim.Drop.record (drops t) ~node
+                   Netsim.Drop.Spoofed_reply_rejected
                end)))
       end;
       if Netsim.Adversary.replays_reply adv then
@@ -321,11 +318,8 @@ let rec send_attempt t resolution router dst_domain mapping ~flow () =
                else begin
                  t.stats.Cp_stats.replayed_rejected <-
                    t.stats.Cp_stats.replayed_rejected + 1;
-                 match telemetry t with
-                 | Some tm ->
-                     Netsim.Telemetry.on_drop tm ~node
-                       Netsim.Telemetry.Replayed_reply_rejected
-                 | None -> ()
+                 Netsim.Drop.record (drops t) ~node
+                   Netsim.Drop.Replayed_reply_rejected
                end)))
   | Some _ | None -> ());
   if total < infinity && not lost then begin
@@ -362,7 +356,7 @@ let rec send_attempt t resolution router dst_domain mapping ~flow () =
         (* No reply will ever come and retransmission is off: give up
            now.  Queued packets become counted drops (pre-fix they were
            silently held forever) and a later miss starts over. *)
-        abandon t resolution ~cause:Netsim.Telemetry.Resolution_abandoned
+        abandon t resolution ~cause:Netsim.Drop.Resolution_abandoned
   | Some retry ->
       let delay = Netsim.Faults.retry_delay retry ~attempt:resolution.attempts in
       resolution.timer <-
@@ -377,8 +371,7 @@ let rec send_attempt t resolution router dst_domain mapping ~flow () =
                      Obs.Hub.emit t.obs ~actor ?flow
                        (Obs.Event.Cp_timeout
                           { eid = request_eid; message = "map-request" });
-                   abandon t resolution
-                     ~cause:Netsim.Telemetry.Resolution_timeout
+                   abandon t resolution ~cause:Netsim.Drop.Resolution_timeout
                  end
                  else begin
                    t.stats.Cp_stats.retransmissions <-
@@ -394,7 +387,7 @@ let rec send_attempt t resolution router dst_domain mapping ~flow () =
 let handle_miss t router packet =
   let dst = packet.Packet.flow.Flow.dst in
   match Topology.Builder.domain_of_eid t.internet dst with
-  | None -> Lispdp.Dataplane.Miss_drop Netsim.Telemetry.No_such_eid_domain
+  | None -> Lispdp.Dataplane.Miss_drop Netsim.Drop.No_such_eid_domain
   | Some dst_domain -> (
       let mapping = Registry.mapping_of_domain t.registry dst_domain.Topology.Domain.id in
       let key =
@@ -420,15 +413,14 @@ let handle_miss t router packet =
       in
       match t.mode with
       | Drop_while_pending ->
-          Lispdp.Dataplane.Miss_drop Netsim.Telemetry.Mapping_resolution_drop
+          Lispdp.Dataplane.Miss_drop Netsim.Drop.Mapping_resolution_drop
       | Queue_while_pending limit ->
           (* [send_attempt] may have abandoned synchronously (unreachable
              destination, no retry): never queue into a dead record. *)
           if resolution.abandoned then
-            Lispdp.Dataplane.Miss_drop Netsim.Telemetry.Resolution_abandoned
+            Lispdp.Dataplane.Miss_drop Netsim.Drop.Resolution_abandoned
           else if resolution.queued_len >= limit then
-            Lispdp.Dataplane.Miss_drop
-              Netsim.Telemetry.Resolution_queue_overflow
+            Lispdp.Dataplane.Miss_drop Netsim.Drop.Resolution_queue_overflow
           else begin
             resolution.queued <- packet :: resolution.queued;
             resolution.queued_len <- resolution.queued_len + 1;

@@ -87,9 +87,9 @@ val create :
     retransmitted (recomputing the path, so requests succeed once a
     partition heals) up to [budget] times, after which the resolution
     times out and any queued packets are dropped under cause
-    ["resolution-timeout"].  Without [retry], an unreachable destination
+    [Resolution_timeout].  Without [retry], an unreachable destination
     abandons the resolution immediately and queued packets drop under
-    ["resolution-abandoned"].  With neither option the behaviour (and
+    [Resolution_abandoned].  With neither option the behaviour (and
     event-for-event timing) of the lossless control plane is
     unchanged.
 
@@ -107,9 +107,9 @@ val create :
     nonce; a replayed one carries the genuine mapping under a stale
     nonce.  [auth] decides whether they are accepted — acceptance
     installs the attacker's mapping (and completes the resolution),
-    rejection counts in {!Cp_stats} and under the
-    [spoofed-reply-rejected]/[replayed-reply-rejected] telemetry drop
-    causes.  With [auth.signatures] every {e legitimate} reply also
+    rejection counts in {!Cp_stats} and in the drop ledger under
+    [Spoofed_reply_rejected]/[Replayed_reply_rejected].  With
+    [auth.signatures] every {e legitimate} reply also
     pays [auth.sig_cpu_cost] seconds of verification (visible in
     T_map_resol) and [Wire.Auth.signature_bytes] extra control bytes.
     [glean_cap] bounds the symmetric-return glean table

@@ -10,7 +10,6 @@ let create ~bucket ~horizon =
   let count = int_of_float (Float.ceil (horizon /. bucket)) in
   { bucket; buckets = Array.make (Stdlib.max 1 count) 0.0; out_of_range = 0 }
 
-let bucket_width t = t.bucket
 let bucket_count t = Array.length t.buckets
 
 let add t ~at ?(value = 1.0) () =

@@ -10,7 +10,6 @@ type t
 val create : bucket:float -> horizon:float -> t
 (** [bucket] seconds per bin; both must be positive. *)
 
-val bucket_width : t -> float
 val bucket_count : t -> int
 
 val add : t -> at:float -> ?value:float -> unit -> unit

@@ -4,30 +4,26 @@ type window = { from_ : float; until : float; scope : scope }
 
 type t = {
   rng : Rng.t;
-  mutable loss : float;
+  loss : float;
   jitter : float;
   pair_loss : (int * int, float) Hashtbl.t; (* normalised (min, max) key *)
   mutable windows : window list;
   mutable losses : int;
   mutable blocked : int;
-  telemetry : Telemetry.t option;
+  drops : Drop.t option;
 }
 
 let check_probability name p =
   if not (p >= 0.0 && p <= 1.0) then
     invalid_arg (Printf.sprintf "Faults: %s must be in [0, 1]" name)
 
-let create ~rng ?(loss = 0.0) ?(jitter = 0.0) ?telemetry () =
+let create ~rng ?(loss = 0.0) ?(jitter = 0.0) ?drops () =
   check_probability "loss" loss;
   if jitter < 0.0 then invalid_arg "Faults.create: negative jitter";
   { rng; loss; jitter; pair_loss = Hashtbl.create 8; windows = [];
-    losses = 0; blocked = 0; telemetry }
+    losses = 0; blocked = 0; drops }
 
 let loss t = t.loss
-
-let set_loss t p =
-  check_probability "loss" p;
-  t.loss <- p
 
 let pair_key a b = (min a b, max a b)
 
@@ -71,9 +67,9 @@ let drops_message t ~now ~src ~dst =
     && Rng.bernoulli t.rng ~p
     &&
     (t.losses <- t.losses + 1;
-     (match t.telemetry with
-     | Some tm -> Telemetry.on_drop tm ~node:(-1) Telemetry.Cp_message_loss
-     | None -> ());
+     Option.iter
+       (fun d -> Drop.record d ~node:(-1) Drop.Cp_message_loss)
+       t.drops;
      true)
 
 let extra_delay t =

@@ -29,17 +29,16 @@ type scope =
   | Pair of int * int  (** messages between the two endpoints, either direction *)
 
 val create :
-  rng:Rng.t -> ?loss:float -> ?jitter:float -> ?telemetry:Telemetry.t ->
-  unit -> t
+  rng:Rng.t -> ?loss:float -> ?jitter:float -> ?drops:Drop.t -> unit -> t
 (** [loss] is the global Bernoulli loss probability in [\[0, 1\]]
     (default 0); [jitter] the maximum extra one-way delay in seconds
     added to every surviving message (default 0, uniform in
     [\[0, jitter)]).  When a probability is exactly 0 no random draw is
     made, so a zero-loss model leaves the stream untouched.  Random
-    losses are tallied on [telemetry]'s drop counters, if given. *)
+    losses are recorded in the [drops] ledger, if given, as
+    [Cp_message_loss] with no attributable node. *)
 
 val loss : t -> float
-val set_loss : t -> float -> unit
 
 val set_pair_loss : t -> a:int -> b:int -> float -> unit
 (** Override the loss probability for messages between [a] and [b]

@@ -39,7 +39,6 @@ let phase name =
   in
   find 0
 
-let phase_name ph = names.(ph)
 
 (* Accumulators. *)
 let self_s = Array.make max_phases 0.0

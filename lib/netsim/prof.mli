@@ -34,7 +34,6 @@ val phase : string -> phase
     distinct names; raises [Invalid_argument] beyond that. *)
 
 val max_phases : int
-val phase_name : phase -> string
 
 (** {1 Switching} *)
 

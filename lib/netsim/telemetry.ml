@@ -6,95 +6,9 @@
    allocation, no clock read.
 
    Unlike the profiler this module counts *simulated* quantities
-   (packets, bytes, drops) against the *simulated* clock, so a plane is
+   (packets, bytes) against the *simulated* clock, so a plane is
    deterministic: it observes the simulation and never schedules events
    or draws randomness. *)
-
-(* ------------------------------------------------------------------ *)
-(* Typed drop causes                                                   *)
-(* ------------------------------------------------------------------ *)
-
-type drop_cause =
-  | No_route
-  | No_such_eid
-  | No_receiver
-  | No_such_rloc
-  | Rloc_unreachable
-  | Post_resolution_miss
-  | Mapping_resolution_drop
-  | Resolution_abandoned
-  | Resolution_timeout
-  | Resolution_queue_overflow
-  | Nerd_database_miss
-  | No_such_eid_domain
-  | Pce_no_mapping_forward
-  | Pce_no_mapping_reverse
-  | Cp_message_loss
-  | Outage_failure
-  | Spoofed_reply_rejected
-  | Replayed_reply_rejected
-  | Glean_admission_rejected
-
-(* The labels are the exact strings the drop bookkeeping used before the
-   enum existed: tables, traces and JSONL events must not change when a
-   call site switches to the typed cause. *)
-let drop_label = function
-  | No_route -> "no-route"
-  | No_such_eid -> "no-such-eid"
-  | No_receiver -> "no-receiver"
-  | No_such_rloc -> "no-such-rloc"
-  | Rloc_unreachable -> "rloc-unreachable"
-  | Post_resolution_miss -> "post-resolution-miss"
-  | Mapping_resolution_drop -> "mapping-resolution-drop"
-  | Resolution_abandoned -> "resolution-abandoned"
-  | Resolution_timeout -> "resolution-timeout"
-  | Resolution_queue_overflow -> "resolution-queue-overflow"
-  | Nerd_database_miss -> "nerd-database-miss"
-  | No_such_eid_domain -> "no-such-eid-domain"
-  | Pce_no_mapping_forward -> "pce-no-mapping-forward"
-  | Pce_no_mapping_reverse -> "pce-no-mapping-reverse"
-  | Cp_message_loss -> "cp-message-loss"
-  | Outage_failure -> "outage-failure"
-  | Spoofed_reply_rejected -> "spoofed-reply-rejected"
-  | Replayed_reply_rejected -> "replayed-reply-rejected"
-  | Glean_admission_rejected -> "glean-admission-rejected"
-
-let all_drop_causes =
-  [ No_route; No_such_eid; No_receiver; No_such_rloc; Rloc_unreachable;
-    Post_resolution_miss; Mapping_resolution_drop; Resolution_abandoned;
-    Resolution_timeout; Resolution_queue_overflow; Nerd_database_miss;
-    No_such_eid_domain; Pce_no_mapping_forward; Pce_no_mapping_reverse;
-    Cp_message_loss; Outage_failure; Spoofed_reply_rejected;
-    Replayed_reply_rejected; Glean_admission_rejected ]
-
-let n_causes = List.length all_drop_causes
-
-let cause_index = function
-  | No_route -> 0
-  | No_such_eid -> 1
-  | No_receiver -> 2
-  | No_such_rloc -> 3
-  | Rloc_unreachable -> 4
-  | Post_resolution_miss -> 5
-  | Mapping_resolution_drop -> 6
-  | Resolution_abandoned -> 7
-  | Resolution_timeout -> 8
-  | Resolution_queue_overflow -> 9
-  | Nerd_database_miss -> 10
-  | No_such_eid_domain -> 11
-  | Pce_no_mapping_forward -> 12
-  | Pce_no_mapping_reverse -> 13
-  | Cp_message_loss -> 14
-  | Outage_failure -> 15
-  (* Only ever append: persisted reports index by these values. *)
-  | Spoofed_reply_rejected -> 16
-  | Replayed_reply_rejected -> 17
-  | Glean_admission_rejected -> 18
-
-let cause_of_index = Array.of_list all_drop_causes
-
-let drop_cause_of_label label =
-  List.find_opt (fun c -> String.equal (drop_label c) label) all_drop_causes
 
 (* ------------------------------------------------------------------ *)
 (* Configuration                                                       *)
@@ -214,11 +128,7 @@ type t = {
      leaves the customer domain (egress). *)
   mutable uplink_provider : int array;
   mutable uplink_egress_dir : int array;
-  (* Flat per-(node, cause) drop counters: row [node + 1] (row 0 holds
-     drops with no attributable node), column [cause_index]. *)
-  mutable drop_rows : int array;
-  mutable drop_row_count : int;
-  mutable drops_total : int;
+  drops : Drop.t; (* the scenario's ledger, read by the drop reports *)
   eid_sketch : Sketch.t;
   flow_sketch : Sketch.t;
   (* IRC selection decisions, cumulative per provider and direction. *)
@@ -227,7 +137,7 @@ type t = {
   mutable sel_max : int;
 }
 
-let create ?(config = default_config) ~node_name ~now () =
+let create ?(config = default_config) ~node_name ~drops ~now () =
   if config.window_s <= 0.0 then
     invalid_arg "Telemetry.create: window must be positive";
   if config.slots <= 0 then invalid_arg "Telemetry.create: slots must be > 0";
@@ -236,12 +146,13 @@ let create ?(config = default_config) ~node_name ~now () =
     link_store = store (); node_tx_store = store (); node_rx_store = store ();
     node_fwd_store = store (); prov_in_store = store ();
     prov_out_store = store (); uplink_provider = [||];
-    uplink_egress_dir = [||]; drop_rows = [||]; drop_row_count = 0;
-    drops_total = 0; eid_sketch = Sketch.create ~cap:config.topk;
+    uplink_egress_dir = [||]; drops;
+    eid_sketch = Sketch.create ~cap:config.topk;
     flow_sketch = Sketch.create ~cap:config.topk; sel_out = [||];
     sel_in = [||]; sel_max = 0 }
 
 let config t = t.cfg
+let ledger t = t.drops
 let current_slot t = t.cur_slot
 let slot_start t i = t.origin +. (float_of_int i *. t.cfg.window_s)
 
@@ -378,14 +289,6 @@ let on_flow_packet t ~eid ~flow =
   Sketch.observe t.eid_sketch eid;
   Sketch.observe t.flow_sketch flow
 
-let on_drop t ~node cause =
-  t.drops_total <- t.drops_total + 1;
-  let row = node + 1 in
-  if row >= t.drop_row_count then t.drop_row_count <- row + 1;
-  t.drop_rows <- grown t.drop_rows (t.drop_row_count * n_causes) 0;
-  let cell = (row * n_causes) + cause_index cause in
-  t.drop_rows.(cell) <- t.drop_rows.(cell) + 1
-
 let on_select t ~provider ~inbound =
   if provider >= t.sel_max then t.sel_max <- provider + 1;
   t.sel_out <- grown t.sel_out t.sel_max 0;
@@ -506,41 +409,6 @@ let balance t ~window =
     bal_jain_out = Stats.jain_index (Array.map float_of_int out_bytes);
     bal_ratio_in = max_min_ratio in_bytes;
     bal_ratio_out = max_min_ratio out_bytes }
-
-(* ------------------------------------------------------------------ *)
-(* Drop reports                                                        *)
-(* ------------------------------------------------------------------ *)
-
-let dropped t = t.drops_total
-
-let drop_totals t =
-  let totals = Array.make n_causes 0 in
-  for row = 0 to t.drop_row_count - 1 do
-    for c = 0 to n_causes - 1 do
-      totals.(c) <- totals.(c) + t.drop_rows.((row * n_causes) + c)
-    done
-  done;
-  let l = ref [] in
-  for c = n_causes - 1 downto 0 do
-    if totals.(c) > 0 then l := (cause_of_index.(c), totals.(c)) :: !l
-  done;
-  List.sort
-    (fun (ca, na) (cb, nb) ->
-      if na <> nb then Int.compare nb na
-      else Int.compare (cause_index ca) (cause_index cb))
-    !l
-
-let drops_by_node t =
-  let out = ref [] in
-  for row = t.drop_row_count - 1 downto 0 do
-    let causes = ref [] in
-    for c = n_causes - 1 downto 0 do
-      let n = t.drop_rows.((row * n_causes) + c) in
-      if n > 0 then causes := (cause_of_index.(c), n) :: !causes
-    done;
-    if !causes <> [] then out := (row - 1, !causes) :: !out
-  done;
-  !out
 
 (* ------------------------------------------------------------------ *)
 (* Heavy-hitter reports                                                *)

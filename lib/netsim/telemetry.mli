@@ -7,10 +7,11 @@
     are hot right now, which node is shedding packets and why.  A plane
     maintains that view: cumulative and sliding-window per-link /
     per-node / per-provider packet+byte counters backed by ring buffers,
-    a typed drop-cause enum with per-(node, cause) counters, bounded-
-    memory Space-Saving top-k sketches for EIDs and flows, and derived
-    traffic-engineering balance metrics (per-provider shares, Jain's
-    fairness index, max/min load ratio).
+    bounded-memory Space-Saving top-k sketches for EIDs and flows, and
+    derived traffic-engineering balance metrics (per-provider shares,
+    Jain's fairness index, max/min load ratio).  Where packets die, and
+    why, is the scenario's {!Drop} ledger: it is always on, and the
+    plane's drop reports read it ({!ledger}).
 
     A plane ({!t}) belongs to one scenario: [Scenario.build] creates it
     from the scenario's config and hands it to the scenario's graph,
@@ -28,39 +29,6 @@
     (dense per graph), {!Topology.Node.id} values, and provider indexes
     from [Topology.Domain.border.provider]. *)
 
-(** {1 Typed drop causes} *)
-
-type drop_cause =
-  | No_route  (** link failures disconnected the endpoints *)
-  | No_such_eid  (** destination EID is in no domain *)
-  | No_receiver  (** destination host has no receiver installed *)
-  | No_such_rloc  (** encap target RLOC is not a border router *)
-  | Rloc_unreachable  (** RLOC's access link is down *)
-  | Post_resolution_miss  (** resolution completed but installed nothing *)
-  | Mapping_resolution_drop  (** mapping system answered negatively *)
-  | Resolution_abandoned  (** retry budget exhausted while held *)
-  | Resolution_timeout  (** resolution outlived its deadline *)
-  | Resolution_queue_overflow  (** per-EID hold queue was full *)
-  | Nerd_database_miss  (** EID absent from the pushed NERD database *)
-  | No_such_eid_domain  (** resolver found no owning domain *)
-  | Pce_no_mapping_forward  (** PCE push lost the race, forward path *)
-  | Pce_no_mapping_reverse  (** PCE push lost the race, reverse path *)
-  | Cp_message_loss  (** control-plane message eaten by {!Faults} *)
-  | Outage_failure  (** query failed against a crashed node *)
-  | Spoofed_reply_rejected
-      (** forged map-reply failed nonce/signature verification *)
-  | Replayed_reply_rejected  (** stale replayed reply failed the nonce echo *)
-  | Glean_admission_rejected
-      (** gleaned mapping refused by the cache admission policy *)
-
-val drop_label : drop_cause -> string
-(** Stable wire/report label, e.g. ["resolution-timeout"].  Labels match
-    the strings the scattered drop bookkeeping used before this enum
-    existed, so traces and JSONL events are unchanged. *)
-
-val drop_cause_of_label : string -> drop_cause option
-val all_drop_causes : drop_cause list
-
 (** {1 Configuration} *)
 
 type config = {
@@ -77,12 +45,18 @@ val default_config : config
 type t
 
 val create :
-  ?config:config -> node_name:(int -> string) -> now:float -> unit -> t
+  ?config:config -> node_name:(int -> string) -> drops:Drop.t -> now:float ->
+  unit -> t
 (** A fresh plane with every counter at zero and its window origin at
     [now] (simulated time).  [node_name] names nodes in reports; a
-    scenario passes its graph's labels. *)
+    scenario passes its graph's labels.  [drops] is the scenario's drop
+    ledger (its graph's), which the plane's drop reports read. *)
 
 val config : t -> config
+
+val ledger : t -> Drop.t
+(** The drop ledger given to {!create}. *)
+
 val current_slot : t -> int
 
 val node_name : t -> int -> string
@@ -125,10 +99,6 @@ val on_node_fwd : t -> node:int -> bytes:int -> unit
 val on_flow_packet : t -> eid:int -> flow:int -> unit
 (** Feed the heavy-hitter sketches: one packet toward destination [eid]
     on flow [flow] (both as raw ints). *)
-
-val on_drop : t -> node:int -> drop_cause -> unit
-(** Packet died at [node] for [cause]; pass [node = -1] when no single
-    node is attributable (the report shows it as unattributed). *)
 
 val on_select : t -> provider:int -> inbound:bool -> unit
 (** The IRC engine assigned a flow to an uplink of [provider]. *)
@@ -185,16 +155,6 @@ type balance = {
 val balance : t -> window:bool -> balance
 (** TE balance across providers, over the sliding window
     ([window:true]) or cumulatively. *)
-
-(** {1 Drop reports} *)
-
-val dropped : t -> int
-val drop_totals : t -> (drop_cause * int) list
-(** Per-cause totals, descending count. *)
-
-val drops_by_node : t -> (int * (drop_cause * int) list) list
-(** Per-node cause breakdowns, ascending node; node [-1] collects drops
-    recorded without an attributable node. *)
 
 (** {1 Heavy hitters} *)
 

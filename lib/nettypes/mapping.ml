@@ -53,4 +53,3 @@ let pp_flow_entry ppf e =
   Format.fprintf ppf "(%a -> %a via %a => %a)" Ipv4.pp_addr e.src_eid
     Ipv4.pp_addr e.dst_eid Ipv4.pp_addr e.src_rloc Ipv4.pp_addr e.dst_rloc
 
-let flow_entry_wire_size = 16

@@ -56,4 +56,3 @@ type flow_entry = {
     border router. *)
 
 val pp_flow_entry : Format.formatter -> flow_entry -> unit
-val flow_entry_wire_size : int

@@ -175,6 +175,16 @@ let describe_kind = function
 
 let describe e = describe_kind e.kind
 
+let pp_log ppf events =
+  let width =
+    List.fold_left (fun w e -> max w (String.length e.actor)) 0 events
+  in
+  List.iter
+    (fun e ->
+      Format.fprintf ppf "t=%10.6fs  %-*s  %s@." e.time width e.actor
+        (describe e))
+    events
+
 let to_json e =
   let addr a = Json.String (Ipv4.addr_to_string a) in
   let tuple (entry : Mapping.flow_entry) =

@@ -4,7 +4,10 @@
     resolution, cache behaviour, tunnelling, TE decisions, failures —
     is one typed event carrying the simulated time, the emitting actor
     and, when the step belongs to a flow, a direction-insensitive flow
-    id.  Events reach the outside world through {!Hub} sinks. *)
+    id.  Events reach the outside world through {!Hub} sinks, and stay
+    typed until a sink renders them: {!describe} is the one text
+    renderer, {!pp_log} prints a buffer of events as the Figure-1
+    walkthrough, {!to_json} writes the JSONL export. *)
 
 open Nettypes
 
@@ -19,6 +22,7 @@ type kind =
   | Mapping_push of { targets : int }
       (** NERD pushed a database update to [targets] routers *)
   | Packet_drop of { cause : string }
+      (** a packet died; [cause] is its {!Netsim.Drop.label} *)
   | Encap of { outer_src : Ipv4.addr; outer_dst : Ipv4.addr }
   | Decap of { outer_src : Ipv4.addr }
   | Irc_decision of { rloc : Ipv4.addr }
@@ -96,7 +100,12 @@ val kind_name : kind -> string
 
 val describe : t -> string
 (** Human-readable one-liner, the single renderer of events: the
-    walkthrough ring ({!Hub.trace_sink}) shows exactly this text. *)
+    walkthrough ({!pp_log}) shows exactly this text. *)
+
+val pp_log : Format.formatter -> t list -> unit
+(** The walkthrough listing: one [t=<time>s  <actor>  <describe>] line
+    per event, in list order, time as [%10.6f] and actors padded to the
+    longest. *)
 
 val to_json : t -> Json.t
 (** Flat object with [time], [actor], [kind], optional [flow], and

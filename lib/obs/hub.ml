@@ -12,7 +12,7 @@ let enabled t = t.on
 let set_enabled t on = t.on <- on
 let add_sink t sink = t.sinks <- t.sinks @ [ sink ]
 
-(* Sink fan-out (JSONL rendering, span assembly, the walkthrough log)
+(* Sink fan-out (JSONL rendering, span assembly, the walkthrough buffer)
    is charged to one profiler phase, so "what does observability cost"
    reads off one line. *)
 let ph_trace = Netsim.Prof.phase "trace"
@@ -30,7 +30,3 @@ let memory_sink () =
   let sink event = buffered := event :: !buffered in
   let contents () = List.rev !buffered in
   (sink, contents)
-
-let trace_sink trace event =
-  Netsim.Trace.record trace ~time:event.Event.time ~actor:event.Event.actor
-    (Event.describe event)

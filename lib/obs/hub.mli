@@ -1,8 +1,8 @@
 (** Event hub: the one instrumentation channel of the simulator.
 
     Each scenario owns one hub; instrumented layers emit typed events
-    into it and any number of sinks (JSONL writer, in-memory buffer,
-    latency analyzer, the Figure-1 walkthrough log, metrics sampler
+    into it and any number of sinks (JSONL writer, in-memory buffer such
+    as the Figure-1 walkthrough, latency analyzer, metrics sampler
     ticks) consume them.  The hub holds the simulation clock, so an
     emit site names only the actor and the payload.
 
@@ -33,9 +33,5 @@ val emit : t -> actor:string -> ?flow:int -> Event.kind -> unit
     is disabled. *)
 
 val memory_sink : unit -> sink * (unit -> Event.t list)
-(** A buffering sink and its accessor (events in emission order). *)
-
-val trace_sink : Netsim.Trace.t -> sink
-(** The string renderer: appends [Event.describe] text to a
-    {!Netsim.Trace} log — the walkthrough printed by [bench f1],
-    [repro_cli trace] and [connect -v]. *)
+(** A buffering sink and its accessor (events in emission order).  The
+    Figure-1 walkthrough is one, printed by {!Event.pp_log}. *)

@@ -12,24 +12,23 @@ type row = { at : float; values : (string * float) list }
 type t = {
   interval : float;
   registry : Registry.t;
-  max_rows : int;
   mutable tick_no : int;
   mutable rows_rev : row list;
   mutable row_count : int;
-  mutable dropped : int;
 }
 
-let create ?(max_rows = 100_000) ~interval ~registry () =
+(* Bounds memory on runaway runs. *)
+let max_rows = 100_000
+
+let create ~interval ~registry () =
   if interval <= 0.0 then
     invalid_arg "Obs.Sampler.create: interval must be positive";
-  { interval; registry; max_rows; tick_no = 0; rows_rev = []; row_count = 0;
-    dropped = 0 }
+  { interval; registry; tick_no = 0; rows_rev = []; row_count = 0 }
 
 let interval t = t.interval
 
 let record t ~at =
-  if t.row_count >= t.max_rows then t.dropped <- t.dropped + 1
-  else begin
+  if t.row_count < max_rows then begin
     t.rows_rev <- { at; values = Registry.sample t.registry } :: t.rows_rev;
     t.row_count <- t.row_count + 1
   end
@@ -58,25 +57,9 @@ let finalise t ~now =
 
 let rows t = List.rev t.rows_rev
 let row_count t = t.row_count
-let dropped_rows t = t.dropped
 
 let series t name =
   List.filter_map
     (fun row ->
       Option.map (fun v -> (row.at, v)) (List.assoc_opt name row.values))
     (rows t)
-
-let to_timeseries t name =
-  match rows t with
-  | [] -> None
-  | all ->
-      let horizon =
-        match List.rev all with
-        | last :: _ -> Float.max t.interval (last.at +. t.interval)
-        | [] -> t.interval
-      in
-      let ts = Metrics.Timeseries.create ~bucket:t.interval ~horizon in
-      List.iter
-        (fun (at, v) -> Metrics.Timeseries.add ts ~at ~value:v ())
-        (series t name);
-      Some ts

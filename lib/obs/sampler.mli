@@ -11,10 +11,10 @@ type t
 
 type row = { at : float; values : (string * float) list }
 
-val create : ?max_rows:int -> interval:float -> registry:Registry.t -> unit -> t
-(** [interval] is in simulated seconds and must be positive.
-    [max_rows] (default 100k) bounds memory on runaway runs; rows past
-    the cap are counted in {!dropped_rows} instead of stored. *)
+val create : interval:float -> registry:Registry.t -> unit -> t
+(** [interval] is in simulated seconds and must be positive.  At most
+    100k rows are kept, which bounds memory on runaway runs; later
+    samples are not stored. *)
 
 val interval : t -> float
 
@@ -30,11 +30,6 @@ val rows : t -> row list
 (** All samples in chronological order. *)
 
 val row_count : t -> int
-val dropped_rows : t -> int
 
 val series : t -> string -> (float * float) list
 (** One metric's [(time, value)] points across all rows. *)
-
-val to_timeseries : t -> string -> Metrics.Timeseries.t option
-(** One metric re-bucketed into a {!Metrics.Timeseries} with the
-    sampler's interval as bucket width; [None] if no rows exist. *)

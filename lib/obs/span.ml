@@ -129,24 +129,15 @@ let close_named conn ~name = close_matching conn ~pred:(fun s -> s.name = name)
 let attempt_name n = Printf.sprintf "attempt-%d" n
 let is_attempt s = String.length s.name > 8 && String.sub s.name 0 8 = "attempt-"
 
-(* Drop causes that mean "the held/unmapped first packet died while the
-   control plane worked" — the paper's weakness (i).  Other causes
-   (queue policy, link faults) are not the mapping system's fault. *)
-let is_wait_drop cause =
-  let prefixed p =
-    String.length cause >= String.length p && String.sub cause 0 (String.length p) = p
-  in
-  prefixed "resolution-" || cause = "mapping-resolution-drop"
-  || cause = "nerd-database-miss" || prefixed "pce-no-mapping"
+(* A cause label classifies as its [Netsim.Drop.cause] does; a label
+   no cause has is neither kind of drop.  A wait drop ends the packet's
+   wait; a no-resolution drop ends the whole map_resolution span, since
+   no resolution is (or will be) in flight. *)
+let classify pred label =
+  match Netsim.Drop.of_label label with Some c -> pred c | None -> false
 
-(* Among the wait drops, these mean no resolution is (or will be) in
-   flight — the mapping simply does not exist — so the drop ends the
-   whole map_resolution span, not just the packet's wait. *)
-let is_no_resolution_drop cause =
-  let prefixed p =
-    String.length cause >= String.length p && String.sub cause 0 (String.length p) = p
-  in
-  cause = "nerd-database-miss" || prefixed "pce-no-mapping"
+let is_wait_drop = classify Netsim.Drop.is_wait
+let is_no_resolution_drop = classify Netsim.Drop.is_no_resolution
 
 (* Close the whole connection (root included) and hand the tree off. *)
 let close_conn b conn ~time ~outcome ~cascade =

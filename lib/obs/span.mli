@@ -46,8 +46,10 @@ val iter : (t -> unit) -> t -> unit
 (** Pre-order traversal of a tree. *)
 
 val is_wait_drop : string -> bool
-(** Does this {!Event.Packet_drop} cause mean the flow's first packet
-    died while the mapping system worked (the paper's weakness (i))? *)
+(** Does this {!Event.Packet_drop} cause label mean the flow's first
+    packet died while the mapping system worked (the paper's weakness
+    (i))?  It does when the label's cause is {!Netsim.Drop.is_wait}; a
+    label no cause has is not a wait drop. *)
 
 (** {1 Building} *)
 

@@ -26,7 +26,7 @@ let gauge_rows t =
          (Array.to_list b.bal_providers))
   in
   [ ("jain_in", b.bal_jain_in); ("jain_out", b.bal_jain_out);
-    ("dropped", fi (dropped t));
+    ("dropped", fi (Netsim.Drop.total (ledger t)));
     ("flow_packets", fi (flow_packets_observed t)) ]
   @ (if Float.is_finite b.bal_ratio_in then [ ("ratio_in", b.bal_ratio_in) ]
      else [])
@@ -113,15 +113,18 @@ let json_snapshot ?(series = false) t =
         ("ab", json_of_stat (link_stat t ~link:l ~dir:0));
         ("ba", json_of_stat (link_stat t ~link:l ~dir:1)) ]
   in
+  let json_of_causes causes =
+    Json.Obj
+      (List.map
+         (fun (cause, n) -> (Netsim.Drop.label cause, Json.Int n))
+         causes)
+  in
   let drop_block (node, causes) =
     Json.Obj
       [ ("node", Json.Int node); ("name", Json.String (node_name t node));
-        ( "causes",
-          Json.Obj
-            (List.map
-               (fun (cause, n) -> (drop_label cause, Json.Int n))
-               causes) ) ]
+        ("causes", json_of_causes causes) ]
   in
+  let drops = ledger t in
   Json.Obj
     [ ("window_s", Json.Float c.window_s); ("slots", Json.Int c.slots);
       ("topk", Json.Int c.topk);
@@ -131,13 +134,10 @@ let json_snapshot ?(series = false) t =
       ("providers", Json.List (List.map provider_block (providers t)));
       ("nodes", Json.List (List.map node_block (nodes t)));
       ("links", Json.List (List.map link_block (links t)));
-      ("dropped", Json.Int (dropped t));
-      ( "drop_totals",
-        Json.Obj
-          (List.map
-             (fun (cause, n) -> (drop_label cause, Json.Int n))
-             (drop_totals t)) );
-      ("drops_by_node", Json.List (List.map drop_block (drops_by_node t)));
+      ("dropped", Json.Int (Netsim.Drop.total drops));
+      ("drop_totals", json_of_causes (Netsim.Drop.totals drops));
+      ( "drops_by_node",
+        Json.List (List.map drop_block (Netsim.Drop.by_node drops)) );
       ("top_eids", json_of_hitters (top_eids t));
       ("top_flows", json_of_hitters (top_flows t));
       ("flow_packets", Json.Int (flow_packets_observed t));
@@ -219,7 +219,8 @@ let node_table ?(limit = 20) t =
   table
 
 let drop_table t =
-  let total = dropped t in
+  let drops = ledger t in
+  let total = Netsim.Drop.total drops in
   let table =
     Metrics.Table.create ~title:"drop attribution"
       ~columns:[ "node"; "cause"; "count"; "share" ]
@@ -229,12 +230,13 @@ let drop_table t =
       List.iter
         (fun (cause, n) ->
           Metrics.Table.add_row table
-            [ node_name t node; drop_label cause; Metrics.Table.cell_int n;
+            [ node_name t node; Netsim.Drop.label cause;
+              Metrics.Table.cell_int n;
               Metrics.Table.cell_pct
                 (if total = 0 then 0.0
                  else float_of_int n /. float_of_int total) ])
         causes)
-    (drops_by_node t);
+    (Netsim.Drop.by_node drops);
   table
 
 let hitter_table ~title ~key_label fmt_key hitters =

@@ -4,7 +4,11 @@
     has for {!Prof}: registry gauges, a JSON snapshot, rendered tables, a
     windowed-series CSV, and Chrome-trace counter events.  Every report
     reads the plane it is given (a scenario's, via [Scenario.telemetry]);
-    the counters and hooks themselves live in {!Netsim.Telemetry}. *)
+    the counters and hooks themselves live in {!Netsim.Telemetry}.  The
+    drop figures (the [dropped] gauge, the JSON [dropped]/[drop_totals]/
+    [drops_by_node] fields and {!drop_table}) read the scenario's
+    {!Netsim.Drop} ledger through {!Netsim.Telemetry.ledger}, rejections
+    included, and label the causes as they print. *)
 
 val register_gauges : Registry.t -> Netsim.Telemetry.t -> unit
 (** Register a ["telemetry"] gauge family over the plane: window/

@@ -220,9 +220,6 @@ let domain_of_eid t addr =
 let domain_of_name t name =
   Array.find_opt (fun d -> d.Domain.name = name || Domain.fqdn d = name) t.domains
 
-let provider_of_rloc t rloc =
-  Array.find_opt (fun p -> Ipv4.prefix_mem p.prefix rloc) t.providers
-
 let border_of_rloc t rloc =
   let rec scan i =
     if i >= Array.length t.domains then None

@@ -61,8 +61,6 @@ val domain_of_eid : t -> Nettypes.Ipv4.addr -> Domain.t option
 val domain_of_name : t -> string -> Domain.t option
 (** Lookup by DNS label (e.g. ["as3"]) or FQDN (["as3.net."]). *)
 
-val provider_of_rloc : t -> Nettypes.Ipv4.addr -> provider option
-
 val border_of_rloc : t -> Nettypes.Ipv4.addr -> (Domain.t * Domain.border) option
 (** Resolve any RLOC in the internet to its border router. *)
 

@@ -33,6 +33,7 @@ type t = {
   mutable heap : int array;
   mutable heap_pos : int array;
   mutable telemetry : Netsim.Telemetry.t option;
+  drops : Netsim.Drop.t;
 }
 
 let dummy_node : Node.t = { id = -1; kind = Node.Host; label = "" }
@@ -42,7 +43,7 @@ let create () =
     adjacency = Array.make 16 []; link_by_id = [||]; link_count = 0;
     dists = Array.make 16 [||]; preds = Array.make 16 [||];
     stamps = Array.make 16 (-1); generation = 0; heap = [||];
-    heap_pos = [||]; telemetry = None }
+    heap_pos = [||]; telemetry = None; drops = Netsim.Drop.create () }
 
 let grown a capacity filler =
   let b = Array.make capacity filler in
@@ -102,6 +103,7 @@ let connect t a b ~latency ?capacity_bps ?kind () =
 (* Newest first. *)
 let links t = List.init t.link_count (fun i -> t.link_by_id.(t.link_count - 1 - i))
 let telemetry t = t.telemetry
+let drops t = t.drops
 let set_telemetry t plane = t.telemetry <- Some plane
 
 let set_link_up t link up =

@@ -72,6 +72,11 @@ val set_telemetry : t -> Netsim.Telemetry.t -> unit
 (** Attach the plane, once, before any traffic ([Scenario.build] does
     this right after building the internet). *)
 
+val drops : t -> Netsim.Drop.t
+(** The drop ledger of everything that runs on this graph, made by
+    {!create} and always on: every drop and rejection site records in
+    it, whether or not a telemetry plane is attached. *)
+
 val set_link_up : t -> Link.t -> bool -> unit
 (** Fail or restore a link.  Down links are invisible to shortest-path
     computation.  Any change drops every cached tree ({!invalidate_cache}).

@@ -24,8 +24,6 @@ type conn_state = {
 type t = {
   engine : Netsim.Engine.t;
   dataplane : Lispdp.Dataplane.t;
-  initial_rto : float;
-  max_syn_retries : int;
   data_gap : float;
   obs : Obs.Hub.t;
   (* Keyed by the initiator-side flow. *)
@@ -123,10 +121,14 @@ and send_data t st i =
            send_data t st (i + 1)))
   end
 
-let create ~engine ~dataplane ?(initial_rto = 1.0) ?(max_syn_retries = 6)
-    ?(data_gap = 0.002) ?obs () =
+(* RFC 6298 style SYN retransmission: the timer starts at 1 s and
+   doubles, for at most 6 retransmissions. *)
+let initial_rto = 1.0
+let max_syn_retries = 6
+
+let create ~engine ~dataplane ?(data_gap = 0.002) ?obs () =
   let t =
-    { engine; dataplane; initial_rto; max_syn_retries; data_gap;
+    { engine; dataplane; data_gap;
       obs = Obs.Hub.or_disabled ~engine obs;
       states = Hashtbl.create 256; all = [] }
   in
@@ -151,13 +153,13 @@ let rec send_syn t st ~attempt =
       ~flow:(Obs.Event.flow_id st.conn.flow)
       (Obs.Event.Syn_sent { attempt = attempt + 1 });
   Lispdp.Dataplane.send_from_host t.dataplane syn;
-  let rto = t.initial_rto *. (2.0 ** float_of_int attempt) in
+  let rto = initial_rto *. (2.0 ** float_of_int attempt) in
   st.rto_timer <-
     Some
       (Netsim.Engine.schedule t.engine ~delay:rto (fun () ->
            st.rto_timer <- None;
            if st.conn.established_at = None then
-             if attempt + 1 > t.max_syn_retries then begin
+             if attempt + 1 > max_syn_retries then begin
                st.conn.failed <- true;
                if Obs.Hub.enabled t.obs then
                  Obs.Hub.emit t.obs ~actor:(host_actor t st.conn.flow.Flow.src)

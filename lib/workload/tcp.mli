@@ -17,14 +17,13 @@ type t
 val create :
   engine:Netsim.Engine.t ->
   dataplane:Lispdp.Dataplane.t ->
-  ?initial_rto:float ->
-  ?max_syn_retries:int ->
   ?data_gap:float ->
   ?obs:Obs.Hub.t ->
   unit ->
   t
-(** [initial_rto] defaults to 1 s, [max_syn_retries] to 6 (RFC 6298
-    style doubling), [data_gap] (pacing between data packets) to 2 ms.
+(** The SYN timer starts at 1 s and doubles on each of at most 6
+    retransmissions (RFC 6298 style).  [data_gap] (pacing between data
+    packets) defaults to 2 ms.
     On an enabled [?obs] hub (default: a fresh disabled one), handshake
     milestones ([Syn_sent], [Syn_received], [Conn_established],
     [Conn_failed]) are emitted for the span layer; a disabled hub costs

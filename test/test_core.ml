@@ -249,20 +249,21 @@ let test_f1_trace_contains_all_steps () =
   let flow = figure1_flow s ~port:6008 in
   ignore (Scenario.open_connection s ~flow ~data_packets:1 ());
   Scenario.run s;
-  let entries = Netsim.Trace.entries walkthrough in
-  let has fragment =
-    List.exists
-      (fun e ->
-        let ev = e.Netsim.Trace.event in
-        let fl = String.length fragment and el = String.length ev in
-        let rec scan i = i + fl <= el && (String.sub ev i fl = fragment || scan (i + 1)) in
-        scan 0)
-      entries
-  in
+  let kinds = List.map (fun e -> e.Obs.Event.kind) (walkthrough ()) in
   List.iter
-    (fun fragment ->
-      Alcotest.(check bool) ("trace mentions: " ^ fragment) true (has fragment))
-    [ "step 1"; "step 6"; "step 7"; "step 7b"; "step 8"; "reverse mapping" ]
+    (fun (step, is_step) ->
+      Alcotest.(check bool) ("walkthrough has " ^ step) true
+        (List.exists is_step kinds))
+    [ ("the client query (step 1)",
+       function Obs.Event.Dns_query _ -> true | _ -> false);
+      ("step 1", function Obs.Event.Ipc_query _ -> true | _ -> false);
+      ("step 6", function Obs.Event.Answer_intercept _ -> true | _ -> false);
+      ("step 7", function Obs.Event.Answer_decap _ -> true | _ -> false);
+      ("step 7b", function Obs.Event.Tuple_push _ -> true | _ -> false);
+      ( "step 8",
+        function Obs.Event.Dns_reply { answered; _ } -> answered | _ -> false );
+      ( "reverse mapping",
+        function Obs.Event.Reverse_learn _ -> true | _ -> false ) ]
 
 (* ------------------------------------------------------------------ *)
 (* Ablations                                                           *)
@@ -429,7 +430,7 @@ let make_pce () =
   ( internet,
     Pce.create
       ~domain:internet.Topology.Builder.domains.(0)
-      ~graph:internet.Topology.Builder.graph ~policy:Irc.Policy.Min_load () )
+      ~graph:internet.Topology.Builder.graph ~policy:Irc.Policy.Min_load )
 
 let qname = Dnssim.Name.of_string "h0.as1.net."
 

@@ -88,17 +88,17 @@ let test_zone_validation () =
 (* System: full resolutions on the Figure-1 internet                   *)
 (* ------------------------------------------------------------------ *)
 
-(* [trace], when given, is subscribed to the system's event hub as the
-   walkthrough ring. *)
-let make_system ?record_ttl ?trace () =
+(* [sink], when given, is subscribed to the system's event hub, which
+   it enables. *)
+let make_system ?record_ttl ?sink () =
   let engine = Netsim.Engine.create () in
   let internet = Topology.Builder.figure1 () in
   let obs = Obs.Hub.create ~clock:(fun () -> Netsim.Engine.now engine) () in
   Option.iter
-    (fun trace ->
-      Obs.Hub.add_sink obs (Obs.Hub.trace_sink trace);
+    (fun sink ->
+      Obs.Hub.add_sink obs sink;
       Obs.Hub.set_enabled obs true)
-    trace;
+    sink;
   let dns = System.create ~engine ~internet ?record_ttl ~obs () in
   (engine, internet, dns)
 
@@ -244,19 +244,16 @@ let test_tap_added_delay_visible () =
     (slowed > extra)
 
 let test_trace_records_steps () =
-  let trace = Netsim.Trace.create () in
-  let engine, internet, dns = make_system ~trace () in
+  let sink, events = Obs.Hub.memory_sink () in
+  let engine, internet, dns = make_system ~sink () in
   let _ = resolve_once engine internet dns ~from_domain:0 ~target:"h0.as1.net." in
+  let kinds = List.map (fun e -> e.Obs.Event.kind) (events ()) in
   Alcotest.(check bool) "step 1 recorded" true
-    (Netsim.Trace.find trace ~f:(fun e ->
-         String.length e.Netsim.Trace.event >= 9
-         && String.sub e.Netsim.Trace.event 0 9 = "DNS query")
-    <> None);
+    (List.exists (function Obs.Event.Dns_query _ -> true | _ -> false) kinds);
   Alcotest.(check bool) "step 8 recorded" true
-    (Netsim.Trace.find trace ~f:(fun e ->
-         String.length e.Netsim.Trace.event >= 10
-         && String.sub e.Netsim.Trace.event 0 10 = "DNS answer")
-    <> None)
+    (List.exists
+       (function Obs.Event.Dns_reply { answered; _ } -> answered | _ -> false)
+       kinds)
 
 let test_concurrent_resolutions () =
   let engine, internet, dns = make_system () in

@@ -105,7 +105,7 @@ let test_selector_avoids_dead_uplink () =
   let as_s = net.Topology.Builder.domains.(0) in
   let sel =
     Irc.Selector.create ~domain:as_s ~graph:net.Topology.Builder.graph
-      ~policy:Irc.Policy.Min_load ()
+      ~policy:Irc.Policy.Min_load
   in
   let b0 = as_s.Topology.Domain.borders.(0) in
   Topology.Graph.set_link_up net.Topology.Builder.graph
@@ -127,7 +127,7 @@ let test_selector_sticky_voided_by_failure () =
   let as_s = net.Topology.Builder.domains.(0) in
   let sel =
     Irc.Selector.create ~domain:as_s ~graph:net.Topology.Builder.graph
-      ~policy:Irc.Policy.Flow_hash ()
+      ~policy:Irc.Policy.Flow_hash
   in
   let flow =
     Flow.create

@@ -5,11 +5,9 @@ open Irc
 
 let fig1 () = Topology.Builder.figure1 ()
 
-let selector ?(policy = Policy.Min_load) ?hysteresis net domain_index =
+let selector ?(policy = Policy.Min_load) net domain_index =
   let domain = net.Topology.Builder.domains.(domain_index) in
-  ( domain,
-    Selector.create ~domain ~graph:net.Topology.Builder.graph ~policy
-      ?hysteresis () )
+  (domain, Selector.create ~domain ~graph:net.Topology.Builder.graph ~policy)
 
 let flow_for domain i =
   Nettypes.Flow.create
@@ -189,16 +187,6 @@ let test_burst_spreads_over_uplinks () =
       Alcotest.(check bool) "roughly even split" true (n >= 3 && n <= 7))
     counts
 
-let test_noise_requires_rng () =
-  let net = fig1 () in
-  let domain = net.Topology.Builder.domains.(0) in
-  match
-    Selector.create ~domain ~graph:net.Topology.Builder.graph
-      ~policy:Policy.Min_load ~noise:0.1 ()
-  with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "noise without rng accepted"
-
 let test_load_estimate_foreign_border_rejected () =
   let net = fig1 () in
   let _, sel = selector net 0 in
@@ -211,14 +199,25 @@ let test_load_estimate_foreign_border_rejected () =
 (* Rebalance                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let test_rebalance_moves_flow () =
+(* The selector's hysteresis is 0.05: rebalance moves a flow only when
+   another uplink's score beats its own by more than that.  One second
+   of [bytes] on a 1 Gb/s uplink is a utilisation sample of
+   bytes * 8 / 1e9, of which the first EWMA step keeps 0.3; the other
+   uplink stays at 0. *)
+let loaded_selector ~bytes =
   let net = fig1 () in
-  let domain, sel = selector ~hysteresis:0.01 net 0 in
+  let domain, sel = selector net 0 in
   let flow = flow_for domain 1 in
   let first = Selector.choose_egress sel ~flow () in
   Selector.observe sel ~now:0.0;
-  load_uplink first ~bytes:100_000_000;
+  load_uplink first ~bytes;
   Selector.observe sel ~now:1.0;
+  (sel, flow, first, Selector.load_estimate sel Selector.Outbound first)
+
+let test_rebalance_moves_flow () =
+  (* A gap of 0.06, above the hysteresis. *)
+  let sel, flow, first, load = loaded_selector ~bytes:25_000_000 in
+  Alcotest.(check (float 1e-9)) "load gap" 0.06 load;
   Alcotest.(check int) "nothing moved yet" 0 (Selector.moved_flows sel);
   Selector.rebalance sel;
   Alcotest.(check int) "one move" 1 (Selector.moved_flows sel);
@@ -227,15 +226,15 @@ let test_rebalance_moves_flow () =
     (second.Topology.Domain.router <> first.Topology.Domain.router)
 
 let test_rebalance_respects_hysteresis () =
-  let net = fig1 () in
-  let domain, sel = selector ~hysteresis:0.9 net 0 in
-  let flow = flow_for domain 1 in
-  let first = Selector.choose_egress sel ~flow () in
-  Selector.observe sel ~now:0.0;
-  load_uplink first ~bytes:100_000_000;
-  Selector.observe sel ~now:1.0;
+  (* A gap of 0.04, below the hysteresis. *)
+  let sel, flow, first, load = loaded_selector ~bytes:(50_000_000 / 3) in
+  Alcotest.(check (float 1e-6)) "load gap" 0.04 load;
   Selector.rebalance sel;
-  Alcotest.(check int) "hysteresis blocks the move" 0 (Selector.moved_flows sel)
+  Alcotest.(check int) "hysteresis blocks the move" 0
+    (Selector.moved_flows sel);
+  let kept = Selector.choose_egress sel ~flow () in
+  Alcotest.(check int) "flow kept its uplink" first.Topology.Domain.router
+    kept.Topology.Domain.router
 
 let test_forget_flow () =
   let net = fig1 () in
@@ -280,7 +279,6 @@ let () =
           Alcotest.test_case "ingress/egress independent" `Quick test_ingress_vs_egress_independent;
           Alcotest.test_case "min latency" `Quick test_min_latency_prefers_short_path;
           Alcotest.test_case "burst spreads" `Quick test_burst_spreads_over_uplinks;
-          Alcotest.test_case "noise needs rng" `Quick test_noise_requires_rng;
           Alcotest.test_case "foreign border" `Quick test_load_estimate_foreign_border_rejected;
         ] );
       ( "rebalance",

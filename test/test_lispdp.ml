@@ -865,7 +865,7 @@ type script = {
 }
 
 let make_world
-    ?(decision = Dataplane.Miss_drop Netsim.Telemetry.Mapping_resolution_drop)
+    ?(decision = Dataplane.Miss_drop Netsim.Drop.Mapping_resolution_drop)
     () =
   let engine = Netsim.Engine.create () in
   let internet = Topology.Builder.figure1 () in

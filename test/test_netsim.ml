@@ -521,23 +521,6 @@ let test_p2_small_n_exact () =
       ignore (Stats.P2.create ~p:100.0))
 
 (* ------------------------------------------------------------------ *)
-(* Trace                                                               *)
-(* ------------------------------------------------------------------ *)
-
-let test_trace_order () =
-  let tr = Trace.create () in
-  Trace.record tr ~time:0.0 ~actor:"a" "first";
-  Trace.record tr ~time:1.0 ~actor:"b" "second";
-  Alcotest.(check int) "length" 2 (Trace.length tr);
-  (match Trace.entries tr with
-  | [ e1; e2 ] ->
-      Alcotest.(check string) "first actor" "a" e1.Trace.actor;
-      Alcotest.(check string) "second event" "second" e2.Trace.event
-  | _ -> Alcotest.fail "expected two entries");
-  Alcotest.(check bool) "find" true
-    (Trace.find tr ~f:(fun e -> e.Trace.actor = "b") <> None)
-
-(* ------------------------------------------------------------------ *)
 (* Properties                                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -837,8 +820,6 @@ let () =
           Alcotest.test_case "retry delays" `Quick test_faults_retry_delay;
           Alcotest.test_case "validation" `Quick test_faults_validation;
         ] );
-      ("trace",
-       [ Alcotest.test_case "order" `Quick test_trace_order ]);
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_engine_drains; prop_engine_matches_reference_order;

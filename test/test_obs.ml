@@ -54,19 +54,23 @@ let test_hub_sink_order_and_event_order () =
     [ ("first", 1.0); ("second", 1.0); ("first", 2.0); ("second", 2.0) ]
     (List.rev !seen)
 
-let test_trace_sink_renders_strings () =
+(* The walkthrough is a memory sink printed by [Event.pp_log]: one line
+   per event, the time in a fixed-width field, actors padded to the
+   longest, then [Event.describe]'s text. *)
+let test_walkthrough_printer_aligns_actors () =
   let hub = manual_hub ~enabled:true () in
-  let trace = Netsim.Trace.create () in
-  Obs.Hub.add_sink hub (Obs.Hub.trace_sink trace);
-  emit_at hub 0.5 ~actor:"as0-itr"
+  let sink, events = Obs.Hub.memory_sink () in
+  Obs.Hub.add_sink hub sink;
+  emit_at hub 0.5 ~actor:"dp"
     (Obs.Event.Cache_miss { eid = addr "100.0.1.1" });
-  match Netsim.Trace.entries trace with
-  | [ entry ] ->
-      Alcotest.(check string) "actor" "as0-itr" entry.Netsim.Trace.actor;
-      Alcotest.(check string) "rendered text" "map-cache miss 100.0.1.1"
-        entry.Netsim.Trace.event
-  | entries ->
-      Alcotest.failf "expected 1 trace entry, got %d" (List.length entries)
+  emit_at hub 12.25 ~actor:"as0-itr"
+    (Obs.Event.Packet_drop { cause = "no-route" });
+  Alcotest.(check string) "aligned lines"
+    "t=  0.500000s  dp       map-cache miss 100.0.1.1\n\
+     t= 12.250000s  as0-itr  packet drop (no-route)\n"
+    (Format.asprintf "%a" Obs.Event.pp_log (events ()));
+  Alcotest.(check string) "nothing to print" ""
+    (Format.asprintf "%a" Obs.Event.pp_log [])
 
 (* ------------------------------------------------------------------ *)
 (* Flow ids                                                            *)
@@ -491,7 +495,7 @@ let bench_text =
              task_run = Experiments.Exp_f1.print } ]
      in
      Obs.Json.to_string
-       (Experiments.Runner.bench_json ~jobs:1 ~total_wall:1.0 outcomes))
+       (Experiments.Runner.bench_json ~jobs:1 outcomes))
 
 (* Byte edits (replace, insert, delete, insert an escape at a position),
    biased toward the characters JSON gives meaning to. *)
@@ -550,8 +554,8 @@ let () =
             test_hub_disabled_allocation_free;
           Alcotest.test_case "sink and event ordering" `Quick
             test_hub_sink_order_and_event_order;
-          Alcotest.test_case "trace sink renders strings" `Quick
-            test_trace_sink_renders_strings ] );
+          Alcotest.test_case "walkthrough printer aligns actors" `Quick
+            test_walkthrough_printer_aligns_actors ] );
       ( "flow correlation",
         [ Alcotest.test_case "direction-insensitive flow id" `Quick
             test_flow_id_direction_insensitive;

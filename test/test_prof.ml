@@ -275,7 +275,7 @@ let fingerprint ~seed ~profile =
     (Option.value ~default:(-1.0) c.Core.Scenario.dns_time)
     (Option.value ~default:(-1.0) (Core.Scenario.total_setup_time c))
     counters.Lispdp.Dataplane.dropped
-    (Format.asprintf "%a" Netsim.Trace.pp walkthrough)
+    (Format.asprintf "%a" Obs.Event.pp_log (walkthrough ()))
 
 let prop_profiling_preserves_output =
   QCheck.Test.make ~name:"profiler on/off: identical simulation output"

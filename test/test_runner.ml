@@ -63,7 +63,7 @@ let test_jobs_validated () =
 
 let test_bench_json_shape () =
   let _, outcomes = run_to_string ~jobs:1 (tasks ()) in
-  match Experiments.Runner.bench_json ~jobs:1 ~total_wall:1.5 outcomes with
+  match Experiments.Runner.bench_json ~jobs:1 outcomes with
   | Obs.Json.Obj fields ->
       Alcotest.(check bool) "schema tag" true
         (List.assoc "schema" fields = Obs.Json.String "lisp-pce-bench/6");
@@ -203,7 +203,7 @@ let test_cache_rows_ride_summary () =
       Alcotest.(check bool) "no rows for a plain task" true
         (plain.Experiments.Runner.out_summary.s_rows = [])
   | _ -> Alcotest.fail "expected two outcomes");
-  match Experiments.Runner.bench_json ~jobs:2 ~total_wall:1.0 outcomes with
+  match Experiments.Runner.bench_json ~jobs:2 outcomes with
   | Obs.Json.Obj fields -> (
       match List.assoc "experiments" fields with
       | Obs.Json.List [ Obs.Json.Obj cachy; Obs.Json.Obj plain ] ->

@@ -1,15 +1,16 @@
-(* The telemetry plane: window rotation, Space-Saving error bounds,
-   drop-cause labels, TE-balance math, the disabled path's zero-cost
-   contract, enabled-vs-disabled simulation identity, conservation
-   laws against the links' own byte counters, and the independence of
-   two scenarios' planes in one process. *)
+(* The telemetry plane and the drop ledger: window rotation,
+   Space-Saving error bounds, drop-cause labels, TE-balance math, the
+   disabled path's zero-cost contract, enabled-vs-disabled simulation
+   identity, conservation laws against the links' own byte counters,
+   the ledger against every counter it shadows, and the independence
+   of two scenarios' planes in one process. *)
 
 let config ?(window_s = 1.0) ?(slots = 4) ?(topk = 8) () =
   { Netsim.Telemetry.window_s; slots; topk }
 
 let plane ?window_s ?slots ?topk ?(now = 0.0) () =
   Netsim.Telemetry.create ~config:(config ?window_s ?slots ?topk ())
-    ~node_name:(Printf.sprintf "n%d") ~now ()
+    ~node_name:(Printf.sprintf "n%d") ~drops:(Netsim.Drop.create ()) ~now ()
 
 (* ------------------------------------------------------------------ *)
 (* Sliding-window counters                                             *)
@@ -132,22 +133,20 @@ let test_sketch_exact_under_capacity () =
 let test_drop_label_round_trip () =
   List.iter
     (fun cause ->
-      let label = Netsim.Telemetry.drop_label cause in
-      match Netsim.Telemetry.drop_cause_of_label label with
+      let label = Netsim.Drop.label cause in
+      match Netsim.Drop.of_label label with
       | Some back ->
           Alcotest.(check bool)
             (Printf.sprintf "%s round-trips" label)
             true (back = cause)
       | None -> Alcotest.failf "label %s does not parse back" label)
-    Netsim.Telemetry.all_drop_causes;
-  let labels =
-    List.map Netsim.Telemetry.drop_label Netsim.Telemetry.all_drop_causes
-  in
+    Netsim.Drop.all;
+  let labels = List.map Netsim.Drop.label Netsim.Drop.all in
   Alcotest.(check int) "labels unique"
     (List.length labels)
     (List.length (List.sort_uniq compare labels));
   Alcotest.(check (option reject)) "unknown label rejected" None
-    (Netsim.Telemetry.drop_cause_of_label "no-such-cause")
+    (Netsim.Drop.of_label "no-such-cause")
 
 (* The labels are a wire format: traces, JSONL events, BENCH.json and
    the baseline differ use them, so they are pinned byte-for-byte.
@@ -161,24 +160,27 @@ let test_drop_labels_pinned () =
       "pce-no-mapping-forward"; "pce-no-mapping-reverse"; "cp-message-loss";
       "outage-failure"; "spoofed-reply-rejected"; "replayed-reply-rejected";
       "glean-admission-rejected" ]
-    (List.map Netsim.Telemetry.drop_label Netsim.Telemetry.all_drop_causes)
+    (List.map Netsim.Drop.label Netsim.Drop.all)
 
 let test_drop_attribution () =
-  let tm = plane () in
-  Netsim.Telemetry.on_drop tm ~node:3 Netsim.Telemetry.No_route;
-  Netsim.Telemetry.on_drop tm ~node:3 Netsim.Telemetry.No_route;
-  Netsim.Telemetry.on_drop tm ~node:5 Netsim.Telemetry.Resolution_timeout;
-  Netsim.Telemetry.on_drop tm ~node:(-1) Netsim.Telemetry.Cp_message_loss;
-  Alcotest.(check int) "total drops" 4 (Netsim.Telemetry.dropped tm);
-  (match Netsim.Telemetry.drop_totals tm with
-  | (first_cause, 2) :: _ ->
-      Alcotest.(check string) "heaviest cause first" "no-route"
-        (Netsim.Telemetry.drop_label first_cause)
-  | _ -> Alcotest.fail "expected no-route x2 first");
-  let by_node = Netsim.Telemetry.drops_by_node tm in
+  let drops = Netsim.Drop.create () in
+  Netsim.Drop.record drops ~node:5 Netsim.Drop.Resolution_timeout;
+  Netsim.Drop.record drops ~node:3 Netsim.Drop.No_route;
+  Netsim.Drop.record drops ~node:3 Netsim.Drop.No_route;
+  Netsim.Drop.record drops ~node:(-1) Netsim.Drop.Cp_message_loss;
+  Alcotest.(check int) "total drops" 4 (Netsim.Drop.total drops);
+  let labelled l = List.map (fun (c, n) -> (Netsim.Drop.label c, n)) l in
+  Alcotest.(check (list (pair string int)))
+    "by descending count, ties in cause order"
+    [ ("no-route", 2); ("resolution-timeout", 1); ("cp-message-loss", 1) ]
+    (labelled (Netsim.Drop.totals drops));
+  let by_node = Netsim.Drop.by_node drops in
   Alcotest.(check (list int)) "nodes ascending, unattributed first"
     [ -1; 3; 5 ]
-    (List.map fst by_node)
+    (List.map fst by_node);
+  Alcotest.(check (list (pair string int))) "node 3's causes"
+    [ ("no-route", 2) ]
+    (labelled (List.assoc 3 by_node))
 
 (* ------------------------------------------------------------------ *)
 (* TE balance                                                          *)
@@ -230,7 +232,6 @@ let test_disabled_path_allocation_free () =
         Netsim.Telemetry.on_node_rx tm ~node:8 ~bytes:1400;
         Netsim.Telemetry.on_node_fwd tm ~node:9 ~bytes:1400;
         Netsim.Telemetry.on_flow_packet tm ~eid:i ~flow:i;
-        Netsim.Telemetry.on_drop tm ~node:7 Netsim.Telemetry.No_route;
         Netsim.Telemetry.on_select tm ~provider:2 ~inbound:true
     | None -> ()
   in
@@ -273,7 +274,7 @@ let fingerprint ~seed ~telemetry =
     (Option.value ~default:(-1.0) c.Core.Scenario.dns_time)
     (Option.value ~default:(-1.0) (Core.Scenario.total_setup_time c))
     counters.Lispdp.Dataplane.dropped counters.Lispdp.Dataplane.delivered
-    (Format.asprintf "%a" Netsim.Trace.pp walkthrough)
+    (Format.asprintf "%a" Obs.Event.pp_log (walkthrough ()))
 
 let prop_telemetry_preserves_output =
   QCheck.Test.make ~name:"telemetry on/off: identical simulation output"
@@ -313,7 +314,7 @@ let fingerprint_pull ~seed ~armed =
     (Option.value ~default:(-1.0) c.Core.Scenario.dns_time)
     (Option.value ~default:(-1.0) (Core.Scenario.total_setup_time c))
     counters.Lispdp.Dataplane.dropped counters.Lispdp.Dataplane.delivered
-    (Format.asprintf "%a" Netsim.Trace.pp walkthrough)
+    (Format.asprintf "%a" Obs.Event.pp_log (walkthrough ()))
 
 let prop_disarmed_adversary_preserves_output =
   QCheck.Test.make
@@ -381,11 +382,11 @@ let tally_config ~seed ~cp ~profile ~telemetry =
               Core.Scenario.node_windows = [ (Netsim.Lifecycle.Pce 1, 0.0, 5.0) ]
             } }
 
-(* Every sink a hub can carry: the walkthrough ring, JSONL rendered into
+(* Every sink a hub can carry: the walkthrough buffer, JSONL rendered into
    a buffer, a latency analyzer, and a buffer of the raw events. *)
 let subscribe_all s =
   let hub = Core.Scenario.obs s in
-  ignore (Core.Scenario.walkthrough s);
+  let (_ : unit -> Obs.Event.t list) = Core.Scenario.walkthrough s in
   let jsonl = Buffer.create 4096 in
   Obs.Hub.add_sink hub (fun e ->
       Buffer.add_string jsonl (Obs.Export.event_line e);
@@ -399,7 +400,9 @@ type tally = {
   fingerprint : string;  (* DNS/setup times, drops, deliveries, events *)
   from_events : (string * int) list;  (* Packet_drop events by cause *)
   from_dataplane : (string * int) list;
-  from_telemetry : (string * int) list;  (* packet causes only *)
+  from_telemetry : (string * int) list;
+      (* the plane's ledger, packet causes only: the same ledger
+         [from_dataplane] reads *)
   dropped : int;
 }
 
@@ -437,13 +440,6 @@ let tally_run config ~hub =
       (Option.value ~default:(-1.0) c.Core.Scenario.dns_time)
       (Option.value ~default:(-1.0) (Core.Scenario.total_setup_time c))
   in
-  (* Causes the plane tallies that are no packet's death: refused
-     control messages and answers (loss, forged or replayed replies,
-     queries to a crashed node) and refused gleaned mappings. *)
-  let non_packet =
-    [ "cp-message-loss"; "outage-failure"; "spoofed-reply-rejected";
-      "replayed-reply-rejected"; "glean-admission-rejected" ]
-  in
   { fingerprint =
       Printf.sprintf "%s dropped=%d delivered=%d events=%d"
         (String.concat " " (List.map times conns))
@@ -460,11 +456,12 @@ let tally_run config ~hub =
     from_dataplane = List.sort compare (Lispdp.Dataplane.drop_causes dp);
     from_telemetry =
       (match Core.Scenario.telemetry s with
-      | Some tm -> Netsim.Telemetry.drop_totals tm
+      | Some tm -> Netsim.Drop.totals (Netsim.Telemetry.ledger tm)
       | None -> [])
       |> List.filter_map (fun (cause, n) ->
-             let label = Netsim.Telemetry.drop_label cause in
-             if List.mem label non_packet then None else Some (label, n))
+             if Netsim.Drop.is_packet cause then
+               Some (Netsim.Drop.label cause, n)
+             else None)
       |> List.sort compare;
     dropped = counters.Lispdp.Dataplane.dropped }
 
@@ -505,8 +502,9 @@ let prop_hub_and_drop_tallies =
           (show_causes t.from_telemetry) t.dropped;
       true)
 
-(* With telemetry on, the dataplane's drop bookkeeping and the typed
-   per-(node,cause) counters must agree cause-for-cause. *)
+(* With telemetry on, the dataplane's drop list and the plane's drop
+   totals (both read off the scenario's one ledger) agree cause for
+   cause. *)
 let test_scenario_drop_agreement () =
   let s =
     Core.Scenario.build
@@ -526,12 +524,200 @@ let test_scenario_drop_agreement () =
   let legacy = Lispdp.Dataplane.drop_causes (Core.Scenario.dataplane s) in
   let typed =
     List.map
-      (fun (cause, n) -> (Netsim.Telemetry.drop_label cause, n))
-      (Netsim.Telemetry.drop_totals
-         (Option.get (Core.Scenario.telemetry s)))
+      (fun (cause, n) -> (Netsim.Drop.label cause, n))
+      (Netsim.Drop.totals
+         (Netsim.Telemetry.ledger (Option.get (Core.Scenario.telemetry s))))
   in
   Alcotest.(check (list (pair string int)))
     "legacy string table and typed counters agree" legacy typed
+
+(* ------------------------------------------------------------------ *)
+(* The drop ledger against every counter it shadows                    *)
+(* ------------------------------------------------------------------ *)
+
+(* One random small scenario: a 3-5 domain internet under pull-queue,
+   PCE or NERD, with any mix of control-plane loss, forged and replayed
+   replies refused by the nonce check, a glean-capped EID-scan flood, a
+   PCE crash window and a DNS-server outage window. *)
+type shadow_case = {
+  sh_seed : int;
+  sh_domains : int;
+  sh_cp : Core.Scenario.cp_kind;
+  sh_loss : bool;
+  sh_attack : bool;
+  sh_flood : bool;
+  sh_pce_crash : bool;
+  sh_dns_outage : int option;  (* the domain whose DNS server is down *)
+}
+
+let shadow_cps =
+  [| Core.Scenario.Cp_pull_queue 4;
+     Core.Scenario.Cp_pce Core.Pce_control.default_options;
+     Core.Scenario.Cp_nerd |]
+
+let shadow_case_gen =
+  QCheck.Gen.(
+    let* sh_seed = int_range 1 1_000 in
+    let* sh_domains = int_range 3 5 in
+    let* cp = int_bound (Array.length shadow_cps - 1) in
+    let* sh_loss = bool and* sh_attack = bool and* sh_flood = bool in
+    let* sh_pce_crash = bool in
+    let+ sh_dns_outage = opt (int_bound (sh_domains - 1)) in
+    { sh_seed; sh_domains; sh_cp = shadow_cps.(cp); sh_loss; sh_attack;
+      sh_flood; sh_pce_crash; sh_dns_outage })
+
+let show_shadow_case c =
+  Printf.sprintf
+    "seed %d, %d domains, %s, loss %b, spoof/replay %b, flood %b, pce crash \
+     %b, dns outage %s"
+    c.sh_seed c.sh_domains (Core.Scenario.cp_label c.sh_cp) c.sh_loss
+    c.sh_attack c.sh_flood c.sh_pce_crash
+    (match c.sh_dns_outage with Some d -> string_of_int d | None -> "none")
+
+let shadow_config c ~telemetry =
+  let module S = Core.Scenario in
+  let windows =
+    (if c.sh_pce_crash then [ (Netsim.Lifecycle.Pce 1, 0.0, 1.5) ] else [])
+    @
+    match c.sh_dns_outage with
+    | Some d -> [ (Netsim.Lifecycle.Dns_server d, 0.1, 0.6) ]
+    | None -> []
+  in
+  let armed = c.sh_attack || c.sh_flood in
+  { S.default_config with
+    S.seed = c.sh_seed;
+    topology =
+      `Random
+        { Topology.Builder.default_params with
+          Topology.Builder.domain_count = c.sh_domains; provider_count = 3;
+          borders_per_domain = 2; hosts_per_domain = 2 };
+    cp = c.sh_cp;
+    telemetry = (if telemetry then Some (config ()) else None);
+    cp_faults =
+      (if c.sh_loss then Some { S.default_cp_faults with S.cp_loss = 0.2 }
+       else None);
+    node_faults =
+      (if windows = [] then None
+       else Some { S.default_node_faults with S.node_windows = windows });
+    attack =
+      (if armed then
+         Some
+           { S.default_attack with
+             S.atk_spoof = (if c.sh_attack then 0.5 else 0.0);
+             atk_replay = (if c.sh_attack then 0.5 else 0.0);
+             atk_flood_rate = (if c.sh_flood then 300.0 else 0.0);
+             atk_flood_until = 0.5; atk_flood_victim = 1 }
+       else None);
+    auth =
+      (if armed then
+         Some
+           { S.default_auth with
+             S.auth_nonce = c.sh_attack;
+             auth_glean_cap = (if c.sh_flood then Some 4 else None) }
+       else None) }
+
+(* Twelve flows between random hosts, 50 ms apart. *)
+let shadow_run c ~telemetry ~hub =
+  let s = Core.Scenario.build (shadow_config c ~telemetry) in
+  let events =
+    if hub then begin
+      let sink, events = Obs.Hub.memory_sink () in
+      Obs.Hub.add_sink (Core.Scenario.obs s) sink;
+      Obs.Hub.set_enabled (Core.Scenario.obs s) true;
+      events
+    end
+    else fun () -> []
+  in
+  let traffic =
+    Workload.Traffic.create
+      ~rng:(Netsim.Rng.split (Core.Scenario.rng s))
+      ~internet:(Core.Scenario.internet s) ()
+  in
+  for i = 0 to 11 do
+    ignore
+      (Netsim.Engine.schedule_at (Core.Scenario.engine s)
+         ~time:(float_of_int i *. 0.05) (fun () ->
+           let flow = Workload.Traffic.random_flow traffic () in
+           ignore (Core.Scenario.open_connection s ~flow ~data_packets:4 ())))
+  done;
+  Core.Scenario.run s;
+  (s, events ())
+
+(* Each rejection cause against the domain counter bumped at the same
+   site, the packet causes against the dataplane's [dropped], and (with
+   the hub on) the [Packet_drop] events against [drop_causes].  Returns
+   the first disagreement. *)
+let scenario_drops s =
+  Topology.Graph.drops (Core.Scenario.internet s).Topology.Builder.graph
+
+let shadow_violations s events =
+  let count = Netsim.Drop.count (scenario_drops s) in
+  let dp = Core.Scenario.dataplane s in
+  let pulls =
+    Core.Scenario.cp_stats s
+    :: Option.to_list
+         (Option.map Mapsys.Pull.stats (Core.Scenario.fallback_pull s))
+  in
+  let sum f = List.fold_left (fun acc st -> acc + f st) 0 pulls in
+  let laws =
+    [ ( "cp-message-loss = Faults.losses",
+        count Netsim.Drop.Cp_message_loss,
+        Option.fold ~none:0 ~some:Netsim.Faults.losses
+          (Core.Scenario.faults s) );
+      ( "outage-failure = outage_failures",
+        count Netsim.Drop.Outage_failure,
+        (Dnssim.System.counters (Core.Scenario.dns s))
+          .Dnssim.System.outage_failures );
+      ( "spoofed-reply-rejected = spoofed_rejected",
+        count Netsim.Drop.Spoofed_reply_rejected,
+        sum (fun st -> st.Mapsys.Cp_stats.spoofed_rejected) );
+      ( "replayed-reply-rejected = replayed_rejected",
+        count Netsim.Drop.Replayed_reply_rejected,
+        sum (fun st -> st.Mapsys.Cp_stats.replayed_rejected) );
+      ( "glean-admission-rejected = glean_rejections",
+        count Netsim.Drop.Glean_admission_rejected,
+        (Lispdp.Dataplane.cache_stats_totals dp)
+          .Lispdp.Map_cache.glean_rejections );
+      ( "packet causes = dropped",
+        List.fold_left
+          (fun acc c -> if Netsim.Drop.is_packet c then acc + count c else acc)
+          0 Netsim.Drop.all,
+        (Lispdp.Dataplane.counters dp).Lispdp.Dataplane.dropped ) ]
+  in
+  let events_ok =
+    events = []
+    || List.sort compare (Lispdp.Dataplane.drop_causes dp)
+       = count_causes
+           (List.filter_map
+              (fun e ->
+                match e.Obs.Event.kind with
+                | Obs.Event.Packet_drop { cause } -> Some cause
+                | _ -> None)
+              events)
+  in
+  List.filter (fun (_, got, want) -> got <> want) laws
+  @ if events_ok then [] else [ ("Packet_drop events = drop_causes", 0, 0) ]
+
+let prop_ledger_shadows_counters =
+  QCheck.Test.make ~count:40 ~name:"drop ledger = every counter it shadows"
+    (QCheck.make ~print:show_shadow_case shadow_case_gen)
+    (fun c ->
+      let off, _ = shadow_run c ~telemetry:false ~hub:false in
+      let on, events = shadow_run c ~telemetry:true ~hub:true in
+      List.iter
+        (fun (s, events, mode) ->
+          match shadow_violations s events with
+          | [] -> ()
+          | (law, got, want) :: _ ->
+              QCheck.Test.fail_reportf "%s, telemetry %s: %s: ledger %d, \
+                                        counter %d"
+                (show_shadow_case c) mode law got want)
+        [ (off, [], "off"); (on, events, "on") ];
+      let ledger s = Netsim.Drop.by_node (scenario_drops s) in
+      if ledger off <> ledger on then
+        QCheck.Test.fail_reportf "%s: telemetry changed the ledger"
+          (show_shadow_case c);
+      true)
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry and security rows: BENCH.json round-trip                  *)
@@ -603,7 +789,8 @@ let test_json_snapshot_well_formed () =
   Netsim.Telemetry.register_uplink tm ~link:0 ~provider:0 ~egress_dir:0;
   Netsim.Telemetry.touch tm ~now:0.2;
   Netsim.Telemetry.on_link tm ~link:0 ~dir:1 ~bytes:100;
-  Netsim.Telemetry.on_drop tm ~node:2 Netsim.Telemetry.No_receiver;
+  Netsim.Drop.record (Netsim.Telemetry.ledger tm) ~node:2
+    Netsim.Drop.No_receiver;
   let text = Obs.Json.to_string (Obs.Telemetry.json_snapshot ~series:true tm) in
   (match Obs.Json.of_string text with
   | Error msg -> Alcotest.failf "snapshot does not re-parse: %s" msg
@@ -895,5 +1082,6 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [ prop_telemetry_preserves_output;
             prop_disarmed_adversary_preserves_output;
-            prop_hub_and_drop_tallies; prop_conservation ] );
+            prop_hub_and_drop_tallies; prop_ledger_shadows_counters;
+            prop_conservation ] );
     ]

@@ -90,7 +90,8 @@ let test_graph_account_path_plane () =
   let g, a, _, c, d = diamond () in
   let plane =
     Netsim.Telemetry.create ~now:0.0
-      ~node_name:(fun n -> (Graph.node g n).Node.label) ()
+      ~node_name:(fun n -> (Graph.node g n).Node.label)
+      ~drops:(Graph.drops g) ()
   in
   Graph.set_telemetry g plane;
   Graph.account_path g ~src:a ~dst:d ~bytes:1000;

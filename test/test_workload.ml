@@ -27,7 +27,7 @@ let make_blackhole () =
         (fun ~src_domain _flow -> src_domain.Topology.Domain.borders.(0));
       cp_handle_miss =
         (fun _ _ ->
-          Lispdp.Dataplane.Miss_drop Netsim.Telemetry.Mapping_resolution_drop);
+          Lispdp.Dataplane.Miss_drop Netsim.Drop.Mapping_resolution_drop);
       cp_note_etr_packet = (fun _ ~outer_src:_ _ -> ()) }
   in
   let dataplane = Lispdp.Dataplane.create ~engine ~internet ~control_plane () in
@@ -72,15 +72,16 @@ let test_tcp_handshake_and_data () =
 
 let test_tcp_rto_exhaustion () =
   let engine, internet, dataplane = make_blackhole () in
-  let tcp = Workload.Tcp.create ~engine ~dataplane ~max_syn_retries:3 () in
+  let tcp = Workload.Tcp.create ~engine ~dataplane () in
   let conn = Workload.Tcp.start_connection tcp ~flow:(flow_of internet 4001) () in
   Netsim.Engine.run engine;
   Alcotest.(check bool) "failed" true conn.Workload.Tcp.failed;
-  Alcotest.(check int) "1 initial + 3 retries" 4 conn.Workload.Tcp.syn_transmissions;
+  Alcotest.(check int) "1 initial + 6 retries" 7
+    conn.Workload.Tcp.syn_transmissions;
   Alcotest.(check bool) "never established" true
     (conn.Workload.Tcp.established_at = None);
-  (* RTO doubling: total wait 1 + 2 + 4 + 8 = 15 s. *)
-  Alcotest.(check (float 1e-6)) "exponential backoff horizon" 15.0
+  (* RTO doubling from 1 s: total wait 1 + 2 + ... + 64 = 127 s. *)
+  Alcotest.(check (float 1e-6)) "exponential backoff horizon" 127.0
     (Netsim.Engine.now engine)
 
 let test_tcp_retry_after_transient_loss () =
@@ -110,9 +111,9 @@ let test_tcp_retry_after_transient_loss () =
                      d.Topology.Domain.id)
             | None -> ());
             Lispdp.Dataplane.Miss_drop
-              Netsim.Telemetry.Mapping_resolution_drop
+              Netsim.Drop.Mapping_resolution_drop
           end
-          else Lispdp.Dataplane.Miss_drop Netsim.Telemetry.No_route)
+          else Lispdp.Dataplane.Miss_drop Netsim.Drop.No_route)
       ;
       cp_note_etr_packet =
         (fun router ~outer_src packet ->
