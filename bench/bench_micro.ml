@@ -38,10 +38,12 @@ let test_map_cache =
                    ((100 lsl 24) lor ((i mod 200) lsl 8) lor 7)))
          done))
 
-let internet_for_bench =
+let bench_internet () =
   Topology.Builder.generate (Netsim.Rng.create 2)
     { Topology.Builder.default_params with
       Topology.Builder.domain_count = 20; provider_count = 8 }
+
+let internet_for_bench = bench_internet ()
 
 let test_dijkstra =
   Test.make ~name:"dijkstra: cold all-dist from one source"
@@ -52,6 +54,27 @@ let test_dijkstra =
            (Topology.Graph.latency_between graph
               internet_for_bench.Topology.Builder.domains.(0).Topology.Domain.hub
               internet_for_bench.Topology.Builder.domains.(19).Topology.Domain.hub)))
+
+(* A border's uplink fails and comes back over a graph whose every tree
+   is warm: each run repairs every tree twice and rebuilds none.  The
+   graph is a second copy of [internet_for_bench], built and warmed
+   before timing starts, since the row above drops every tree. *)
+let test_flap_repair =
+  Test.make_with_resource
+    ~name:"routing: repair every tree after an uplink flap (down+up)"
+    Test.uniq
+    ~allocate:(fun () ->
+      let net = bench_internet () in
+      let graph = net.Topology.Builder.graph in
+      for src = 0 to Topology.Graph.node_count graph - 1 do
+        ignore (Topology.Graph.latency_between graph src 0)
+      done;
+      (graph, net.Topology.Builder.domains.(0).Topology.Domain.borders.(0)
+                .Topology.Domain.uplink))
+    ~free:ignore
+    (Staged.stage (fun (graph, uplink) ->
+         Topology.Graph.set_link_up graph uplink false;
+         Topology.Graph.set_link_up graph uplink true))
 
 let test_pce_connection =
   Test.make ~name:"end-to-end: 1 PCE connection (build+run)"
@@ -269,7 +292,8 @@ let hub_disabled_alloc_words () =
   Gc.minor_words () -. w0
 
 let tests =
-  [ test_engine; test_map_cache; test_dijkstra; test_pce_connection;
+  [ test_engine; test_map_cache; test_dijkstra; test_flap_repair;
+    test_pce_connection;
     test_wire_encode; test_wire_decode; test_zipf; test_samples_exact;
     test_samples_reservoir; test_p2; test_hub_disabled;
     test_spans_disabled; test_prof_disabled; test_prof_wrap_disabled;

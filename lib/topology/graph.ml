@@ -32,6 +32,12 @@ type t = {
      all -1 between builds). *)
   mutable heap : int array;
   mutable heap_pos : int array;
+  (* Repair scratch, made at the first repair: a list of the states a
+     repair touches, its first [work_len] cells live, and whether each
+     state is on a restore's list (all false between repairs). *)
+  mutable work : int array;
+  mutable work_len : int;
+  mutable on_work : bool array;
   mutable telemetry : Netsim.Telemetry.t option;
   drops : Netsim.Drop.t;
 }
@@ -43,7 +49,8 @@ let create () =
     adjacency = Array.make 16 []; link_by_id = [||]; link_count = 0;
     dists = Array.make 16 [||]; preds = Array.make 16 [||];
     stamps = Array.make 16 (-1); generation = 0; heap = [||];
-    heap_pos = [||]; telemetry = None; drops = Netsim.Drop.create () }
+    heap_pos = [||]; work = [||]; work_len = 0; on_work = [||];
+    telemetry = None; drops = Netsim.Drop.create () }
 
 let grown a capacity filler =
   let b = Array.make capacity filler in
@@ -106,12 +113,6 @@ let telemetry t = t.telemetry
 let drops t = t.drops
 let set_telemetry t plane = t.telemetry <- Some plane
 
-let set_link_up t link up =
-  if Link.is_up link <> up then begin
-    Link.set_up_internal link up;
-    invalidate_cache t
-  end
-
 let neighbours t id =
   check_id t id "neighbours";
   t.adjacency.(id)
@@ -158,60 +159,199 @@ let rec sift_down heap pos dist size i s =
     else place heap pos i s
   end
 
-(* Relax every link out of settled state [u] (in [phase]); returns the
-   new heap size.  A strict [<] keeps the first relaxation among equal
-   candidates. *)
-let rec relax t dist pred u phase size = function
+(* Queue [s] at its lowered distance, or move it up if it is queued;
+   returns the new heap size. *)
+let push t dist size s =
+  let i = t.heap_pos.(s) in
+  if i >= 0 then begin
+    sift_up t.heap t.heap_pos dist i s;
+    size
+  end
+  else begin
+    sift_up t.heap t.heap_pos dist size s;
+    size + 1
+  end
+
+let add_work t s =
+  t.work.(t.work_len) <- s;
+  t.work_len <- t.work_len + 1
+
+(* Put [s] on the repair work list, once. *)
+let note t s =
+  if not t.on_work.(s) then begin
+    t.on_work.(s) <- true;
+    add_work t s
+  end
+
+(* Relax [link] to node [v] from state [u] (in [phase]); returns the new
+   heap size.  A strict [<] keeps the first relaxation among equal
+   candidates.  With [record], a state that is lowered or offered exactly
+   its distance goes on the work list: its predecessor may change. *)
+let[@inline] relax_link t dist pred record u phase size v link =
+  let next = next_phase link phase in
+  if next < 0 then size
+  else begin
+    let s = (v * phases) + next in
+    let d = dist.(u) +. Link.latency link in
+    if d < dist.(s) then begin
+      dist.(s) <- d;
+      pred.(s) <- (Link.id link * phases) + phase;
+      if record then note t s;
+      push t dist size s
+    end
+    else begin
+      if record && d = dist.(s) then note t s;
+      size
+    end
+  end
+
+(* Relax every link out of settled state [u]. *)
+let rec relax t dist pred record u phase size = function
   | [] -> size
   | (v, link) :: rest ->
-      let next = next_phase link phase in
-      let size =
-        if next < 0 then size
-        else begin
-          let s = (v * phases) + next in
-          let d = dist.(u) +. Link.latency link in
-          if d < dist.(s) then begin
-            dist.(s) <- d;
-            pred.(s) <- (Link.id link * phases) + phase;
-            let i = t.heap_pos.(s) in
-            if i >= 0 then begin
-              sift_up t.heap t.heap_pos dist i s;
-              size
-            end
-            else begin
-              sift_up t.heap t.heap_pos dist size s;
-              size + 1
-            end
-          end
-          else size
-        end
-      in
-      relax t dist pred u phase size rest
+      relax t dist pred record u phase
+        (relax_link t dist pred record u phase size v link)
+        rest
+
+(* Settle the [size] queued states in (distance, state id) order. *)
+let rec settle t dist pred record size =
+  if size > 0 then begin
+    let u = t.heap.(0) in
+    let size = size - 1 in
+    if size > 0 then sift_down t.heap t.heap_pos dist size 0 t.heap.(size);
+    t.heap_pos.(u) <- -1;
+    settle t dist pred record
+      (relax t dist pred record u (u mod phases) size t.adjacency.(u / phases))
+  end
 
 (* Dijkstra from [src] into [dist] and [pred].  Settling in (distance,
    state id) order with strict-[<] relaxation builds exactly the tree of
    an O(V^2) scan for the nearest unsettled state: same distances, same
    predecessors, same tie-breaks. *)
 let dijkstra t src dist pred =
-  let heap = t.heap and pos = t.heap_pos in
   Array.fill dist 0 (Array.length dist) infinity;
   Array.fill pred 0 (Array.length pred) (-1);
   let root = src * phases in
   dist.(root) <- 0.0;
-  place heap pos 0 root;
-  let size = ref 1 in
-  while !size > 0 do
-    let u = heap.(0) in
-    size := !size - 1;
-    if !size > 0 then sift_down heap pos dist !size 0 heap.(!size);
-    pos.(u) <- -1;
-    size := relax t dist pred u (u mod phases) !size t.adjacency.(u / phases)
+  settle t dist pred false (push t dist 0 root)
+
+(* The state a packed predecessor of a state at [node] names. *)
+let pred_state t node packed =
+  (Link.other_end t.link_by_id.(packed / phases) node * phases)
+  + (packed mod phases)
+
+(* Tree repair.  Because a build settles states in (distance, state id)
+   order with strict-[<] relaxation and every latency is positive, a
+   state's predecessor depends only on the final distances: among its
+   in-neighbour states [u] with [dist u +. latency = dist s], the one
+   with the smallest (dist u, u), which settles first.  A repair
+   re-settles only the distances a link change moves, then gives every
+   state it touched this predecessor, so the tree equals a build bit for
+   bit. *)
+
+(* That predecessor of finite-distance state [s], over in-links [links],
+   packed as in [preds]; [best] is the best so far, or -1. *)
+let rec tree_pred t dist s best = function
+  | [] -> best
+  | (v, link) :: rest ->
+      let best = ref best in
+      for q = 0 to phases - 1 do
+        let u = (v * phases) + q in
+        if next_phase link q = s mod phases
+           && dist.(u) +. Link.latency link = dist.(s)
+           && (!best < 0 || before dist u (pred_state t (s / phases) !best))
+        then best := (Link.id link * phases) + q
+      done;
+      tree_pred t dist s !best rest
+
+(* Give every state on the work list the predecessor a build would. *)
+let repred t dist pred =
+  for i = 0 to t.work_len - 1 do
+    let s = t.work.(i) in
+    pred.(s) <-
+      (if dist.(s) < infinity then tree_pred t dist s (-1) t.adjacency.(s / phases)
+       else -1)
   done
+
+(* Put on the work list [node]'s states that link [id] leads into. *)
+let add_cut_roots t pred id node =
+  for p = 0 to phases - 1 do
+    let s = (node * phases) + p in
+    if pred.(s) >= 0 && pred.(s) / phases = id then add_work t s
+  done
+
+(* Put on the work list the tree children of a state in [phase] among
+   the states its [links] lead into. *)
+let rec add_children t pred phase = function
+  | [] -> ()
+  | (v, link) :: rest ->
+      let next = next_phase link phase in
+      if next >= 0 && pred.((v * phases) + next) = (Link.id link * phases) + phase
+      then add_work t ((v * phases) + next);
+      add_children t pred phase rest
+
+(* Lower [s] to its best distance over [links] from the current ones. *)
+let rec seed dist s = function
+  | [] -> ()
+  | (v, link) :: rest ->
+      for q = 0 to phases - 1 do
+        if next_phase link q = s mod phases then begin
+          let d = dist.((v * phases) + q) +. Link.latency link in
+          if d < dist.(s) then dist.(s) <- d
+        end
+      done;
+      seed dist s rest
+
+(* [link] went down.  Only the states below it in the tree move: they
+   are reset, seeded from their in-neighbours (a reset one offers
+   infinity) and re-settled.  Every other state keeps its distance and
+   its predecessor. *)
+let cut t dist pred link =
+  add_cut_roots t pred (Link.id link) (Link.a link);
+  add_cut_roots t pred (Link.id link) (Link.b link);
+  (* The list grows as it is read: the subtrees below the roots. *)
+  let i = ref 0 in
+  while !i < t.work_len do
+    let x = t.work.(!i) in
+    add_children t pred (x mod phases) t.adjacency.(x / phases);
+    incr i
+  done;
+  for i = 0 to t.work_len - 1 do
+    dist.(t.work.(i)) <- infinity
+  done;
+  let size = ref 0 in
+  for i = 0 to t.work_len - 1 do
+    let s = t.work.(i) in
+    seed dist s t.adjacency.(s / phases);
+    if dist.(s) < infinity then size := push t dist !size s
+  done;
+  settle t dist pred false !size;
+  repred t dist pred;
+  t.work_len <- 0
+
+(* [link] came up.  A decrease-only Dijkstra from both of its ends
+   lowers what it shortens; a state it lowers or offers exactly its
+   distance may change predecessor. *)
+let restore t dist pred link =
+  let a = Link.a link and b = Link.b link in
+  let size = ref 0 in
+  for q = 0 to phases - 1 do
+    if dist.((a * phases) + q) < infinity then
+      size := relax_link t dist pred true ((a * phases) + q) q !size b link;
+    if dist.((b * phases) + q) < infinity then
+      size := relax_link t dist pred true ((b * phases) + q) q !size a link
+  done;
+  settle t dist pred true !size;
+  repred t dist pred;
+  for i = 0 to t.work_len - 1 do
+    t.on_work.(t.work.(i)) <- false
+  done;
+  t.work_len <- 0
 
 let ph_routing = Netsim.Prof.phase "routing"
 
-(* Make [src]'s tree current.  Only a cold build enters the [routing]
-   phase; a warm lookup stays in its caller's. *)
+(* Make [src]'s tree current.  A cold build enters the [routing] phase;
+   a warm lookup stays in its caller's. *)
 let ensure_tree t src =
   if t.stamps.(src) <> t.generation then begin
     Netsim.Prof.enter ph_routing;
@@ -226,6 +366,25 @@ let ensure_tree t src =
     end;
     dijkstra t src t.dists.(src) t.preds.(src);
     t.stamps.(src) <- t.generation;
+    Netsim.Prof.leave ph_routing
+  end
+
+(* Repair every current tree in place, in the [routing] phase; a
+   dropped tree stays dropped. *)
+let set_link_up t link up =
+  if Link.is_up link <> up then begin
+    Link.set_up_internal link up;
+    Netsim.Prof.enter ph_routing;
+    for src = 0 to t.node_count - 1 do
+      if t.stamps.(src) = t.generation then begin
+        if Array.length t.work <> Array.length t.heap then begin
+          t.work <- Array.make (Array.length t.heap) 0;
+          t.on_work <- Array.make (Array.length t.heap) false
+        end;
+        if up then restore t t.dists.(src) t.preds.(src) link
+        else cut t t.dists.(src) t.preds.(src) link
+      end
+    done;
     Netsim.Prof.leave ph_routing
   end
 
@@ -269,10 +428,7 @@ let path_between t a b =
     let rec walk state acc =
       let node = state / phases in
       let packed = pred.(state) in
-      if packed < 0 then node :: acc
-      else
-        let prev = Link.other_end t.link_by_id.(packed / phases) node in
-        walk ((prev * phases) + (packed mod phases)) (node :: acc)
+      if packed < 0 then node :: acc else walk (pred_state t node packed) (node :: acc)
     in
     walk final []
   end

@@ -13,9 +13,11 @@
     break the same way on every run.  {!latency_between} reads one
     cell; {!path_between} and {!account_path} walk back from the
     destination, one step per hop, and a warm {!account_path}
-    allocates nothing.  A dropped tree is rebuilt into its own arrays.
-    A cold build runs in the profiler's [routing] phase; a warm lookup
-    stays in its caller's phase.
+    allocates nothing.  A cached tree is either current or dropped: a
+    dropped tree is rebuilt into its own arrays at its source's next
+    query, and {!set_link_up} repairs every current tree in place.  A
+    cold build and a repair pass run in the profiler's [routing] phase;
+    a warm lookup stays in its caller's phase.
 
     Routing is {e valley-free}: every path decomposes into an internal
     prefix (leaving the source domain over {!Link.Internal} links), an
@@ -79,13 +81,17 @@ val drops : t -> Netsim.Drop.t
 
 val set_link_up : t -> Link.t -> bool -> unit
 (** Fail or restore a link.  Down links are invisible to shortest-path
-    computation.  Any change drops every cached tree ({!invalidate_cache}).
-    Dropping only the trees a change affects would not save work: a
-    border router's external state is reachable only over its own
-    uplink, so every tree from outside its domain uses that uplink.  On
-    a flapping internet such a rule dropped every cached tree at every
-    flap anyway. *)
+    computation.  A change repairs every current tree in place, in one
+    [routing] phase call, and leaves dropped trees dropped.  A repair
+    re-settles only the states whose distance the change moves (below
+    the link when it fails, what it shortens when it comes back), then
+    gives every state it touched the predecessor a build would: among
+    the in-neighbour states [u] with [dist u +. latency = dist s], the
+    one with the smallest (dist u, u).  A repaired tree therefore
+    equals a build bit for bit.  The first repair allocates the
+    repair's scratch arrays; a repair allocates nothing after that. *)
 
 val invalidate_cache : t -> unit
-(** Drop every cached tree; each is rebuilt, in place, on its source's
-    next query.  {!connect}, {!add_node} and {!set_link_up} call it. *)
+(** Drop every cached tree; each is rebuilt from scratch, in place, on
+    its source's next query.  {!connect} and {!add_node} call it; a
+    link change does not. *)

@@ -27,8 +27,9 @@ let capacity_bps t = t.capacity_bps
 let kind t = t.kind
 let is_up t = t.up
 
-(* Only Graph may flip this (it must invalidate its caches), hence the
-   internal setter is not exported through the mli. *)
+(* Only Graph.set_link_up may flip this: it repairs the graph's cached
+   shortest-path trees around the change.  The mli exports the setter
+   for Graph alone, and CI fails on a call anywhere else. *)
 let set_up_internal t up = t.up <- up
 
 let other_end t node =

@@ -40,11 +40,14 @@ val connects : t -> Node.id -> bool
 
 val is_up : t -> bool
 (** Links start up; failure experiments flip them via
-    {!Graph.set_link_up}, which also invalidates routing caches. *)
+    {!Graph.set_link_up}, which also repairs the graph's cached
+    shortest-path trees. *)
 
 val set_up_internal : t -> bool -> unit
-(** Used by [Graph.set_link_up]; calling it directly leaves stale routing
-    caches behind — always go through the graph. *)
+(** For [Graph.set_link_up] only.  The graph repairs its cached trees
+    at each change it makes, so a change made here is never repaired:
+    every cached tree stays wrong, not merely stale, until the graph
+    drops it.  Always go through the graph. *)
 
 val account : t -> src:Node.id -> bytes:int -> unit
 (** Record [bytes] flowing from endpoint [src] toward the other end.

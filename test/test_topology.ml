@@ -300,8 +300,20 @@ let oracle_internet seed =
   in
   (rng, params)
 
-(* Random link toggles, internal and external, each followed by a check
-   of three sampled sources. *)
+(* Make every source's tree current with one query each; the queried
+   pair may be unreachable while links are down. *)
+let warm_all g =
+  let n = Graph.node_count g in
+  for src = 0 to n - 1 do
+    try ignore (Graph.latency_between g src ((src + 1) mod n)) with Not_found -> ()
+  done
+
+(* Random link toggles, internal and external, over warm trees, so that
+   each toggle repairs every current tree.  Every other toggle restores
+   the link failed last (a flap, as on pce-flap); the rest flip a random
+   link.  Three sampled sources are checked after each toggle and every
+   source after the last.  Halfway, every tree is dropped, so the last
+   check compares repaired and rebuilt trees alike. *)
 let prop_routes_match_oracle =
   QCheck.Test.make ~name:"heap routes = dense oracle under link toggles"
     ~count:12
@@ -321,13 +333,25 @@ let prop_routes_match_oracle =
     (fun seed ->
       let rng, params = oracle_internet seed in
       let g = (Builder.generate rng params).Builder.graph in
+      let n = Graph.node_count g in
       let links = Array.of_list (Graph.links g) in
-      for _ = 1 to 24 do
-        let l = links.(Netsim.Rng.int rng (Array.length links)) in
+      warm_all g;
+      let last_failed = ref None in
+      for toggle = 1 to 24 do
+        let l =
+          match !last_failed with
+          | Some l when toggle mod 2 = 0 && not (Link.is_up l) -> l
+          | Some _ | None -> links.(Netsim.Rng.int rng (Array.length links))
+        in
+        if Link.is_up l then last_failed := Some l;
         Graph.set_link_up g l (not (Link.is_up l));
+        if toggle = 12 then Graph.invalidate_cache g;
         for _ = 1 to 3 do
-          check_source g (Netsim.Rng.int rng (Graph.node_count g))
+          check_source g (Netsim.Rng.int rng n)
         done
+      done;
+      for src = 0 to n - 1 do
+        check_source g src
       done;
       true)
 
@@ -359,6 +383,31 @@ let test_routing_ties () =
     check_source g src
   done
 
+(* Restoring a link can offer a state a second in-neighbour at exactly
+   its distance: d is 2 from s over a and over b, and a (lower id)
+   settles first.  With a-d down, d's path runs over b; restoring a-d
+   must move it back over a while d's distance stays. *)
+let test_routing_restored_tie () =
+  let g = Graph.create () in
+  let node label = Graph.add_node g ~kind:Node.Hub ~label in
+  let s = node "s" and a = node "a" and b = node "b" and d = node "d" in
+  List.iter
+    (fun (u, v) -> ignore (Graph.connect g u v ~latency:1.0 ()))
+    [ (s, a); (s, b); (b, d) ];
+  let ad = Graph.connect g a d ~latency:1.0 () in
+  let check_route name path =
+    check_float (name ^ ": distance") 2.0 (Graph.latency_between g s d);
+    Alcotest.(check (list int)) (name ^ ": path") path (Graph.path_between g s d)
+  in
+  check_route "built" [ s; a; d ];
+  Graph.set_link_up g ad false;
+  check_route "a-d down" [ s; b; d ];
+  Graph.set_link_up g ad true;
+  check_route "a-d restored" [ s; a; d ];
+  for src = 0 to Graph.node_count g - 1 do
+    check_source g src
+  done
+
 (* ------------------------------------------------------------------ *)
 (* Routing cost pins                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -368,12 +417,16 @@ let pin_internet () =
      { Builder.default_params with domain_count = 32; borders_per_domain = 3 })
     .Builder.graph
 
-(* Builds every tree once from a fresh (fully connected) graph. *)
-let warm_all g =
-  let n = Graph.node_count g in
-  for src = 0 to n - 1 do
-    ignore (Graph.latency_between g src ((src + 1) mod n))
-  done
+(* A border router's access link: every tree from outside its domain
+   runs over it. *)
+let an_uplink g =
+  List.find
+    (fun l ->
+      Link.kind l = Link.External
+      && List.exists
+           (fun n -> (Graph.node g n).Node.kind = Node.Border_router)
+           [ Link.a l; Link.b l ])
+    (Graph.links g)
 
 let minor_words f =
   let w0 = Gc.minor_words () in
@@ -395,38 +448,85 @@ let test_account_path_allocation () =
   if words >= 1000.0 then
     Alcotest.failf "1000 warm account_path calls allocated %.0f minor words" words
 
-(* A flap drops every tree; rebuilding refills each one in place
-   (the dense version allocated ~5,900 words per tree). *)
+(* A dropped tree is rebuilt in place (the dense version allocated
+   ~5,900 words per tree). *)
 let test_rebuild_allocation () =
   let g = pin_internet () in
   let n = Graph.node_count g in
   warm_all g;
-  Graph.set_link_up g (List.hd (Graph.links g)) false;
-  let words =
-    minor_words (fun () ->
-        for src = 0 to n - 1 do
-          try ignore (Graph.latency_between g src ((src + 1) mod n))
-          with Not_found -> ()
-        done)
-  in
+  Graph.invalidate_cache g;
+  let words = minor_words (fun () -> warm_all g) in
   if words /. float_of_int n >= 64.0 then
     Alcotest.failf "rebuilding %d trees allocated %.0f minor words" n words
 
-(* Cold tree builds, and only they, run in the [routing] phase. *)
+(* An uplink flap repairs every warm tree in place, with closure-free
+   loops over the graph's scratch arrays: nothing per tree. *)
+let test_repair_allocation () =
+  let g = pin_internet () in
+  let n = Graph.node_count g in
+  warm_all g;
+  let uplink = an_uplink g in
+  let words =
+    minor_words (fun () ->
+        Graph.set_link_up g uplink false;
+        Graph.set_link_up g uplink true)
+  in
+  if words /. float_of_int n >= 64.0 then
+    Alcotest.failf "a flap over %d trees allocated %.0f minor words" n words
+
+(* Taking a link down and back up leaves every route as it was: each
+   latency bit for bit, each path. *)
+let test_flap_round_trip () =
+  let g = pin_internet () in
+  let n = Graph.node_count g in
+  let routes () =
+    Array.init n (fun src ->
+        Array.init n (fun dst ->
+            match Graph.latency_between g src dst with
+            | l -> Some (Int64.bits_of_float l, Graph.path_between g src dst)
+            | exception Not_found -> None))
+  in
+  let before = routes () in
+  let flap l =
+    Graph.set_link_up g l false;
+    Graph.set_link_up g l true;
+    if routes () <> before then
+      Alcotest.failf "routes differ after link %d went down and up" (Link.id l)
+  in
+  let internal = List.find (fun l -> Link.kind l = Link.Internal) (Graph.links g) in
+  let core =
+    List.find
+      (fun l ->
+        (Graph.node g (Link.a l)).Node.kind = Node.Provider_core
+        && (Graph.node g (Link.b l)).Node.kind = Node.Provider_core)
+      (Graph.links g)
+  in
+  List.iter flap [ an_uplink g; internal; core ]
+
+(* Cold tree builds and flap repairs, and only they, run in the
+   [routing] phase: one call per build and one per link change. *)
 let test_routing_phase () =
   let g = pin_internet () in
   let n = Graph.node_count g in
-  Netsim.Prof.start ();
-  warm_all g;
-  warm_all g;
-  Netsim.Prof.stop ();
-  let calls =
+  let routing_calls f =
+    Netsim.Prof.start ();
+    f ();
+    Netsim.Prof.stop ();
     List.fold_left
       (fun acc p ->
         if p.Netsim.Prof.ps_name = "routing" then p.Netsim.Prof.ps_calls else acc)
       0 (Netsim.Prof.report ()).Netsim.Prof.r_phases
   in
-  Alcotest.(check int) "one routing call per source" n calls
+  Alcotest.(check int) "one routing call per source" n
+    (routing_calls (fun () -> warm_all g; warm_all g));
+  let uplink = an_uplink g in
+  List.iter
+    (fun up ->
+      Alcotest.(check int) "one routing call per link change" 1
+        (routing_calls (fun () -> Graph.set_link_up g uplink up));
+      Alcotest.(check int) "repaired trees are warm" 0
+        (routing_calls (fun () -> warm_all g)))
+    [ false; true ]
 
 (* ------------------------------------------------------------------ *)
 (* Link                                                                *)
@@ -717,9 +817,12 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_routes_match_oracle;
           Alcotest.test_case "ties" `Quick test_routing_ties;
+          Alcotest.test_case "restored tie" `Quick test_routing_restored_tie;
+          Alcotest.test_case "flap round trip" `Quick test_flap_round_trip;
           Alcotest.test_case "warm account_path allocation" `Quick
             test_account_path_allocation;
           Alcotest.test_case "rebuild allocation" `Quick test_rebuild_allocation;
+          Alcotest.test_case "repair allocation" `Quick test_repair_allocation;
           Alcotest.test_case "routing phase on cold builds" `Quick
             test_routing_phase;
         ] );
