@@ -171,7 +171,7 @@ let test_p2 =
    [Obs.Hub.enabled] before building its payload, so a disabled hub
    must cost one boolean test and allocate nothing. *)
 
-let disabled_hub = Obs.Hub.create ~clock:(fun () -> 0.0) ()
+let disabled_hub = Obs.Hub.create ~clock:(fun () -> 0.0)
 
 let test_hub_disabled =
   Test.make ~name:"obs: 10k emit (disabled)"
@@ -205,14 +205,12 @@ let test_spans_disabled =
    off even under `bench` (which profiles the experiments). *)
 
 let ph_bench = Netsim.Prof.phase "micro-disabled"
-let ctr_bench = Netsim.Prof.counter "micro-disabled"
 
 let test_prof_disabled =
-  Test.make ~name:"prof: 10k enter/leave + incr (disabled)"
+  Test.make ~name:"prof: 10k enter/leave (disabled)"
     (Staged.stage (fun () ->
          for _ = 1 to 10_000 do
            Netsim.Prof.enter ph_bench;
-           Netsim.Prof.incr ctr_bench;
            Netsim.Prof.leave ph_bench
          done))
 
@@ -252,18 +250,16 @@ let test_telemetry_disabled =
          done))
 
 (* Direct allocation proof, reported alongside the timing rows: a
-   Gc.minor_words delta across 100k disabled enter/leave+incr cycles.
+   Gc.minor_words delta across 100k disabled enter/leave cycles.
    Zero words means the disabled path never touches the heap. *)
 let prof_disabled_alloc_words () =
   for _ = 1 to 1_000 do
     Netsim.Prof.enter ph_bench;
-    Netsim.Prof.incr ctr_bench;
     Netsim.Prof.leave ph_bench
   done;
   let w0 = Gc.minor_words () in
   for _ = 1 to 100_000 do
     Netsim.Prof.enter ph_bench;
-    Netsim.Prof.incr ctr_bench;
     Netsim.Prof.leave ph_bench
   done;
   Gc.minor_words () -. w0

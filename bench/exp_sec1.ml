@@ -46,7 +46,7 @@ type cfg = {
   cp_label : string;
   cp : Scenario.cp_kind;
   attack : Scenario.attack_profile option;
-  auth : Scenario.auth_profile option;
+  auth : Scenario.auth_profile;
 }
 
 (* Pull cells run in queue mode (hold the first packet while the
@@ -58,16 +58,16 @@ let pull = Scenario.Cp_pull_queue 32
 
 let cfgs =
   [ { label = "pull"; cp_label = "pull-queue"; cp = pull;
-      attack = Some armed_attack; auth = None };
+      attack = Some armed_attack; auth = Scenario.default_auth };
     { label = "pull-auth"; cp_label = "pull-queue"; cp = pull;
-      attack = Some armed_attack; auth = Some armed_auth };
+      attack = Some armed_attack; auth = armed_auth };
     { label = "pce"; cp_label = "pce";
       cp = Scenario.Cp_pce Pce_control.default_options;
-      attack = Some armed_attack; auth = None };
+      attack = Some armed_attack; auth = Scenario.default_auth };
     { label = "pull-clean"; cp_label = "pull-queue"; cp = pull;
-      attack = None; auth = None };
+      attack = None; auth = Scenario.default_auth };
     { label = "pull-sig"; cp_label = "pull-queue"; cp = pull;
-      attack = None; auth = Some sig_only_auth } ]
+      attack = None; auth = sig_only_auth } ]
 
 type cell = {
   c_attempted : int;

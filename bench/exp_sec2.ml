@@ -47,13 +47,13 @@ let capped_auth =
 type cfg = {
   label : string;
   attack : Scenario.attack_profile option;
-  auth : Scenario.auth_profile option;
+  auth : Scenario.auth_profile;
 }
 
 let cfgs =
-  [ { label = "clean"; attack = None; auth = None };
-    { label = "flood"; attack = Some flood_attack; auth = None };
-    { label = "flood-cap"; attack = Some flood_attack; auth = Some capped_auth } ]
+  [ { label = "clean"; attack = None; auth = Scenario.default_auth };
+    { label = "flood"; attack = Some flood_attack; auth = Scenario.default_auth };
+    { label = "flood-cap"; attack = Some flood_attack; auth = capped_auth } ]
 
 type cell = {
   c_attempted : int;  (* scan packets the adversary sprayed *)

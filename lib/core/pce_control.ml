@@ -537,7 +537,7 @@ let handle_uplink_failure t ~domain_id ~border =
           ~dst_eid:entry.Mapping.dst_eid
       in
       let fresh =
-        Irc.Selector.choose_ingress (Pce.selector pce) ~flow ()
+        Irc.Selector.choose_ingress (Pce.selector pce) ~flow
       in
       if not (Ipv4.addr_equal fresh.Topology.Domain.rloc dead) then
         push_entry t pce

@@ -95,16 +95,12 @@ val run_monitoring : t -> interval:float -> until:float -> rebalance:bool -> uni
 (** Schedule the background IRC loop of every PCE: sample uplink loads
     every [interval] seconds until [until], optionally running the TE
     {!Irc.Selector.rebalance} step after each observation.  The loop
-    also performs edge-triggered uplink-failure detection, invoking
-    {!handle_uplink_failure} when an access link goes down. *)
-
-val handle_uplink_failure :
-  t -> domain_id:int -> border:Topology.Domain.border -> unit
-(** Repair every mapping that names the failed border's RLOC: affected
-    peers receive a direct PCE-to-PCE update with a freshly chosen
-    ingress locator and re-push the tuples to their ITRs; local tuples
-    whose reverse locator died are re-homed.  Normally triggered by the
-    monitoring loop; exposed for failure-injection tests. *)
+    also performs edge-triggered uplink-failure detection.  When an
+    access link goes down it repairs every mapping that names the
+    failed border's RLOC: affected peers receive a direct PCE-to-PCE
+    update with a freshly chosen ingress locator and re-push the
+    tuples to their ITRs; local tuples whose reverse locator died are
+    re-homed. *)
 
 val failovers : t -> int
 (** Uplink failures handled so far. *)
@@ -112,21 +108,18 @@ val failovers : t -> int
 val reroutes : t -> int
 (** Flow assignments moved by TE rebalancing across all domains. *)
 
-val handle_node_crash : t -> domain_id:int -> unit
-(** The domain's PCE process dies: its pending-query table, flow
-    database, learned names and advertisement bookkeeping are lost
-    ({!Pce.reset}); a [Node_crash] event is emitted.  While the
-    lifecycle window is open the hooks stay silent via the window
-    check, so this only performs the state loss. *)
-
-val handle_node_restart : t -> domain_id:int -> unit
-(** Warm recovery: re-query the domain's ITR flow tables (one
-    map-request per ITR, [itr_config_size] bytes per recovered entry),
-    repopulate the PCE database, and re-register the domain mapping
-    with the pull registry when one was given.  Counted in
-    [recoveries]; emits [Node_restart] plus a summary [Note]. *)
-
 val schedule_lifecycle : t -> unit
-(** Schedule {!handle_node_crash}/{!handle_node_restart} engine events
-    for every [Pce] window of the lifecycle passed to [create] (windows
-    ending at [infinity] never restart).  No-op without a lifecycle. *)
+(** Schedule a crash and a restart engine event for every [Pce] window
+    of the lifecycle passed to [create] (windows ending at [infinity]
+    never restart).  No-op without a lifecycle.
+
+    At the crash the domain's PCE process dies: its pending-query
+    table, flow database, learned names and advertisement bookkeeping
+    are lost ({!Pce.reset}); a [Node_crash] event is emitted.  While
+    the window is open the hooks stay silent via the window check.
+    The restart is a warm recovery: it re-queries the domain's ITR
+    flow tables (one map-request per ITR, [itr_config_size] bytes per
+    recovered entry), repopulates the PCE database, and re-registers
+    the domain mapping with the pull registry when one was given.
+    Counted in [recoveries]; emits [Node_restart] plus a summary
+    [Note]. *)

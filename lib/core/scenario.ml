@@ -103,8 +103,8 @@ type config = {
   attack : attack_profile option;
       (** adversarial injection; [None] = no adversary, byte-identical
           to pre-adversary behaviour *)
-  auth : auth_profile option;
-      (** countermeasures; [None] = none (legacy behaviour) *)
+  auth : auth_profile;
+      (** countermeasures; [default_auth] = none (legacy behaviour) *)
   run_label : string option;
       (** overrides the exporter run label (default: [cp_label]) so one
           sweep can report several differently-armed cells of the same
@@ -116,7 +116,7 @@ let default_config =
     mapping_ttl = 60.0; dns_record_ttl = 3600.0; cache_capacity = 10_000;
     cache_policy = Lispdp.Map_cache.Lru; data_gap = 0.002;
     nerd_propagation = 30.0; cp_faults = None; node_faults = None;
-    telemetry = None; attack = None; auth = None; run_label = None }
+    telemetry = None; attack = None; auth = default_auth; run_label = None }
 
 type connection = {
   flow : Flow.t;
@@ -179,13 +179,14 @@ let obs t = t.obs
 let obs_registry t = t.obs_registry
 let connections t = List.rev t.connections_rev
 
-let cp_stats t =
-  match t.cp with
+let stats_of_instance = function
   | Pull_instance p -> Mapsys.Pull.stats p
   | Nerd_instance n -> Mapsys.Nerd.stats n
   | Cons_instance c -> Mapsys.Cons.stats c
   | Msmr_instance m -> Mapsys.Msmr.stats m
   | Pce_instance p -> Pce_control.stats p
+
+let cp_stats t = stats_of_instance t.cp
 
 let pce t =
   match t.cp with
@@ -263,7 +264,7 @@ let build config =
   in
   (* The hub starts disabled: instrumented call sites pay one boolean
      test until an exporter, a walkthrough or a test enables it. *)
-  let obs = Obs.Hub.create ~clock:(fun () -> Netsim.Engine.now engine) () in
+  let obs = Obs.Hub.create ~clock:(fun () -> Netsim.Engine.now engine) in
   let dns =
     Dnssim.System.create ~engine ~internet ~record_ttl:config.dns_record_ttl
       ~obs ()
@@ -300,16 +301,11 @@ let build config =
      countermeasure toggles never perturb workload draws. *)
   let nonce_rng = Netsim.Rng.create (config.seed lxor 0x4E43) in
   let pull_auth =
-    match config.auth with
-    | None -> None
-    | Some p ->
-        Some
-          { Mapsys.Pull.nonce_check = p.auth_nonce; signatures = p.auth_sig;
-            sig_cpu_cost = p.auth_sig_cpu }
+    { Mapsys.Pull.nonce_check = config.auth.auth_nonce;
+      signatures = config.auth.auth_sig;
+      sig_cpu_cost = config.auth.auth_sig_cpu }
   in
-  let glean_cap =
-    match config.auth with Some p -> p.auth_glean_cap | None -> None
-  in
+  let glean_cap = config.auth.auth_glean_cap in
   let make_dataplane control_plane =
     Lispdp.Dataplane.create ~engine ~internet ~control_plane
       ~cache_capacity:config.cache_capacity ~cache_policy:config.cache_policy
@@ -377,7 +373,7 @@ let build config =
         in
         let pull =
           Mapsys.Pull.create ~engine ~internet ~registry ~alt ~mode ?name ~smr
-            ?faults ?retry ?lifecycle ~nonce_rng ?adversary ?auth:pull_auth
+            ?faults ?retry ?lifecycle ~nonce_rng ?adversary ~auth:pull_auth
             ?glean_cap ~obs ()
         in
         let dp = make_dataplane (Mapsys.Pull.control_plane pull) in
@@ -394,7 +390,7 @@ let build config =
     | Cp_cons ->
         let cons =
           Mapsys.Cons.create ~engine ~internet ~registry ~alt ?faults ?retry
-            ~nonce_rng ?adversary ?auth:pull_auth ?glean_cap ~obs ()
+            ~nonce_rng ?adversary ~auth:pull_auth ?glean_cap ~obs ()
         in
         let dp = make_dataplane (Mapsys.Cons.control_plane cons) in
         Mapsys.Cons.attach cons dp;
@@ -402,7 +398,7 @@ let build config =
     | Cp_msmr ->
         let msmr =
           Mapsys.Msmr.create ~engine ~internet ~registry ~alt ?faults ?retry
-            ~nonce_rng ?adversary ?auth:pull_auth ?glean_cap ~obs ()
+            ~nonce_rng ?adversary ~auth:pull_auth ?glean_cap ~obs ()
         in
         let dp = make_dataplane (Mapsys.Msmr.control_plane msmr) in
         Mapsys.Msmr.attach msmr dp;
@@ -420,14 +416,14 @@ let build config =
                      ~mode:
                        (Mapsys.Pull.Queue_while_pending profile.fallback_queue)
                      ~name:"pce-pull-fallback" ?faults ?retry ~lifecycle:lc
-                     ~nonce_rng ?adversary ?auth:pull_auth ?glean_cap ~obs ()),
-                profile.pce_watchdog )
-          | _ -> (None, 0.25)
+                     ~nonce_rng ?adversary ~auth:pull_auth ?glean_cap ~obs ()),
+                Some profile.pce_watchdog )
+          | _ -> (None, None)
         in
         fallback_pull := fallback;
         let pce_control =
           Pce_control.create ~engine ~internet ~dns ~options ?faults
-            ?push_retry:retry ?lifecycle ?fallback ~watchdog ~registry ~obs ()
+            ?push_retry:retry ?lifecycle ?fallback ?watchdog ~registry ~obs ()
         in
         let dp = make_dataplane (Pce_control.control_plane pce_control) in
         Pce_control.attach pce_control dp;
@@ -442,9 +438,7 @@ let build config =
   in
   (* DNSSEC-style validation is a resolver property, independent of
      whether an attacker is present. *)
-  (match config.auth with
-  | Some p when p.auth_dnssec -> Dnssim.System.set_authenticated dns true
-  | Some _ | None -> ());
+  if config.auth.auth_dnssec then Dnssim.System.set_authenticated dns true;
   (match (adversary, config.attack) with
   | Some adv, Some a ->
       (* Off-path DNS poisoning: each final answer is raced with a
@@ -598,14 +592,7 @@ let build config =
       Obs.Registry.register_many obs_registry "flows" (fun () ->
           flow_gauge_rows dataplane);
       Obs.Telemetry.register_gauges obs_registry tm);
-  let cps =
-    match cp with
-    | Pull_instance p -> Mapsys.Pull.stats p
-    | Nerd_instance n -> Mapsys.Nerd.stats n
-    | Cons_instance c -> Mapsys.Cons.stats c
-    | Msmr_instance m -> Mapsys.Msmr.stats m
-    | Pce_instance p -> Pce_control.stats p
-  in
+  let cps = stats_of_instance cp in
   gauge "cp.map_requests" (fun () -> fi cps.Mapsys.Cp_stats.map_requests);
   gauge "cp.map_replies" (fun () -> fi cps.Mapsys.Cp_stats.map_replies);
   gauge "cp.push_messages" (fun () -> fi cps.Mapsys.Cp_stats.push_messages);
@@ -684,8 +671,7 @@ let build config =
     lifecycle; adversary; fallback_pull = !fallback_pull; obs;
     obs_registry; dns_time_hist; setup_time_hist; connections_rev = [] }
 
-let open_connection t ~flow ?data_packets ?data_bytes ?on_established
-    ?on_complete () =
+let open_connection t ~flow ?data_packets ?data_bytes ?on_complete () =
   let src_domain =
     match Topology.Builder.domain_of_eid t.internet flow.Flow.src with
     | Some d -> d
@@ -721,10 +707,9 @@ let open_connection t ~flow ?data_packets ?data_bytes ?on_established
       ~flow:(Obs.Event.flow_id flow)
       (Obs.Event.Conn_open { dst = flow.Flow.dst });
   let established _ =
-    (match total_setup_time connection with
+    match total_setup_time connection with
     | Some setup -> Obs.Registry.observe t.setup_time_hist setup
-    | None -> ());
-    match on_established with Some f -> f connection | None -> ()
+    | None -> ()
   in
   Dnssim.System.resolve t.dns ~resolver:src_domain.Topology.Domain.dns
     ~client:src_domain.Topology.Domain.hosts.(src_host)

@@ -154,9 +154,9 @@ type config = {
       (** adversarial control-plane injection; [None] (the default)
           creates no adversary and keeps every run byte-identical to the
           pre-adversary behaviour *)
-  auth : auth_profile option;
-      (** mapping/DNS authentication countermeasures; [None] (the
-          default) keeps the legacy unauthenticated behaviour *)
+  auth : auth_profile;
+      (** mapping/DNS authentication countermeasures; {!default_auth}
+          (the default) keeps the legacy unauthenticated behaviour *)
   run_label : string option;
       (** exporter run label override (default {!cp_label}); lets one
           sweep report several differently-armed cells of the same
@@ -263,7 +263,6 @@ val open_connection :
   flow:Nettypes.Flow.t ->
   ?data_packets:int ->
   ?data_bytes:int ->
-  ?on_established:(connection -> unit) ->
   ?on_complete:(connection -> unit) ->
   unit ->
   connection

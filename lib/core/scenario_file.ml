@@ -110,9 +110,10 @@ let config f st = { st with t = { st.t with config = f st.t.config } }
 let workload f st = { st with t = { st.t with workload = f st.t.workload } }
 let params f st = { st with params = f st.params }
 
-(* The cp-*, pce-*, attack-* and auth-* keys each fill one optional
-   profile, created from its default on first use; without any of its
-   keys the profile stays [None] and the layer does not exist. *)
+(* The cp-*, pce-* and attack-* keys each fill one optional profile,
+   created from its default on first use; without any of its keys the
+   profile stays [None] and the layer does not exist.  The auth-* keys
+   edit the always-present countermeasure profile. *)
 let some default f profile = Some (f (Option.value profile ~default))
 
 let cp_faults f =
@@ -126,7 +127,7 @@ let node_faults f =
 let attack f =
   config (fun c -> { c with attack = some Scenario.default_attack f c.attack })
 
-let auth f = config (fun c -> { c with auth = some Scenario.default_auth f c.auth })
+let auth f = config (fun c -> { c with auth = f c.auth })
 
 (* The setter of a key that stands alone: [read] its value and [set] it
    into the record that [into] updates. *)

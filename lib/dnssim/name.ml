@@ -21,7 +21,6 @@ let to_string = function
   | [] -> "."
   | labels -> String.concat "." labels ^ "."
 
-let labels t = t
 let label_count = List.length
 
 let parent = function [] -> None | _ :: rest -> Some rest
@@ -42,7 +41,6 @@ let suffix t k =
 let equal a b = a = b
 let compare = Stdlib.compare
 let hash t = Hashtbl.hash t
-let pp ppf t = Format.pp_print_string ppf (to_string t)
 
 let wire_size t =
   1 + List.fold_left (fun acc l -> acc + 1 + String.length l) 0 t

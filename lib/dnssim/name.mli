@@ -15,9 +15,6 @@ val of_string : string -> t
 val to_string : t -> string
 (** Always fully qualified (trailing dot). *)
 
-val labels : t -> string list
-(** Leftmost (most specific) label first. *)
-
 val label_count : t -> int
 
 val parent : t -> t option
@@ -34,7 +31,6 @@ val suffix : t -> int -> t
 val equal : t -> t -> bool
 val compare : t -> t -> int
 val hash : t -> int
-val pp : Format.formatter -> t -> unit
 
 val wire_size : t -> int
 (** Encoded size in bytes (labels + length bytes + terminator). *)

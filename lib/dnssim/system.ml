@@ -59,8 +59,6 @@ type t = {
   mutable authenticated : bool;
 }
 
-let engine t = t.engine
-let internet t = t.internet
 let counters t = t.counters
 
 let node_label t id = (Topology.Graph.node t.internet.Topology.Builder.graph id).Topology.Node.label

@@ -36,9 +36,6 @@ val server_processing : float
     T_DNS of the validation experiment adds it once per iterative
     leg. *)
 
-val engine : t -> Netsim.Engine.t
-val internet : t -> Topology.Builder.t
-
 type tap_context = {
   tap_qname : Name.t;
   tap_answer : Nettypes.Ipv4.addr;  (** the address in the intercepted reply *)

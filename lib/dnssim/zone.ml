@@ -10,7 +10,6 @@ let create ~apex ~server ~ttl =
   if ttl <= 0.0 then invalid_arg "Zone.create: non-positive TTL";
   { apex; server; ttl; records = Hashtbl.create 16; delegations = [] }
 
-let apex t = t.apex
 let server t = t.server
 let ttl t = t.ttl
 

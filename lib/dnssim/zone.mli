@@ -10,7 +10,6 @@ type t
 val create : apex:Name.t -> server:Topology.Node.id -> ttl:float -> t
 (** [ttl] (seconds) applies to every record served from the zone. *)
 
-val apex : t -> Name.t
 val server : t -> Topology.Node.id
 val ttl : t -> float
 

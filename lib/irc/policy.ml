@@ -13,8 +13,6 @@ let to_string = function
   | Round_robin -> "round-robin"
   | Flow_hash -> "flow-hash"
 
-let pp ppf t = Format.pp_print_string ppf (to_string t)
-
 let score t ~latency ~load ~latency_scale =
   let norm_latency = if latency_scale > 0.0 then latency /. latency_scale else 0.0 in
   match t with

@@ -14,8 +14,6 @@ type t =
   | Round_robin  (** cycle through the borders per selection *)
   | Flow_hash  (** static hash of the flow five-tuple (ECMP-style) *)
 
-val pp : Format.formatter -> t -> unit
-
 val to_string : t -> string
 
 val score :

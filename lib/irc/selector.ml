@@ -62,8 +62,6 @@ let create ~domain ~graph ~policy =
     out_assign = Flow.Map.empty;
     in_assign = Flow.Map.empty; rr_out = 0; rr_in = 0; moved = 0 }
 
-let domain t = t.domain
-let policy t = t.policy
 let moved_flows t = t.moved
 
 let observe t ~now =
@@ -219,7 +217,7 @@ let choose t direction ~flow ~remote =
       t.uplinks.(i).border
 
 let choose_egress t ~flow ?remote () = choose t Outbound ~flow ~remote
-let choose_ingress t ~flow ?remote () = choose t Inbound ~flow ~remote
+let choose_ingress t ~flow = choose t Inbound ~flow ~remote:None
 
 let assignment t direction flow =
   Option.map

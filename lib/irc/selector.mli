@@ -27,9 +27,6 @@ val create :
     uplink's score, which keeps bursts from herding onto one uplink
     while the load estimate is stale. *)
 
-val domain : t -> Topology.Domain.t
-val policy : t -> Policy.t
-
 val observe : t -> now:float -> unit
 (** Sample the uplink byte counters and fold the interval utilisation
     into the EWMA estimates.  Call periodically (the PCE's background
@@ -47,12 +44,9 @@ val choose_egress :
     the actual remote path; otherwise latency is taken to the border's
     provider core. *)
 
-val choose_ingress :
-  t -> flow:Nettypes.Flow.t -> ?remote:Topology.Node.id -> unit ->
-  Topology.Domain.border
+val choose_ingress : t -> flow:Nettypes.Flow.t -> Topology.Domain.border
 (** Border whose RLOC the reverse mapping should carry (inbound TE).
-    [remote] is the far-end node the traffic will come from, when
-    known. *)
+    Latency is taken to each border's provider core. *)
 
 val assignment : t -> direction -> Nettypes.Flow.t -> Topology.Domain.border option
 (** The sticky assignment of a flow, if one was made. *)

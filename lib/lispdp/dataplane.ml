@@ -39,7 +39,6 @@ type t = {
   counters : counters;
 }
 
-let engine t = t.engine
 let internet t = t.internet
 let control_plane t = t.control_plane
 let counters t = t.counters
@@ -114,10 +113,8 @@ let install_mapping t router ?provenance mapping =
   Map_cache.insert router.cache ~now:(Netsim.Engine.now t.engine) ?provenance
     mapping
 
-let install_mapping_all t domain ?provenance mapping =
-  Array.iter
-    (fun r -> install_mapping t r ?provenance mapping)
-    (routers_of_domain t domain)
+let install_mapping_all t domain mapping =
+  Array.iter (fun r -> install_mapping t r mapping) (routers_of_domain t domain)
 
 let install_flow_entry t router entry =
   Flow_table.install router.flows ~now:(Netsim.Engine.now t.engine) entry

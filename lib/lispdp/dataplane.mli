@@ -65,7 +65,6 @@ val create :
     [Glean_rejected] events and go to the drop ledger as
     [Glean_admission_rejected] (but are {e not} packet drops). *)
 
-val engine : t -> Netsim.Engine.t
 val internet : t -> Topology.Builder.t
 val control_plane : t -> control_plane
 
@@ -80,13 +79,9 @@ val install_mapping :
 (** Put a mapping in one border's map-cache (stamped at current time).
     [provenance] defaults to {!Map_cache.Verified}. *)
 
-val install_mapping_all :
-  t ->
-  Topology.Domain.t ->
-  ?provenance:Map_cache.provenance ->
-  Nettypes.Mapping.t ->
-  unit
-(** Same mapping into every border of the domain. *)
+val install_mapping_all : t -> Topology.Domain.t -> Nettypes.Mapping.t -> unit
+(** Same mapping into every border of the domain, as
+    {!Map_cache.Verified}. *)
 
 val install_flow_entry : t -> router -> Nettypes.Mapping.flow_entry -> unit
 

@@ -145,7 +145,6 @@ let set_reject_hook t hook = t.reject_hook <- hook
 
 let stats t = t.stats
 let length t = Int_table.length t.index
-let capacity t = t.capacity
 let policy t = t.policy
 let glean_cap t = t.glean_cap
 let gleaned t = t.gleaned_live
@@ -369,23 +368,6 @@ let remove_covered t prefix =
     victims;
   List.length victims
 
-let clear t =
-  Int_table.clear t.index;
-  Array.fill t.by_length 0 33 0;
-  t.head <- None;
-  t.tail <- None;
-  t.lfu_min <- None;
-  Array.fill t.heap.h_arr 0 (Array.length t.heap.h_arr) dummy_entry;
-  t.heap.h_len <- 0;
-  t.gleaned_live <- 0;
-  t.stats.hits <- 0;
-  t.stats.misses <- 0;
-  t.stats.insertions <- 0;
-  t.stats.evictions <- 0;
-  t.stats.expirations <- 0;
-  t.stats.invalidations <- 0;
-  t.stats.glean_rejections <- 0
-
 (* Victim choice when the cache is full, per policy.  A TTL-hybrid
    victim has already been popped off the heap; [drop_entry]'s dead
    marking is then a no-op as far as the heap is concerned. *)
@@ -507,7 +489,3 @@ let contains t ~now addr = live_lookup t ~now addr 32 <> None
 let provenance_of t prefix =
   Int_table.find t.index (prefix_key prefix)
   |> Option.map (fun e -> e.provenance)
-
-let hit_ratio t =
-  let total = t.stats.hits + t.stats.misses in
-  if total = 0 then 0.0 else float_of_int t.stats.hits /. float_of_int total

@@ -92,13 +92,9 @@ val remove_covered : t -> Nettypes.Ipv4.prefix -> int
     entries removed. *)
 
 val length : t -> int
-val capacity : t -> int
 
 val policy : t -> policy
 (** The eviction policy the cache was created with. *)
-
-val clear : t -> unit
-(** Empty the cache and reset all statistics to zero. *)
 
 type stats = {
   mutable hits : int;
@@ -141,6 +137,3 @@ val set_reject_hook : t -> (Nettypes.Mapping.t -> unit) option -> unit
     admission cap rejects a new gleaned insert; the observability
     layer uses it to emit [Glean_rejected] events and record the
     [Glean_admission_rejected] drop cause. *)
-
-val hit_ratio : t -> float
-(** [hits / (hits + misses)]; 0 when no lookups have happened. *)

@@ -17,8 +17,6 @@ let create ~domains ?(fanout = 2) ?(hop_latency = 0.020) () =
   { domains; fanout; hop_latency; depth; usage = { requests = 0; hops_total = 0 } }
 
 let depth t = t.depth
-let fanout t = t.fanout
-let hop_latency t = t.hop_latency
 let usage t = t.usage
 
 let check_leaf t i name =

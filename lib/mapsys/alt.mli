@@ -18,9 +18,6 @@ val create : domains:int -> ?fanout:int -> ?hop_latency:float -> unit -> t
 val depth : t -> int
 (** Leaf depth of the aggregation tree. *)
 
-val fanout : t -> int
-val hop_latency : t -> float
-
 val request_hops : t -> src:int -> dst:int -> int
 (** Overlay hops from the leaf of domain [src] to the leaf of domain
     [dst] (0 when [src = dst]). *)

@@ -35,8 +35,3 @@ let lookup t ~domain ~remote_eid =
 let entries t = Hashtbl.length t.table
 let cap t = t.cap
 let evictions t = t.evictions
-
-let clear t =
-  Hashtbl.reset t.table;
-  Queue.clear t.order;
-  t.evictions <- 0

@@ -31,6 +31,4 @@ val entries : t -> int
 val cap : t -> int option
 
 val evictions : t -> int
-(** Entries dropped by the cap since creation (or the last {!clear}). *)
-
-val clear : t -> unit
+(** Entries dropped by the cap since creation. *)

@@ -29,8 +29,6 @@ type mode =
   | Queue_while_pending of int  (** per-resolution packet limit *)
   | Detour_via_cp
 
-val mode_name : mode -> string
-
 type auth = {
   nonce_check : bool;
       (** accept a reply only if it echoes the request's nonce — defeats

@@ -83,7 +83,6 @@ let flood_eid_index t =
   t.flood_packets <- t.flood_packets + 1;
   Rng.int t.rng t.flood_eids
 
-let flood_eids t = t.flood_eids
 let forged_replies t = t.forged_replies
 let replayed_replies t = t.replayed_replies
 let poisoned_answers t = t.poisoned_answers

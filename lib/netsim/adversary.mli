@@ -74,8 +74,6 @@ val flood_eid_index : t -> int
 (** Which of the [flood_eids] forged source EIDs the next scan packet
     claims; counts the packet. *)
 
-val flood_eids : t -> int
-
 (** {1 Attacker-side counters} *)
 
 val forged_replies : t -> int

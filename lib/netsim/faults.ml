@@ -6,30 +6,17 @@ type t = {
   rng : Rng.t;
   loss : float;
   jitter : float;
-  pair_loss : (int * int, float) Hashtbl.t; (* normalised (min, max) key *)
   mutable windows : window list;
   mutable losses : int;
   mutable blocked : int;
   drops : Drop.t option;
 }
 
-let check_probability name p =
-  if not (p >= 0.0 && p <= 1.0) then
-    invalid_arg (Printf.sprintf "Faults: %s must be in [0, 1]" name)
-
 let create ~rng ?(loss = 0.0) ?(jitter = 0.0) ?drops () =
-  check_probability "loss" loss;
+  if not (loss >= 0.0 && loss <= 1.0) then
+    invalid_arg "Faults: loss must be in [0, 1]";
   if jitter < 0.0 then invalid_arg "Faults.create: negative jitter";
-  { rng; loss; jitter; pair_loss = Hashtbl.create 8; windows = [];
-    losses = 0; blocked = 0; drops }
-
-let loss t = t.loss
-
-let pair_key a b = (min a b, max a b)
-
-let set_pair_loss t ~a ~b p =
-  check_probability "pair loss" p;
-  Hashtbl.replace t.pair_loss (pair_key a b) p
+  { rng; loss; jitter; windows = []; losses = 0; blocked = 0; drops }
 
 let add_window t ~from_ ~until scope =
   if from_ > until then invalid_arg "Faults.add_window: from_ > until";
@@ -49,22 +36,16 @@ let window_matches w ~now ~src ~dst =
   | Domain d -> src = d || dst = d
   | Pair (a, b) -> (src = a && dst = b) || (src = b && dst = a)
 
-let pair_probability t ~src ~dst =
-  match Hashtbl.find_opt t.pair_loss (pair_key src dst) with
-  | Some p -> p
-  | None -> t.loss
-
 let drops_message t ~now ~src ~dst =
   if List.exists (window_matches ~now ~src ~dst) t.windows then begin
     t.blocked <- t.blocked + 1;
     true
   end
   else
-    let p = pair_probability t ~src ~dst in
     (* p = 0 takes no draw, so a zero-loss model never perturbs the
        random stream (bit-reproducibility of loss-free runs). *)
-    p > 0.0
-    && Rng.bernoulli t.rng ~p
+    t.loss > 0.0
+    && Rng.bernoulli t.rng ~p:t.loss
     &&
     (t.losses <- t.losses + 1;
      Option.iter

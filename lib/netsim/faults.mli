@@ -5,8 +5,8 @@
     lost.  Losses come from two sources:
 
     - {e random loss}: a Bernoulli draw against a global loss
-      probability (or a per-pair override), deterministic through the
-      {!Rng} stream the model was created with;
+      probability, deterministic through the {!Rng} stream the model
+      was created with;
     - {e scheduled windows}: fault scripts (link flaps, partitions)
       declare intervals of simulated time during which messages touching
       a given scope are dropped deterministically, before any random
@@ -38,12 +38,6 @@ val create :
     losses are recorded in the [drops] ledger, if given, as
     [Cp_message_loss] with no attributable node. *)
 
-val loss : t -> float
-
-val set_pair_loss : t -> a:int -> b:int -> float -> unit
-(** Override the loss probability for messages between [a] and [b]
-    (either direction), e.g. one lossy peering. *)
-
 val add_window : t -> from_:float -> until:float -> scope -> unit
 (** Schedule a deterministic outage: messages matching [scope] sent at
     [from_ <= now < until] are dropped.  Requires [from_ <= until]. *)
@@ -58,8 +52,8 @@ val partition : t -> from_:float -> until:float -> a:int -> b:int -> unit
 val drops_message : t -> now:float -> src:int -> dst:int -> bool
 (** Decide the fate of one control message sent at [now].  Scheduled
     windows are checked first (counted under {!blocked}); otherwise a
-    Bernoulli draw against the pair's loss probability decides (counted
-    under {!losses}). *)
+    Bernoulli draw against the loss probability decides (counted under
+    {!losses}). *)
 
 val extra_delay : t -> float
 (** Jitter for one surviving message: uniform in [\[0, jitter)], or

@@ -64,32 +64,6 @@ let stopped = ref false
 let enabled () = !on
 let set_enabled b = on := b
 
-(* Counters: a second small registry, same flat-array shape. *)
-type counter = int
-
-let max_counters = 64
-let n_counters = ref 0
-let counter_names = Array.make max_counters ""
-let counts = Array.make max_counters 0
-
-let counter name =
-  let rec find i =
-    if i >= !n_counters then begin
-      if !n_counters >= max_counters then
-        invalid_arg "Prof.counter: too many counters";
-      let id = !n_counters in
-      counter_names.(id) <- name;
-      incr n_counters;
-      id
-    end
-    else if String.equal counter_names.(i) name then i
-    else find (i + 1)
-  in
-  find 0
-
-let add c n = if !on then counts.(c) <- counts.(c) + n
-let incr c = add c 1
-
 (* Interval ring for the Chrome-trace self-profile.  Fixed-capacity
    parallel arrays; once full we count drops rather than grow, so a
    long run can't eat the heap behind the user's back. *)
@@ -120,9 +94,9 @@ let record_interval ph start_t dur d =
     !iv_start.(!iv_count) <- start_t -. !origin;
     !iv_dur.(!iv_count) <- dur;
     !iv_depth.(!iv_count) <- d;
-    Stdlib.incr iv_count
+    incr iv_count
   end
-  else Stdlib.incr iv_dropped
+  else incr iv_dropped
 
 type interval = {
   iv_name : string;
@@ -217,9 +191,6 @@ let start () =
     active.(i) <- 0;
     act_start.(i) <- 0.0
   done;
-  for i = 0 to !n_counters - 1 do
-    counts.(i) <- 0
-  done;
   depth := 0;
   iv_count := 0;
   iv_dropped := 0;
@@ -286,7 +257,6 @@ type phase_stat = {
 type report = {
   r_wall_s : float;
   r_phases : phase_stat list;
-  r_counters : (string * int) list;
   r_unattributed_s : float;
   r_intervals_dropped : int;
 }
@@ -325,16 +295,10 @@ let report () =
         :: !phases
     end
   done;
-  let counters = ref [] in
-  for i = !n_counters - 1 downto 0 do
-    if counts.(i) > 0 then
-      counters := (counter_names.(i), counts.(i)) :: !counters
-  done;
   {
     r_wall_s = wall;
     r_phases =
       List.sort (fun a b -> compare a.ps_name b.ps_name) !phases;
-    r_counters = !counters;
     r_unattributed_s = Float.max 0.0 (wall -. !sum_self);
     r_intervals_dropped = !iv_dropped;
   }

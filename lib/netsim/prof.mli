@@ -5,9 +5,9 @@
     simulation itself; at millions of events per run the question
     "which subsystem burns the cycles" needs an answer before any hot
     path is rewritten.  This module provides phase timers with
-    hierarchical self-time accounting and named counters, built on the
-    monotonic clock (CLOCK_MONOTONIC via bechamel's stub — wall time
-    under NTP steps stays sane).
+    hierarchical self-time accounting, built on the monotonic clock
+    (CLOCK_MONOTONIC via bechamel's stub — wall time under NTP steps
+    stays sane).
 
     The profiler is process-global and **disabled by default**.  Every
     instrumented call site pays exactly one flag load and branch while
@@ -30,10 +30,8 @@ type phase
     path; registration itself allocates. *)
 
 val phase : string -> phase
-(** Get-or-create the phase with this name.  At most {!max_phases}
-    distinct names; raises [Invalid_argument] beyond that. *)
-
-val max_phases : int
+(** Get-or-create the phase with this name.  At most 64 distinct
+    names; raises [Invalid_argument] beyond that. *)
 
 (** {1 Switching} *)
 
@@ -72,15 +70,6 @@ val wrap : phase -> (unit -> unit) -> unit -> unit
     time (zero cost), else a thunk running [k] inside [ph].  Built for
     engine-scheduled callbacks: decide once at schedule time. *)
 
-type counter
-
-val counter : string -> counter
-(** Get-or-create a named counter (same namespace budget as phases). *)
-
-val incr : counter -> unit
-val add : counter -> int -> unit
-(** Count only while enabled (so reports reflect the profiled window). *)
-
 val now_s : unit -> float
 (** Monotonic clock reading in seconds (works even while disabled). *)
 
@@ -118,7 +107,6 @@ type phase_stat = {
 type report = {
   r_wall_s : float;  (** {!start} to {!stop} (or to now if running) *)
   r_phases : phase_stat list;  (** phases with at least one call, by name *)
-  r_counters : (string * int) list;
   r_unattributed_s : float;  (** wall minus the sum of self times *)
   r_intervals_dropped : int;
 }

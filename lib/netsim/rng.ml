@@ -54,14 +54,6 @@ let pareto t ~shape ~scale =
   let u = 1.0 -. float t in
   scale /. (u ** (1.0 /. shape))
 
-let normal t ~mu ~sigma =
-  let u1 = 1.0 -. float t in
-  let u2 = float t in
-  let r = sqrt (-2.0 *. log u1) in
-  mu +. (sigma *. r *. cos (2.0 *. Float.pi *. u2))
-
-let lognormal t ~mu ~sigma = exp (normal t ~mu ~sigma)
-
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do
     let j = int t (i + 1) in
@@ -69,10 +61,6 @@ let shuffle t a =
     a.(i) <- a.(j);
     a.(j) <- tmp
   done
-
-let choice t a =
-  if Array.length a = 0 then invalid_arg "Rng.choice: empty array";
-  a.(int t (Array.length a))
 
 module Zipf = struct
   (* Walker's alias method (Vose's construction): the table costs O(n)

@@ -48,19 +48,8 @@ val pareto : t -> shape:float -> scale:float -> float
 (** Pareto (type I) sample: minimum value [scale], tail index [shape].
     Requires [shape > 0] and [scale > 0]. *)
 
-val lognormal : t -> mu:float -> sigma:float -> float
-(** Log-normal sample where the underlying normal has mean [mu] and
-    standard deviation [sigma]. *)
-
-val normal : t -> mu:float -> sigma:float -> float
-(** Gaussian sample via Box–Muller. *)
-
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
-
-val choice : t -> 'a array -> 'a
-(** Uniformly random element.  Raises [Invalid_argument] on an empty
-    array. *)
 
 module Zipf : sig
   (** Zipf-distributed ranks over a finite universe, used for destination

@@ -1,33 +1,17 @@
 module Summary = struct
-  type t = {
-    mutable count : int;
-    mutable mean : float;
-    mutable m2 : float;
-    mutable min : float;
-    mutable max : float;
-    mutable total : float;
-  }
+  type t = { mutable count : int; mutable mean : float; mutable m2 : float }
 
-  let create () =
-    { count = 0; mean = 0.0; m2 = 0.0; min = infinity; max = neg_infinity;
-      total = 0.0 }
+  let create () = { count = 0; mean = 0.0; m2 = 0.0 }
 
   let add t x =
     t.count <- t.count + 1;
     let delta = x -. t.mean in
     t.mean <- t.mean +. (delta /. float_of_int t.count);
-    t.m2 <- t.m2 +. (delta *. (x -. t.mean));
-    if x < t.min then t.min <- x;
-    if x > t.max then t.max <- x;
-    t.total <- t.total +. x
+    t.m2 <- t.m2 +. (delta *. (x -. t.mean))
 
-  let count t = t.count
   let mean t = t.mean
   let variance t = if t.count < 2 then 0.0 else t.m2 /. float_of_int (t.count - 1)
   let stddev t = sqrt (variance t)
-  let min t = t.min
-  let max t = t.max
-  let total t = t.total
 end
 
 module Samples = struct
@@ -114,19 +98,6 @@ module Samples = struct
     end
 
   let median t = percentile t 50.0
-
-  let cdf ?(points = 50) t =
-    if t.size = 0 then []
-    else begin
-      let a = sorted t in
-      let n = Float.Array.length a in
-      let steps = Stdlib.min points n in
-      List.init steps (fun i ->
-          let idx = (i + 1) * n / steps - 1 in
-          (Float.Array.get a idx, float_of_int (idx + 1) /. float_of_int n))
-    end
-
-  let to_list t = Float.Array.to_list (Float.Array.sub t.data 0 t.size)
 end
 
 module P2 = struct
@@ -150,8 +121,6 @@ module P2 = struct
       np = [| 0.0; 2.0 *. p; 4.0 *. p; 2.0 +. (2.0 *. p); 4.0 |];
       dn = [| 0.0; p /. 2.0; p; (1.0 +. p) /. 2.0; 1.0 |];
       count = 0 }
-
-  let count t = t.count
 
   let add t x =
     if t.count < 5 then begin

@@ -1,11 +1,11 @@
 (** Online statistics for simulation measurements.
 
     Three collectors cover the experiments' needs: {!Summary} for
-    streaming mean/variance, {!Samples} for quantiles and CDF export
-    (exact by default, bounded-memory reservoir sampling for
-    million-flow runs) and {!P2} for O(1)-memory single-quantile
-    tracking.  {!jain_index} computes the fairness metric used by the
-    traffic-engineering experiments. *)
+    streaming mean/variance, {!Samples} for quantiles (exact by
+    default, bounded-memory reservoir sampling for million-flow runs)
+    and {!P2} for O(1)-memory single-quantile tracking.  {!jain_index}
+    computes the fairness metric used by the traffic-engineering
+    experiments. *)
 
 module Summary : sig
   (** Welford's streaming mean and variance. *)
@@ -14,7 +14,6 @@ module Summary : sig
 
   val create : unit -> t
   val add : t -> float -> unit
-  val count : t -> int
   val mean : t -> float
   (** 0 when empty. *)
 
@@ -22,13 +21,6 @@ module Summary : sig
   (** Unbiased sample variance; 0 with fewer than two observations. *)
 
   val stddev : t -> float
-  val min : t -> float
-  (** [infinity] when empty. *)
-
-  val max : t -> float
-  (** [neg_infinity] when empty. *)
-
-  val total : t -> float
 end
 
 module Samples : sig
@@ -69,15 +61,6 @@ module Samples : sig
       [Invalid_argument] when empty or [p] out of range. *)
 
   val median : t -> float
-
-  val cdf : ?points:int -> t -> (float * float) list
-  (** [(value, fraction <= value)] pairs suitable for plotting; [points]
-      (default 50) evenly spaced in rank over the retained observations.
-      Empty list when empty. *)
-
-  val to_list : t -> float list
-  (** Retained observations in storage order (insertion order in [Exact]
-      mode). *)
 end
 
 module P2 : sig
@@ -93,7 +76,6 @@ module P2 : sig
       exclusive.  Raises [Invalid_argument] otherwise. *)
 
   val add : t -> float -> unit
-  val count : t -> int
 
   val quantile : t -> float
   (** Current estimate; exact while fewer than five observations have

@@ -348,13 +348,10 @@ let links t =
   List.sort_uniq Int.compare
     (List.map (fun k -> k / 2) (store_keys t.link_store))
 
-let series_of t st key =
-  match store_find st key with None -> [] | Some s -> series_samples t s
-
-let link_series t ~link ~dir = series_of t t.link_store ((2 * link) + dir)
-
 let provider_series t ~provider dir =
-  series_of t (provider_store t dir) provider
+  match store_find (provider_store t dir) provider with
+  | None -> []
+  | Some s -> series_samples t s
 
 let selections t =
   List.init t.sel_max (fun p ->

@@ -130,7 +130,6 @@ type slot_sample = {
   sl_bytes : int;
 }
 
-val link_series : t -> link:int -> dir:int -> slot_sample list
 val provider_series : t -> provider:int -> [ `In | `Out ] -> slot_sample list
 (** Retained windows in ascending slot order (empty slots omitted). *)
 

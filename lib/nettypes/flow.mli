@@ -6,8 +6,6 @@
 
 type proto = Tcp | Udp
 
-val pp_proto : Format.formatter -> proto -> unit
-
 type t = {
   src : Ipv4.addr;  (** source EID *)
   dst : Ipv4.addr;  (** destination EID *)

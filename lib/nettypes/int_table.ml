@@ -111,8 +111,3 @@ let iter t ~f =
   Array.iteri
     (fun i k -> if k <> empty_key then f k (Array.unsafe_get t.vals i))
     t.keys
-
-let clear t =
-  Array.fill t.keys 0 (Array.length t.keys) empty_key;
-  Array.fill t.vals 0 (Array.length t.vals) t.dummy;
-  t.live <- 0

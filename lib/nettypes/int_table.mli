@@ -41,5 +41,3 @@ val probe_length : 'a t -> int -> int
 
 val iter : 'a t -> f:(int -> 'a -> unit) -> unit
 (** Visit bindings in unspecified order. *)
-
-val clear : 'a t -> unit

@@ -16,8 +16,6 @@ type rloc = {
 val rloc : ?priority:int -> ?weight:int -> Ipv4.addr -> rloc
 (** Defaults: [priority = 1], [weight = 100]. *)
 
-val pp_rloc : Format.formatter -> rloc -> unit
-
 type t = {
   eid_prefix : Ipv4.prefix;  (** the EIDs this record covers *)
   rlocs : rloc list;  (** candidate locators, never empty *)

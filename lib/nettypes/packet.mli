@@ -12,7 +12,6 @@ type segment =
   | Data of int  (** payload bytes *)
   | Fin
 
-val pp_segment : Format.formatter -> segment -> unit
 val segment_bytes : segment -> int
 (** Payload bytes carried by the segment (0 except for [Data]). *)
 

@@ -35,7 +35,6 @@ let read_jsonl file =
 (* ------------------------------------------------------------------ *)
 
 let value_json = function
-  | Registry.Counter n -> Json.Int n
   | Registry.Gauge v -> Json.Float v
   | Registry.Histogram s ->
       Json.Obj

@@ -27,8 +27,5 @@ type run = {
   sampler : Sampler.t option;
 }
 
-val metrics_json : run list -> string
-val metrics_csv : run list -> string
-
 val write_metrics : file:string -> run list -> unit
 (** Write CSV when [file] ends in [.csv], JSON otherwise. *)

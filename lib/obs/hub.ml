@@ -2,11 +2,11 @@ type sink = Event.t -> unit
 
 type t = { clock : unit -> float; mutable on : bool; mutable sinks : sink list }
 
-let create ?(enabled = false) ~clock () = { clock; on = enabled; sinks = [] }
+let create ~clock = { clock; on = false; sinks = [] }
 
 let or_disabled ~engine = function
   | Some hub -> hub
-  | None -> create ~clock:(fun () -> Netsim.Engine.now engine) ()
+  | None -> create ~clock:(fun () -> Netsim.Engine.now engine)
 
 let enabled t = t.on
 let set_enabled t on = t.on <- on

@@ -14,9 +14,9 @@ type sink = Event.t -> unit
 
 type t
 
-val create : ?enabled:bool -> clock:(unit -> float) -> unit -> t
-(** [clock] stamps every event (a scenario passes its engine's
-    [Netsim.Engine.now]).  Hubs start disabled by default. *)
+val create : clock:(unit -> float) -> t
+(** A disabled hub with no sinks.  [clock] stamps every event (a
+    scenario passes its engine's [Netsim.Engine.now]). *)
 
 val or_disabled : engine:Netsim.Engine.t -> t option -> t
 (** The given hub, or a fresh disabled one on the engine's clock: what

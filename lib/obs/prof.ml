@@ -67,13 +67,6 @@ let json_of_report ?(gc = []) r =
                    ("share", Json.Float (share p.ps_self_s));
                  ])
              r.r_phases) );
-      ( "counters",
-        Json.List
-          (List.map
-             (fun (name, n) ->
-               Json.Obj
-                 [ ("name", Json.String name); ("count", Json.Int n) ])
-             r.r_counters) );
       ("gc", Json.Obj (List.map (fun (k, v) -> (k, Json.Float v)) gc));
     ]
 
@@ -109,21 +102,6 @@ let report_of_json json =
           :: acc))
       (Ok []) phase_list
   in
-  let* counter_list =
-    field "counters" (function Json.List l -> Some l | _ -> None)
-  in
-  let* counters =
-    List.fold_left
-      (fun acc c ->
-        let* acc = acc in
-        match
-          ( Option.bind (Json.member "name" c) Json.to_string_opt,
-            Option.bind (Json.member "count" c) Json.to_int_opt )
-        with
-        | Some name, Some count -> Ok ((name, count) :: acc)
-        | _ -> Error "counter entry: bad name/count")
-      (Ok []) counter_list
-  in
   let gc =
     match Json.member "gc" json with
     | Some (Json.Obj fields) ->
@@ -137,7 +115,6 @@ let report_of_json json =
     ( {
         r_wall_s = wall;
         r_phases = List.rev phases;
-        r_counters = List.rev counters;
         r_unattributed_s = unattributed;
         r_intervals_dropped = dropped;
       },
@@ -147,9 +124,9 @@ let report_of_json json =
 (* Rendering                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let breakdown_table ?(title = "simulator self-profile") r =
+let breakdown_table r =
   let table =
-    Metrics.Table.create ~title
+    Metrics.Table.create ~title:"simulator self-profile"
       ~columns:[ "phase"; "self ms"; "share"; "total ms"; "calls" ]
   in
   let by_self =
@@ -182,12 +159,6 @@ let breakdown_table ?(title = "simulator self-profile") r =
 
 let pp_report ppf r =
   Metrics.Table.pp ppf (breakdown_table r);
-  if r.r_counters <> [] then begin
-    Format.fprintf ppf "counters:@.";
-    List.iter
-      (fun (name, n) -> Format.fprintf ppf "  %-28s %d@." name n)
-      r.r_counters
-  end;
   if r.r_intervals_dropped > 0 then
     Format.fprintf ppf "(%d profile intervals dropped)@."
       r.r_intervals_dropped

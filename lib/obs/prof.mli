@@ -35,22 +35,23 @@ val register_gc_gauges : Registry.t -> unit
 val json_of_report : ?gc:(string * float) list -> report -> Json.t
 (** Object with [wall_s], [coverage], [unattributed_s],
     [intervals_dropped], [phases] (each with [name]/[self_s]/[total_s]/
-    [calls]/[share] where share = self/wall), [counters], and [gc]. *)
+    [calls]/[share] where share = self/wall) and [gc]. *)
 
 val report_of_json :
   Json.t -> (report * (string * float) list, string) result
 (** Inverse of {!json_of_report} (up to float formatting: values
     round-trip through the exporter's decimal rendering, so compare
-    with a relative epsilon).  Returns the report and the [gc] list. *)
+    with a relative epsilon).  Returns the report and the [gc] list.
+    Fields it does not read are ignored, among them the [counters]
+    list that records written while the profiler had named counters
+    still carry. *)
 
 (** {1 Rendering} *)
 
-val breakdown_table : ?title:string -> report -> Metrics.Table.t
-(** Per-phase table sorted by self time (descending), with share
-    percentages, calls and an unattributed row. *)
-
 val pp_report : Format.formatter -> report -> unit
-(** {!breakdown_table} plus counters, one per line. *)
+(** Per-phase table sorted by self time (descending), with share
+    percentages, calls and an unattributed row, then a line counting
+    dropped profile intervals, if any. *)
 
 (** {1 Chrome-trace self-profile} *)
 

@@ -1,5 +1,3 @@
-type counter = { mutable count : int }
-
 type histogram = {
   mutable n : int;
   mutable sum : float;
@@ -15,10 +13,7 @@ type summary = {
   hist_mean : float;
 }
 
-type metric =
-  | M_counter of counter
-  | M_gauge of (unit -> float)
-  | M_histogram of histogram
+type metric = M_gauge of (unit -> float) | M_histogram of histogram
 
 type t = {
   metrics : (string, metric) Hashtbl.t;
@@ -33,19 +28,6 @@ let register t name metric =
   if Hashtbl.mem t.metrics name then
     invalid_arg (Printf.sprintf "Obs.Registry: duplicate metric %S" name);
   Hashtbl.replace t.metrics name metric
-
-let counter t name =
-  match Hashtbl.find_opt t.metrics name with
-  | Some (M_counter c) -> c
-  | Some _ -> invalid_arg (Printf.sprintf "Obs.Registry: %S is not a counter" name)
-  | None ->
-      let c = { count = 0 } in
-      register t name (M_counter c);
-      c
-
-let incr c = c.count <- c.count + 1
-let add c n = c.count <- c.count + n
-let count c = c.count
 
 let register_gauge t name read = register t name (M_gauge read)
 
@@ -74,11 +56,10 @@ let summarise h =
     hist_max = (if h.n = 0 then 0.0 else h.max_v);
     hist_mean = (if h.n = 0 then 0.0 else h.sum /. float_of_int h.n) }
 
-type value = Counter of int | Gauge of float | Histogram of summary
+type value = Gauge of float | Histogram of summary
 
 (* The scalar a timeseries sample records for each metric. *)
 let scalar = function
-  | Counter n -> float_of_int n
   | Gauge v -> v
   | Histogram s -> float_of_int s.hist_count
 
@@ -88,7 +69,6 @@ let snapshot t =
       (fun name metric acc ->
         let value =
           match metric with
-          | M_counter c -> Counter c.count
           | M_gauge read -> Gauge (read ())
           | M_histogram h -> Histogram (summarise h)
         in

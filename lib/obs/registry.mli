@@ -1,5 +1,5 @@
-(** Central metrics registry: named counters, gauges and histograms
-    with a snapshot operation.
+(** Central metrics registry: named gauges and histograms with a
+    snapshot operation.
 
     Gauges are callback-based so existing subsystem counters
     ([Lispdp.Dataplane.counters], [Mapsys.Cp_stats], map-cache stats,
@@ -8,7 +8,6 @@
 
 type t
 
-type counter
 type histogram
 
 type summary = {
@@ -19,16 +18,9 @@ type summary = {
   hist_mean : float;
 }
 
-type value = Counter of int | Gauge of float | Histogram of summary
+type value = Gauge of float | Histogram of summary
 
 val create : unit -> t
-
-val counter : t -> string -> counter
-(** Get-or-create a named counter. *)
-
-val incr : counter -> unit
-val add : counter -> int -> unit
-val count : counter -> int
 
 val register_gauge : t -> string -> (unit -> float) -> unit
 (** Register a read-on-snapshot gauge.  Raises [Invalid_argument] on a
@@ -45,16 +37,16 @@ val histogram : t -> string -> histogram
 val observe : histogram -> float -> unit
 
 val scalar : value -> float
-(** Flatten a value to one scalar: counter count, gauge value,
-    histogram observation count. *)
+(** Flatten a value to one scalar: gauge value, histogram observation
+    count. *)
 
 val snapshot : t -> (string * value) list
 (** Current value of every metric, sorted by name. *)
 
 val sample : t -> (string * float) list
-(** Like {!snapshot} but flattened to one scalar per metric (counter
-    count, gauge value, histogram observation count) — the shape the
-    periodic sampler stores. *)
+(** Like {!snapshot} but flattened to one scalar per metric (gauge
+    value, histogram observation count) — the shape the periodic
+    sampler stores. *)
 
 val size : t -> int
 (** Number of statically-registered metrics (excludes collector rows). *)

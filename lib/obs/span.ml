@@ -320,7 +320,11 @@ let metadata ~pid ~tid ~name ~value =
       ("pid", Json.Int pid); ("tid", Json.Int tid); ("ts", Json.Float 0.0);
       ("args", Json.Obj [ ("name", Json.String value) ]) ]
 
-let trace_json ?(pid = 1) ?(process_name = "lisp-pce-sim") roots =
+(* Trace-event objects ([ph:"X"] complete events plus [ph:"M"]
+   metadata) for one process: one thread per flow tree, thread 0 for
+   the non-flow control-plane lane.  Simulated seconds become trace
+   microseconds. *)
+let trace_json ~pid ~process_name roots =
   let control, flows = List.partition (fun r -> r.flow = None) roots in
   let evs = ref [ metadata ~pid ~tid:0 ~name:"process_name" ~value:process_name ] in
   let push e = evs := e :: !evs in

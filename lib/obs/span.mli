@@ -45,12 +45,6 @@ val duration : t -> float
 val iter : (t -> unit) -> t -> unit
 (** Pre-order traversal of a tree. *)
 
-val is_wait_drop : string -> bool
-(** Does this {!Event.Packet_drop} cause label mean the flow's first
-    packet died while the mapping system worked (the paper's weakness
-    (i))?  It does when the label's cause is {!Netsim.Drop.is_wait}; a
-    label no cause has is not a wait drop. *)
-
 (** {1 Building} *)
 
 type builder
@@ -82,12 +76,10 @@ val unattributed : builder -> int
 
 (** {1 Chrome trace_event export} *)
 
-val trace_json : ?pid:int -> ?process_name:string -> t list -> Json.t list
-(** Trace-event objects ([ph:"X"] complete events plus [ph:"M"]
-    metadata): one thread per flow tree, thread 0 for the non-flow
-    control-plane lane.  Simulated seconds become trace microseconds. *)
-
 val write_chrome_trace : file:string -> (string * t list) list -> unit
 (** Write [{"traceEvents": [...], "displayTimeUnit": "ms"}] with one
-    process per [(label, roots)] segment.  The file opens directly in
-    Perfetto / chrome://tracing. *)
+    process per [(label, roots)] segment: [ph:"X"] complete events plus
+    [ph:"M"] metadata, one thread per flow tree and thread 0 for the
+    non-flow control-plane lane.  Simulated seconds become trace
+    microseconds.  The file opens directly in Perfetto /
+    chrome://tracing. *)

@@ -185,7 +185,7 @@ let provider_table t =
       cell_ratio b.bal_ratio_out; "-"; "-" ];
   table
 
-let node_table ?(limit = 20) t =
+let node_table t =
   let table =
     Metrics.Table.create ~title:"per-node traffic (top by total bytes)"
       ~columns:[ "node"; "tx"; "rx"; "fwd"; "tx bytes"; "rx bytes"; "fwd bytes" ]
@@ -203,7 +203,7 @@ let node_table ?(limit = 20) t =
   in
   List.iteri
     (fun i n ->
-      if i < limit then begin
+      if i < 20 then begin
         let tx = node_stat t ~node:n `Tx
         and rx = node_stat t ~node:n `Rx
         and fwd = node_stat t ~node:n `Fwd in
@@ -252,16 +252,16 @@ let hitter_table ~title ~key_label fmt_key hitters =
     hitters;
   table
 
-let top_eid_table ?(limit = 10) t =
-  let hitters = List.filteri (fun i _ -> i < limit) (top_eids t) in
+let top_eid_table t =
+  let hitters = List.filteri (fun i _ -> i < 10) (top_eids t) in
   hitter_table ~title:"top destination EIDs (Space-Saving)"
     ~key_label:"eid"
     (fun key -> Format.asprintf "%a" Nettypes.Ipv4.pp_addr
         (Nettypes.Ipv4.addr_of_int key))
     hitters
 
-let top_flow_table ?(limit = 10) t =
-  let hitters = List.filteri (fun i _ -> i < limit) (top_flows t) in
+let top_flow_table t =
+  let hitters = List.filteri (fun i _ -> i < 10) (top_flows t) in
   hitter_table ~title:"top flows (Space-Saving)" ~key_label:"flow"
     (fun key -> Printf.sprintf "%#x" key)
     hitters
@@ -300,7 +300,7 @@ let series_csv t =
    track per provider and direction, one sample per retained window.
    Merge into a span trace (same pid) and Perfetto draws provider load
    under the causal spans. *)
-let chrome_counter_events ?(pid = 1) t =
+let chrome_counter_events t =
   List.concat_map
     (fun p ->
       List.concat_map
@@ -313,7 +313,7 @@ let chrome_counter_events ?(pid = 1) t =
                   ("cat", Json.String "telemetry");
                   ("ph", Json.String "C");
                   ("ts", Json.Float (s.sl_start *. 1e6));
-                  ("pid", Json.Int pid);
+                  ("pid", Json.Int 1);
                   ("tid", Json.Int 0);
                   ("args", Json.Obj [ ("bytes", Json.Int s.sl_bytes) ]) ])
             samples)

@@ -37,8 +37,6 @@ let other_end t node =
   else if node = t.b then t.a
   else invalid_arg "Link.other_end: node is not an endpoint"
 
-let connects t node = node = t.a || node = t.b
-
 let account t ~src ~bytes =
   if src = t.a then t.bytes_ab <- t.bytes_ab + bytes
   else if src = t.b then t.bytes_ba <- t.bytes_ba + bytes
@@ -56,7 +54,3 @@ let utilisation_from t node ~duration =
 let reset_counters t =
   t.bytes_ab <- 0;
   t.bytes_ba <- 0
-
-let pp ppf t =
-  Format.fprintf ppf "%d<->%d %.1fms %.0fMbps" t.a t.b (t.latency *. 1e3)
-    (t.capacity_bps /. 1e6)

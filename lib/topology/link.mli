@@ -36,8 +36,6 @@ val other_end : t -> Node.id -> Node.id
 (** The opposite endpoint; raises [Invalid_argument] if the node is not
     an endpoint of this link. *)
 
-val connects : t -> Node.id -> bool
-
 val is_up : t -> bool
 (** Links start up; failure experiments flip them via
     {!Graph.set_link_up}, which also repairs the graph's cached
@@ -62,4 +60,3 @@ val utilisation_from : t -> Node.id -> duration:float -> float
     leaving [src] over a window of [duration] seconds. *)
 
 val reset_counters : t -> unit
-val pp : Format.formatter -> t -> unit

@@ -2,14 +2,4 @@ type id = int
 
 type kind = Host | Border_router | Dns_server | Pce | Provider_core | Hub
 
-let pp_kind ppf = function
-  | Host -> Format.pp_print_string ppf "host"
-  | Border_router -> Format.pp_print_string ppf "border"
-  | Dns_server -> Format.pp_print_string ppf "dns"
-  | Pce -> Format.pp_print_string ppf "pce"
-  | Provider_core -> Format.pp_print_string ppf "core"
-  | Hub -> Format.pp_print_string ppf "hub"
-
 type t = { id : id; kind : kind; label : string }
-
-let pp ppf t = Format.fprintf ppf "%s#%d(%a)" t.label t.id pp_kind t.kind

@@ -14,8 +14,4 @@ type kind =
   | Provider_core  (** transit provider point of presence *)
   | Hub  (** intra-domain aggregation switch joining hosts and borders *)
 
-val pp_kind : Format.formatter -> kind -> unit
-
 type t = { id : id; kind : kind; label : string }
-
-val pp : Format.formatter -> t -> unit

@@ -35,18 +35,3 @@ let poisson_stream ~engine ~rng ~rate ~duration ~f =
       ignore (Netsim.Engine.schedule_at engine ~time:(start +. e) fire)
   in
   schedule_next ()
-
-let uniform_spread ~engine ~count ~duration ~f =
-  if count < 0 then invalid_arg "Arrivals.uniform_spread: negative count";
-  for i = 0 to count - 1 do
-    let delay = duration *. float_of_int i /. float_of_int (Stdlib.max 1 count) in
-    ignore (Netsim.Engine.schedule engine ~delay (fun () -> f i))
-  done;
-  count
-
-let burst ~engine ~count ~f =
-  if count < 0 then invalid_arg "Arrivals.burst: negative count";
-  for i = 0 to count - 1 do
-    ignore (Netsim.Engine.schedule engine ~delay:0.0 (fun () -> f i))
-  done;
-  count

@@ -29,10 +29,3 @@ val poisson_stream :
     most one arrival event is pending at any instant and no per-arrival
     closure or gap list is allocated.  The generator count is unknown
     until the window closes; count inside [f] if needed. *)
-
-val uniform_spread :
-  engine:Netsim.Engine.t -> count:int -> duration:float -> f:(int -> unit) -> int
-(** [count] arrivals evenly spaced over [duration] (deterministic). *)
-
-val burst : engine:Netsim.Engine.t -> count:int -> f:(int -> unit) -> int
-(** All arrivals at the current instant (back-to-back events). *)

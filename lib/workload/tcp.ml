@@ -28,7 +28,6 @@ type t = {
   obs : Obs.Hub.t;
   (* Keyed by the initiator-side flow. *)
   states : (Flow.t, conn_state) Hashtbl.t;
-  mutable all : conn list; (* newest first *)
 }
 
 (* Handshake events feed the span layer; each is emitted as the host
@@ -43,8 +42,6 @@ let host_actor t eid =
 
 let handshake_time conn =
   Option.map (fun e -> e -. conn.started_at) conn.established_at
-
-let connections t = List.rev t.all
 
 (* Demultiplex a packet delivered to a host.  A packet whose flow is a
    key in [states] travels responder -> initiator (the responder swaps
@@ -130,7 +127,7 @@ let create ~engine ~dataplane ?(data_gap = 0.002) ?obs () =
   let t =
     { engine; dataplane; data_gap;
       obs = Obs.Hub.or_disabled ~engine obs;
-      states = Hashtbl.create 256; all = [] }
+      states = Hashtbl.create 256 }
   in
   let internet = Lispdp.Dataplane.internet dataplane in
   Array.iter
@@ -182,14 +179,5 @@ let start_connection t ~flow ?(data_packets = 10) ?(data_bytes = 1200)
       rto_timer = None }
   in
   Hashtbl.replace t.states flow st;
-  t.all <- conn :: t.all;
   send_syn t st ~attempt:0;
   conn
-
-let summary t ~established ~failed ~retransmissions =
-  List.iter
-    (fun c ->
-      if c.established_at <> None then incr established;
-      if c.failed then incr failed;
-      retransmissions := !retransmissions + c.syn_transmissions - 1)
-    t.all

@@ -60,11 +60,3 @@ val start_connection :
     to the responder.  [on_complete] fires when the responder has
     received every data segment; it never fires for failed or lossy
     connections. *)
-
-val connections : t -> conn list
-(** All connections ever started, oldest first. *)
-
-val summary :
-  t -> established:int ref -> failed:int ref -> retransmissions:int ref -> unit
-(** Fold headline counts into the given refs (convenience for
-    experiment code). *)

@@ -106,16 +106,3 @@ let random_flow t ?src_domain ?dst_domain () =
     ~src:(Topology.Domain.host_eid src_dom src_host)
     ~dst:(Topology.Domain.host_eid dst_dom dst_host)
     ~src_port ~dst_port ()
-
-let flow_size_packets t ?(mean = 12.0) () =
-  let shape = 1.3 in
-  let scale = mean *. (shape -. 1.0) /. shape in
-  Stdlib.max 1 (int_of_float (Netsim.Rng.pareto t.rng ~shape ~scale))
-
-let host_name_of_flow t flow =
-  match Topology.Builder.domain_of_eid t.internet flow.Flow.dst with
-  | None -> invalid_arg "Traffic.host_name_of_flow: unknown destination"
-  | Some domain -> (
-      match Topology.Domain.host_of_eid domain flow.Flow.dst with
-      | Some i -> Topology.Domain.host_name domain i
-      | None -> invalid_arg "Traffic.host_name_of_flow: destination not a host")

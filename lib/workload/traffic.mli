@@ -1,8 +1,7 @@
 (** Traffic generation over an internet.
 
     Draws flows whose destination-domain popularity is Zipf-distributed
-    (cache-friendliness knob of experiments T1/F3) and whose sizes are
-    Pareto-heavy-tailed.  Source ports are allocated sequentially within
+    (cache-friendliness knob of experiments T1/F3).  Source ports are allocated sequentially within
     the ephemeral range [1024, 65535]; when they wrap (runs past ~64k
     flows) the destination port is stepped instead, so the full
     (src, dst, src_port, dst_port) tuple keeps every generated flow
@@ -27,15 +26,3 @@ val random_flow : t -> ?src_domain:int -> ?dst_domain:int -> unit -> Nettypes.Fl
     popularity (unless fixed), hosts uniform, fresh (src_port, dst_port)
     pair.  The destination domain always differs from the source
     domain. *)
-
-val destination_rank : t -> int -> int
-(** Popularity rank that maps to the given draw index — exposed for
-    tests. *)
-
-val flow_size_packets : t -> ?mean:float -> unit -> int
-(** Pareto-distributed flow size (packets), shape 1.3, at least 1.
-    [mean] (default 12.0) sets the scale. *)
-
-val host_name_of_flow : t -> Nettypes.Flow.t -> string
-(** DNS name of the flow's destination host (what the initiator
-    resolves before connecting). *)

@@ -222,6 +222,36 @@ let test_new_experiment_gated () =
                [ ("security", Json.List [ bench_row "flood/s43" false [] ]) ]))
        ~base:clean)
 
+(* A profile block as the runner writes it.  Records written while the
+   profiler still had named counters carry a [counters] list, as the
+   committed baseline's blocks do; the runner writes none now, and the
+   gate must read both. *)
+let prof_block ~counters =
+  Json.Obj
+    ([ ("wall_s", f 0.5); ("coverage", f 0.98); ("unattributed_s", f 0.01);
+       ("intervals_dropped", Json.Int 0);
+       ( "phases",
+         Json.List
+           [ Json.Obj
+               [ ("name", Json.String "engine"); ("self_s", f 0.49);
+                 ("total_s", f 0.49); ("calls", Json.Int 36);
+                 ("share", f 0.98) ] ] ) ]
+    @ (if counters then [ ("counters", Json.List []) ] else [])
+    @ [ ("gc", Json.Obj [ ("minor_words", f 1024.0) ]) ])
+
+let test_prof_without_counters () =
+  let with_prof counters =
+    record [ experiment "f1" [ ("prof", prof_block ~counters) ] ]
+  in
+  let base = with_prof true and cur = with_prof false in
+  Alcotest.(check bool) "current prof block read" true
+    (List.exists
+       (fun fd -> fd.Check.f_field = "prof.coverage" && fd.Check.f_ok)
+       (Check.findings ~tolerance:Check.default_tolerance ~base ~cur));
+  Alcotest.(check int) "no strict failure" 0
+    (List.length (strict_failures ~base ~cur));
+  Alcotest.(check int) "--check exits 0" 0 (check_cli ~cur ~base)
+
 let () =
   Alcotest.run "check"
     [ ( "blocks",
@@ -236,4 +266,6 @@ let () =
         [ Alcotest.test_case "foreign baseline rejected" `Quick
             test_foreign_baseline;
           Alcotest.test_case "new experiment gated" `Quick
-            test_new_experiment_gated ] ) ]
+            test_new_experiment_gated;
+          Alcotest.test_case "prof block without counters" `Quick
+            test_prof_without_counters ] ) ]

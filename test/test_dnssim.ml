@@ -93,7 +93,7 @@ let test_zone_validation () =
 let make_system ?record_ttl ?sink () =
   let engine = Netsim.Engine.create () in
   let internet = Topology.Builder.figure1 () in
-  let obs = Obs.Hub.create ~clock:(fun () -> Netsim.Engine.now engine) () in
+  let obs = Obs.Hub.create ~clock:(fun () -> Netsim.Engine.now engine) in
   Option.iter
     (fun sink ->
       Obs.Hub.add_sink obs sink;

@@ -143,7 +143,7 @@ let test_ingress_vs_egress_independent () =
   Selector.observe sel ~now:1.0;
   let flow = flow_for domain 1 in
   let egress = Selector.choose_egress sel ~flow () in
-  let ingress = Selector.choose_ingress sel ~flow () in
+  let ingress = Selector.choose_ingress sel ~flow in
   Alcotest.(check int) "egress avoids hot outbound"
     domain.Topology.Domain.borders.(1).Topology.Domain.router
     egress.Topology.Domain.router;

@@ -68,42 +68,33 @@ let test_ts_bucketing () =
   Alcotest.(check (float 1e-9)) "first bucket" 2.0 (Timeseries.value ts 0);
   Alcotest.(check (float 1e-9)) "second bucket" 1.0 (Timeseries.value ts 1);
   Alcotest.(check (float 1e-9)) "last bucket" 3.0 (Timeseries.value ts 3);
-  Alcotest.(check (float 1e-9)) "total" 6.0 (Timeseries.total ts)
+  Alcotest.(check (array (float 1e-9))) "values" [| 2.0; 1.0; 0.0; 3.0 |]
+    (Timeseries.values ts)
 
 let test_ts_out_of_range () =
   let ts = Timeseries.create ~bucket:1.0 ~horizon:2.0 in
   Timeseries.add ts ~at:(-0.1) ();
   Timeseries.add ts ~at:2.0 ();
   Timeseries.add ts ~at:1.0 ();
-  Alcotest.(check int) "two rejected" 2 (Timeseries.out_of_range ts);
-  Alcotest.(check (float 1e-9)) "one counted" 1.0 (Timeseries.total ts)
+  Alcotest.(check (array (float 1e-9))) "only the in-range sample counted"
+    [| 0.0; 1.0 |] (Timeseries.values ts)
 
-let test_ts_peak_and_active () =
+let test_ts_active_after () =
   let ts = Timeseries.create ~bucket:1.0 ~horizon:5.0 in
-  Alcotest.(check bool) "no peak when empty" true (Timeseries.peak ts = None);
-  Alcotest.(check bool) "no last-active when empty" true
-    (Timeseries.last_active ts = None);
+  Alcotest.(check (option (float 1e-9))) "none when empty" None
+    (Timeseries.last_active_after ts 0.0);
   Timeseries.add ts ~at:1.5 ~value:2.0 ();
   Timeseries.add ts ~at:3.5 ~value:5.0 ();
-  (match Timeseries.peak ts with
-  | Some (start, v) ->
-      Alcotest.(check (float 1e-9)) "peak start" 3.0 start;
-      Alcotest.(check (float 1e-9)) "peak value" 5.0 v
-  | None -> Alcotest.fail "expected a peak");
-  Alcotest.(check (option (float 1e-9))) "last active" (Some 3.0)
-    (Timeseries.last_active ts);
-  Alcotest.(check (option (float 1e-9))) "first active after 2" (Some 3.0)
-    (Timeseries.first_active_after ts 2.0);
-  Alcotest.(check (option (float 1e-9))) "first active after 0" (Some 1.0)
-    (Timeseries.first_active_after ts 0.0);
+  Alcotest.(check (option (float 1e-9))) "last active after 0" (Some 3.0)
+    (Timeseries.last_active_after ts 0.0);
+  Alcotest.(check (option (float 1e-9))) "last active after 3" (Some 3.0)
+    (Timeseries.last_active_after ts 3.0);
   Alcotest.(check (option (float 1e-9))) "last active after 4" None
     (Timeseries.last_active_after ts 4.0)
 
-let test_ts_rows_and_validation () =
+let test_ts_validation () =
   let ts = Timeseries.create ~bucket:2.0 ~horizon:4.0 in
-  Timeseries.add ts ~at:2.5 ();
-  Alcotest.(check (list (pair (float 1e-9) (float 1e-9)))) "rows"
-    [ (0.0, 0.0); (2.0, 1.0) ] (Timeseries.to_rows ts);
+  Alcotest.(check (float 1e-9)) "bucket start" 2.0 (Timeseries.bucket_start ts 1);
   (match Timeseries.create ~bucket:0.0 ~horizon:1.0 with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "zero bucket accepted");
@@ -127,7 +118,7 @@ let () =
         [
           Alcotest.test_case "bucketing" `Quick test_ts_bucketing;
           Alcotest.test_case "out of range" `Quick test_ts_out_of_range;
-          Alcotest.test_case "peak and active" `Quick test_ts_peak_and_active;
-          Alcotest.test_case "rows and validation" `Quick test_ts_rows_and_validation;
+          Alcotest.test_case "active after" `Quick test_ts_active_after;
+          Alcotest.test_case "validation" `Quick test_ts_validation;
         ] );
     ]

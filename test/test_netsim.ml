@@ -165,17 +165,6 @@ let test_rng_pareto_minimum () =
       Alcotest.fail "pareto below scale"
   done
 
-let test_rng_normal_moments () =
-  let rng = Rng.create 6 in
-  let s = Stats.Summary.create () in
-  for _ = 1 to 50_000 do
-    Stats.Summary.add s (Rng.normal rng ~mu:10.0 ~sigma:2.0)
-  done;
-  if Float.abs (Stats.Summary.mean s -. 10.0) > 0.05 then
-    Alcotest.failf "normal mean %f" (Stats.Summary.mean s);
-  if Float.abs (Stats.Summary.stddev s -. 2.0) > 0.05 then
-    Alcotest.failf "normal stddev %f" (Stats.Summary.stddev s)
-
 let test_zipf_masses () =
   let d = Rng.Zipf.create ~n:5 ~alpha:1.0 in
   let total = ref 0.0 in
@@ -250,23 +239,9 @@ let test_rng_uniform_range () =
     if v < -2.0 || v >= 3.0 then Alcotest.fail "uniform out of range"
   done
 
-let test_rng_lognormal_positive () =
-  let rng = Rng.create 15 in
-  for _ = 1 to 10_000 do
-    if Rng.lognormal rng ~mu:0.0 ~sigma:1.5 <= 0.0 then
-      Alcotest.fail "lognormal not positive"
-  done
-
-let test_rng_choice_and_shuffle () =
+let test_rng_shuffle () =
   let rng = Rng.create 16 in
   let a = [| 1; 2; 3; 4; 5 |] in
-  for _ = 1 to 100 do
-    let c = Rng.choice rng a in
-    if c < 1 || c > 5 then Alcotest.fail "choice outside array"
-  done;
-  (match Rng.choice rng [||] with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "empty choice accepted");
   let b = Array.copy a in
   Rng.shuffle rng b;
   Alcotest.(check (list int)) "shuffle is a permutation" [ 1; 2; 3; 4; 5 ]
@@ -405,11 +380,7 @@ let test_engine_total_events () =
 let test_summary_basic () =
   let s = Stats.Summary.create () in
   List.iter (Stats.Summary.add s) [ 1.0; 2.0; 3.0; 4.0 ];
-  Alcotest.(check int) "count" 4 (Stats.Summary.count s);
   check_float "mean" 2.5 (Stats.Summary.mean s);
-  check_float "min" 1.0 (Stats.Summary.min s);
-  check_float "max" 4.0 (Stats.Summary.max s);
-  check_float "total" 10.0 (Stats.Summary.total s);
   check_float "variance" (5.0 /. 3.0) (Stats.Summary.variance s)
 
 let test_samples_percentiles () =
@@ -423,31 +394,17 @@ let test_samples_percentiles () =
   Alcotest.(check bool) "p99 close" true
     (Float.abs (Stats.Samples.percentile s 99.0 -. 99.0) < 1.0)
 
-let test_samples_cdf_monotone () =
-  let s = Stats.Samples.create () in
-  let rng = Rng.create 9 in
-  for _ = 1 to 1000 do
-    Stats.Samples.add s (Rng.float rng)
-  done;
-  let cdf = Stats.Samples.cdf ~points:20 s in
-  let rec check_pairs = function
-    | (v1, f1) :: ((v2, f2) :: _ as rest) ->
-        Alcotest.(check bool) "values non-decreasing" true (v2 >= v1);
-        Alcotest.(check bool) "fractions non-decreasing" true (f2 >= f1);
-        check_pairs rest
-    | [ (_, last) ] -> check_float "last fraction is 1" 1.0 last
-    | [] -> Alcotest.fail "empty cdf"
-  in
-  check_pairs cdf
-
+(* Named for the storage-order check it made through the removed
+   [Samples.to_list]: quantiles sort a cached copy, so the stored
+   observations keep their insertion order and an [add] after a query
+   is counted in the next one. *)
 let test_samples_to_list_order () =
   let s = Stats.Samples.create () in
   List.iter (Stats.Samples.add s) [ 3.0; 1.0; 2.0 ];
-  Alcotest.(check (list (float 1e-9))) "insertion order" [ 3.0; 1.0; 2.0 ]
-    (Stats.Samples.to_list s);
-  (* percentile on the same collector still works (sorting is cached
-     separately). *)
-  check_float "median" 2.0 (Stats.Samples.median s)
+  check_float "median of unsorted input" 2.0 (Stats.Samples.median s);
+  Stats.Samples.add s 0.0;
+  check_float "median after a later add" 1.5 (Stats.Samples.median s);
+  check_float "max after a later add" 3.0 (Stats.Samples.percentile s 100.0)
 
 let test_jain () =
   check_float "balanced" 1.0 (Stats.jain_index [| 5.0; 5.0; 5.0; 5.0 |]);
@@ -507,7 +464,6 @@ let test_p2_tracks_exact () =
     Stats.P2.add p2 x;
     Stats.Samples.add exact x
   done;
-  Alcotest.(check int) "count" 10_000 (Stats.P2.count p2);
   let e = Stats.Samples.percentile exact 95.0 in
   if Float.abs (Stats.P2.quantile p2 -. e) > 0.02 then
     Alcotest.failf "p95: P2 %f vs exact %f" (Stats.P2.quantile p2) e
@@ -586,7 +542,9 @@ let prop_summary_mean_bounds =
       let s = Stats.Summary.create () in
       List.iter (Stats.Summary.add s) xs;
       let m = Stats.Summary.mean s in
-      m >= Stats.Summary.min s -. 1e-6 && m <= Stats.Summary.max s +. 1e-6)
+      let lo = List.fold_left Float.min infinity xs
+      and hi = List.fold_left Float.max neg_infinity xs in
+      m >= lo -. 1e-6 && m <= hi +. 1e-6)
 
 let prop_percentile_monotone =
   QCheck.Test.make ~name:"percentiles monotone in p" ~count:100
@@ -695,15 +653,6 @@ let test_faults_partition_window () =
   Alcotest.(check bool) "third party fine" false
     (Faults.drops_message f ~now:2.0 ~src:1 ~dst:3)
 
-let test_faults_pair_loss_override () =
-  let f = Faults.create ~rng:(Rng.create 1) () in
-  Faults.set_pair_loss f ~a:2 ~b:5 1.0;
-  Alcotest.(check bool) "lossy pair drops" true
-    (Faults.drops_message f ~now:0.0 ~src:5 ~dst:2);
-  Alcotest.(check bool) "global stays lossless" false
-    (Faults.drops_message f ~now:0.0 ~src:2 ~dst:3);
-  Alcotest.(check int) "counted as loss" 1 (Faults.losses f)
-
 let test_faults_loss_frequency () =
   let f = Faults.create ~rng:(Rng.create 42) ~loss:0.3 () in
   let n = 10_000 in
@@ -779,11 +728,9 @@ let () =
           Alcotest.test_case "int uniformity" `Quick test_rng_int_uniformity;
           Alcotest.test_case "bernoulli" `Quick test_rng_bernoulli_frequency;
           Alcotest.test_case "uniform range" `Quick test_rng_uniform_range;
-          Alcotest.test_case "lognormal" `Quick test_rng_lognormal_positive;
-          Alcotest.test_case "choice and shuffle" `Quick test_rng_choice_and_shuffle;
+          Alcotest.test_case "shuffle" `Quick test_rng_shuffle;
           Alcotest.test_case "exponential mean" `Quick test_rng_exponential_mean;
           Alcotest.test_case "pareto minimum" `Quick test_rng_pareto_minimum;
-          Alcotest.test_case "normal moments" `Quick test_rng_normal_moments;
         ] );
       ( "zipf",
         [
@@ -797,7 +744,6 @@ let () =
         [
           Alcotest.test_case "summary" `Quick test_summary_basic;
           Alcotest.test_case "percentiles" `Quick test_samples_percentiles;
-          Alcotest.test_case "cdf monotone" `Quick test_samples_cdf_monotone;
           Alcotest.test_case "to_list order" `Quick test_samples_to_list_order;
           Alcotest.test_case "jain" `Quick test_jain;
           Alcotest.test_case "reservoir bounded" `Quick
@@ -815,7 +761,6 @@ let () =
             test_faults_zero_loss_no_draws;
           Alcotest.test_case "flap window" `Quick test_faults_window_blocking;
           Alcotest.test_case "partition window" `Quick test_faults_partition_window;
-          Alcotest.test_case "pair override" `Quick test_faults_pair_loss_override;
           Alcotest.test_case "loss frequency" `Quick test_faults_loss_frequency;
           Alcotest.test_case "retry delays" `Quick test_faults_retry_delay;
           Alcotest.test_case "validation" `Quick test_faults_validation;

@@ -14,7 +14,10 @@ let addr = Ipv4.addr_of_string
 
 (* Hubs on a hand-driven clock: [emit_at] sets the time, then emits. *)
 let now = ref 0.0
-let manual_hub ?enabled () = Obs.Hub.create ?enabled ~clock:(fun () -> !now) ()
+let manual_hub ?(enabled = false) () =
+  let hub = Obs.Hub.create ~clock:(fun () -> !now) in
+  Obs.Hub.set_enabled hub enabled;
+  hub
 
 let emit_at hub time ~actor ?flow kind =
   now := time;
@@ -172,9 +175,6 @@ let test_disabled_hub_emits_nothing_in_scenario () =
 
 let test_registry_snapshot () =
   let r = Obs.Registry.create () in
-  let c = Obs.Registry.counter r "packets" in
-  Obs.Registry.incr c;
-  Obs.Registry.add c 4;
   Obs.Registry.register_gauge r "depth" (fun () -> 2.5);
   Obs.Registry.register_many r "drop" (fun () ->
       [ ("no-route", 3.0); ("ttl", 1.0) ]);
@@ -183,11 +183,8 @@ let test_registry_snapshot () =
   Obs.Registry.observe h 0.3;
   let snapshot = Obs.Registry.snapshot r in
   Alcotest.(check (list string)) "sorted names"
-    [ "depth"; "drop.no-route"; "drop.ttl"; "latency"; "packets" ]
+    [ "depth"; "drop.no-route"; "drop.ttl"; "latency" ]
     (List.map fst snapshot);
-  (match List.assoc "packets" snapshot with
-  | Obs.Registry.Counter n -> Alcotest.(check int) "counter value" 5 n
-  | _ -> Alcotest.fail "packets should be a counter");
   (match List.assoc "latency" snapshot with
   | Obs.Registry.Histogram summary ->
       Alcotest.(check int) "histogram count" 2 summary.Obs.Registry.hist_count;
@@ -196,8 +193,9 @@ let test_registry_snapshot () =
   | _ -> Alcotest.fail "latency should be a histogram");
   Alcotest.(check (float 1e-9)) "gauge sampled lazily" 2.5
     (List.assoc "depth" (Obs.Registry.sample r));
-  Alcotest.(check bool) "same counter handle on re-request" true
-    (Obs.Registry.count (Obs.Registry.counter r "packets") = 5);
+  Obs.Registry.observe (Obs.Registry.histogram r "latency") 0.2;
+  Alcotest.(check (float 0.0)) "same histogram handle on re-request" 3.0
+    (List.assoc "latency" (Obs.Registry.sample r));
   Alcotest.check_raises "duplicate gauge name rejected"
     (Invalid_argument "Obs.Registry: duplicate metric \"depth\"")
     (fun () -> Obs.Registry.register_gauge r "depth" (fun () -> 0.0))
@@ -242,11 +240,12 @@ let test_scenario_registry_tracks_run () =
 
 let test_sampler_buckets_and_finalise () =
   let r = Obs.Registry.create () in
-  let c = Obs.Registry.counter r "n" in
+  let n = ref 0 in
+  Obs.Registry.register_gauge r "n" (fun () -> float_of_int !n);
   let sampler = Obs.Sampler.create ~interval:1.0 ~registry:r () in
-  Obs.Registry.add c 1;
+  n := 1;
   Obs.Sampler.tick sampler ~now:0.0;
-  Obs.Registry.add c 10;
+  n := 11;
   Obs.Sampler.tick sampler ~now:2.5;
   Obs.Sampler.finalise sampler ~now:2.7;
   let series = Obs.Sampler.series sampler "n" in
@@ -269,7 +268,7 @@ let test_sampler_buckets_and_finalise () =
    late sample one ulp-cluster early and desynchronise workers. *)
 let test_sampler_no_interval_drift () =
   let r = Obs.Registry.create () in
-  ignore (Obs.Registry.counter r "n");
+  Obs.Registry.register_gauge r "n" (fun () -> 0.0);
   let sampler = Obs.Sampler.create ~interval:0.1 ~registry:r () in
   Obs.Sampler.tick sampler ~now:100.0;
   let times = List.map (fun row -> row.Obs.Sampler.at) (Obs.Sampler.rows sampler) in

@@ -45,8 +45,6 @@ let test_nesting_accounting () =
   Obs.Prof.leave b;
   t := 3.5;
   Obs.Prof.leave a;
-  let c = Obs.Prof.counter "widgets" in
-  Obs.Prof.add c 7;
   t := 4.0;
   Obs.Prof.stop ();
   let r = Obs.Prof.report () in
@@ -61,9 +59,7 @@ let test_nesting_accounting () =
   (* self times partition the wall: 3.5 attributed, 0.5 outside any
      phase. *)
   approx "unattributed" 0.5 r.Obs.Prof.r_unattributed_s;
-  approx "coverage" 0.875 (Obs.Prof.coverage r);
-  Alcotest.(check (list (pair string int)))
-    "counters" [ ("widgets", 7) ] r.Obs.Prof.r_counters
+  approx "coverage" 0.875 (Obs.Prof.coverage r)
 
 let test_recursion_counted_once () =
   with_fake_clock @@ fun t ->
@@ -155,8 +151,6 @@ let test_json_round_trip () =
   t := 0.375;
   Obs.Prof.leave b;
   Obs.Prof.leave a;
-  let c = Obs.Prof.counter "widgets" in
-  Obs.Prof.add c 42;
   t := 0.5;
   Obs.Prof.stop ();
   let r = Obs.Prof.report () in
@@ -185,9 +179,6 @@ let test_json_round_trip () =
               Alcotest.(check int) "phase calls" p.Obs.Prof.ps_calls
                 p2.Obs.Prof.ps_calls)
             r.Obs.Prof.r_phases r2.Obs.Prof.r_phases;
-          Alcotest.(check (list (pair string int)))
-            "counters round-trip" r.Obs.Prof.r_counters
-            r2.Obs.Prof.r_counters;
           List.iter2
             (fun (k, v) (k2, v2) ->
               Alcotest.(check string) "gc key" k k2;
@@ -219,17 +210,15 @@ let test_monotonic_clock_sanity () =
 
 let test_disabled_path_allocation_free () =
   Obs.Prof.set_enabled false;
-  let a = Obs.Prof.phase "noop" and c = Obs.Prof.counter "noop" in
+  let a = Obs.Prof.phase "noop" in
   (* Warm up so any lazy setup is behind us. *)
   for _ = 1 to 1_000 do
     Obs.Prof.enter a;
-    Obs.Prof.incr c;
     Obs.Prof.leave a
   done;
   let w0 = Gc.minor_words () in
   for _ = 1 to 100_000 do
     Obs.Prof.enter a;
-    Obs.Prof.incr c;
     Obs.Prof.leave a
   done;
   let dw = Gc.minor_words () -. w0 in

@@ -41,12 +41,13 @@ let test_window_rotation () =
 
 let test_series_ascending () =
   let tm = plane () in
+  Netsim.Telemetry.register_uplink tm ~link:1 ~provider:0 ~egress_dir:1;
   List.iter
     (fun now ->
       Netsim.Telemetry.touch tm ~now;
       Netsim.Telemetry.on_link tm ~link:1 ~dir:1 ~bytes:10)
     [ 0.1; 1.1; 1.2; 3.7 ];
-  let series = Netsim.Telemetry.link_series tm ~link:1 ~dir:1 in
+  let series = Netsim.Telemetry.provider_series tm ~provider:0 `Out in
   let slots = List.map (fun s -> s.Netsim.Telemetry.sl_slot) series in
   Alcotest.(check (list int)) "retained slots ascending" [ 0; 1; 3 ] slots;
   let pkts = List.map (fun s -> s.Netsim.Telemetry.sl_pkts) series in
@@ -286,8 +287,8 @@ let prop_telemetry_preserves_output =
         (fingerprint ~seed ~telemetry:true))
 
 (* The adversary layer follows the same opt-in contract: compiling it
-   in with every rate at zero (and the all-off auth profile) must not
-   shift a single event or RNG draw relative to no profile at all. *)
+   in with every rate at zero must not shift a single event or RNG draw
+   relative to no adversary at all. *)
 let fingerprint_pull ~seed ~armed =
   let s =
     Core.Scenario.build
@@ -295,9 +296,7 @@ let fingerprint_pull ~seed ~armed =
         Core.Scenario.seed;
         Core.Scenario.cp = Core.Scenario.Cp_pull_queue 8;
         Core.Scenario.attack =
-          (if armed then Some Core.Scenario.default_attack else None);
-        Core.Scenario.auth =
-          (if armed then Some Core.Scenario.default_auth else None) }
+          (if armed then Some Core.Scenario.default_attack else None) }
   in
   let internet = Core.Scenario.internet s in
   let flow =
@@ -371,9 +370,8 @@ let tally_config ~seed ~cp ~profile ~telemetry =
               Core.Scenario.atk_flood_rate = 400.0; atk_flood_until = 0.5;
               atk_flood_victim = 1 };
         auth =
-          Some
-            { Core.Scenario.default_auth with
-              Core.Scenario.auth_glean_cap = Some 4 } }
+          { Core.Scenario.default_auth with
+            Core.Scenario.auth_glean_cap = Some 4 } }
   | Pce_crash ->
       { c with
         Core.Scenario.node_faults =
@@ -610,11 +608,10 @@ let shadow_config c ~telemetry =
        else None);
     auth =
       (if armed then
-         Some
-           { S.default_auth with
-             S.auth_nonce = c.sh_attack;
-             auth_glean_cap = (if c.sh_flood then Some 4 else None) }
-       else None) }
+         { S.default_auth with
+           S.auth_nonce = c.sh_attack;
+           auth_glean_cap = (if c.sh_flood then Some 4 else None) }
+       else S.default_auth) }
 
 (* Twelve flows between random hosts, 50 ms apart. *)
 let shadow_run c ~telemetry ~hub =
