@@ -66,7 +66,7 @@ let analytic_handshake internet flow =
   in
   let router_of internet rloc =
     match Topology.Builder.border_of_rloc internet rloc with
-    | Some (_, b) -> b.Topology.Domain.router
+    | Some (d, i) -> d.Topology.Domain.borders.(i).Topology.Domain.router
     | None -> assert false
   in
   let fwd_itr = (border as_s flow).Topology.Domain.router in

@@ -44,14 +44,12 @@ let reset t =
   Hashtbl.reset t.names;
   Hashtbl.reset t.advertised
 
-let pair_flow ~src_eid ~dst_eid =
-  Flow.create ~src:src_eid ~dst:dst_eid ~src_port:0 ~dst_port:0 ()
-
 let note_client_query t ~now ~client_eid ~qname =
   (* RLOC_S for the reverse direction, chosen by IRC on inbound load.
      The remote end is unknown at step 1, exactly as in the paper. *)
-  let flow = pair_flow ~src_eid:client_eid ~dst_eid:client_eid in
-  let border = Irc.Selector.choose_ingress t.selector ~flow in
+  let border =
+    Irc.Selector.choose_ingress t.selector ~src:client_eid ~dst:client_eid
+  in
   let entry =
     { client_eid; ingress_rloc = border.Topology.Domain.rloc; query_time = now }
   in
@@ -69,9 +67,8 @@ let pending_count t =
   Hashtbl.fold (fun _ l acc -> acc + List.length l) t.pending 0
 
 let ingress_rloc_for_eid t ~eid ?peer () =
-  let dst_eid = Option.value peer ~default:eid in
-  let flow = pair_flow ~src_eid:eid ~dst_eid in
-  let border = Irc.Selector.choose_ingress t.selector ~flow in
+  let dst = Option.value peer ~default:eid in
+  let border = Irc.Selector.choose_ingress t.selector ~src:eid ~dst in
   border.Topology.Domain.rloc
 
 let key ~src_eid ~dst_eid = (Ipv4.addr_to_int src_eid, Ipv4.addr_to_int dst_eid)

@@ -70,11 +70,6 @@ val find_entry :
 
 val entry_count : t -> int
 
-val pair_flow :
-  src_eid:Nettypes.Ipv4.addr -> dst_eid:Nettypes.Ipv4.addr -> Nettypes.Flow.t
-(** The synthetic port-less flow the PCE keys its IRC decisions by —
-    mappings are per EID pair, not per transport connection. *)
-
 val learn_name_mapping :
   t -> qname:Dnssim.Name.t -> dst_eid:Nettypes.Ipv4.addr ->
   dst_rloc:Nettypes.Ipv4.addr -> now:float -> ttl:float -> unit

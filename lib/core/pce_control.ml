@@ -70,21 +70,29 @@ let pce_down t id =
 (* Resolve a remote locator to its border-router node, for latency-aware
    egress decisions. *)
 let node_of_rloc t rloc =
-  Option.map
-    (fun (_, border) -> border.Topology.Domain.router)
-    (Topology.Builder.border_of_rloc t.internet rloc)
+  match Topology.Builder.border_of_rloc t.internet rloc with
+  | Some (domain, i) -> Some domain.Topology.Domain.borders.(i).Topology.Domain.router
+  | None -> None
 
-(* Egress border for the EID pair, as the PCE's IRC engine sees it. *)
+(* Egress border for the EID pair, as the PCE's IRC engine sees it.  A
+   pair with a live sticky assignment (every packet after a flow's
+   first) costs one probe of the selector's table and allocates
+   nothing; the tuple database and the RLOC index are read only when
+   the selector must pick, the one choice that uses the remote end. *)
 let egress_border t pce ~src_eid ~dst_eid =
-  let flow = Pce.pair_flow ~src_eid ~dst_eid in
-  let remote =
-    match Pce.find_entry pce ~src_eid ~dst_eid with
-    | Some entry -> node_of_rloc t entry.Mapping.dst_rloc
-    | None -> None
-  in
-  match remote with
-  | Some node -> Irc.Selector.choose_egress (Pce.selector pce) ~flow ~remote:node ()
-  | None -> Irc.Selector.choose_egress (Pce.selector pce) ~flow ()
+  let selector = Pce.selector pce in
+  match Irc.Selector.live_egress selector ~src:src_eid ~dst:dst_eid with
+  | Some border -> border
+  | None ->
+      let remote =
+        match Pce.find_entry pce ~src_eid ~dst_eid with
+        | Some entry -> node_of_rloc t entry.Mapping.dst_rloc
+        | None -> None
+      in
+      Irc.Selector.choose_egress selector ~src:src_eid ~dst:dst_eid ?remote ()
+
+(* Event actors are built only for an enabled hub. *)
+let actor_of domain role = domain.Topology.Domain.name ^ role
 
 (* Step 7b: configure the tuple into the ITRs of [pce]'s domain.
 
@@ -98,7 +106,6 @@ let push_entry t pce entry =
   let dp = dataplane_exn t in
   let domain = Pce.domain pce in
   Pce.remember_entry pce entry;
-  let actor = domain.Topology.Domain.name ^ "-pce" in
   let account_send () =
     t.stats.Mapsys.Cp_stats.push_messages <-
       t.stats.Mapsys.Cp_stats.push_messages + 1;
@@ -131,14 +138,14 @@ let push_entry t pce entry =
         let now = Netsim.Engine.now t.engine in
         if Netsim.Faults.drops_message faults ~now ~src:id ~dst:id then begin
           if Obs.Hub.enabled t.obs then
-            Obs.Hub.emit t.obs ~actor
+            Obs.Hub.emit t.obs ~actor:(actor_of domain "-pce")
               (Obs.Event.Cp_loss { message = "pce-push" });
           match t.push_retry with
           | Some retry when attempt <= retry.Netsim.Faults.budget ->
               t.stats.Mapsys.Cp_stats.retransmissions <-
                 t.stats.Mapsys.Cp_stats.retransmissions + 1;
               if Obs.Hub.enabled t.obs then
-                Obs.Hub.emit t.obs ~actor
+                Obs.Hub.emit t.obs ~actor:(actor_of domain "-pce")
                   (Obs.Event.Cp_retry
                      { eid = entry.Mapping.dst_eid; attempt;
                        message = "pce-push" });
@@ -151,7 +158,7 @@ let push_entry t pce entry =
               t.stats.Mapsys.Cp_stats.timeouts <-
                 t.stats.Mapsys.Cp_stats.timeouts + 1;
               if Obs.Hub.enabled t.obs then
-                Obs.Hub.emit t.obs ~actor
+                Obs.Hub.emit t.obs ~actor:(actor_of domain "-pce")
                   (Obs.Event.Cp_timeout
                      { eid = entry.Mapping.dst_eid; message = "pce-push" })
         end
@@ -165,7 +172,7 @@ let push_entry t pce entry =
       in
       List.iter (fun router -> send router ~attempt:1) targets);
   if Obs.Hub.enabled t.obs then
-    Obs.Hub.emit t.obs ~actor
+    Obs.Hub.emit t.obs ~actor:(actor_of domain "-pce")
       (Obs.Event.Tuple_push { entry; targets = List.length targets })
 
 (* Step 6 handler: PCE_D intercepted the authoritative answer. *)
@@ -214,14 +221,13 @@ let on_intercept t ~dst_pce ctx =
                 are configured.  DNS_S's watchdog recovers the inner
                 answer after the timeout; the mapping is simply lost
                 (the ITR will degrade to pull on the miss). *)
-             let actor =
-               t.internet.Topology.Builder.domains.(src_domain_id)
-                 .Topology.Domain.name ^ "-dns"
-             in
              t.stats.Mapsys.Cp_stats.bypasses <-
                t.stats.Mapsys.Cp_stats.bypasses + 1;
              if Obs.Hub.enabled t.obs then
-               Obs.Hub.emit t.obs ~actor
+               Obs.Hub.emit t.obs
+                 ~actor:
+                   (actor_of t.internet.Topology.Builder.domains.(src_domain_id)
+                      "-dns")
                  (Obs.Event.Pce_bypass
                     { qname =
                         Dnssim.Name.to_string ctx.Dnssim.System.tap_qname });
@@ -340,11 +346,10 @@ let create ~engine ~internet ~dns ?(options = default_options) ?faults
                  guard_on_bypass =
                    Some
                      (fun ~qname ->
-                       let actor = domain.Topology.Domain.name ^ "-dns" in
                        t.stats.Mapsys.Cp_stats.bypasses <-
                          t.stats.Mapsys.Cp_stats.bypasses + 1;
                        if Obs.Hub.enabled t.obs then
-                         Obs.Hub.emit t.obs ~actor
+                         Obs.Hub.emit t.obs ~actor:(actor_of domain "-dns")
                            (Obs.Event.Pce_bypass
                               { qname = Dnssim.Name.to_string qname })) }))
     domains;
@@ -445,10 +450,9 @@ let handle_miss t router packet =
   match t.fallback with
   | None -> Lispdp.Dataplane.Miss_drop (miss_cause packet)
   | Some pull ->
-      let domain = router.Lispdp.Dataplane.router_domain in
-      let actor = domain.Topology.Domain.name ^ "-itr" in
       if Obs.Hub.enabled t.obs then
-        Obs.Hub.emit t.obs ~actor
+        Obs.Hub.emit t.obs
+          ~actor:(actor_of router.Lispdp.Dataplane.router_domain "-itr")
           ~flow:(Obs.Event.flow_id packet.Packet.flow)
           (Obs.Event.Degraded_to_pull { eid = packet.Packet.flow.Flow.dst });
       Mapsys.Pull.handle_miss pull router packet
@@ -532,12 +536,9 @@ let handle_uplink_failure t ~domain_id ~border =
   (* Re-home local tuples whose reverse locator died. *)
   List.iter
     (fun entry ->
-      let flow =
-        Pce.pair_flow ~src_eid:entry.Mapping.src_eid
-          ~dst_eid:entry.Mapping.dst_eid
-      in
       let fresh =
-        Irc.Selector.choose_ingress (Pce.selector pce) ~flow
+        Irc.Selector.choose_ingress (Pce.selector pce)
+          ~src:entry.Mapping.src_eid ~dst:entry.Mapping.dst_eid
       in
       if not (Ipv4.addr_equal fresh.Topology.Domain.rloc dead) then
         push_entry t pce

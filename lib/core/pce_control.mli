@@ -90,6 +90,8 @@ val attach : t -> Lispdp.Dataplane.t -> unit
 val stats : t -> Mapsys.Cp_stats.t
 val options : t -> options
 val pce_of_domain : t -> int -> Pce.t
+(** Test hook: the PCE of the domain with the given id, whose selector
+    tests observe and rebalance by hand. *)
 
 val run_monitoring : t -> interval:float -> until:float -> rebalance:bool -> unit
 (** Schedule the background IRC loop of every PCE: sample uplink loads

@@ -682,16 +682,12 @@ let open_connection t ~flow ?data_packets ?data_bytes ?on_complete () =
     | Some d -> d
     | None -> invalid_arg "Scenario.open_connection: unknown destination EID"
   in
-  let dst_host =
-    match Topology.Domain.host_of_eid dst_domain flow.Flow.dst with
-    | Some i -> i
-    | None -> invalid_arg "Scenario.open_connection: destination is not a host"
-  in
-  let src_host =
-    match Topology.Domain.host_of_eid src_domain flow.Flow.src with
-    | Some i -> i
-    | None -> invalid_arg "Scenario.open_connection: source is not a host"
-  in
+  let dst_host = Topology.Domain.host_index dst_domain flow.Flow.dst in
+  if dst_host < 0 then
+    invalid_arg "Scenario.open_connection: destination is not a host";
+  let src_host = Topology.Domain.host_index src_domain flow.Flow.src in
+  if src_host < 0 then
+    invalid_arg "Scenario.open_connection: source is not a host";
   let qname =
     Dnssim.Name.of_string (Topology.Domain.host_name dst_domain dst_host)
   in

@@ -6,6 +6,7 @@ type direction = Outbound | Inbound
    domain (router -> provider core), "inbound" the opposite. *)
 type uplink_state = {
   border : Topology.Domain.border;
+  some_border : Topology.Domain.border option; (* [Some border], made once *)
   mutable last_out_bytes : int;
   mutable last_in_bytes : int;
   mutable ewma_out : float;
@@ -18,7 +19,22 @@ type uplink_state = {
   mutable recent_in : int;
 }
 
-type sticky = { border_index : int; remote : Topology.Node.id option }
+(* The sticky assignments of one direction: an open-addressing table
+   keyed by the (src, dst) int pair, stored structure-of-arrays with
+   linear probing like [Lispdp.Flow_table].  A slot is free when its
+   border index is -1, so a key may be any two ints: PCE_D keys its
+   ingress choices by (EID, querying resolver's node id).  Assignments
+   are never removed, so there are no tombstones.  The arrays start
+   empty and are allocated at the first assignment. *)
+type assignments = {
+  mutable src : int array;
+  mutable dst : int array;
+  mutable border_index : int array; (* -1 marks a free slot *)
+  mutable remote : int array; (* far-end router node, [no_node] if unknown *)
+  mutable count : int;
+}
+
+let no_node = -1
 
 type t = {
   domain : Topology.Domain.t;
@@ -26,12 +42,99 @@ type t = {
   policy : Policy.t;
   uplinks : uplink_state array;
   mutable last_observed : float option;
-  mutable out_assign : sticky Flow.Map.t;
-  mutable in_assign : sticky Flow.Map.t;
+  out_assign : assignments;
+  in_assign : assignments;
   mutable rr_out : int;
   mutable rr_in : int;
   mutable moved : int;
 }
+
+let fib1 = 0x2545F4914F6CDD1D
+let fib2 = 0x1E3779B97F4A7C15
+
+(* The product's high bits are folded into the low bits that pick the
+   slot, as in [Int_table]. *)
+let slot_of a ~src ~dst =
+  let h = (src * fib1) lxor (dst * fib2) in
+  (h lxor (h lsr 29)) land (Array.length a.src - 1)
+
+(* The slot holding the pair, or the free slot that ends its probe
+   chain.  The table must have been allocated. *)
+let probe a ~src ~dst =
+  let mask = Array.length a.src - 1 in
+  let i = ref (slot_of a ~src ~dst) in
+  while
+    Array.unsafe_get a.border_index !i >= 0
+    && not (Array.unsafe_get a.src !i = src && Array.unsafe_get a.dst !i = dst)
+  do
+    i := (!i + 1) land mask
+  done;
+  !i
+
+(* The slot of the pair's assignment, or -1. *)
+let find a ~src ~dst =
+  if a.count = 0 then -1
+  else
+    let s = probe a ~src ~dst in
+    if Array.unsafe_get a.border_index s >= 0 then s else -1
+
+(* Double the capacity (16 slots the first time), rehashing every
+   assignment.  Growing at half occupancy keeps probe chains short and
+   always ending at a free slot. *)
+let grow a =
+  let src = a.src and dst = a.dst and border_index = a.border_index
+  and remote = a.remote in
+  let cap = Stdlib.max 16 (2 * Array.length src) in
+  a.src <- Array.make cap 0;
+  a.dst <- Array.make cap 0;
+  a.border_index <- Array.make cap (-1);
+  a.remote <- Array.make cap no_node;
+  for s = 0 to Array.length src - 1 do
+    if border_index.(s) >= 0 then begin
+      let d = probe a ~src:src.(s) ~dst:dst.(s) in
+      a.src.(d) <- src.(s);
+      a.dst.(d) <- dst.(s);
+      a.border_index.(d) <- border_index.(s);
+      a.remote.(d) <- remote.(s)
+    end
+  done
+
+let assign a ~src ~dst ~border_index ~remote =
+  let s =
+    match find a ~src ~dst with
+    | -1 ->
+        if 2 * (a.count + 1) > Array.length a.src then grow a;
+        let s = probe a ~src ~dst in
+        a.src.(s) <- src;
+        a.dst.(s) <- dst;
+        a.count <- a.count + 1;
+        s
+    | s -> s
+  in
+  a.border_index.(s) <- border_index;
+  a.remote.(s) <- remote
+
+(* The occupied slots in (src, dst) order: the order [Flow.compare]
+   gives the pair flows they stand for. *)
+let sorted_slots a =
+  let slots = Array.make a.count 0 in
+  let n = ref 0 in
+  Array.iteri
+    (fun s i ->
+      if i >= 0 then begin
+        slots.(!n) <- s;
+        incr n
+      end)
+    a.border_index;
+  Array.sort
+    (fun x y ->
+      let c = Int.compare a.src.(x) a.src.(y) in
+      if c <> 0 then c else Int.compare a.dst.(x) a.dst.(y))
+    slots;
+  slots
+
+let empty_assignments () =
+  { src = [||]; dst = [||]; border_index = [||]; remote = [||]; count = 0 }
 
 (* Smoothing factor of the load estimate. *)
 let ewma_alpha = 0.3
@@ -47,7 +150,7 @@ let create ~domain ~graph ~policy =
   let uplinks =
     Array.map
       (fun border ->
-        { border;
+        { border; some_border = Some border;
           last_out_bytes =
             Topology.Link.bytes_from border.Topology.Domain.uplink
               border.Topology.Domain.router;
@@ -59,8 +162,8 @@ let create ~domain ~graph ~policy =
       domain.Topology.Domain.borders
   in
   { domain; graph; policy; uplinks; last_observed = None;
-    out_assign = Flow.Map.empty;
-    in_assign = Flow.Map.empty; rr_out = 0; rr_in = 0; moved = 0 }
+    out_assign = empty_assignments (); in_assign = empty_assignments ();
+    rr_out = 0; rr_in = 0; moved = 0 }
 
 let moved_flows t = t.moved
 
@@ -136,20 +239,19 @@ let load_estimate t direction border = load_of t direction (uplink_index_of t bo
 
 (* Latency of candidate [i] toward [remote]: from the border router to
    the remote node, or just to the provider core when the remote end is
-   not known yet. *)
+   not known yet ([no_node]). *)
 let candidate_latency t ~remote i =
   let border = t.uplinks.(i).border in
-  match remote with
-  | Some node -> (
-      (* Link failures can make the remote end unreachable; an infinite
-         latency keeps the candidate comparable instead of raising. *)
-      match
-        Topology.Graph.latency_between t.graph border.Topology.Domain.router
-          node
-      with
-      | latency -> latency
-      | exception Not_found -> infinity)
-  | None -> Topology.Link.latency border.Topology.Domain.uplink
+  if remote = no_node then Topology.Link.latency border.Topology.Domain.uplink
+  else
+    (* Link failures can make the remote end unreachable; an infinite
+       latency keeps the candidate comparable instead of raising. *)
+    match
+      Topology.Graph.latency_between t.graph border.Topology.Domain.router
+        remote
+    with
+    | latency -> latency
+    | exception Not_found -> infinity
 
 let candidate_scores t direction ~remote =
   let n = Array.length t.uplinks in
@@ -176,9 +278,14 @@ let next_up t start =
   in
   probe start 0
 
-let pick_index t direction ~flow ~remote =
+(* The flow-hash policy hashes the pair as the port-less TCP flow
+   (src, dst, 0, 0). *)
+let pick_index t direction ~src ~dst ~remote =
   match t.policy with
-  | Policy.Flow_hash -> next_up t (Flow.hash flow mod Array.length t.uplinks)
+  | Policy.Flow_hash ->
+      next_up t
+        (Flow.hash_fields ~src ~dst ~src_port:0 ~dst_port:0 Flow.Tcp
+         mod Array.length t.uplinks)
   | Policy.Round_robin ->
       let n = Array.length t.uplinks in
       let i =
@@ -198,61 +305,56 @@ let assignments t = function
   | Outbound -> t.out_assign
   | Inbound -> t.in_assign
 
-let set_assignments t direction m =
-  match direction with
-  | Outbound -> t.out_assign <- m
-  | Inbound -> t.in_assign <- m
+(* The slot of the pair's assignment when its uplink is alive, else -1. *)
+let live_slot t a ~(src : Ipv4.addr) ~(dst : Ipv4.addr) =
+  let s = find a ~src:(src :> int) ~dst:(dst :> int) in
+  if s >= 0 && uplink_up t a.border_index.(s) then s else -1
 
-let choose t direction ~flow ~remote =
-  match Flow.Map.find_opt flow (assignments t direction) with
-  | Some sticky when uplink_up t sticky.border_index ->
-      t.uplinks.(sticky.border_index).border
-  | Some _ | None ->
-      (* No live assignment: pick one (a dead sticky assignment is
-         overwritten - uplink failure voids stickiness). *)
-      let i = pick_index t direction ~flow ~remote in
-      note_assignment t direction i;
-      set_assignments t direction
-        (Flow.Map.add flow { border_index = i; remote } (assignments t direction));
-      t.uplinks.(i).border
+let choose t direction ~src ~dst ~remote =
+  let a = assignments t direction in
+  let s = live_slot t a ~src ~dst in
+  if s >= 0 then t.uplinks.(a.border_index.(s)).border
+  else begin
+    (* No live assignment: pick one (a dead sticky assignment is
+       overwritten - uplink failure voids stickiness). *)
+    let i = pick_index t direction ~src ~dst ~remote in
+    note_assignment t direction i;
+    assign a ~src:(src :> int) ~dst:(dst :> int) ~border_index:i ~remote;
+    t.uplinks.(i).border
+  end
 
-let choose_egress t ~flow ?remote () = choose t Outbound ~flow ~remote
-let choose_ingress t ~flow = choose t Inbound ~flow ~remote:None
+let choose_egress t ~src ~dst ?(remote = no_node) () =
+  choose t Outbound ~src ~dst ~remote
 
-let assignment t direction flow =
-  Option.map
-    (fun s -> t.uplinks.(s.border_index).border)
-    (Flow.Map.find_opt flow (assignments t direction))
+let choose_ingress t ~src ~dst = choose t Inbound ~src ~dst ~remote:no_node
+
+let live_egress t ~src ~dst =
+  let a = t.out_assign in
+  let s = live_slot t a ~src ~dst in
+  if s >= 0 then t.uplinks.(a.border_index.(s)).some_border else None
 
 let rebalance_direction t direction =
   match t.policy with
   | Policy.Flow_hash | Policy.Round_robin -> ()
   | Policy.Min_latency | Policy.Min_load | Policy.Weighted _ ->
-      let updated =
-        Flow.Map.map
-          (fun sticky ->
-            (* Scores are recomputed per flow and each move notes an
-               assignment, so one pass cannot herd every flow onto the
-               momentarily-idle uplink. *)
-            let scores = candidate_scores t direction ~remote:sticky.remote in
-            let best = argmin scores in
-            if
-              best <> sticky.border_index
-              && scores.(best) +. hysteresis < scores.(sticky.border_index)
-            then begin
-              t.moved <- t.moved + 1;
-              note_assignment t direction best;
-              { sticky with border_index = best }
-            end
-            else sticky)
-          (assignments t direction)
-      in
-      set_assignments t direction updated
+      let a = assignments t direction in
+      Array.iter
+        (fun s ->
+          (* Scores are recomputed per flow and each move notes an
+             assignment, so one pass cannot herd every flow onto the
+             momentarily-idle uplink; it is also why the pass keeps
+             (src, dst) order. *)
+          let current = a.border_index.(s) in
+          let scores = candidate_scores t direction ~remote:a.remote.(s) in
+          let best = argmin scores in
+          if best <> current && scores.(best) +. hysteresis < scores.(current)
+          then begin
+            t.moved <- t.moved + 1;
+            note_assignment t direction best;
+            a.border_index.(s) <- best
+          end)
+        (sorted_slots a)
 
 let rebalance t =
   rebalance_direction t Outbound;
   rebalance_direction t Inbound
-
-let forget_flow t flow =
-  t.out_assign <- Flow.Map.remove flow t.out_assign;
-  t.in_assign <- Flow.Map.remove flow t.in_assign

@@ -33,8 +33,8 @@ type t = {
   internet : Topology.Builder.t;
   control_plane : control_plane;
   routers : router array array; (* indexed by domain id, then border index *)
-  by_rloc : (int, router) Hashtbl.t; (* RLOC as raw int -> router *)
-  receivers : (int, Packet.t -> unit) Hashtbl.t; (* EID -> host callback *)
+  receivers : (Packet.t -> unit) option Int_table.t;
+      (* EID -> [Some host callback], made when the callback is set *)
   obs : Obs.Hub.t;
   counters : counters;
 }
@@ -47,37 +47,32 @@ let graph t = t.internet.Topology.Builder.graph
 let create ~engine ~internet ~control_plane ?(cache_capacity = 10_000)
     ?(cache_policy = Map_cache.Lru) ?glean_cap ?(flow_ttl = 300.0) ?obs () =
   let obs = Obs.Hub.or_disabled ~engine obs in
-  let by_rloc = Hashtbl.create 64 in
   let routers =
     Array.map
       (fun domain ->
         Array.map
           (fun border ->
-            let r =
-              { border; router_domain = domain;
-                cache =
-                  Map_cache.create ~policy:cache_policy
-                    ~capacity:cache_capacity ?glean_cap ();
-                flows = Flow_table.create ~ttl:flow_ttl () }
-            in
-            Hashtbl.replace by_rloc (Ipv4.addr_to_int border.Topology.Domain.rloc) r;
-            r)
+            { border; router_domain = domain;
+              cache =
+                Map_cache.create ~policy:cache_policy
+                  ~capacity:cache_capacity ?glean_cap ();
+              flows = Flow_table.create ~ttl:flow_ttl () })
           domain.Topology.Domain.borders)
       internet.Topology.Builder.domains
   in
   let t =
-    { engine; internet; control_plane; routers; by_rloc;
-      receivers = Hashtbl.create 64; obs;
+    { engine; internet; control_plane; routers;
+      receivers = Int_table.create ~dummy:None (); obs;
       counters =
         { sent = 0; delivered = 0; dropped = 0; held = 0; encapsulated = 0;
           decapsulated = 0; intra_domain = 0; delivered_bytes = 0 } }
   in
   Array.iter
     (Array.iter (fun r ->
-         let actor = r.router_domain.Topology.Domain.name ^ "-itr" in
          let emit_death mapping =
            if Obs.Hub.enabled obs then
-             Obs.Hub.emit obs ~actor
+             Obs.Hub.emit obs
+               ~actor:(r.router_domain.Topology.Domain.name ^ "-itr")
                (Obs.Event.Cache_evict { prefix = mapping.Mapping.eid_prefix })
          in
          Map_cache.set_evict_hook r.cache (Some emit_death);
@@ -102,11 +97,16 @@ let create ~engine ~internet ~control_plane ?(cache_capacity = 10_000)
 
 let routers_of_domain t domain = t.routers.(domain.Topology.Domain.id)
 
-let router_of_rloc t rloc = Hashtbl.find_opt t.by_rloc (Ipv4.addr_to_int rloc)
+(* Routers are found through the internet's RLOC index, which gives the
+   (domain, border index) their array is laid out by. *)
+let router_of_rloc t rloc =
+  match Topology.Builder.border_of_rloc t.internet rloc with
+  | Some (domain, i) -> Some t.routers.(domain.Topology.Domain.id).(i)
+  | None -> None
 
 let router_for_border t border =
-  match router_of_rloc t border.Topology.Domain.rloc with
-  | Some r -> r
+  match Topology.Builder.border_of_rloc t.internet border.Topology.Domain.rloc with
+  | Some (domain, i) -> t.routers.(domain.Topology.Domain.id).(i)
   | None -> invalid_arg "Dataplane.router_for_border: unknown border"
 
 let install_mapping t router ?provenance mapping =
@@ -124,8 +124,8 @@ let install_flow_entry_all t domain entry =
 
 let set_host_receiver t eid receiver =
   match receiver with
-  | Some f -> Hashtbl.replace t.receivers (Ipv4.addr_to_int eid) f
-  | None -> Hashtbl.remove t.receivers (Ipv4.addr_to_int eid)
+  | Some _ -> Int_table.add t.receivers (Ipv4.addr_to_int eid) receiver
+  | None -> Int_table.remove t.receivers (Ipv4.addr_to_int eid)
 
 (* The single choke point for packet deaths: every drop carries a typed
    cause and, when attributable, the node it died at, and goes to the
@@ -182,24 +182,26 @@ let wire t ~src ~dst packet k =
         record_drop t ~packet ~node:src Netsim.Drop.No_route
   end
 
+(* The node of the host that owns [eid], or -1. *)
 let host_node_of_eid t eid =
   match Topology.Builder.domain_of_eid t.internet eid with
-  | None -> None
-  | Some domain -> (
-      match Topology.Domain.host_of_eid domain eid with
-      | Some i -> Some (domain, domain.Topology.Domain.hosts.(i))
-      | None -> None)
+  | None -> -1
+  | Some domain ->
+      let i = Topology.Domain.host_index domain eid in
+      if i < 0 then -1 else domain.Topology.Domain.hosts.(i)
 
 (* Final hop: packet is at [router]'s node (or directly at the domain
    edge) and must reach the host owning its destination EID. *)
 let deliver_to_host t ~from_node packet =
   let dst_eid = packet.Packet.flow.Flow.dst in
   match host_node_of_eid t dst_eid with
-  | None ->
-      record_drop t ~packet ~node:from_node Netsim.Drop.No_such_eid
-  | Some (_domain, host_node) ->
+  | -1 -> record_drop t ~packet ~node:from_node Netsim.Drop.No_such_eid
+  | host_node ->
       wire t ~src:from_node ~dst:host_node packet (fun () ->
-          match Hashtbl.find_opt t.receivers (Ipv4.addr_to_int dst_eid) with
+          match
+            Int_table.find_or t.receivers (Ipv4.addr_to_int dst_eid)
+              ~default:None
+          with
           | Some receiver ->
               t.counters.delivered <- t.counters.delivered + 1;
               t.counters.delivered_bytes <-
@@ -247,35 +249,41 @@ let deliver_via t router packet ~extra_delay =
 (* Tunnel [packet] from ITR [router] using the given outer header. *)
 let tunnel t router packet ~outer_src ~outer_dst =
   let router_node = router.border.Topology.Domain.router in
-  match router_of_rloc t outer_dst with
+  match Topology.Builder.border_of_rloc t.internet outer_dst with
   | None ->
       record_drop t ~packet ~node:router_node Netsim.Drop.No_such_rloc
-  | Some remote
-    when not (Topology.Link.is_up remote.border.Topology.Domain.uplink) ->
-      (* The RLOC's access link is down: inter-domain routing has no
-         path to this locator. *)
-      record_drop t ~packet ~node:router_node
-        Netsim.Drop.Rloc_unreachable
-  | Some remote ->
-      let encapsulated = Packet.encapsulate packet ~outer_src ~outer_dst in
-      t.counters.encapsulated <- t.counters.encapsulated + 1;
-      if Obs.Hub.enabled t.obs then
-        Obs.Hub.emit t.obs
-          ~actor:(router.router_domain.Topology.Domain.name ^ "-itr")
-          ~flow:(Obs.Event.flow_id packet.Packet.flow)
-          (Obs.Event.Encap { outer_src; outer_dst });
-      wire t ~src:router.border.Topology.Domain.router
-        ~dst:remote.border.Topology.Domain.router encapsulated (fun () ->
-          etr_receive t remote encapsulated)
+  | Some (domain, i) ->
+      let remote = t.routers.(domain.Topology.Domain.id).(i) in
+      if not (Topology.Link.is_up remote.border.Topology.Domain.uplink) then
+        (* The RLOC's access link is down: inter-domain routing has no
+           path to this locator. *)
+        record_drop t ~packet ~node:router_node Netsim.Drop.Rloc_unreachable
+      else begin
+        let encapsulated = Packet.encapsulate packet ~outer_src ~outer_dst in
+        t.counters.encapsulated <- t.counters.encapsulated + 1;
+        if Obs.Hub.enabled t.obs then
+          Obs.Hub.emit t.obs
+            ~actor:(router.router_domain.Topology.Domain.name ^ "-itr")
+            ~flow:(Obs.Event.flow_id packet.Packet.flow)
+            (Obs.Event.Encap { outer_src; outer_dst });
+        wire t ~src:router_node ~dst:remote.border.Topology.Domain.router
+          encapsulated (fun () -> etr_receive t remote encapsulated)
+      end
 
 (* Mapping lookup at an ITR: per-flow entry first (PCE tuples, which may
-   impose a foreign source RLOC), then the LISP map-cache. *)
-let lookup_outer t router ~now flow =
+   impose a foreign source RLOC), then the LISP map-cache.  On a hit the
+   packet is tunnelled and the result is [true]; a miss tunnels
+   nothing. *)
+let tunnel_if_mapped t router ~now packet =
+  let flow = packet.Packet.flow in
   match
     Flow_table.lookup router.flows ~now ~src_eid:flow.Flow.src
       ~dst_eid:flow.Flow.dst
   with
-  | Some entry -> Some (entry.Mapping.src_rloc, entry.Mapping.dst_rloc)
+  | Some entry ->
+      tunnel t router packet ~outer_src:entry.Mapping.src_rloc
+        ~outer_dst:entry.Mapping.dst_rloc;
+      true
   | None -> (
       match Map_cache.lookup router.cache ~now flow.Flow.dst with
       | Some mapping ->
@@ -285,36 +293,34 @@ let lookup_outer t router ~now flow =
               ~flow:(Obs.Event.flow_id flow)
               (Obs.Event.Cache_hit { eid = flow.Flow.dst });
           let r = Mapping.select_rloc mapping ~hash:(Flow.hash flow) in
-          Some (router.border.Topology.Domain.rloc, r.Mapping.rloc_addr)
+          tunnel t router packet ~outer_src:router.border.Topology.Domain.rloc
+            ~outer_dst:r.Mapping.rloc_addr;
+          true
       | None ->
           if Obs.Hub.enabled t.obs then
             Obs.Hub.emit t.obs
               ~actor:(router.router_domain.Topology.Domain.name ^ "-itr")
               ~flow:(Obs.Event.flow_id flow)
               (Obs.Event.Cache_miss { eid = flow.Flow.dst });
-          None)
+          false)
 
 let itr_process t router packet =
   let now = Netsim.Engine.now t.engine in
-  match lookup_outer t router ~now packet.Packet.flow with
-  | Some (outer_src, outer_dst) -> tunnel t router packet ~outer_src ~outer_dst
-  | None -> (
-      Netsim.Prof.enter ph_map;
-      let decision = t.control_plane.cp_handle_miss router packet in
-      Netsim.Prof.leave ph_map;
-      match decision with
-      | Miss_drop cause ->
-          record_drop t ~packet
-            ~node:router.border.Topology.Domain.router cause
-      | Miss_hold -> t.counters.held <- t.counters.held + 1)
+  if not (tunnel_if_mapped t router ~now packet) then begin
+    Netsim.Prof.enter ph_map;
+    let decision = t.control_plane.cp_handle_miss router packet in
+    Netsim.Prof.leave ph_map;
+    match decision with
+    | Miss_drop cause ->
+        record_drop t ~packet ~node:router.border.Topology.Domain.router cause
+    | Miss_hold -> t.counters.held <- t.counters.held + 1
+  end
 
 let transmit_from_itr t router packet =
   let now = Netsim.Engine.now t.engine in
-  match lookup_outer t router ~now packet.Packet.flow with
-  | Some (outer_src, outer_dst) -> tunnel t router packet ~outer_src ~outer_dst
-  | None ->
-      record_drop t ~packet ~node:router.border.Topology.Domain.router
-        Netsim.Drop.Post_resolution_miss
+  if not (tunnel_if_mapped t router ~now packet) then
+    record_drop t ~packet ~node:router.border.Topology.Domain.router
+      Netsim.Drop.Post_resolution_miss
 
 let send_from_host t packet =
   let flow = packet.Packet.flow in
@@ -322,12 +328,10 @@ let send_from_host t packet =
   | None -> invalid_arg "Dataplane.send_from_host: unknown source EID"
   | Some src_domain ->
       t.counters.sent <- t.counters.sent + 1;
-      let src_node =
-        match Topology.Domain.host_of_eid src_domain flow.Flow.src with
-        | Some i -> src_domain.Topology.Domain.hosts.(i)
-        | None ->
-            invalid_arg "Dataplane.send_from_host: source EID is not a host"
-      in
+      let src_host = Topology.Domain.host_index src_domain flow.Flow.src in
+      if src_host < 0 then
+        invalid_arg "Dataplane.send_from_host: source EID is not a host";
+      let src_node = src_domain.Topology.Domain.hosts.(src_host) in
       (match Topology.Graph.telemetry (graph t) with
       | Some tm ->
           Netsim.Telemetry.touch tm ~now:(Netsim.Engine.now t.engine);

@@ -17,7 +17,9 @@ val install : t -> now:float -> Nettypes.Mapping.flow_entry -> unit
 val lookup :
   t -> now:float -> src_eid:Nettypes.Ipv4.addr -> dst_eid:Nettypes.Ipv4.addr ->
   Nettypes.Mapping.flow_entry option
-(** Exact match on the EID pair; expired entries are absent. *)
+(** Exact match on the EID pair; expired entries are absent.  A hit
+    returns the option made when the entry was installed, so lookups
+    allocate nothing. *)
 
 val length : t -> now:float -> int
 (** Number of live entries at [now].  Expired slots encountered during

@@ -116,7 +116,7 @@ let choose_egress t ~src_domain flow =
 let authoritative_router t mapping =
   let rloc = Registry.authoritative_rloc mapping in
   match Topology.Builder.border_of_rloc t.internet rloc with
-  | Some (_, border) -> border
+  | Some (domain, i) -> domain.Topology.Domain.borders.(i)
   | None -> invalid_arg "Pull: registry RLOC has no border router"
 
 let cancel_timer t resolution =
@@ -156,6 +156,11 @@ let complete t resolution router =
   resolution.queued_len <- 0;
   List.iter (Lispdp.Dataplane.transmit_from_itr dp router) queued
 
+(* The requesting ITR as an event actor, built only for an enabled
+   hub. *)
+let itr_actor router =
+  (router.Lispdp.Dataplane.router_domain).Topology.Domain.name ^ "-itr"
+
 (* One transmission of the map-request (initial or retransmitted).  The
    path latency is recomputed per attempt so a retransmission succeeds
    once a partition heals; the fault model is consulted for both the
@@ -179,11 +184,8 @@ let rec send_attempt t resolution router dst_domain mapping ~flow () =
   t.stats.Cp_stats.map_requests <- t.stats.Cp_stats.map_requests + 1;
   t.stats.Cp_stats.control_bytes <-
     t.stats.Cp_stats.control_bytes + Wire.Codec.size request;
-  let actor =
-    (router.Lispdp.Dataplane.router_domain).Topology.Domain.name ^ "-itr"
-  in
   if Obs.Hub.enabled t.obs then
-    Obs.Hub.emit t.obs ~actor ?flow
+    Obs.Hub.emit t.obs ~actor:(itr_actor router) ?flow
       (Obs.Event.Map_request { eid = request_eid });
   Alt.note_request t.alt ~src:src_id ~dst:dst_id;
   let total =
@@ -228,7 +230,7 @@ let rec send_attempt t resolution router dst_domain mapping ~flow () =
     | Some _ | None -> false
   in
   if server_down && Obs.Hub.enabled t.obs then
-    Obs.Hub.emit t.obs ~actor ?flow
+    Obs.Hub.emit t.obs ~actor:(itr_actor router) ?flow
       (Obs.Event.Cp_loss { message = "map-server-down" });
   let lost =
     if server_down then true
@@ -238,7 +240,7 @@ let rec send_attempt t resolution router dst_domain mapping ~flow () =
         if Netsim.Faults.drops_message faults ~now ~src:src_id ~dst:dst_id
         then begin
           if Obs.Hub.enabled t.obs then
-            Obs.Hub.emit t.obs ~actor ?flow
+            Obs.Hub.emit t.obs ~actor:(itr_actor router) ?flow
               (Obs.Event.Cp_loss { message = "map-request" });
           true
         end
@@ -246,7 +248,7 @@ let rec send_attempt t resolution router dst_domain mapping ~flow () =
           Netsim.Faults.drops_message faults ~now ~src:dst_id ~dst:src_id
         then begin
           if Obs.Hub.enabled t.obs then
-            Obs.Hub.emit t.obs ~actor ?flow
+            Obs.Hub.emit t.obs ~actor:(itr_actor router) ?flow
               (Obs.Event.Cp_loss { message = "map-reply" });
           true
         end
@@ -275,7 +277,7 @@ let rec send_attempt t resolution router dst_domain mapping ~flow () =
                  && not t.auth.signatures
                in
                if Obs.Hub.enabled t.obs then
-                 Obs.Hub.emit t.obs ~actor ?flow
+                 Obs.Hub.emit t.obs ~actor:(itr_actor router) ?flow
                    (Obs.Event.Spoofed_reply { eid = request_eid; accepted });
                if accepted then begin
                  t.stats.Cp_stats.spoofed_accepted <-
@@ -305,7 +307,7 @@ let rec send_attempt t resolution router dst_domain mapping ~flow () =
              (Netsim.Prof.wrap ph_map (fun () ->
                let accepted = not t.auth.nonce_check in
                if Obs.Hub.enabled t.obs then
-                 Obs.Hub.emit t.obs ~actor ?flow
+                 Obs.Hub.emit t.obs ~actor:(itr_actor router) ?flow
                    (Obs.Event.Replayed_reply { eid = request_eid; accepted });
                if accepted then begin
                  t.stats.Cp_stats.replayed_accepted <-
@@ -340,7 +342,7 @@ let rec send_attempt t resolution router dst_domain mapping ~flow () =
              + Wire.Codec.size (Wire.Codec.Map_reply { nonce; mapping })
              + (if t.auth.signatures then Wire.Auth.signature_bytes else 0);
            if Obs.Hub.enabled t.obs then
-             Obs.Hub.emit t.obs ~actor ?flow
+             Obs.Hub.emit t.obs ~actor:(itr_actor router) ?flow
                (Obs.Event.Map_reply { eid = request_eid });
            Lispdp.Dataplane.install_mapping dp router mapping;
            match Hashtbl.find_opt t.pending resolution.key with
@@ -368,7 +370,7 @@ let rec send_attempt t resolution router dst_domain mapping ~flow () =
                  if resolution.attempts > retry.Netsim.Faults.budget then begin
                    t.stats.Cp_stats.timeouts <- t.stats.Cp_stats.timeouts + 1;
                    if Obs.Hub.enabled t.obs then
-                     Obs.Hub.emit t.obs ~actor ?flow
+                     Obs.Hub.emit t.obs ~actor:(itr_actor router) ?flow
                        (Obs.Event.Cp_timeout
                           { eid = request_eid; message = "map-request" });
                    abandon t resolution ~cause:Netsim.Drop.Resolution_timeout
@@ -377,7 +379,7 @@ let rec send_attempt t resolution router dst_domain mapping ~flow () =
                    t.stats.Cp_stats.retransmissions <-
                      t.stats.Cp_stats.retransmissions + 1;
                    if Obs.Hub.enabled t.obs then
-                     Obs.Hub.emit t.obs ~actor ?flow
+                     Obs.Hub.emit t.obs ~actor:(itr_actor router) ?flow
                        (Obs.Event.Cp_retry
                           { eid = request_eid; attempt = resolution.attempts;
                             message = "map-request" });

@@ -1,25 +1,37 @@
-type t = { mutable state : int64 }
+(* The state is one int64 kept unboxed in an 8-byte buffer: a draw
+   reads it, steps it and mixes it as raw 64-bit values, and only
+   [int64] (whose result is an [int64]) and [float] (a [float]) box
+   their result.  A [mutable state : int64] field would box every new
+   state, and an out-of-line mix would box its argument and result. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix64 z0 =
+let[@inline always] mix64 z0 =
   let z1 = Int64.(mul (logxor z0 (shift_right_logical z0 30)) 0xBF58476D1CE4E5B9L) in
   let z2 = Int64.(mul (logxor z1 (shift_right_logical z1 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z2 (shift_right_logical z2 31))
 
-let create seed = { state = mix64 (Int64.of_int seed) }
-let copy t = { state = t.state }
+(* Advance the state and return the next raw output. *)
+let[@inline always] next t =
+  let s = Int64.add (Bytes.get_int64_le t 0) golden_gamma in
+  Bytes.set_int64_le t 0 s;
+  mix64 s
 
-let int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_le t 0 s;
+  t
 
-let split t = { state = mix64 (int64 t) }
+let create seed = of_state (mix64 (Int64.of_int seed))
+let copy = Bytes.copy
+let int64 t = next t
+let split t = of_state (mix64 (next t))
 
-let float t =
+let[@inline] float t =
   (* 53 significant bits, uniform in [0, 1). *)
-  let bits = Int64.shift_right_logical (int64 t) 11 in
-  Int64.to_float bits *. (1.0 /. 9007199254740992.0)
+  Int64.to_float (Int64.shift_right_logical (next t) 11)
+  *. (1.0 /. 9007199254740992.0)
 
 let uniform t ~lo ~hi =
   assert (lo <= hi);
@@ -29,19 +41,20 @@ let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   (* Rejection sampling on 63-bit draws to avoid modulo bias: accept
      raw <= limit where limit + 1 is the largest multiple of [bound]
-     not exceeding 2^63. *)
+     not exceeding 2^63.  A loop, not a local recursive function, so
+     that no closure captures the boxed bounds. *)
   let bound64 = Int64.of_int bound in
   let rem =
     Int64.rem (Int64.add (Int64.rem Int64.max_int bound64) 1L) bound64
   in
   let limit = Int64.sub Int64.max_int rem in
-  let rec draw () =
-    let raw = Int64.shift_right_logical (int64 t) 1 in
-    if raw > limit then draw () else Int64.to_int (Int64.rem raw bound64)
-  in
-  draw ()
+  let raw = ref (Int64.shift_right_logical (next t) 1) in
+  while Int64.compare !raw limit > 0 do
+    raw := Int64.shift_right_logical (next t) 1
+  done;
+  Int64.to_int (Int64.rem !raw bound64)
 
-let bool t = Int64.logand (int64 t) 1L = 1L
+let bool t = Int64.logand (next t) 1L = 1L
 let bernoulli t ~p = float t < p
 
 let exponential t ~mean =

@@ -34,11 +34,20 @@ let create ~src ~dst ?(src_port = 0) ?(dst_port = 80) ?(proto = Tcp) () =
 
 let equal a b = compare a b = 0
 
+(* FNV-style fold over the five fields, in field order, written out so
+   that no list of them is built. *)
+let[@inline] mix acc x = (acc * 0x01000193) lxor x land max_int
+
+let hash_fields ~src ~dst ~src_port ~dst_port proto =
+  let acc = mix 0x811C9DC5 (Ipv4.addr_to_int src) in
+  let acc = mix acc (Ipv4.addr_to_int dst) in
+  let acc = mix acc src_port in
+  let acc = mix acc dst_port in
+  mix acc (match proto with Tcp -> 6 | Udp -> 17)
+
 let hash t =
-  let mix acc x = (acc * 0x01000193) lxor x land max_int in
-  List.fold_left mix 0x811C9DC5
-    [ Ipv4.addr_to_int t.src; Ipv4.addr_to_int t.dst; t.src_port; t.dst_port;
-      (match t.proto with Tcp -> 6 | Udp -> 17) ]
+  hash_fields ~src:t.src ~dst:t.dst ~src_port:t.src_port ~dst_port:t.dst_port
+    t.proto
 
 let reverse t =
   { src = t.dst; dst = t.src; src_port = t.dst_port; dst_port = t.src_port;
@@ -48,5 +57,4 @@ let pp ppf t =
   Format.fprintf ppf "%a:%d -> %a:%d/%a" Ipv4.pp_addr t.src t.src_port
     Ipv4.pp_addr t.dst t.dst_port pp_proto t.proto
 
-module Map = Map.Make (T)
 module Set = Set.Make (T)

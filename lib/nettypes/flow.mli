@@ -22,10 +22,14 @@ val create :
 val equal : t -> t -> bool
 val compare : t -> t -> int
 val hash : t -> int
+
+val hash_fields :
+  src:Ipv4.addr -> dst:Ipv4.addr -> src_port:int -> dst_port:int -> proto -> int
+(** [hash] of the flow with these fields, without building the record. *)
+
 val reverse : t -> t
 (** The same connection seen from the responder's side. *)
 
 val pp : Format.formatter -> t -> unit
 
-module Map : Map.S with type key = t
 module Set : Set.S with type elt = t

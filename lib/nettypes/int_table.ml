@@ -50,6 +50,10 @@ let find t key =
   if Array.unsafe_get t.keys s = key then Some (Array.unsafe_get t.vals s)
   else None
 
+let find_or t key ~default =
+  let s = probe t key in
+  if Array.unsafe_get t.keys s = key then Array.unsafe_get t.vals s else default
+
 let mem t key = Array.unsafe_get t.keys (probe t key) = key
 
 let grow t =

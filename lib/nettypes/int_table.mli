@@ -19,6 +19,11 @@ val create : dummy:'a -> unit -> 'a t
     lookups. *)
 
 val find : 'a t -> int -> 'a option
+
+val find_or : 'a t -> int -> default:'a -> 'a
+(** The key's binding, or [default] when it has none: a lookup that
+    allocates no option. *)
+
 val mem : 'a t -> int -> bool
 
 val add : 'a t -> int -> 'a -> unit

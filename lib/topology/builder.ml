@@ -6,12 +6,21 @@ type provider = {
   provider_name : string;
 }
 
+(* Identity resolution, filled once by [build].  Every [Some] a lookup
+   returns is stored here, so no lookup allocates. *)
+type index = {
+  eid_domains : Domain.t option array; (* [Some domain], by domain id *)
+  rlocs : (Domain.t * int) option Int_table.t;
+      (* RLOC -> [Some (domain, border index)], one binding per border *)
+}
+
 type t = {
   graph : Graph.t;
   providers : provider array;
   domains : Domain.t array;
   root_dns : Node.id;
   tld_dns : Node.id;
+  index : index;
 }
 
 type core_shape = Full_mesh | Two_tier of int
@@ -36,17 +45,24 @@ let default_params =
     internal_latency = 0.001; access_capacity_bps = 1e9;
     core_capacity_bps = 100e9 }
 
-let provider_prefix index = Ipv4.prefix_of_string (Printf.sprintf "%d.0.0.0/8" (10 + index))
+(* Provider [i] owns (10 + i).0.0.0/8. *)
+let provider_prefix index = Ipv4.prefix (Ipv4.addr_of_int ((10 + index) lsl 24)) 8
+
+(* The EID plan: domain [i] owns 100.(i / 256).(i mod 256).0/24, so an
+   address in 100.0.0.0/8 names its domain by its middle 16 bits, and
+   the plan ends at 100.255.255.0/24. *)
+let eid_plan_base = 100 lsl 16 (* the plan's first /24, as [addr lsr 8] *)
+let eid_plan_size = 0x10000
 
 let domain_eid_prefix index =
-  Ipv4.prefix_of_string (Printf.sprintf "100.%d.%d.0/24" (index / 256) (index mod 256))
+  Ipv4.prefix (Ipv4.addr_of_int ((eid_plan_base + index) lsl 8)) 24
 
 (* Mutable RLOC allocation cursor per provider, used only while building. *)
 type alloc = { mutable next : int }
 
 let make_domain graph ~params ~index ~provider_choices ~providers ~allocs
     ~access_latency_of =
-  let name = Printf.sprintf "as%d" index in
+  let name = "as" ^ string_of_int index in
   let hub = Graph.add_node graph ~kind:Node.Hub ~label:(name ^ "-hub") in
   let dns = Graph.add_node graph ~kind:Node.Dns_server ~label:(name ^ "-dns") in
   let pce = Graph.add_node graph ~kind:Node.Pce ~label:(name ^ "-pce") in
@@ -62,7 +78,7 @@ let make_domain graph ~params ~index ~provider_choices ~providers ~allocs
     Array.init params.hosts_per_domain (fun i ->
         let h =
           Graph.add_node graph ~kind:Node.Host
-            ~label:(Printf.sprintf "%s-h%d" name i)
+            ~label:(name ^ "-h" ^ string_of_int i)
         in
         ignore
           (Graph.connect graph h hub ~latency:params.internal_latency
@@ -74,7 +90,7 @@ let make_domain graph ~params ~index ~provider_choices ~providers ~allocs
       (fun i provider_index ->
         let router =
           Graph.add_node graph ~kind:Node.Border_router
-            ~label:(Printf.sprintf "%s-br%d" name i)
+            ~label:(name ^ "-br" ^ string_of_int i)
         in
         ignore
           (Graph.connect graph router hub ~latency:params.internal_latency
@@ -100,13 +116,17 @@ let build ~params ~core_latency_of ~access_latency_of ~choose_providers =
   if params.hosts_per_domain <= 0 || params.hosts_per_domain > 254 then
     invalid_arg "Builder: hosts_per_domain out of [1, 254]";
   if params.domain_count <= 0 then invalid_arg "Builder: no domains";
+  if params.domain_count > eid_plan_size then
+    invalid_arg "Builder: domain_count past the 100.255.255.0/24 EID plan";
   let graph = Graph.create () in
   let providers =
     Array.init params.provider_count (fun i ->
-        let provider_name = Printf.sprintf "P%c" (Char.chr (Char.code 'A' + (i mod 26))) in
+        let provider_name =
+          "P" ^ String.make 1 (Char.chr (Char.code 'A' + (i mod 26)))
+        in
         let core =
           Graph.add_node graph ~kind:Node.Provider_core
-            ~label:(Printf.sprintf "%s-core" provider_name)
+            ~label:(provider_name ^ "-core")
         in
         { core; prefix = provider_prefix i; provider_name })
   in
@@ -167,7 +187,15 @@ let build ~params ~core_latency_of ~access_latency_of ~choose_providers =
           ~provider_choices:(choose_providers index)
           ~providers ~allocs ~access_latency_of)
   in
-  { graph; providers; domains; root_dns; tld_dns }
+  let rlocs = Int_table.create ~dummy:None () in
+  Array.iter
+    (fun d ->
+      Array.iteri
+        (fun i b -> Int_table.add rlocs (Ipv4.addr_to_int b.Domain.rloc) (Some (d, i)))
+        d.Domain.borders)
+    domains;
+  { graph; providers; domains; root_dns; tld_dns;
+    index = { eid_domains = Array.map Option.some domains; rlocs } }
 
 let generate rng params =
   let borders = Stdlib.max 1 (Stdlib.min params.borders_per_domain params.provider_count) in
@@ -214,20 +242,18 @@ let figure1 ?(scale = 1.0) () =
   in
   build ~params ~core_latency_of ~access_latency_of ~choose_providers
 
+(* O(1) and allocation-free: the plan names the candidate domain, whose
+   prefix then confirms the address. *)
 let domain_of_eid t addr =
-  Array.find_opt (fun d -> Domain.owns_eid d addr) t.domains
-
-let domain_of_name t name =
-  Array.find_opt (fun d -> d.Domain.name = name || Domain.fqdn d = name) t.domains
+  let i = (Ipv4.addr_to_int addr lsr 8) - eid_plan_base in
+  let domains = t.index.eid_domains in
+  if i < 0 || i >= Array.length domains then None
+  else
+    match Array.unsafe_get domains i with
+    | Some d as found when Domain.owns_eid d addr -> found
+    | Some _ | None -> None
 
 let border_of_rloc t rloc =
-  let rec scan i =
-    if i >= Array.length t.domains then None
-    else
-      match Domain.border_of_rloc t.domains.(i) rloc with
-      | Some border -> Some (t.domains.(i), border)
-      | None -> scan (i + 1)
-  in
-  scan 0
+  Int_table.find_or t.index.rlocs (Ipv4.addr_to_int rloc) ~default:None
 
 let latency t a b = Graph.latency_between t.graph a b

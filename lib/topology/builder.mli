@@ -12,12 +12,17 @@ type provider = {
   provider_name : string;
 }
 
+type index
+(** The identity index behind {!domain_of_eid} and {!border_of_rloc},
+    built with the internet. *)
+
 type t = {
   graph : Graph.t;
   providers : provider array;
-  domains : Domain.t array;
+  domains : Domain.t array;  (** indexed by {!Domain.t.id} *)
   root_dns : Node.id;  (** DNS root server *)
   tld_dns : Node.id;  (** server authoritative for [net.] *)
+  index : index;
 }
 
 type core_shape =
@@ -30,6 +35,8 @@ type core_shape =
 
 type params = {
   domain_count : int;
+      (** at most 65 536: domain [i] owns the EID prefix
+          100.(i / 256).(i mod 256).0/24 *)
   provider_count : int;  (** at most 100 *)
   borders_per_domain : int;  (** clamped to [provider_count] *)
   hosts_per_domain : int;  (** at most 254 *)
@@ -58,11 +65,13 @@ val figure1 : ?scale:float -> unit -> t
     sweep of experiment F7. *)
 
 val domain_of_eid : t -> Nettypes.Ipv4.addr -> Domain.t option
-val domain_of_name : t -> string -> Domain.t option
-(** Lookup by DNS label (e.g. ["as3"]) or FQDN (["as3.net."]). *)
+(** The domain whose EID prefix holds the address.  O(1) and
+    allocation-free: the address's middle 16 bits name the one
+    candidate of the EID plan, whose prefix confirms it. *)
 
-val border_of_rloc : t -> Nettypes.Ipv4.addr -> (Domain.t * Domain.border) option
-(** Resolve any RLOC in the internet to its border router. *)
+val border_of_rloc : t -> Nettypes.Ipv4.addr -> (Domain.t * int) option
+(** The domain and border index of the border router that carries the
+    RLOC.  O(1) and allocation-free: one hash-table probe. *)
 
 val latency : t -> Node.id -> Node.id -> float
 (** Shortest-path latency between any two nodes. *)

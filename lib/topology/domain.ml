@@ -29,20 +29,16 @@ let host_eid t i =
 
 let owns_eid t addr = Ipv4.prefix_mem t.eid_prefix addr
 
-let host_of_eid t addr =
-  if not (owns_eid t addr) then None
-  else begin
-    let offset =
-      Ipv4.addr_to_int addr - Ipv4.addr_to_int (Ipv4.prefix_network t.eid_prefix)
+let host_index t addr =
+  if not (owns_eid t addr) then -1
+  else
+    let i =
+      Ipv4.addr_to_int addr
+      - Ipv4.addr_to_int (Ipv4.prefix_network t.eid_prefix)
+      - 1
     in
-    let i = offset - 1 in
-    if i >= 0 && i < Array.length t.hosts then Some i else None
-  end
+    if i >= 0 && i < Array.length t.hosts then i else -1
 
-let border_of_rloc t rloc =
-  Array.find_opt (fun b -> Ipv4.addr_equal b.rloc rloc) t.borders
-
-let border_of_router t router = Array.find_opt (fun b -> b.router = router) t.borders
 let rlocs t = Array.to_list (Array.map (fun b -> b.rloc) t.borders)
 
 let advertised_mapping t ~ttl =
@@ -67,4 +63,4 @@ let advertised_mapping t ~ttl =
   Mapping.create ~eid_prefix:t.eid_prefix ~rlocs:rloc_records ~ttl
 
 let fqdn t = t.name ^ ".net."
-let host_name t i = Printf.sprintf "h%d.%s" i (fqdn t)
+let host_name t i = "h" ^ string_of_int i ^ "." ^ fqdn t

@@ -30,13 +30,12 @@ val host_eid : t -> int -> Nettypes.Ipv4.addr
 (** EID of the [i]-th host (offset [i + 1] inside the EID prefix, leaving
     the network address unused). *)
 
-val host_of_eid : t -> Nettypes.Ipv4.addr -> int option
-(** Inverse of {!host_eid} for addresses inside this domain. *)
+val host_index : t -> Nettypes.Ipv4.addr -> int
+(** Inverse of {!host_eid}: the host's index, or [-1] for an address
+    that is not a host EID of this domain.  Arithmetic, and it
+    allocates nothing. *)
 
 val owns_eid : t -> Nettypes.Ipv4.addr -> bool
-
-val border_of_rloc : t -> Nettypes.Ipv4.addr -> border option
-val border_of_router : t -> Node.id -> border option
 
 val rlocs : t -> Nettypes.Ipv4.addr list
 (** All border RLOCs, in border order. *)

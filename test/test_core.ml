@@ -522,6 +522,48 @@ let test_pce_ingress_sticky_per_peer () =
   let again = Pce.ingress_rloc_for_eid pce ~eid ~peer:peer_a () in
   Alcotest.(check bool) "sticky per (eid, peer)" true (Ipv4.addr_equal first again)
 
+(* The per-packet egress choice of a warm flow allocates nothing: after
+   one call per pair has made its sticky assignment, 10 000 calls
+   through the data plane's control-plane record take 0 minor words
+   (the disabled hub's standard in test_obs). *)
+let test_pce_warm_egress_allocation () =
+  let s =
+    Scenario.build
+      { (pce_config ()) with
+        Scenario.topology =
+          `Random
+            { Topology.Builder.default_params with
+              Topology.Builder.domain_count = 8 } }
+  in
+  let domains = Array.to_list (Scenario.internet s).Topology.Builder.domains in
+  let cp = Lispdp.Dataplane.control_plane (Scenario.dataplane s) in
+  (* Every local host toward host 0 of every domain. *)
+  let calls =
+    Array.of_list
+      (List.concat_map
+         (fun src_domain ->
+           List.concat_map
+             (fun dst_domain ->
+               List.init (Array.length src_domain.Topology.Domain.hosts) (fun h ->
+                   ( src_domain,
+                     Flow.create
+                       ~src:(Topology.Domain.host_eid src_domain h)
+                       ~dst:(Topology.Domain.host_eid dst_domain 0)
+                       () )))
+             domains)
+         domains)
+  in
+  let choose (src_domain, flow) =
+    Sys.opaque_identity (cp.Lispdp.Dataplane.cp_choose_egress ~src_domain flow)
+  in
+  Array.iter (fun c -> ignore (choose c)) calls;
+  let w0 = Gc.minor_words () in
+  for i = 0 to 9_999 do
+    ignore (choose calls.(i mod Array.length calls))
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check (float 0.0)) "minor words of 10 000 warm choices" 0.0 words
+
 (* ------------------------------------------------------------------ *)
 (* Scenario files                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -872,6 +914,8 @@ let () =
           Alcotest.test_case "entry database" `Quick test_pce_entry_database;
           Alcotest.test_case "advertisements" `Quick test_pce_advertisements;
           Alcotest.test_case "ingress sticky" `Quick test_pce_ingress_sticky_per_peer;
+          Alcotest.test_case "warm egress allocation" `Quick
+            test_pce_warm_egress_allocation;
         ] );
       ( "scenario-file",
         [

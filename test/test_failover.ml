@@ -110,13 +110,11 @@ let test_selector_avoids_dead_uplink () =
   let b0 = as_s.Topology.Domain.borders.(0) in
   Topology.Graph.set_link_up net.Topology.Builder.graph
     b0.Topology.Domain.uplink false;
-  for port = 1 to 10 do
-    let flow =
-      Flow.create
-        ~src:(Topology.Domain.host_eid as_s 0)
-        ~dst:(Ipv4.addr_of_string "100.0.9.1") ~src_port:port ()
+  for i = 1 to 10 do
+    let chosen =
+      Irc.Selector.choose_egress sel ~src:(Topology.Domain.host_eid as_s 0)
+        ~dst:(Ipv4.addr_of_string (Printf.sprintf "100.0.9.%d" i)) ()
     in
-    let chosen = Irc.Selector.choose_egress sel ~flow () in
     Alcotest.(check int) "never the dead border"
       as_s.Topology.Domain.borders.(1).Topology.Domain.router
       chosen.Topology.Domain.router
@@ -129,21 +127,22 @@ let test_selector_sticky_voided_by_failure () =
     Irc.Selector.create ~domain:as_s ~graph:net.Topology.Builder.graph
       ~policy:Irc.Policy.Flow_hash
   in
-  let flow =
-    Flow.create
-      ~src:(Topology.Domain.host_eid as_s 0)
-      ~dst:(Ipv4.addr_of_string "100.0.9.1") ~src_port:3 ()
-  in
-  let first = Irc.Selector.choose_egress sel ~flow () in
+  let src = Topology.Domain.host_eid as_s 0 in
+  let dst = Ipv4.addr_of_string "100.0.9.1" in
+  let first = Irc.Selector.choose_egress sel ~src ~dst () in
   (* Kill whatever it picked; the sticky assignment must be replaced. *)
   let border =
-    match Topology.Domain.border_of_router as_s first.Topology.Domain.router with
+    match
+      Array.find_opt
+        (fun b -> b.Topology.Domain.router = first.Topology.Domain.router)
+        as_s.Topology.Domain.borders
+    with
     | Some b -> b
     | None -> Alcotest.fail "selector returned a foreign border"
   in
   Topology.Graph.set_link_up net.Topology.Builder.graph
     border.Topology.Domain.uplink false;
-  let second = Irc.Selector.choose_egress sel ~flow () in
+  let second = Irc.Selector.choose_egress sel ~src ~dst () in
   Alcotest.(check bool) "moved off the dead uplink" true
     (second.Topology.Domain.router <> first.Topology.Domain.router)
 

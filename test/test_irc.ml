@@ -9,11 +9,14 @@ let selector ?(policy = Policy.Min_load) net domain_index =
   let domain = net.Topology.Builder.domains.(domain_index) in
   (domain, Selector.create ~domain ~graph:net.Topology.Builder.graph ~policy)
 
-let flow_for domain i =
-  Nettypes.Flow.create
-    ~src:(Topology.Domain.host_eid domain 0)
-    ~dst:(Nettypes.Ipv4.addr_of_string "100.0.99.1")
-    ~src_port:i ()
+(* The [i]-th (src, dst) pair: one local host toward distinct remote
+   EIDs (the selector keys its assignments by the pair). *)
+let pair_for domain i =
+  ( Topology.Domain.host_eid domain 0,
+    Nettypes.Ipv4.addr_of_int
+      (Nettypes.Ipv4.addr_to_int (Nettypes.Ipv4.addr_of_string "100.0.99.0") + i) )
+
+let egress ?remote sel (src, dst) = Selector.choose_egress sel ~src ~dst ?remote ()
 
 (* Send [bytes] outbound on a border's uplink. *)
 let load_uplink border ~bytes =
@@ -91,7 +94,7 @@ let test_min_load_avoids_hot_uplink () =
   Selector.observe sel ~now:0.0;
   load_uplink b0 ~bytes:50_000_000;
   Selector.observe sel ~now:1.0;
-  let chosen = Selector.choose_egress sel ~flow:(flow_for domain 1) () in
+  let chosen = egress sel (pair_for domain 1) in
   Alcotest.(check int) "picks the idle border"
     domain.Topology.Domain.borders.(1).Topology.Domain.router
     chosen.Topology.Domain.router
@@ -99,16 +102,16 @@ let test_min_load_avoids_hot_uplink () =
 let test_selection_sticky () =
   let net = fig1 () in
   let domain, sel = selector net 0 in
-  let flow = flow_for domain 7 in
-  let first = Selector.choose_egress sel ~flow () in
+  let pair = pair_for domain 7 in
+  let first = egress sel pair in
   (* Heat up the chosen uplink; without rebalance the flow must stay. *)
   Selector.observe sel ~now:0.0;
   load_uplink first ~bytes:50_000_000;
   Selector.observe sel ~now:1.0;
-  let second = Selector.choose_egress sel ~flow () in
+  let second = egress sel pair in
   Alcotest.(check int) "sticky despite load" first.Topology.Domain.router
     second.Topology.Domain.router;
-  match Selector.assignment sel Selector.Outbound flow with
+  match Selector.live_egress sel ~src:(fst pair) ~dst:(snd pair) with
   | Some b -> Alcotest.(check int) "assignment recorded" first.Topology.Domain.router b.Topology.Domain.router
   | None -> Alcotest.fail "no assignment"
 
@@ -117,7 +120,7 @@ let test_round_robin_cycles () =
   let domain, sel = selector ~policy:Policy.Round_robin net 0 in
   let picks =
     List.init 4 (fun i ->
-        (Selector.choose_egress sel ~flow:(flow_for domain i) ()).Topology.Domain.router)
+        (egress sel (pair_for domain i)).Topology.Domain.router)
   in
   let distinct = List.sort_uniq compare picks in
   Alcotest.(check int) "uses both borders" 2 (List.length distinct)
@@ -125,10 +128,10 @@ let test_round_robin_cycles () =
 let test_flow_hash_deterministic () =
   let net = fig1 () in
   let domain, sel = selector ~policy:Policy.Flow_hash net 0 in
-  let flow = flow_for domain 3 in
-  let a = Selector.choose_egress sel ~flow () in
-  Selector.forget_flow sel flow;
-  let b = Selector.choose_egress sel ~flow () in
+  let _, fresh = selector ~policy:Policy.Flow_hash net 0 in
+  let pair = pair_for domain 3 in
+  let a = egress sel pair in
+  let b = egress fresh pair in
   Alcotest.(check int) "same hash, same border" a.Topology.Domain.router
     b.Topology.Domain.router
 
@@ -141,9 +144,9 @@ let test_ingress_vs_egress_independent () =
   load_uplink domain.Topology.Domain.borders.(0) ~bytes:50_000_000;
   load_uplink_inbound domain.Topology.Domain.borders.(1) ~bytes:50_000_000;
   Selector.observe sel ~now:1.0;
-  let flow = flow_for domain 1 in
-  let egress = Selector.choose_egress sel ~flow () in
-  let ingress = Selector.choose_ingress sel ~flow in
+  let src, dst = pair_for domain 1 in
+  let egress = Selector.choose_egress sel ~src ~dst () in
+  let ingress = Selector.choose_ingress sel ~src ~dst in
   Alcotest.(check int) "egress avoids hot outbound"
     domain.Topology.Domain.borders.(1).Topology.Domain.router
     egress.Topology.Domain.router;
@@ -156,7 +159,7 @@ let test_min_latency_prefers_short_path () =
   let domain, sel = selector ~policy:Policy.Min_latency net 0 in
   let as_d = net.Topology.Builder.domains.(1) in
   let remote = as_d.Topology.Domain.borders.(0).Topology.Domain.router in
-  let chosen = Selector.choose_egress sel ~flow:(flow_for domain 1) ~remote () in
+  let chosen = egress ~remote sel (pair_for domain 1) in
   (* Verify against brute force. *)
   let best =
     Array.to_list domain.Topology.Domain.borders
@@ -177,7 +180,7 @@ let test_burst_spreads_over_uplinks () =
   let domain, sel = selector net 0 in
   let counts = Hashtbl.create 4 in
   for port = 1 to 10 do
-    let b = Selector.choose_egress sel ~flow:(flow_for domain port) () in
+    let b = egress sel (pair_for domain port) in
     Hashtbl.replace counts b.Topology.Domain.router
       (1 + Option.value ~default:0 (Hashtbl.find_opt counts b.Topology.Domain.router))
   done;
@@ -207,43 +210,80 @@ let test_load_estimate_foreign_border_rejected () =
 let loaded_selector ~bytes =
   let net = fig1 () in
   let domain, sel = selector net 0 in
-  let flow = flow_for domain 1 in
-  let first = Selector.choose_egress sel ~flow () in
+  let pair = pair_for domain 1 in
+  let first = egress sel pair in
   Selector.observe sel ~now:0.0;
   load_uplink first ~bytes;
   Selector.observe sel ~now:1.0;
-  (sel, flow, first, Selector.load_estimate sel Selector.Outbound first)
+  (sel, pair, first, Selector.load_estimate sel Selector.Outbound first)
 
 let test_rebalance_moves_flow () =
   (* A gap of 0.06, above the hysteresis. *)
-  let sel, flow, first, load = loaded_selector ~bytes:25_000_000 in
+  let sel, pair, first, load = loaded_selector ~bytes:25_000_000 in
   Alcotest.(check (float 1e-9)) "load gap" 0.06 load;
   Alcotest.(check int) "nothing moved yet" 0 (Selector.moved_flows sel);
   Selector.rebalance sel;
   Alcotest.(check int) "one move" 1 (Selector.moved_flows sel);
-  let second = Selector.choose_egress sel ~flow () in
+  let second = egress sel pair in
   Alcotest.(check bool) "flow moved away" true
     (second.Topology.Domain.router <> first.Topology.Domain.router)
 
 let test_rebalance_respects_hysteresis () =
   (* A gap of 0.04, below the hysteresis. *)
-  let sel, flow, first, load = loaded_selector ~bytes:(50_000_000 / 3) in
+  let sel, pair, first, load = loaded_selector ~bytes:(50_000_000 / 3) in
   Alcotest.(check (float 1e-6)) "load gap" 0.04 load;
   Selector.rebalance sel;
   Alcotest.(check int) "hysteresis blocks the move" 0
     (Selector.moved_flows sel);
-  let kept = Selector.choose_egress sel ~flow () in
+  let kept = egress sel pair in
   Alcotest.(check int) "flow kept its uplink" first.Topology.Domain.router
     kept.Topology.Domain.router
 
-let test_forget_flow () =
-  let net = fig1 () in
-  let domain, sel = selector net 0 in
-  let flow = flow_for domain 1 in
-  ignore (Selector.choose_egress sel ~flow ());
-  Selector.forget_flow sel flow;
-  Alcotest.(check bool) "assignment cleared" true
-    (Selector.assignment sel Selector.Outbound flow = None)
+(* Rebalance visits pairs in (src, dst) order — the order Flow.compare
+   gives their port-less flows — whatever order they were assigned in.
+   Every pair is assigned while border 1's uplink is down, so all sit
+   on border 0; then border 0 carries a 0.16 load estimate and border 1
+   none.  A move costs its target 0.02 (one more assignment since the
+   last observation) and must beat the 0.05 hysteresis, so exactly the
+   first six pairs visited move: 0.02 k + 0.05 < 0.16 for k = 0 .. 5
+   only.  The reference is the six smallest pairs under Flow.compare. *)
+let prop_rebalance_order =
+  QCheck.Test.make ~name:"rebalance moves pairs in Flow.compare order"
+    ~count:50
+    QCheck.(
+      list_of_size Gen.(int_range 8 40)
+        (pair (int_bound 0xFFFFFFFF) (int_bound 0xFFFFFFFF)))
+    (fun raw ->
+      let pairs = List.sort_uniq compare raw in
+      QCheck.assume (List.length pairs >= 8);
+      let net = fig1 () in
+      let domain, sel = selector net 0 in
+      let b0 = domain.Topology.Domain.borders.(0)
+      and b1 = domain.Topology.Domain.borders.(1) in
+      let graph = net.Topology.Builder.graph in
+      let addr = Nettypes.Ipv4.addr_of_int in
+      let on_border0 (src, dst) =
+        (egress sel (addr src, addr dst)).Topology.Domain.router
+        = b0.Topology.Domain.router
+      in
+      Topology.Graph.set_link_up graph b1.Topology.Domain.uplink false;
+      (* [raw] is the assignment order: random, with repeats. *)
+      List.iter (fun p -> assert (on_border0 p)) raw;
+      Topology.Graph.set_link_up graph b1.Topology.Domain.uplink true;
+      Selector.observe sel ~now:0.0;
+      load_uplink b0 ~bytes:66_666_667;
+      Selector.observe sel ~now:1.0;
+      Selector.rebalance sel;
+      let flow (src, dst) =
+        Nettypes.Flow.create ~src:(addr src) ~dst:(addr dst) ~src_port:0
+          ~dst_port:0 ()
+      in
+      let reference =
+        List.sort (fun a b -> Nettypes.Flow.compare (flow a) (flow b)) pairs
+        |> List.mapi (fun rank p -> (p, rank >= 6))
+      in
+      Selector.moved_flows sel = 6
+      && List.for_all (fun (p, stays) -> on_border0 p = stays) reference)
 
 let prop_selection_always_a_domain_border =
   QCheck.Test.make ~name:"selection returns a border of the domain" ~count:100
@@ -251,8 +291,7 @@ let prop_selection_always_a_domain_border =
     (fun (domain_index, port) ->
       let net = fig1 () in
       let domain, sel = selector net domain_index in
-      let flow = flow_for domain port in
-      let egress = Selector.choose_egress sel ~flow () in
+      let egress = egress sel (pair_for domain port) in
       Array.exists
         (fun b -> b.Topology.Domain.router = egress.Topology.Domain.router)
         domain.Topology.Domain.borders)
@@ -285,8 +324,8 @@ let () =
         [
           Alcotest.test_case "moves flow" `Quick test_rebalance_moves_flow;
           Alcotest.test_case "hysteresis" `Quick test_rebalance_respects_hysteresis;
-          Alcotest.test_case "forget flow" `Quick test_forget_flow;
         ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest [ prop_selection_always_a_domain_border ] );
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_selection_always_a_domain_border; prop_rebalance_order ] );
     ]

@@ -557,9 +557,7 @@ let test_pull_retry_deterministic_timing () =
   let egress = borders.(Flow.hash flow mod Array.length borders) in
   let t_miss =
     Topology.Graph.latency_between w.internet.Topology.Builder.graph
-      (Topology.Domain.host_of_eid as_s flow.Flow.src
-      |> Option.get
-      |> Array.get as_s.Topology.Domain.hosts)
+      as_s.Topology.Domain.hosts.(Topology.Domain.host_index as_s flow.Flow.src)
       egress.Topology.Domain.router
   in
   Alcotest.(check (float 1e-9)) "timeout at t_miss + 3.5"

@@ -247,6 +247,62 @@ let test_rng_shuffle () =
   Alcotest.(check (list int)) "shuffle is a permutation" [ 1; 2; 3; 4; 5 ]
     (List.sort compare (Array.to_list b))
 
+(* The first outputs of three seeds, recorded from the generator that
+   kept its state in a boxed [int64] field: the unboxed state must draw
+   the same streams. *)
+let rng_pins =
+  [ ( 1,
+      (-4616330145664149646L, 6869446166584666695L),
+      (0x1.7fdf0061bb85ap-1, 0x1.7d54b3920bcaap-2),
+      [ 985; 347; 763; 4188487418961448599; 1863671749315441757;
+        883303267573283892 ] );
+    ( 2,
+      (4689417271487893854L, -1942014151176595275L),
+      (0x1.0450a0a6ba784p-2, 0x1.ca1928d664acbp-1),
+      [ 927; 170; 490; 2279187972962875942; 342614119236953517;
+        3781536157425149742 ] );
+    ( 3,
+      (-3405980900428447358L, 8025981027033294737L),
+      (0x1.a1770cd55c65p-1, 0x1.bd880ce1e9608p-2),
+      [ 129; 368; 2; 2998178355423044982; 1071031527989149464;
+        2037759527471295062 ] ) ]
+
+let test_rng_pinned_streams () =
+  List.iter
+    (fun (seed, (i1, i2), (f1, f2), ints) ->
+      let r = Rng.create seed in
+      Alcotest.(check int64) "first int64" i1 (Rng.int64 r);
+      Alcotest.(check int64) "second int64" i2 (Rng.int64 r);
+      let r = Rng.create seed in
+      Alcotest.(check (float 0.0)) "first float" f1 (Rng.float r);
+      Alcotest.(check (float 0.0)) "second float" f2 (Rng.float r);
+      let r = Rng.create seed in
+      Alcotest.(check (list int)) "ints (bounds 1000, then max_int)" ints
+        (List.init 6 (fun i -> Rng.int r (if i < 3 then 1000 else max_int))))
+    rng_pins
+
+(* A draw allocates nothing beyond its boxed result: [int] returns an
+   immediate, [float] a two-word boxed float (the unboxed state and the
+   inlined mix leave nothing else).  The boxed-state generator took 18
+   and 8 words. *)
+let test_rng_draw_allocation () =
+  let r = Rng.create 7 in
+  for _ = 1 to 1_000 do
+    ignore (Rng.int r 1000);
+    ignore (Sys.opaque_identity (Rng.float r))
+  done;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    ignore (Rng.int r 1000)
+  done;
+  let w1 = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    ignore (Sys.opaque_identity (Rng.float r))
+  done;
+  let w2 = Gc.minor_words () in
+  Alcotest.(check (float 0.0)) "words per int draw" 0.0 ((w1 -. w0) /. 1e4);
+  Alcotest.(check (float 0.0)) "words per float draw" 2.0 ((w2 -. w1) /. 1e4)
+
 let prop_shuffle_permutation =
   QCheck.Test.make ~name:"shuffle preserves multiset" ~count:200
     QCheck.(pair small_int (list small_int))
@@ -731,6 +787,8 @@ let () =
           Alcotest.test_case "shuffle" `Quick test_rng_shuffle;
           Alcotest.test_case "exponential mean" `Quick test_rng_exponential_mean;
           Alcotest.test_case "pareto minimum" `Quick test_rng_pareto_minimum;
+          Alcotest.test_case "pinned streams" `Quick test_rng_pinned_streams;
+          Alcotest.test_case "draw allocation" `Quick test_rng_draw_allocation;
         ] );
       ( "zipf",
         [

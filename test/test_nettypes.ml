@@ -463,13 +463,6 @@ let test_flow_hash_stable () =
   let g = Flow.create ~src:(addr "1.2.3.4") ~dst:(addr "5.6.7.8") ~src_port:1 ~dst_port:3 () in
   Alcotest.(check bool) "port changes hash" true (Flow.hash f <> Flow.hash g)
 
-let test_flow_map () =
-  let f1 = Flow.create ~src:(addr "1.0.0.1") ~dst:(addr "2.0.0.1") () in
-  let f2 = Flow.create ~src:(addr "1.0.0.2") ~dst:(addr "2.0.0.1") () in
-  let m = Flow.Map.(add f1 "a" (add f2 "b" empty)) in
-  Alcotest.(check (option string)) "find f1" (Some "a") (Flow.Map.find_opt f1 m);
-  Alcotest.(check (option string)) "find f2" (Some "b") (Flow.Map.find_opt f2 m)
-
 let test_packet_encap_cycle () =
   let f = Flow.create ~src:(addr "100.0.0.1") ~dst:(addr "100.1.0.1") () in
   let p = Packet.make ~flow:f ~segment:Packet.Syn ~sent_at:0.0 in
@@ -524,6 +517,30 @@ let prop_flow_hash_reverse_consistent =
       let f1 = Flow.create ~src:(Ipv4.addr_of_int s) ~dst:(Ipv4.addr_of_int d) ~src_port:sp ~dst_port:dp () in
       let f2 = Flow.create ~src:(Ipv4.addr_of_int s) ~dst:(Ipv4.addr_of_int d) ~src_port:sp ~dst_port:dp () in
       Flow.equal f1 f2 && Flow.hash f1 = Flow.hash f2)
+
+(* [Flow.hash] folds its five fields without building a list; the list
+   fold it replaced is the reference.  Addresses span the whole IPv4
+   space and ports the whole 16-bit range, so the products overflow. *)
+let prop_flow_hash_list_fold =
+  let list_hash f =
+    let mix acc x = (acc * 0x01000193) lxor x land max_int in
+    List.fold_left mix 0x811C9DC5
+      [ Ipv4.addr_to_int f.Flow.src; Ipv4.addr_to_int f.Flow.dst;
+        f.Flow.src_port; f.Flow.dst_port;
+        (match f.Flow.proto with Flow.Tcp -> 6 | Flow.Udp -> 17) ]
+  in
+  QCheck.Test.make ~name:"flow hash = list fold" ~count:500
+    QCheck.(
+      pair
+        (quad (int_bound 0xFFFFFFFF) (int_bound 0xFFFFFFFF) (int_bound 65535)
+           (int_bound 65535))
+        bool)
+    (fun ((s, d, sp, dp), udp) ->
+      let src = Ipv4.addr_of_int s and dst = Ipv4.addr_of_int d in
+      let proto = if udp then Flow.Udp else Flow.Tcp in
+      let f = Flow.create ~src ~dst ~src_port:sp ~dst_port:dp ~proto () in
+      Flow.hash f = list_hash f
+      && Flow.hash_fields ~src ~dst ~src_port:sp ~dst_port:dp proto = list_hash f)
 
 let () =
   Alcotest.run "nettypes"
@@ -582,7 +599,6 @@ let () =
         [
           Alcotest.test_case "reverse" `Quick test_flow_reverse;
           Alcotest.test_case "hash stable" `Quick test_flow_hash_stable;
-          Alcotest.test_case "map" `Quick test_flow_map;
           Alcotest.test_case "set" `Quick test_flow_set;
         ] );
       ( "packet",
@@ -594,5 +610,5 @@ let () =
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_prefix_table_covered_matches_filter; prop_prefix_mem_network;
-            prop_flow_hash_reverse_consistent ] );
+            prop_flow_hash_reverse_consistent; prop_flow_hash_list_fold ] );
     ]

@@ -605,19 +605,18 @@ let test_figure1_eid_lookup () =
   (match Builder.domain_of_eid net eid with
   | Some d -> Alcotest.(check int) "domain found" 0 d.Domain.id
   | None -> Alcotest.fail "eid not found");
-  Alcotest.(check (option int)) "host index roundtrip" (Some 1)
-    (Domain.host_of_eid as_s eid);
-  Alcotest.(check bool) "foreign eid rejected" true
-    (Domain.host_of_eid as_s (Nettypes.Ipv4.addr_of_string "100.0.1.1") = None)
+  Alcotest.(check int) "host index roundtrip" 1 (Domain.host_index as_s eid);
+  Alcotest.(check int) "foreign eid rejected" (-1)
+    (Domain.host_index as_s (Nettypes.Ipv4.addr_of_string "100.0.1.1"))
 
 let test_figure1_border_of_rloc () =
   let net = Builder.figure1 () in
   let as_d = net.Builder.domains.(1) in
   let b0 = as_d.Domain.borders.(0) in
   match Builder.border_of_rloc net b0.Domain.rloc with
-  | Some (d, b) ->
+  | Some (d, i) ->
       Alcotest.(check int) "domain" 1 d.Domain.id;
-      Alcotest.(check int) "router" b0.Domain.router b.Domain.router
+      Alcotest.(check int) "border index" 0 i
   | None -> Alcotest.fail "rloc not resolved"
 
 let test_domain_names () =
@@ -625,12 +624,26 @@ let test_domain_names () =
   let as_s = net.Builder.domains.(0) in
   Alcotest.(check string) "fqdn" "as0.net." (Domain.fqdn as_s);
   Alcotest.(check string) "host name" "h1.as0.net." (Domain.host_name as_s 1);
-  (match Builder.domain_of_name net "as1" with
-  | Some d -> Alcotest.(check int) "by label" 1 d.Domain.id
-  | None -> Alcotest.fail "label lookup failed");
-  match Builder.domain_of_name net "as1.net." with
-  | Some d -> Alcotest.(check int) "by fqdn" 1 d.Domain.id
-  | None -> Alcotest.fail "fqdn lookup failed"
+  (* Node labels and prefixes are built by concatenation and arithmetic;
+     these are the strings the formatted versions printed. *)
+  let label n = (Graph.node net.Builder.graph n).Node.label in
+  Alcotest.(check (list string)) "domain labels"
+    [ "as1"; "as1-hub"; "as1-dns"; "as1-pce"; "as1-h0"; "as1-h1"; "as1-br0";
+      "as1-br1" ]
+    (let d = net.Builder.domains.(1) in
+     d.Domain.name
+     :: List.map label
+          ([ d.Domain.hub; d.Domain.dns; d.Domain.pce ]
+          @ Array.to_list d.Domain.hosts
+          @ Array.to_list (Array.map (fun b -> b.Domain.router) d.Domain.borders)));
+  Alcotest.(check (list string)) "provider labels"
+    [ "PA-core"; "PB-core"; "PC-core"; "PD-core" ]
+    (Array.to_list (Array.map (fun p -> label p.Builder.core) net.Builder.providers));
+  Alcotest.(check (list string)) "prefixes"
+    [ "10.0.0.0/8"; "13.0.0.0/8"; "100.0.1.0/24" ]
+    [ Nettypes.Ipv4.prefix_to_string net.Builder.providers.(0).Builder.prefix;
+      Nettypes.Ipv4.prefix_to_string net.Builder.providers.(3).Builder.prefix;
+      Nettypes.Ipv4.prefix_to_string net.Builder.domains.(1).Domain.eid_prefix ]
 
 let test_advertised_mapping () =
   let net = Builder.figure1 () in
@@ -778,7 +791,9 @@ let test_generate_bad_params_rejected () =
       { Builder.default_params with provider_count = 0 };
       { Builder.default_params with provider_count = 101 };
       { Builder.default_params with hosts_per_domain = 0 };
-      { Builder.default_params with hosts_per_domain = 255 } ]
+      { Builder.default_params with hosts_per_domain = 255 };
+      (* Past the EID plan's last /24, 100.255.255.0/24. *)
+      { Builder.default_params with domain_count = 65_537 } ]
 
 let prop_generated_rloc_resolves =
   QCheck.Test.make ~name:"every generated rloc resolves to its border" ~count:20
@@ -793,10 +808,139 @@ let prop_generated_rloc_resolves =
           Array.for_all
             (fun b ->
               match Builder.border_of_rloc net b.Domain.rloc with
-              | Some (d', b') -> d'.Domain.id = d.Domain.id && b'.Domain.router = b.Domain.router
+              | Some (d', i) ->
+                  d'.Domain.id = d.Domain.id
+                  && d.Domain.borders.(i).Domain.router = b.Domain.router
               | None -> false)
             d.Domain.borders)
         net.Builder.domains)
+
+(* ------------------------------------------------------------------ *)
+(* Identity index                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* The linear scans that [Builder.domain_of_eid], [Domain.host_index]
+   and [Builder.border_of_rloc] replaced, kept as the index's oracle. *)
+module Scan = struct
+  let domain_of_eid net addr =
+    Array.find_opt (fun d -> Domain.owns_eid d addr) net.Builder.domains
+
+  let host_index d addr =
+    let found = ref (-1) in
+    Array.iteri
+      (fun i _ ->
+        if !found < 0 && Nettypes.Ipv4.addr_equal (Domain.host_eid d i) addr
+        then found := i)
+      d.Domain.hosts;
+    !found
+
+  let border_of_rloc net rloc =
+    let found = ref None in
+    Array.iter
+      (fun d ->
+        Array.iteri
+          (fun i b ->
+            if !found = None && Nettypes.Ipv4.addr_equal b.Domain.rloc rloc then
+              found := Some (d.Domain.id, i))
+          d.Domain.borders)
+      net.Builder.domains;
+    !found
+end
+
+(* The addresses a run can present to the index: every host EID and
+   every RLOC; then addresses outside the plan — flood EIDs in
+   200.0.0.0/8, the poisoned DNS answer 240.0.0.36, forged RLOCs in
+   241.0.0.0/8, resolver node ids (PCE_D's peer key), each /24's .0,
+   first non-host offset and .255, and the /24s just past the last
+   domain. *)
+let index_probe_addresses net rng =
+  let addr = Nettypes.Ipv4.addr_of_int in
+  let base p = Nettypes.Ipv4.addr_to_int (Nettypes.Ipv4.prefix_network p) in
+  let domains = Array.to_list net.Builder.domains in
+  let count = Array.length net.Builder.domains in
+  let random_in first_octet =
+    List.init 16 (fun _ -> addr ((first_octet lsl 24) lor Netsim.Rng.int rng 0x1000000))
+  in
+  List.concat_map
+    (fun d -> List.init (Array.length d.Domain.hosts) (Domain.host_eid d))
+    domains
+  @ List.concat_map (fun d -> Array.to_list (Array.map (fun b -> b.Domain.rloc) d.Domain.borders)) domains
+  @ random_in 200
+  @ [ addr 0xF000_0024; addr 0xF000_0042 ]
+  @ random_in 241
+  @ List.map (fun d -> addr d.Domain.dns) domains
+  @ List.concat_map
+      (fun d ->
+        let b = base d.Domain.eid_prefix in
+        [ addr b; addr (b + Array.length d.Domain.hosts + 1); addr (b + 255) ])
+      domains
+  @ List.init 3 (fun k ->
+        let i = count + k in
+        addr ((((100 lsl 16) + i) lsl 8) + 1))
+
+let check_index_against_scans net rng =
+  List.iter
+    (fun a ->
+      let name = Nettypes.Ipv4.addr_to_string a in
+      let id = Option.map (fun d -> d.Domain.id) in
+      Alcotest.(check (option int)) ("domain of " ^ name)
+        (id (Scan.domain_of_eid net a))
+        (id (Builder.domain_of_eid net a));
+      (match Builder.domain_of_eid net a with
+      | Some d ->
+          Alcotest.(check int) ("host of " ^ name) (Scan.host_index d a)
+            (Domain.host_index d a)
+      | None -> ());
+      Alcotest.(check (option (pair int int))) ("border of " ^ name)
+        (Scan.border_of_rloc net a)
+        (Option.map (fun (d, i) -> (d.Domain.id, i)) (Builder.border_of_rloc net a)))
+    (index_probe_addresses net rng)
+
+let random_internet ~seed ~domains ~two_tier =
+  let rng = Netsim.Rng.create seed in
+  let providers = 2 + Netsim.Rng.int rng 5 in
+  Builder.generate rng
+    { Builder.default_params with
+      domain_count = domains; provider_count = providers;
+      borders_per_domain = 1 + Netsim.Rng.int rng 3;
+      hosts_per_domain = 1 + Netsim.Rng.int rng 8;
+      core_shape = (if two_tier then Builder.Two_tier 2 else Builder.Full_mesh) }
+
+(* Figure 1, and one internet of each core shape past 256 domains, so
+   the EID plan's second octet moves (domain 256 owns 100.1.0.0/24).
+   Lookups allocate nothing: the index returns stored [Some]s. *)
+let test_index_matches_scans () =
+  let rng = Netsim.Rng.create 1 in
+  check_index_against_scans (Builder.figure1 ()) rng;
+  List.iter
+    (fun two_tier ->
+      let net = random_internet ~seed:7 ~domains:300 ~two_tier in
+      Alcotest.(check string) "domain 256's prefix" "100.1.0.0/24"
+        (Nettypes.Ipv4.prefix_to_string net.Builder.domains.(256).Domain.eid_prefix);
+      check_index_against_scans net rng;
+      let eids = Array.map (fun d -> Domain.host_eid d 0) net.Builder.domains in
+      let rlocs = Array.map (fun d -> d.Domain.borders.(0).Domain.rloc) net.Builder.domains in
+      let words =
+        minor_words (fun () ->
+            for i = 0 to 9_999 do
+              let k = i mod Array.length eids in
+              (match Builder.domain_of_eid net eids.(k) with
+              | Some d -> ignore (Sys.opaque_identity (Domain.host_index d eids.(k)))
+              | None -> ());
+              ignore (Sys.opaque_identity (Builder.border_of_rloc net rlocs.(k)))
+            done)
+      in
+      Alcotest.(check (float 0.0)) "minor words of 10 000 lookups" 0.0 words)
+    [ false; true ]
+
+let prop_index_matches_scans =
+  QCheck.Test.make ~name:"identity index = scans on random internets" ~count:40
+    QCheck.(triple (int_range 1 10_000) (int_range 1 300) bool)
+    (fun (seed, domains, two_tier) ->
+      check_index_against_scans
+        (random_internet ~seed ~domains ~two_tier)
+        (Netsim.Rng.create seed);
+      true)
 
 let () =
   Alcotest.run "topology"
@@ -851,6 +995,11 @@ let () =
           Alcotest.test_case "two-tier core" `Quick test_generate_two_tier_core;
           Alcotest.test_case "two-tier validation" `Quick test_generate_two_tier_validation;
           Alcotest.test_case "bad params" `Quick test_generate_bad_params_rejected;
+        ] );
+      ( "index",
+        [
+          Alcotest.test_case "index = scans" `Quick test_index_matches_scans;
+          QCheck_alcotest.to_alcotest prop_index_matches_scans;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest [ prop_generated_rloc_resolves ] );
